@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -34,8 +33,6 @@ EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_RESOURCE = 3
 EXIT_INPUT = 4
-
-_WORKERS_ENV = "OTMBENCH_WORKERS"
 
 
 class _CliError(Exception):
@@ -82,13 +79,6 @@ def _parse_angles(text: str) -> list:
     return out
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(_WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="otmbench", description=__doc__.splitlines()[0])
     p.add_argument("--out", help="write the report to this file instead of stdout")
@@ -98,11 +88,9 @@ def build_parser() -> _Parser:
     b.add_argument("--quantity", choices=povmsearch.QUANTITIES, default="greater")
     b.add_argument("--coarse", type=float, default=0.05)
     b.add_argument("--fine", type=float, default=0.005)
-    b.add_argument("--slice-eps", type=float, default=5e-4)
-    b.add_argument("--workers", type=int, default=None)
+    b.add_argument("--slice-eps", type=float, default=5e-4,
+                   help="arc width of the all-measurement certificate, in Bloch angle")
     b.add_argument("--time-budget", type=float, default=None, help="seconds")
-    b.add_argument("--no-scan", action="store_true",
-                   help="skip the multi-outcome raw sweep")
 
     s = sub.add_parser("simulate", help="protocol reads and Monte-Carlo statistics")
     s.add_argument("--n", type=int, required=True)
@@ -172,27 +160,24 @@ def _json_report(args, result, error=None, meta_extra=None) -> str:
 
 
 def _run_bounds(args):
-    workers = args.workers if args.workers is not None else _default_workers()
     try:
         rep = povmsearch.search_bounds(
             eps_coarse=args.coarse,
             eps_fine=args.fine,
             quantity=args.quantity,
-            workers=workers,
             time_budget=args.time_budget,
             slice_eps=args.slice_eps,
-            scan=not args.no_scan,
         )
     except ResourceLimitError as e:
         partial = e.partial.as_dict() if e.partial is not None else None
-        meta = {"workers": workers}
+        meta = {}
         if e.partial is not None:
             meta["elapsed_s"] = e.partial.elapsed_s
         _emit(args, _json_report(args, partial, meta_extra=meta,
                                  error={"type": "resource", "message": str(e)}))
         return EXIT_RESOURCE
     _emit(args, _json_report(args, rep.as_dict(),
-                             meta_extra={"elapsed_s": rep.elapsed_s, "workers": workers}))
+                             meta_extra={"elapsed_s": rep.elapsed_s}))
     return EXIT_OK
 
 

@@ -8,21 +8,22 @@ log-of-sum expressions in the per-element functionals
 
     F(M) = sum_j Tr[M V_j]^2 / Tr[M W_j]
 
-with fixed state matrices V_j, W_j.  Every F is convex in M and
-positively homogeneous of degree 1, which buys the two certification
-devices used here:
+with fixed state matrices V_j, W_j.  Every F is quadratic-over-linear,
+hence convex in M wherever its denominators are positive, and positively
+homogeneous of degree 1, which buys the two certification devices used
+here:
 
 * Cell corner corrections: over a box of matrix entries, a convex F is
   maximized at a vertex, so evaluating the 8 corner perturbations of a
   grid cell upper-bounds every POVM inside the cell.  This drives the
   progressive coarse-to-fine net search over two-outcome POVMs.
-* Trace-slice certificate: sum_i F(M_i) = sum_i Tr[M_i] F(M_i/Tr[M_i])
-  <= 2 max{F(P) : P PSD, Tr P = 1}, for any number of elements.  The
-  slice maximum is itself certified by corner-corrected cells over the
-  unit-trace parametrization (a, b, 1-a), where every denominator is
-  bounded away from zero.  This yields an upper bound valid for all
-  POVMs, not just the two-outcome net, and it is what search_bounds
-  reports as corrected_bound.
+* Pure-state arc certificate: sum_i F(M_i) = sum_i Tr[M_i] F(M_i/Tr[M_i])
+  <= 2 max{F(P) : P PSD, Tr P = 1}, for any number of elements.  On that
+  unit-trace disc a convex F peaks on the boundary circle of pure
+  states, which is covered by thin triangles around short arcs; F's
+  largest triangle vertex value certifies the maximum.  This yields an
+  upper bound valid for all POVMs, not just the two-outcome net, and it
+  is what search_bounds reports as corrected_bound.
 
 Measurements with complex entries never help: the states are real, so
 the imaginary part of an element drops out of every trace above.
@@ -30,7 +31,7 @@ the imaginary part of an element drops out of every trace above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 import itertools
 import math
 import time
@@ -46,7 +47,6 @@ __all__ = [
     "QUANTITIES",
     "REFERENCE_SETS",
     "Povm",
-    "CornerSet",
     "PovmInfo",
     "BoundReport",
     "ConvexityReport",
@@ -137,16 +137,40 @@ _QUANT_FAMS = {
 }
 
 
-def _eval_family(fam: _Family, pts: np.ndarray) -> np.ndarray:
-    """F at matrix coordinate points (..., 3); zero-trace elements give 0."""
+def _eval_family(fam: _Family, pts: np.ndarray) -> tuple:
+    """F at matrix coordinate points (..., 3), and the least group denominator.
+
+    Terms whose denominator is at most _DEN_ZERO contribute 0, so
+    zero-trace elements give 0.
+    """
     total = np.zeros(pts.shape[:-1])
+    den_min = np.full(pts.shape[:-1], np.inf)
     for nums, den in zip(fam.num_mats, fam.den_vecs):
         d = pts @ den
+        den_min = np.minimum(den_min, d)
         num = np.square(pts @ nums.T).sum(axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(d > _DEN_ZERO, num / np.where(d > _DEN_ZERO, d, 1.0), 0.0)
-        total = total + term
-    return total
+            total = total + np.where(d > _DEN_ZERO, num / np.where(d > _DEN_ZERO, d, 1.0), 0.0)
+    return total, den_min
+
+
+def _box_bound(fam: _Family, corners: np.ndarray, trace_top) -> tuple:
+    """Certified bound of F over each box given by its corners (8, N, 3).
+
+    Where every corner denominator stays above _DEN_FLOOR, the (linear)
+    denominators are positive over the whole box, F is convex there, and
+    the corner maximum is a true box bound.  Otherwise fall back to the
+    crude bound F(M) <= sum_j lam_max(V_j)^2/lam_min(W_j) * Tr M, with
+    trace_top bounding Tr M over the box.  Also returns the corner values.
+    """
+    vals, den = _eval_family(fam, corners)
+    crude = fam.crude * np.maximum(trace_top, 0.0)
+    return np.where(den.min(axis=0) < _DEN_FLOOR, crude, vals.max(axis=0)), vals
+
+
+def _corner_deltas(eps: float) -> np.ndarray:
+    """The 8 upward perturbations (a, b, c) of a cell base, entries in {0, eps}."""
+    return np.array(list(itertools.product((0.0, eps), repeat=3)))
 
 
 def _combine(quantity: str, sum_a, sum_b):
@@ -160,6 +184,13 @@ def _combine(quantity: str, sum_a, sum_b):
     if quantity == "conditional":
         return np.maximum(la, lb) - 2.0
     raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
+
+
+def _value_at(quantity: str, coords: np.ndarray) -> float:
+    """Quantity value of the POVM with these element coordinates (k, 3)."""
+    fam_a, fam_b = _QUANT_FAMS[quantity]
+    return float(_combine(quantity, _eval_family(fam_a, coords)[0].sum(),
+                          _eval_family(fam_b, coords)[0].sum()))
 
 
 def _eigmin_arr(pts: np.ndarray) -> np.ndarray:
@@ -205,24 +236,6 @@ class Povm:
         return [m.tolist() for m in self.elements]
 
 
-@dataclass(frozen=True)
-class CornerSet:
-    """The 8 upward perturbations (a,b;b,c), entries in {0, eps}."""
-
-    eps: float
-
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.array(list(itertools.product((0.0, self.eps), repeat=3)))
-
-    def __len__(self):
-        return 8
-
-    def __iter__(self):
-        for row in self.deltas:
-            yield np.array([[row[0], row[1]], [row[1], row[2]]])
-
-
 class PovmInfo(NamedTuple):
     ic_b0: float
     ic_b1: float
@@ -265,11 +278,9 @@ def value_from_info(info: PovmInfo, quantity: str) -> float:
 
 def quantity_value(povm: Povm, quantity: str) -> float:
     """Fast-path value via the family functionals (matches eval_povm_info)."""
-    fam_a, fam_b = _QUANT_FAMS[quantity] if quantity in _QUANT_FAMS else (None, None)
-    if fam_a is None:
+    if quantity not in _QUANT_FAMS:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
-    pts = povm.coords()
-    return float(_combine(quantity, _eval_family(fam_a, pts).sum(), _eval_family(fam_b, pts).sum()))
+    return _value_at(quantity, povm.coords())
 
 
 def _grid_values(eps: float, lo: float, hi: float) -> np.ndarray:
@@ -320,32 +331,12 @@ def _corrected_terms(fam: _Family, bases: np.ndarray, width: float, sign: float)
     sign -1: box [base - width, base] per entry (corners base - delta);
     used for the residual element, whose entries can only shrink as the
     leading elements grow.
-
-    Where every corner denominator stays positive the box minimum of the
-    (linear) denominator is positive, F is convex over the whole box, and
-    the corner maximum is a true box bound.  Otherwise fall back to the
-    crude bound F(M) <= sum_j lam_max(V_j)^2/lam_min(W_j) * Tr M, valid
-    for every PSD M in the box.
     """
     if width == 0.0:
-        return _eval_family(fam, bases)
-    deltas = CornerSet(width).deltas                      # (8, 3)
-    pts = bases[None, :, :] + sign * deltas[:, None, :]   # (8, N, 3)
-    vals = np.zeros(pts.shape[:-1])
-    den_min = np.full(bases.shape[0], np.inf)
-    for nums, den in zip(fam.num_mats, fam.den_vecs):
-        d = pts @ den
-        den_min = np.minimum(den_min, d.min(axis=0))
-        num = np.square(pts @ nums.T).sum(axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = vals + np.where(d > _DEN_ZERO, num / np.where(d > _DEN_ZERO, d, 1.0), 0.0)
-    vertex = vals.max(axis=0)
-    if sign > 0:
-        trace_top = bases[:, 0] + bases[:, 2] + 2.0 * width
-    else:
-        trace_top = bases[:, 0] + bases[:, 2]
-    crude = fam.crude * np.maximum(trace_top, 0.0)
-    return np.where(den_min < _DEN_FLOOR, crude, vertex)
+        return _eval_family(fam, bases)[0]
+    corners = bases[None, :, :] + sign * _corner_deltas(width)[:, None, :]   # (8, N, 3)
+    trace_top = bases[:, 0] + bases[:, 2] + (2.0 * width if sign > 0 else 0.0)
+    return _box_bound(fam, corners, trace_top)[0]
 
 
 def corner_corrected_value(povm: Povm, eps: float, quantity: str) -> float:
@@ -371,71 +362,78 @@ def corner_corrected_value(povm: Povm, eps: float, quantity: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# trace-slice certificate
+# pure-state arc certificate
 
-def _slice_certificate(quantity: str, slice_eps: float, chunk: int = 1 << 18):
-    """Upper bound over ALL POVMs via the unit-trace slice maximum.
+# slice families per quantity, and how their certified slice maximum K
+# becomes a bound on the quantity (every family sum is at most 2K)
+_SLICE_FAMS = {
+    "greater": ((_FAM_F0, _FAM_F1), lambda k: 1.0 + math.log2(k)),
+    "total": ((_FAM_F01,), lambda k: 2.0 * math.log2(k)),
+    "conditional": ((_FAM_G0, _FAM_G1), lambda k: -1.0 + math.log2(k)),
+}
 
-    Covers any element count: sum_i F(M_i) <= 2 * K with K the certified
-    maximum of F over PSD unit-trace matrices.  The slice is scanned as
-    (a, b, 1-a) cells with 4-corner corrections; every denominator is
-    affine in (a, b) with slice values bounded below by ~0.146, so the
-    corner maximum is always a certified cell bound.
+_MAX_ARCS = 1 << 24   # refused before anything is allocated
+
+
+def _slice_certificate(quantity: str, slice_eps: float) -> tuple:
+    """Upper bound over ALL POVMs via the pure-state maximum; (bound, K, arcs).
+
+    Any element count is covered: sum_i F(M_i) = sum_i Tr[M_i]
+    F(M_i / Tr[M_i]) <= 2K, with K the maximum of F over the unit-trace
+    slice (a, b, 1-a) of PSD matrices.  The slice is a disc; every
+    denominator is Tr[M W] with W positive definite, so it is positive on
+    the disc, F is convex there, and F peaks on the boundary circle of
+    pure states a = 1/2 + cos(u)/2, b = sin(u)/2 (u the Bloch angle).
+
+    The circle is cut into n = 4 * ceil(pi / (2 slice_eps)) arcs of width
+    h = 2 pi / n <= slice_eps.  Each arc lies in the triangle spanned by
+    its two endpoints and the point where their tangents meet (angle
+    u + h/2, radius 1/(2 cos(h/2))).  Every denominator is checked to be
+    >= 1e-6 at every vertex; being affine, it is then positive on the
+    whole triangle, F is convex there and peaks at a vertex.  So the
+    largest vertex value is a certified K.  n is a multiple of 4, so the
+    Bloch axis points u = 0, pi/2, pi, 3 pi/2 are arc endpoints and the
+    "greater" bound, attained there, stays exact.
     """
-    if quantity == "greater":
-        fams = (_FAM_F0, _FAM_F1)
-        finish = lambda ks: 1.0 + math.log2(max(ks))
-    elif quantity == "total":
-        fams = (_FAM_F01,)
-        finish = lambda ks: 2.0 * math.log2(ks[0])
-    elif quantity == "conditional":
-        fams = (_FAM_G0, _FAM_G1)
-        finish = lambda ks: -1.0 + math.log2(max(ks))
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
-
-    n_a = int(math.ceil(1.0 / slice_eps - 1e-9))
-    n_b = int(math.ceil(0.5 / slice_eps - 1e-9))
-    a_bases = slice_eps * np.arange(n_a)
-    b_bases = slice_eps * np.arange(-n_b, n_b)
-    aa, bb = np.meshgrid(a_bases, b_bases, indexing="ij")
-    aa, bb = aa.ravel(), bb.ravel()
-
-    # keep cells whose box meets the PSD disc b^2 <= a(1-a)
-    bmin = np.where((bb <= 0.0) & (0.0 <= bb + slice_eps), 0.0,
-                    np.minimum(np.abs(bb), np.abs(bb + slice_eps)))
-    amax = np.clip(0.5, aa, aa + slice_eps)
-    keep = bmin * bmin <= amax * (1.0 - amax) + 1e-12
-    aa, bb = aa[keep], bb[keep]
-
-    offsets = np.array(list(itertools.product((0.0, slice_eps), repeat=2)))  # (4, 2)
-    ks = [0.0] * len(fams)
-    cells = aa.shape[0]
-    for start in range(0, cells, chunk):
-        a = aa[start:start + chunk]
-        b = bb[start:start + chunk]
-        ac = a[None, :] + offsets[:, 0][:, None]          # (4, m)
-        bc = b[None, :] + offsets[:, 1][:, None]
-        pts = np.stack([ac, bc, 1.0 - ac], axis=-1)       # (4, m, 3)
-        for fi, fam in enumerate(fams):
-            for den in fam.den_vecs:
-                if (pts @ den).min() < 1e-6:
-                    raise InvariantViolationError(
-                        "slice denominator lost its positive floor"
-                    )
-            ks[fi] = max(ks[fi], float(_eval_family(fam, pts).max()))
-    return finish(ks), {f.name: k for f, k in zip(fams, ks)}, cells
+    fams, finish = _SLICE_FAMS[quantity]
+    quarter_arcs = math.pi / (2.0 * slice_eps)
+    if quarter_arcs > _MAX_ARCS // 4:
+        raise ResourceLimitError(f"slice_eps {slice_eps} needs more than {_MAX_ARCS} arcs")
+    n_arcs = 4 * math.ceil(quarter_arcs)
+    h = 2.0 * math.pi / n_arcs
+    ends = h * np.arange(n_arcs)
+    u = np.concatenate([ends, ends + h / 2])
+    r = np.repeat([0.5, 0.5 / math.cos(h / 2)], n_arcs)
+    a = 0.5 + r * np.cos(u)
+    pts = np.stack([a, r * np.sin(u), 1.0 - a], axis=-1)
+    k = 0.0
+    for fam in fams:
+        vals, den = _eval_family(fam, pts)
+        if den.min() < 1e-6:
+            raise InvariantViolationError("slice denominator lost its positive floor")
+        k = max(k, float(vals.max()))
+    return finish(k), k, n_arcs
 
 
 # ---------------------------------------------------------------------------
 # two-outcome progressive net
 
-def _pair_cell_bases(eps: float) -> np.ndarray:
-    """Cell bases (a, b, c) whose boxes can hold a two-outcome POVM."""
+def _net_axes(eps: float) -> tuple:
+    """Cell base values of the a (and c) and b axes of the eps-net."""
     n_a = int(math.ceil(1.0 / eps - 1e-9))
     n_b = int(math.ceil(0.5 / eps - 1e-9))
-    a = eps * np.arange(n_a)
-    b = eps * np.arange(-n_b, n_b)
+    return eps * np.arange(n_a), eps * np.arange(-n_b, n_b)
+
+
+def _bmin(b: np.ndarray, eps: float) -> np.ndarray:
+    """Smallest |b| over each cell [b, b + eps]."""
+    return np.where((b <= 0.0) & (0.0 <= b + eps), 0.0,
+                    np.minimum(np.abs(b), np.abs(b + eps)))
+
+
+def _pair_cell_bases(eps: float) -> np.ndarray:
+    """Cell bases (a, b, c) whose boxes can hold a two-outcome POVM."""
+    a, b = _net_axes(eps)
     A, B, C = np.meshgrid(a, b, a, indexing="ij")
     bases = np.stack([A.ravel(), B.ravel(), C.ravel()], axis=-1)
     return bases[_pair_cell_mask(bases, eps)]
@@ -443,12 +441,27 @@ def _pair_cell_bases(eps: float) -> np.ndarray:
 
 def _pair_cell_mask(bases: np.ndarray, eps: float) -> np.ndarray:
     a, b, c = bases[..., 0], bases[..., 1], bases[..., 2]
-    bmin = np.where((b <= 0.0) & (0.0 <= b + eps), 0.0,
-                    np.minimum(np.abs(b), np.abs(b + eps)))
+    bmin = _bmin(b, eps)
     m1 = bmin * bmin <= (a + eps) * (c + eps) + 1e-12
     # the complement's box mirrors b, so |b| bounds are unchanged
     m2 = bmin * bmin <= np.maximum(1.0 - a, 0.0) * np.maximum(1.0 - c, 0.0) + 1e-12
     return m1 & m2 & (a <= 1.0 + 1e-12) & (c <= 1.0 + 1e-12)
+
+
+def _count_flat_cells(eps: float) -> int:
+    """_pair_cell_bases(eps).shape[0], counted in O(eps^-2).
+
+    For fixed (a, c), _pair_cell_mask keeps the b whose bmin^2 is at most
+    both right-hand sides (a, c < 1 always holds on the net axes).
+    Counting those among the sorted bmin^2 values makes the same float
+    comparisons, so the count is exact.
+    """
+    a, b = _net_axes(eps)
+    bmin = _bmin(b, eps)
+    A, C = a[:, None], a[None, :]
+    limit = np.minimum((A + eps) * (C + eps) + 1e-12,
+                       np.maximum(1.0 - A, 0.0) * np.maximum(1.0 - C, 0.0) + 1e-12)
+    return int(np.searchsorted(np.sort(bmin * bmin), limit, side="right").sum())
 
 
 class _Best:
@@ -475,29 +488,13 @@ def _eval_pair_cells(quantity: str, bases: np.ndarray, eps: float, best: _Best) 
     mirrored point of the second, giving exactly the fine grid points of
     the cell including its upper faces.
     """
-    deltas = CornerSet(eps).deltas
-    p1 = bases[None, :, :] + deltas[:, None, :]                     # (8, N, 3)
+    p1 = bases[None, :, :] + _corner_deltas(eps)[:, None, :]        # (8, N, 3)
     p2 = np.array([1.0, 0.0, 1.0]) - p1
     fam_sums_corr = []
     fam_sums_raw = []
     for fam in _QUANT_FAMS[quantity]:
-        vals1 = np.zeros(p1.shape[:-1])
-        vals2 = np.zeros(p1.shape[:-1])
-        dmin1 = np.full(bases.shape[0], np.inf)
-        dmin2 = np.full(bases.shape[0], np.inf)
-        for nums, den in zip(fam.num_mats, fam.den_vecs):
-            d1, d2 = p1 @ den, p2 @ den
-            dmin1 = np.minimum(dmin1, d1.min(axis=0))
-            dmin2 = np.minimum(dmin2, d2.min(axis=0))
-            n1 = np.square(p1 @ nums.T).sum(axis=-1)
-            n2 = np.square(p2 @ nums.T).sum(axis=-1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals1 = vals1 + np.where(d1 > _DEN_ZERO, n1 / np.where(d1 > _DEN_ZERO, d1, 1.0), 0.0)
-                vals2 = vals2 + np.where(d2 > _DEN_ZERO, n2 / np.where(d2 > _DEN_ZERO, d2, 1.0), 0.0)
-        crude1 = _FAMCRUDE[fam.name] * (bases[:, 0] + bases[:, 2] + 2.0 * eps)
-        crude2 = _FAMCRUDE[fam.name] * (2.0 - bases[:, 0] - bases[:, 2])
-        t1 = np.where(dmin1 < _DEN_FLOOR, crude1, vals1.max(axis=0))
-        t2 = np.where(dmin2 < _DEN_FLOOR, crude2, vals2.max(axis=0))
+        t1, vals1 = _box_bound(fam, p1, bases[:, 0] + bases[:, 2] + 2.0 * eps)
+        t2, vals2 = _box_bound(fam, p2, 2.0 - bases[:, 0] - bases[:, 2])
         fam_sums_corr.append(t1 + t2)
         fam_sums_raw.append(vals1 + vals2)
     corrected = _combine(quantity, fam_sums_corr[0], fam_sums_corr[1])
@@ -511,9 +508,6 @@ def _eval_pair_cells(quantity: str, bases: np.ndarray, eps: float, best: _Best) 
             m1 = p1[d_i, c_i]
             best.offer(rmax, np.stack([m1, np.array([1.0, 0.0, 1.0]) - m1]))
     return corrected
-
-
-_FAMCRUDE = {f.name: f.crude for f in (_FAM_F0, _FAM_F1, _FAM_F01, _FAM_G0, _FAM_G1)}
 
 
 def _refine_steps(eps_coarse: float, eps_fine: float) -> list:
@@ -530,22 +524,12 @@ def _refine_steps(eps_coarse: float, eps_fine: float) -> list:
     return steps
 
 
-def _count_flat_cells(eps: float) -> int:
-    n_a = int(math.ceil(1.0 / eps - 1e-9))
-    n_b = int(math.ceil(0.5 / eps - 1e-9))
-    a = eps * np.arange(n_a)
-    b = eps * np.arange(-n_b, n_b)
-    total = 0
-    for av in a:
-        A = np.full((b.size, a.size), av)
-        B, C = np.meshgrid(b, a, indexing="ij")
-        bases = np.stack([A.ravel(), B.ravel(), C.ravel()], axis=-1)
-        total += int(_pair_cell_mask(bases, eps).sum())
-    return total
-
-
 @dataclass(frozen=True)
 class BoundReport:
+    """Result of search_bounds; a partial report (complete False) leaves
+    the stages it never reached at slice_bound inf, slice_cells 0 and
+    flat_cells 0."""
+
     quantity: str
     raw_max: float
     corrected_bound: float
@@ -558,7 +542,6 @@ class BoundReport:
     cells_visited: int
     flat_cells: int
     slice_cells: int
-    scan_points: int
     supports: dict
     complete: bool
     elapsed_s: float
@@ -572,23 +555,9 @@ class BoundReport:
     def as_dict(self) -> dict:
         # elapsed_s stays off the dict: serialized reports must be
         # byte-reproducible across runs, and wall time is not
-        return {
-            "quantity": self.quantity,
-            "raw_max": self.raw_max,
-            "corrected_bound": self.corrected_bound,
-            "argmax_povm": self.argmax_povm.as_lists(),
-            "net_epsilon": self.net_epsilon,
-            "refinement_levels": self.refinement_levels,
-            "slice_bound": self.slice_bound,
-            "slice_epsilon": self.slice_epsilon,
-            "frontier_bound": self.frontier_bound,
-            "cells_visited": self.cells_visited,
-            "flat_cells": self.flat_cells,
-            "slice_cells": self.slice_cells,
-            "scan_points": self.scan_points,
-            "supports": self.supports,
-            "complete": self.complete,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "elapsed_s"}
+        d["argmax_povm"] = self.argmax_povm.as_lists()
+        return d
 
 
 def _supports(quantity: str, corrected: float) -> dict:
@@ -598,108 +567,44 @@ def _supports(quantity: str, corrected: float) -> dict:
     }
 
 
-def _psd_grid_points(eps: float) -> np.ndarray:
-    avals = _grid_values(eps, 0.0, 1.0)
-    bvals = _grid_values(eps, -0.5, 0.5)
-    A, B, C = np.meshgrid(avals, bvals, avals, indexing="ij")
-    pts = np.stack([A.ravel(), B.ravel(), C.ravel()], axis=-1)
-    return pts[_eigmin_arr(pts) >= -1e-12]
-
-
-def _raw_scan(quantity: str, specs, best: _Best, deadline, workers: int) -> int:
-    """Coarse raw sweep over three- and four-outcome grid POVMs.
-
-    Raw values only: the slice certificate already bounds every element
-    count, so this pass exists to give raw_max a chance to move and to
-    exercise the multi-element evaluation path.  Sharded by the leading
-    element index; reduction order is fixed, so worker count cannot
-    change the result.
-    """
-    fam_a, fam_b = _QUANT_FAMS[quantity]
-    eye = np.array([1.0, 0.0, 1.0])
-    visited = 0
-    for outcomes, eps in specs:
-        pts = _psd_grid_points(eps)
-        fa = _eval_family(fam_a, pts)
-        fb = _eval_family(fam_b, pts)
-        shards = [np.arange(s, pts.shape[0], max(workers, 1)) for s in range(max(workers, 1))]
-        for shard in shards:
-            if deadline is not None and time.monotonic() > deadline:
-                raise _BudgetExceeded(visited)
-            for i in shard:
-                if outcomes == 3:
-                    rest = eye - pts[i] - pts
-                    ok = _eigmin_arr(rest) >= -1e-12
-                    if not ok.any():
-                        continue
-                    sa = fa[i] + fa[ok] + _eval_family(fam_a, rest[ok])
-                    sb = fb[i] + fb[ok] + _eval_family(fam_b, rest[ok])
-                    vals = _combine(quantity, sa, sb)
-                    visited += int(ok.sum())
-                    _offer_scan(best, vals, pts[i], pts[ok], rest[ok])
-                else:
-                    left = eye - pts[i] - pts      # residual after el1 and el2=pts[j]
-                    js = np.nonzero(_eigmin_arr(left) >= -1e-12)[0]
-                    for j in js:
-                        rest = left[j] - pts       # el4 given el3 = pts[k]
-                        ok = _eigmin_arr(rest) >= -1e-12
-                        if not ok.any():
-                            continue
-                        sa = fa[i] + fa[j] + fa[ok] + _eval_family(fam_a, rest[ok])
-                        sb = fb[i] + fb[j] + fb[ok] + _eval_family(fam_b, rest[ok])
-                        vals = _combine(quantity, sa, sb)
-                        visited += int(ok.sum())
-                        _offer_scan(best, vals, pts[i], pts[j], pts[ok], rest[ok])
-    return visited
-
-
-def _offer_scan(best: _Best, vals: np.ndarray, *parts):
-    vmax = float(vals.max())
-    if vmax < best.value:
-        return
-    fixed = [p for p in parts[:-2]]
-    varying, rest = parts[-2], parts[-1]
-    for idx in np.nonzero(vals == vmax)[0]:
-        coords = np.stack(fixed + [varying[idx], rest[idx]])
-        best.offer(vmax, coords)
-
-
 class _BudgetExceeded(Exception):
-    def __init__(self, visited):
-        self.visited = visited
+    pass
 
 
 def search_bounds(
     eps_coarse: float = 0.05,
     eps_fine: float = 0.005,
     quantity: str = "greater",
-    workers: int = 1,
     time_budget: float | None = None,
     slice_eps: float = 5e-4,
-    scan: bool = True,
 ) -> BoundReport:
-    """Progressive net search plus the all-POVM slice certificate.
+    """Progressive net search plus the all-POVM arc certificate.
 
     The coarse two-outcome pass corner-corrects every cell, discards
     cells that provably cannot beat the raw incumbent, and refines the
     survivors down to eps_fine (frontier_bound certifies the two-outcome
-    family).  The slice certificate independently bounds POVMs of every
-    element count and is reported as corrected_bound.  An optional raw
-    sweep over coarse three- and four-outcome grids lets raw_max move
-    beyond two outcomes (it never has: the slice bound is tight at
-    two-outcome bases).
+    family).  The arc certificate, with arcs at most slice_eps wide in
+    Bloch angle, independently bounds POVMs of every element count and
+    is reported as corrected_bound.
 
     Raises ResourceLimitError with a partial report if the time budget
-    runs out.
+    runs out; the deadline is checked before the arc certificate, before
+    each net level and before the flat-cell count.
     """
     if quantity not in _QUANT_FAMS:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
     if eps_coarse <= 0 or eps_fine <= 0 or eps_fine > eps_coarse + 1e-15:
         raise ValueError("need 0 < eps_fine <= eps_coarse")
+    if not 0.0 < slice_eps < math.inf:
+        raise ValueError(f"slice_eps must be positive and finite, got {slice_eps}")
+    if time_budget is not None and math.isnan(time_budget):
+        raise ValueError("time_budget must be a number of seconds, not nan")
     start = time.monotonic()
-    deadline = None if time_budget is None else start + time_budget
+    deadline = math.inf if time_budget is None else start + time_budget
 
-    slice_bound, slice_ks, slice_cells = _slice_certificate(quantity, slice_eps)
+    def check_deadline():
+        if time.monotonic() > deadline:
+            raise _BudgetExceeded()
 
     best = _Best()
     # The incumbent starts from the distinguished exact bases.  The net's
@@ -710,96 +615,66 @@ def search_bounds(
     for phi in DISTINGUISHED_ANGLES:
         c, s = math.cos(phi), math.sin(phi)
         seed = np.array([[c * c, c * s, s * s], [s * s, -c * s, c * c]])
-        best.offer(float(_combine(
-            quantity,
-            _eval_family(_QUANT_FAMS[quantity][0], seed).sum(),
-            _eval_family(_QUANT_FAMS[quantity][1], seed).sum(),
-        )), seed)
+        best.offer(_value_at(quantity, seed), seed)
 
-    def make_report(complete, visited, frontier, levels, eps_last, scan_points):
-        corrected = slice_bound
+    slice_bound, slice_cells, flat_cells = math.inf, 0, 0
+    visited, level, eps = 0, 0, eps_coarse
+
+    def make_report(complete, frontier):
         return BoundReport(
             quantity=quantity,
             raw_max=best.value,
-            corrected_bound=corrected,
+            corrected_bound=slice_bound,
             argmax_povm=Povm.from_coords(best.coords),
-            net_epsilon=eps_last,
-            refinement_levels=levels,
+            net_epsilon=eps,
+            refinement_levels=level,
             slice_bound=slice_bound,
             slice_epsilon=slice_eps,
             frontier_bound=frontier,
             cells_visited=visited,
-            flat_cells=_count_flat_cells(eps_fine),
+            flat_cells=flat_cells,
             slice_cells=slice_cells,
-            scan_points=scan_points,
-            supports=_supports(quantity, corrected),
+            supports=_supports(quantity, slice_bound),
             complete=complete,
             elapsed_s=time.monotonic() - start,
         )
 
-    visited = 0
-    steps = _refine_steps(eps_coarse, eps_fine)
-    eps = eps_coarse
-    bases = _pair_cell_bases(eps)
-    level = 0
     try:
+        check_deadline()
+        slice_bound, _, slice_cells = _slice_certificate(quantity, slice_eps)
+        steps = _refine_steps(eps_coarse, eps_fine)
+        bases = _pair_cell_bases(eps)
         while True:
-            if deadline is not None and time.monotonic() > deadline:
-                raise _BudgetExceeded(visited)
-            # shard by leading entry index for deterministic reduction
-            order = np.lexsort((bases[:, 2], bases[:, 1], bases[:, 0]))
-            bases = bases[order]
-            nshards = max(workers, 1)
-            shard_corr = []
-            for s in range(nshards):
-                shard = bases[s::nshards]
-                corr = _eval_pair_cells(quantity, shard, eps, best) if shard.size else np.empty(0)
-                shard_corr.append((shard, corr))
-                visited += shard.shape[0]
-            survivors = []
-            frontier = best.value
-            for shard, corr in shard_corr:
-                if corr.size:
-                    frontier = max(frontier, float(corr.max()))
-                    survivors.append(shard[corr > best.value])
+            check_deadline()
+            # a fixed cell order keeps every array, and so every bit of
+            # the result, independent of how the cells were produced
+            bases = bases[np.lexsort((bases[:, 2], bases[:, 1], bases[:, 0]))]
+            corr = _eval_pair_cells(quantity, bases, eps, best) if bases.size else np.empty(0)
+            visited += bases.shape[0]
+            frontier = max(best.value, float(corr.max())) if corr.size else best.value
             if level == len(steps):
                 break
             s = steps[level]
             level += 1
-            if survivors:
-                parents = np.concatenate(survivors)
-            else:
-                parents = np.empty((0, 3))
-            child_eps = eps / s
+            parents = bases[corr > best.value]
             if parents.shape[0] * s**3 > 20_000_000:
-                raise _BudgetExceeded(visited)
-            if parents.shape[0]:
-                offs = child_eps * np.array(
-                    list(itertools.product(range(s), repeat=3)), dtype=float
-                )
-                children = (parents[:, None, :] + offs[None, :, :]).reshape(-1, 3)
-                children = children[_pair_cell_mask(children, child_eps)]
-            else:
-                children = np.empty((0, 3))
-            bases = children
-            eps = child_eps
+                raise _BudgetExceeded()
+            eps = eps / s
+            offs = eps * np.array(list(itertools.product(range(s), repeat=3)), dtype=float)
+            children = (parents[:, None, :] + offs[None, :, :]).reshape(-1, 3)
+            bases = children[_pair_cell_mask(children, eps)]
             if bases.shape[0] == 0:
                 # everything pruned; the incumbent is the exact frontier
                 frontier = best.value
                 break
-
-        scan_points = 0
-        if scan:
-            scan_points = _raw_scan(
-                quantity, ((3, 0.1), (4, 0.25)), best, deadline, workers
-            )
-        return make_report(True, visited, frontier, level, eps, scan_points)
-    except _BudgetExceeded as exc:
-        partial = make_report(False, visited, math.inf, level, eps, 0)
+        check_deadline()
+        flat_cells = _count_flat_cells(eps_fine)
+    except _BudgetExceeded:
         raise ResourceLimitError(
             f"time budget {time_budget}s exceeded during {quantity} search",
-            partial=partial,
+            partial=make_report(False, math.inf),
         ) from None
+    return make_report(True, frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +696,7 @@ def rank_one_crosscheck(samples: int, seed) -> dict:
     def offer(coords):
         pts = np.asarray(coords)
         for q in QUANTITIES:
-            fa, fb = _QUANT_FAMS[q]
-            v = float(_combine(q, _eval_family(fa, pts).sum(), _eval_family(fb, pts).sum()))
+            v = _value_at(q, pts)
             if v > best[q]:
                 best[q] = v
 

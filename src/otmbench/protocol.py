@@ -81,9 +81,6 @@ class ProtocolParams:
     lam: int
     k: int | None = None
     rate: float | None = None
-    eps1: float | None = None
-    eps2: float | None = None
-    geometry: object = None
     seed_root: int = 0
 
     def __post_init__(self):

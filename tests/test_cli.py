@@ -152,7 +152,7 @@ def test_bounds_small_run(tmp_path, capsys):
     out_file = tmp_path / "bounds.json"
     code = cli.main(
         ["--out", str(out_file), "bounds", "--quantity", "greater",
-         "--coarse", "0.25", "--fine", "0.25", "--slice-eps", "0.01", "--no-scan"]
+         "--coarse", "0.25", "--fine", "0.25", "--slice-eps", "0.01"]
     )
     assert code == cli.EXIT_OK
     payload = json.loads(out_file.read_text())
@@ -175,13 +175,16 @@ def test_bounds_budget_exhaustion_partial_payload(tmp_path, capsys):
     assert payload["result"]["complete"] is False
 
 
-def test_workers_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OTMBENCH_WORKERS", "2")
-    out_file = tmp_path / "w.json"
-    code = cli.main(
-        ["--out", str(out_file), "bounds", "--quantity", "total",
-         "--coarse", "0.25", "--fine", "0.25", "--slice-eps", "0.01", "--no-scan"]
-    )
-    assert code == cli.EXIT_OK
-    payload = json.loads(out_file.read_text())
-    assert payload["meta"]["workers"] == 2
+
+@pytest.mark.parametrize("flags, code", [
+    (["--slice-eps", "0"], cli.EXIT_INPUT),
+    (["--slice-eps", "-0.01"], cli.EXIT_INPUT),
+    (["--slice-eps", "nan"], cli.EXIT_INPUT),
+    (["--slice-eps", "inf"], cli.EXIT_INPUT),
+    (["--time-budget", "nan"], cli.EXIT_INPUT),
+    (["--slice-eps", "1e-12"], cli.EXIT_RESOURCE),
+])
+def test_bounds_bad_numbers_exit_cleanly(flags, code, capsys):
+    argv = ["bounds", "--coarse", "0.25", "--fine", "0.25"] + flags
+    assert cli.main(argv) == code
+    assert "Traceback" not in capsys.readouterr().err

@@ -20,7 +20,8 @@ from otmbench.povmsearch import (
     value_from_info,
     verify_convexity_fact,
 )
-from otmbench.qrac import BasisMeasurement
+from otmbench.povmsearch import _count_flat_cells, _pair_cell_bases, _slice_certificate
+from otmbench.qrac import BasisMeasurement, qrac_encode
 
 LOG2_3_2 = math.log2(1.5)
 LOG2_5_4_X2 = 2 * math.log2(1.25)
@@ -247,14 +248,14 @@ def flat_net_max(eps, quantity):
 @pytest.mark.parametrize("quantity", QUANTITIES)
 def test_search_matches_flat_enumeration_on_coarse_net(quantity):
     """No-refinement search equals an independent flat scan of the net."""
-    report = search_bounds(0.1, 0.1, quantity, scan=False, slice_eps=0.01)
+    report = search_bounds(0.1, 0.1, quantity, slice_eps=0.01)
     assert report.raw_max == pytest.approx(flat_net_max(0.1, quantity), abs=1e-12)
     assert report.complete
     assert report.refinement_levels == 0
 
 
 def test_search_report_invariants():
-    report = search_bounds(0.1, 0.05, "total", scan=False, slice_eps=0.01)
+    report = search_bounds(0.1, 0.05, "total", slice_eps=0.01)
     assert report.corrected_bound >= report.raw_max - 1e-12
     assert report.frontier_bound >= report.raw_max - 1e-12
     assert report.corrected_bound == report.slice_bound
@@ -265,15 +266,6 @@ def test_search_report_invariants():
     d = report.as_dict()
     assert "elapsed_s" not in d, "wall time must stay out of the result payload"
     assert d["quantity"] == "total"
-
-
-def test_search_worker_count_invariance():
-    r1 = search_bounds(0.1, 0.05, "greater", workers=1, scan=False, slice_eps=0.01)
-    r3 = search_bounds(0.1, 0.05, "greater", workers=3, scan=False, slice_eps=0.01)
-    assert r1.raw_max == r3.raw_max
-    assert r1.argmax_povm.key() == r3.argmax_povm.key()
-    assert r1.frontier_bound == r3.frontier_bound
-    assert r1.cells_visited == r3.cells_visited
 
 
 def test_search_argument_validation():
@@ -289,21 +281,58 @@ def test_search_time_budget_partial_report():
     partial = err.value.partial
     assert partial is not None
     assert not partial.complete
+    # the deadline is checked before the arc certificate and the flat count
+    assert partial.slice_cells == 0 and partial.flat_cells == 0
 
 
 def test_slice_certificate_values():
     # the slice bound covers every element count, so it must sit above
     # each achieved value and below the loosest published figure
-    g = search_bounds(0.2, 0.2, "greater", scan=False, slice_eps=0.002)
+    g = search_bounds(0.2, 0.2, "greater", slice_eps=0.002)
     assert LOG2_3_2 - 1e-9 <= g.slice_bound <= 0.59
-    t = search_bounds(0.2, 0.2, "total", scan=False, slice_eps=0.002)
+    t = search_bounds(0.2, 0.2, "total", slice_eps=0.002)
     assert LOG2_5_4_X2 - 1e-9 <= t.slice_bound <= 0.67
-    c = search_bounds(0.2, 0.2, "conditional", scan=False, slice_eps=0.002)
+    c = search_bounds(0.2, 0.2, "conditional", slice_eps=0.002)
     assert LOG2_3_2 - 1e-9 <= c.slice_bound <= 0.59
 
 
+@pytest.mark.parametrize("quantity, closed_form", [
+    ("greater", 1 + math.log2(0.75)),
+    ("total", 2 * math.log2(1.25)),
+    ("conditional", -1 + math.log2(3)),
+])
+def test_arc_certificate_against_closed_forms(quantity, closed_form):
+    bound, k, arcs = _slice_certificate(quantity, 5e-4)
+    assert arcs % 4 == 0
+    assert -1e-12 <= bound - closed_form <= 1e-6
+    # independent oracle: F straight from the encoded density matrices at
+    # 10^5 evenly spaced pure states never exceeds the certified maximum
+    rho = {(x, y): qrac_encode(x, y).density_matrix() for x in (0, 1) for y in (0, 1)}
+    avg_b1 = {x: (rho[x, 0] + rho[x, 1]) / 2 for x in (0, 1)}
+    avg_b0 = {y: (rho[0, y] + rho[1, y]) / 2 for y in (0, 1)}
+    u = np.linspace(0.0, 2 * math.pi, 100_000, endpoint=False)
+    psi = np.stack([np.cos(u / 2), np.sin(u / 2)], axis=-1)
+
+    def tr(m):
+        return np.einsum("ni,ij,nj->n", psi, m, psi)
+
+    if quantity == "greater":
+        fs = [sum(tr(avg_b1[x]) ** 2 for x in (0, 1)), sum(tr(avg_b0[y]) ** 2 for y in (0, 1))]
+    elif quantity == "total":
+        fs = [sum(tr(m) ** 2 for m in (*avg_b1.values(), *avg_b0.values()))]
+    else:
+        fs = [sum(sum(tr(rho[x, y]) ** 2 for x in (0, 1)) / tr(avg_b0[y]) for y in (0, 1)),
+              sum(sum(tr(rho[x, y]) ** 2 for y in (0, 1)) / tr(avg_b1[x]) for x in (0, 1))]
+    assert max(f.max() for f in fs) <= k + 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.1, 0.05, 0.02])
+def test_flat_cell_count_matches_enumeration(eps):
+    assert _count_flat_cells(eps) == _pair_cell_bases(eps).shape[0]
+
+
 def test_reference_set_support_flags():
-    report = search_bounds(0.2, 0.2, "greater", scan=False, slice_eps=0.002)
+    report = search_bounds(0.2, 0.2, "greater", slice_eps=0.002)
     assert set(report.supports) == set(REFERENCE_SETS)
     for name, flag in report.supports.items():
         assert flag == (report.corrected_bound <= REFERENCE_SETS[name]["greater"] + 1e-12)
@@ -321,7 +350,7 @@ def test_rank_one_crosscheck_anchors_and_ordering():
     assert best["total"] >= LOG2_5_4_X2 - 1e-9
     # lower bounds can never exceed the certified upper bounds
     for q in QUANTITIES:
-        upper = search_bounds(0.2, 0.2, q, scan=False, slice_eps=0.002)
+        upper = search_bounds(0.2, 0.2, q, slice_eps=0.002)
         assert best[q] <= upper.corrected_bound + 1e-9
 
 
