@@ -63,6 +63,8 @@ class JointDistribution:
             raise ValueError(f"duplicate variable names in {names}")
         if table.size == 0:
             raise ValueError("empty table")
+        if not np.all(np.isfinite(table)):
+            raise ValueError("non-finite probability entry")
         if np.any(table < -1e-12):
             raise ValueError("negative probability entry")
         mass = float(table.sum())
@@ -123,16 +125,21 @@ class JointDistribution:
         if header[-1] != "prob":
             raise ValueError("last CSV column must be 'prob'")
         names = tuple(header[:-1])
-        rows = []
+        rows = {}
         for ln in lines[1:]:
             cells = ln.split(",")
             if len(cells) != len(header):
                 raise ValueError(f"row has {len(cells)} cells, expected {len(header)}")
-            rows.append(([int(c) for c in cells[:-1]], float(cells[-1])))
-        shape = [max(r[0][i] for r in rows) + 1 for i in range(len(names))]
+            idx = tuple(int(c) for c in cells[:-1])
+            if min(idx, default=0) < 0:
+                raise ValueError(f"negative index in row {ln!r}")
+            if idx in rows:
+                raise ValueError(f"duplicate row for index {idx}")
+            rows[idx] = float(cells[-1])
+        shape = [max(idx[i] for idx in rows) + 1 for i in range(len(names))]
         table = np.zeros(shape)
-        for idx, prob in rows:
-            table[tuple(idx)] = prob
+        for idx, prob in rows.items():
+            table[idx] = prob
         return cls(names, table)
 
     def to_json(self) -> str:
@@ -259,22 +266,13 @@ def markov_smooth(d: JointDistribution, target, given, cap: float) -> SmoothedDi
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(pg > 0.0, joint / pg, 0.0)
     kill = cond >= cap  # (T, G) mask over flattened groups
-    # broadcast the mask back onto the full table
-    t_sizes = d.sizes_of(target)
-    g_sizes = d.sizes_of(given)
-    mask_full = np.zeros(d.table.shape, dtype=bool)
-    it = np.ndindex(*joint.shape)
-    for tg in it:
-        if not kill[tg]:
-            continue
-        t_idx = np.unravel_index(tg[0], t_sizes)
-        g_idx = np.unravel_index(tg[1], g_sizes)
-        sel = [slice(None)] * d.table.ndim
-        for ax, i in zip(t_axes, t_idx):
-            sel[ax] = i
-        for ax, i in zip(g_axes, g_idx):
-            sel[ax] = i
-        mask_full[tuple(sel)] = True
+    # broadcast the mask back onto the full table: unflatten the groups,
+    # move their axes into table order, and give every other axis size 1
+    axes = t_axes + g_axes
+    kill = kill.reshape(d.sizes_of(target) + d.sizes_of(given))
+    kill = np.transpose(kill, np.argsort(axes))
+    shape = [d.table.shape[ax] if ax in axes else 1 for ax in range(d.table.ndim)]
+    mask_full = np.broadcast_to(kill.reshape(shape), d.table.shape)
     removed = float(d.table[mask_full].sum())
     if removed >= 1.0 - 1e-12:
         raise ValueError(f"cap {cap} removes all probability mass")

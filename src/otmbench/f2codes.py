@@ -40,17 +40,20 @@ __all__ = [
 # enumeration guards: 2^k codewords / 2^n error patterns
 MAX_MESSAGE_BITS = 24
 MAX_BLOCK_BITS = 20
+# words packed into int64 for sampled decoding, sign bit left clear
+MAX_PACKED_BITS = 62
 
 _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.int64)
-    return (
-        _POP16[x & 0xFFFF].astype(np.int64)
-        + _POP16[(x >> 16) & 0xFFFF]
-        + _POP16[(x >> 32) & 0xFFFF]
-    )
+    """Set bits of each int64, all 64 of them, from four 16-bit lookups."""
+    x = np.ascontiguousarray(x, dtype=np.int64)
+    words = x.view(np.uint16).reshape(x.shape + (4,))
+    out = _POP16[words[..., 0]]
+    for i in (1, 2, 3):
+        out += _POP16[words[..., i]]   # uint8 holds any count up to 64
+    return out.astype(np.int64)
 
 
 def bits_to_int(bits: np.ndarray) -> int:
@@ -273,6 +276,10 @@ def mc_failure_prob(code: LinearCode, p: float, trials: int, seed: int) -> float
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if code.n > MAX_PACKED_BITS:
+        raise ResourceLimitError(
+            f"n={code.n} exceeds the {MAX_PACKED_BITS}-bit packed-word limit"
+        )
     rng = np.random.default_rng(seed)
     cw = code.codeword_ints
     weights = 1 << np.arange(code.n - 1, -1, -1, dtype=np.int64)

@@ -14,10 +14,11 @@ matter here: only which sites a cone can reach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-import itertools
+from dataclasses import dataclass
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InvariantViolationError, ResourceLimitError
 
@@ -35,7 +36,7 @@ __all__ = [
     "regroup_measurements",
 ]
 
-# build_partition materializes every cell index; keep it at desk scale.
+# cells listed at once, and cubes a partition loops over, stay at desk scale
 _MAX_CELLS = 1 << 22
 
 
@@ -98,17 +99,14 @@ class HypercubePartition:
     """Tiling of a grid by outer cubes, each split into inner cube + shell.
 
     Outer cubes have side 2r + 2*ell**d; the centered inner cube has side
-    2r, leaving a shell of width ell**d on every face.
+    2r, leaving a shell of width ell**d on every face.  A partition is its
+    boxes: cube j's cells are listed only on demand, by inner_cells(j).
     """
 
     grid: GridSpec
     r: int
     outer_side: int
     q: int
-    inner_cubes: list
-    shells: list
-    CU: set = field(repr=False)
-    CU_bar: set = field(repr=False)
 
     def __post_init__(self):
         g = self.grid
@@ -116,23 +114,8 @@ class HypercubePartition:
             raise InvariantViolationError(
                 f"{g.n} cells not a multiple of {self.outer_side}**{g.D}"
             )
-        inner = (2 * self.r) ** g.D
-        for j, cu in enumerate(self.inner_cubes):
-            if len(cu) != inner:
-                raise InvariantViolationError(
-                    f"inner cube {j} has {len(cu)} cells, expected {inner}"
-                )
-        if len(self.inner_cubes) != self.q or len(self.shells) != self.q:
-            raise InvariantViolationError("cube list lengths disagree with q")
-        if sum(len(c) for c in self.inner_cubes) != len(self.CU):
-            raise InvariantViolationError("inner cubes overlap")
-        if self.CU | self.CU_bar != set(range(g.n)) or self.CU & self.CU_bar:
-            raise InvariantViolationError("CU, CU_bar do not partition the grid")
-        want_bar = g.n - self.q * inner
-        if len(self.CU_bar) != want_bar:
-            raise InvariantViolationError(
-                f"|CU_bar| = {len(self.CU_bar)}, expected {want_bar}"
-            )
+        if self.q != g.n // self.outer_side**g.D:
+            raise InvariantViolationError(f"q = {self.q} disagrees with the tiling")
 
     def cube_position(self, j: int) -> tuple:
         """Position of outer cube j on the cube grid, C order."""
@@ -152,10 +135,24 @@ class HypercubePartition:
         w = self.grid.cone_radius
         return [(lo + w, hi - w) for lo, hi in self.outer_box(j)]
 
+    def inner_cells(self, j: int) -> np.ndarray:
+        """Sorted grid indices of inner cube j."""
+        return _box_cells(self.grid, self.inner_box(j))
 
-def _box_cells(grid: GridSpec, box) -> set:
-    ranges = [range(lo, hi + 1) for lo, hi in box]
-    return {grid.index(c) for c in itertools.product(*ranges)}
+
+def _box_volume(box) -> int:
+    return math.prod(max(0, hi - lo + 1) for lo, hi in box)
+
+
+def _box_cells(grid: GridSpec, box) -> np.ndarray:
+    """Sorted grid indices of an inclusive per-axis box (empty if any lo > hi)."""
+    cells = _box_volume(box)
+    if cells > _MAX_CELLS:
+        raise ResourceLimitError(
+            f"a box of {cells} cells exceeds the listing limit {_MAX_CELLS}"
+        )
+    axes = np.ix_(*(np.arange(lo, hi + 1) for lo, hi in box))
+    return np.ravel_multi_index(axes, (grid.side,) * grid.D).ravel()
 
 
 def build_partition(grid: GridSpec, r: int) -> HypercubePartition:
@@ -170,37 +167,14 @@ def build_partition(grid: GridSpec, r: int) -> HypercubePartition:
         raise ValueError(
             f"grid side {grid.side} not divisible by outer side {outer_side}"
         )
-    if grid.n > _MAX_CELLS:
-        raise ResourceLimitError(
-            f"{grid.n} cells exceeds the explicit-partition limit {_MAX_CELLS}"
-        )
-    per_axis = grid.side // outer_side
-    q = per_axis**grid.D
-    inner_cubes, shells = [], []
-    w = grid.cone_radius
-    for pos in itertools.product(range(per_axis), repeat=grid.D):
-        outer = [(p * outer_side, (p + 1) * outer_side - 1) for p in pos]
-        inner = [(lo + w, hi - w) for lo, hi in outer]
-        outer_cells = _box_cells(grid, outer)
-        inner_cells = _box_cells(grid, inner)
-        inner_cubes.append(inner_cells)
-        shells.append(outer_cells - inner_cells)
-    CU = set().union(*inner_cubes)
-    CU_bar = set().union(*shells)
-    return HypercubePartition(
-        grid=grid,
-        r=r,
-        outer_side=outer_side,
-        q=q,
-        inner_cubes=inner_cubes,
-        shells=shells,
-        CU=CU,
-        CU_bar=CU_bar,
-    )
+    q = (grid.side // outer_side) ** grid.D
+    if q > _MAX_CELLS:
+        raise ResourceLimitError(f"{q} cubes exceeds the partition limit {_MAX_CELLS}")
+    return HypercubePartition(grid=grid, r=r, outer_side=outer_side, q=q)
 
 
-def reverse_lightcone(grid: GridSpec, qubit: int) -> set:
-    """All sites a depth-d circuit could have fed into this qubit.
+def reverse_lightcone(grid: GridSpec, qubit: int) -> np.ndarray:
+    """All sites a depth-d circuit could have fed into this qubit, sorted.
 
     L-infinity ball of radius ell**d, clipped at the grid boundary.  This
     is a superset of the true reverse cone of any concrete circuit, which
@@ -241,18 +215,25 @@ def certify_independence(
     R = grid.cone_radius
 
     if method == "exhaustive":
+        if grid.n > _MAX_CELLS:
+            raise ResourceLimitError(
+                f"{grid.n} cells exceeds the listing limit {_MAX_CELLS}"
+            )
+        in_claim = np.zeros(grid.n, dtype=bool)
         for j in range(part.q):
             claim = [
                 (lo + outer_shrink, hi - outer_shrink) for lo, hi in part.outer_box(j)
             ]
-            claim_cells = _box_cells(grid, claim) if all(lo <= hi for lo, hi in claim) else set()
-            for qubit in sorted(part.inner_cubes[j]):
+            claim_cells = _box_cells(grid, claim)
+            in_claim[claim_cells] = True
+            for qubit in part.inner_cells(j).tolist():
                 cone = reverse_lightcone(grid, qubit)
-                escaped = cone - claim_cells
-                if escaped:
+                escaped = cone[~in_claim[cone]]
+                if escaped.size:
                     return IndependenceReport(
-                        False, j + 1, method, (j, qubit, min(escaped))
+                        False, j + 1, method, (j, qubit, int(escaped[0]))
                     )
+            in_claim[claim_cells] = False
         return IndependenceReport(True, part.q, method)
 
     if method != "interval":
@@ -287,17 +268,19 @@ def certify_independence(
 
 
 def shell_accounting(part: HypercubePartition) -> ShellCounts:
-    """Closed-form cell counts, cross-checked against the explicit sets."""
+    """Closed-form cell counts, cross-checked against the summed box volumes."""
     g = part.grid
     inner = (2 * part.r) ** g.D
     outer = part.outer_side**g.D
     cu = part.q * inner
     cu_bar = g.n - cu
     fraction = 1.0 - inner / outer
-    if cu != len(part.CU) or cu_bar != len(part.CU_bar):
+    inner_sum = sum(_box_volume(part.inner_box(j)) for j in range(part.q))
+    outer_sum = sum(_box_volume(part.outer_box(j)) for j in range(part.q))
+    if cu != inner_sum or g.n != outer_sum:
         raise InvariantViolationError(
-            f"closed-form counts ({cu}, {cu_bar}) disagree with explicit sets "
-            f"({len(part.CU)}, {len(part.CU_bar)})"
+            f"closed-form counts ({cu}, {g.n}) disagree with summed box volumes "
+            f"({inner_sum}, {outer_sum})"
         )
     return ShellCounts(cu, cu_bar, part.q, fraction)
 
@@ -429,10 +412,10 @@ def regroup_measurements(part: HypercubePartition, outcome_assignment: dict) -> 
     j's outcomes in qubit order, and the concatenation of all groups is a
     permutation of the assigned inner-cube outcomes.
     """
-    missing = part.CU - outcome_assignment.keys()
-    if missing:
-        raise ValueError(f"unassigned inner-cube qubits, e.g. {min(missing)}")
-    return [
-        [outcome_assignment[qubit] for qubit in sorted(cube)]
-        for cube in part.inner_cubes
-    ]
+    try:
+        return [
+            [outcome_assignment[qubit] for qubit in part.inner_cells(j).tolist()]
+            for j in range(part.q)
+        ]
+    except KeyError as exc:
+        raise ValueError(f"unassigned inner-cube qubit {exc.args[0]}") from None

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 import itertools
 import math
+import sys
 import time
 from typing import Iterator, NamedTuple
 
@@ -418,10 +419,19 @@ def _slice_certificate(quantity: str, slice_eps: float) -> tuple:
 # ---------------------------------------------------------------------------
 # two-outcome progressive net
 
+# cells one net array may hold: the coarse net, the flat count's (a, c)
+# table and each refinement level are refused beyond it before allocating
+_MAX_NET_CELLS = 20_000_000
+
+
+def _axis_counts(eps: float) -> tuple:
+    """Cells n_a on the a (and c) axis and 2 n_b on the b axis of the eps-net."""
+    return int(math.ceil(1.0 / eps - 1e-9)), int(math.ceil(0.5 / eps - 1e-9))
+
+
 def _net_axes(eps: float) -> tuple:
     """Cell base values of the a (and c) and b axes of the eps-net."""
-    n_a = int(math.ceil(1.0 / eps - 1e-9))
-    n_b = int(math.ceil(0.5 / eps - 1e-9))
+    n_a, n_b = _axis_counts(eps)
     return eps * np.arange(n_a), eps * np.arange(-n_b, n_b)
 
 
@@ -593,12 +603,19 @@ def search_bounds(
     """
     if quantity not in _QUANT_FAMS:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
-    if eps_coarse <= 0 or eps_fine <= 0 or eps_fine > eps_coarse + 1e-15:
-        raise ValueError("need 0 < eps_fine <= eps_coarse")
+    # a normal float keeps 1/eps finite, so the cell counts below exist
+    if not sys.float_info.min <= eps_fine <= eps_coarse + 1e-15 < math.inf:
+        raise ValueError(f"need {sys.float_info.min} <= eps_fine <= eps_coarse < inf")
     if not 0.0 < slice_eps < math.inf:
         raise ValueError(f"slice_eps must be positive and finite, got {slice_eps}")
     if time_budget is not None and math.isnan(time_budget):
         raise ValueError("time_budget must be a number of seconds, not nan")
+    n_a, n_b = _axis_counts(eps_coarse)
+    fine_a = _axis_counts(eps_fine)[0]
+    for what, cells in (("coarse net", n_a * n_a * 2 * n_b),
+                        ("flat-cell (a, c) table", fine_a * fine_a)):
+        if cells > _MAX_NET_CELLS:
+            raise ResourceLimitError(f"{what} of {cells} cells exceeds {_MAX_NET_CELLS}")
     start = time.monotonic()
     deadline = math.inf if time_budget is None else start + time_budget
 
@@ -657,7 +674,7 @@ def search_bounds(
             s = steps[level]
             level += 1
             parents = bases[corr > best.value]
-            if parents.shape[0] * s**3 > 20_000_000:
+            if parents.shape[0] * s**3 > _MAX_NET_CELLS:
                 raise _BudgetExceeded()
             eps = eps / s
             offs = eps * np.array(list(itertools.product(range(s), repeat=3)), dtype=float)

@@ -29,7 +29,7 @@ from .collinfo import (
     conditional_collision_mi,
 )
 from .errors import InvariantViolationError, ResourceLimitError
-from .f2codes import LinearCode, bits_to_int, encode, int_to_bits, ml_decode, random_code
+from .f2codes import LinearCode, bits_to_int, encode, ml_decode, random_code
 from .povmsearch import Povm
 from .qrac import (
     BasisMeasurement,
@@ -90,14 +90,14 @@ class ProtocolParams:
             raise ValueError("give k or rate")
         if self.k is None:
             k = self.rate * self.n
-            if abs(k - round(k)) > 1e-9:
+            if not math.isfinite(k) or abs(k - round(k)) > 1e-9:
                 raise ValueError(f"rate*n = {k} is not an integer")
             object.__setattr__(self, "k", int(round(k)))
         if self.rate is None:
             object.__setattr__(self, "rate", self.k / self.n)
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if abs(self.rate * self.n - self.k) > 1e-9:
+        if not abs(self.rate * self.n - self.k) <= 1e-9:   # nan fails too
             raise ValueError(f"rate {self.rate} inconsistent with k={self.k}, n={self.n}")
         if self.lam < 0 or self.lam % 8:
             raise ValueError(f"lam must be a nonnegative multiple of 8, got {self.lam}")
@@ -205,6 +205,14 @@ def otrm_read(instance: OtrmInstance, alpha: int, seed) -> ReadResult:
     )
 
 
+def _toeplitz_index(output_len: int, input_len: int) -> np.ndarray:
+    """Seed position read by each entry of an output_len x input_len
+    Toeplitz matrix: constant diagonals, (i, j) reads i - j + input_len - 1."""
+    i = np.arange(output_len)[:, None]
+    j = np.arange(input_len)[None, :]
+    return i - j + input_len - 1
+
+
 @dataclass(frozen=True)
 class Extractor:
     """Toeplitz two-universal hash over F2, fixed by its public seed bits."""
@@ -226,12 +234,7 @@ class Extractor:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self.output_len == 0:
-            return np.zeros((0, self.input_len), dtype=np.uint8)
-        i = np.arange(self.output_len)[:, None]
-        j = np.arange(self.input_len)[None, :]
-        # constant diagonals: entry (i, j) reads seed position i - j + input_len - 1
-        return self.bits[i - j + self.input_len - 1]
+        return self.bits[_toeplitz_index(self.output_len, self.input_len)]
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.uint8) & 1
@@ -320,6 +323,8 @@ def mc_correctness(params: ProtocolParams, alpha: int, trials: int, seed: int,
     code used (fixed codes advised: with fresh codes per trial the exact
     benchmark is an average, not a constant).
     """
+    if trials <= 0:
+        raise ValueError(f"trials must be positive, got {trials}")
     if codes is None:
         codes = (
             random_code(params.n, params.k, derive_seed(seed, "mc-code0")),
@@ -479,6 +484,18 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
 # ---------------------------------------------------------------------------
 # exact simulator comparison
 
+def _pad_table(cws: np.ndarray, msg: int) -> np.ndarray:
+    """Packed extractor output pad[w, r] for every seed value w (as an
+    (n + msg - 1)-bit integer, index 0 most significant) and codeword row r:
+    one stacked Toeplitz product over all seeds."""
+    n = cws.shape[1]
+    seed_len = n + msg - 1 if msg else 0
+    shifts = np.arange(seed_len - 1, -1, -1)
+    seeds = (np.arange(2 ** seed_len)[:, None] >> shifts) & 1          # (w, seed bit)
+    bits = (seeds[:, _toeplitz_index(msg, n)] @ cws.T) % 2              # (w, i, r)
+    return np.einsum("wir,i->wr", bits, 1 << np.arange(msg - 1, -1, -1))
+
+
 class SimulatorReport(NamedTuple):
     real_view: JointDistribution
     sim_view: JointDistribution
@@ -513,65 +530,43 @@ def simulator_transcript(m0, m1, params: ProtocolParams, adversary_strategy=None
         raise ValueError("strategy lists more qubits than the instance holds")
     n_out = int(np.prod([t.shape[2] for t in tables])) if tables else 1
     w_count = 2 ** (n + msg - 1) if msg else 1
-    cells = w_count * w_count * n_out * 4 ** msg
+    # the view table, or with lam = 0 the (r0, r1, out) outcome table
+    cells = max(w_count, 2 ** k) ** 2 * n_out * 4 ** msg
     if cells > 1 << 24:
         raise ResourceLimitError(
-            f"view table would hold {cells} cells; shrink n, lam, or the strategy"
+            f"view or outcome table would hold {cells} cells; "
+            "shrink n, k, lam, or the strategy"
         )
 
     code0 = random_code(n, k, derive_seed(seed, "sim-code0"))
     code1 = random_code(n, k, derive_seed(seed, "sim-code1"))
-    msgs = np.array([int_to_bits(r, k) for r in range(2 ** k)])
-    cws0 = np.array([encode(code0, r) for r in msgs])
-    cws1 = np.array([encode(code1, r) for r in msgs])
+    cws0, cws1 = code0.codewords, code1.codewords      # row r encodes message r
 
-    # extractor output (packed int) for every seed value and message index
-    def ext_table(cws):
-        if msg == 0:
-            return np.zeros((1, 2 ** k), dtype=np.int64)
-        out = np.empty((w_count, 2 ** k), dtype=np.int64)
-        for w in range(w_count):
-            ext = make_extractor(n, msg, int_to_bits(w, n + msg - 1))
-            for r in range(2 ** k):
-                out[w, r] = bits_to_int(ext.apply(cws[r]))
-        return out
+    # pout[r0, r1, out]: outcome distribution given the two codewords
+    pout = np.ones((2 ** k, 2 ** k, 1))
+    for i, t in enumerate(tables):
+        qubit = t[cws0[:, i][:, None], cws1[:, i][None, :]]          # (r0, r1, o)
+        pout = (pout[..., None] * qubit[:, :, None, :]).reshape(2 ** k, 2 ** k, -1)
 
-    ext0, ext1 = ext_table(cws0), ext_table(cws1)
-    m0_int, m1_int = bits_to_int(m0), bits_to_int(m1)
-
-    def outcome_probs(c0, c1):
-        p = np.ones(1)
-        for i, t in enumerate(tables):
-            p = np.multiply.outer(p, t[int(c0[i]), int(c1[i])]).reshape(-1)
-        return p
-
+    # one-hot ciphertexts: hot[w, r, ct] = 1 where seed w pads message r to ct
     nc = 2 ** msg
-    real = np.zeros((w_count, w_count, n_out, nc, nc))
-    # side table for the min-entropy of c1: (c1 value, w0, outcome, ct0)
-    cw1_ints = np.array([bits_to_int(c) for c in cws1])
-    c1_vals = np.sort(np.unique(cw1_ints))
-    c1_index = {v: i for i, v in enumerate(c1_vals)}
-    side = np.zeros((len(c1_vals), w_count, n_out, nc))
+    hot0 = (bits_to_int(m0) ^ _pad_table(cws0, msg))[..., None] == np.arange(nc)
+    hot1 = (bits_to_int(m1) ^ _pad_table(cws1, msg))[..., None] == np.arange(nc)
+    # contract r1 first so no intermediate outgrows the view table
+    real = np.einsum("rso,xra,ysb->xyoab", (0.25 ** k / (w_count * w_count)) * pout,
+                     hot0, hot1, optimize=["einsum_path", (0, 2), (0, 1)])
+    # side table for the min-entropy of c1: (c1 = codeword of r1, w0, out, ct0);
+    # distinct messages have distinct codewords, so r1 indexes the c1 values
+    side = np.einsum("rso,xra->sxoa", (0.25 ** k / w_count) * pout, hot0)
 
-    weight = 0.25 ** k / (w_count * w_count)
-    w0_idx = np.arange(w_count)[:, None, None]
-    w1_idx = np.arange(w_count)[None, :, None]
-    o_idx = np.arange(n_out)[None, None, :]
-    for r0, r1 in itertools.product(range(2 ** k), repeat=2):
-        pout = outcome_probs(cws0[r0], cws1[r1])
-        ct0 = (m0_int ^ ext0[:, r0])[:, None, None]      # varies along w0
-        ct1 = (m1_int ^ ext1[:, r1])[None, :, None]      # varies along w1
-        real[w0_idx, w1_idx, o_idx, ct0, ct1] += weight * pout[None, None, :]
-        side[c1_index[cw1_ints[r1]], w0_idx[:, 0], o_idx[0], ct0[:, 0]] += (
-            (0.25 ** k / w_count) * pout[None, :]
-        )
-
-    sim = real.sum(axis=-1, keepdims=True) / nc
-    sim = np.broadcast_to(sim, real.shape).copy()
+    sim = np.broadcast_to(real.sum(axis=-1, keepdims=True) / nc, real.shape)
+    diff = real - sim
+    exact_sd = 0.5 * float(np.abs(diff, out=diff).sum())
+    del diff                   # view-sized tables are freed as soon as done
     names = ("w0", "w1", "out", "ct0", "ct1")
     real_view = JointDistribution(names, real)
+    del real                   # real_view holds its own normalized copy
     sim_view = JointDistribution(names, sim)
-    exact_sd = 0.5 * float(np.abs(real - sim).sum())
 
     side_d = JointDistribution(("c1", "w0", "out", "ct0"), side)
     hmin = avg_conditional_min_entropy(side_d, ("c1",), ("w0", "out", "ct0"))

@@ -1,9 +1,9 @@
 """Deterministic sub-stream seed derivation.
 
 All randomness in the package flows from one root seed.  Independent
-consumers (code sampling, channel noise, measurement outcomes, worker
-shards) derive their own seeds by hashing the root together with a label,
-so adding a consumer never perturbs the streams of existing ones.
+consumers (code sampling, channel noise, measurement outcomes) derive
+their own seeds by hashing the root together with a label, so adding a
+consumer never perturbs the streams of existing ones.
 """
 
 from __future__ import annotations

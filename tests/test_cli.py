@@ -188,3 +188,49 @@ def test_bounds_bad_numbers_exit_cleanly(flags, code, capsys):
     argv = ["bounds", "--coarse", "0.25", "--fine", "0.25"] + flags
     assert cli.main(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+# each subcommand's numeric flags, each set in turn to 0, -3, nan and inf;
+# --rate replaces --k (the two are exclusive), --time-budget is appended
+_BOUNDARY_BASE = (
+    (["bounds", "--coarse", "0.25", "--fine", "0.25", "--slice-eps", "0.01"],
+     ["--coarse", "--fine", "--slice-eps", "--time-budget"]),
+    (["simulate", "--n", "6", "--k", "2", "--lam", "8", "--trials", "20", "--strategy", "mu0"],
+     ["--n", "--k", "--rate", "--lam", "--trials", "--strategy"]),
+    (["feasibility", "--D", "1", "--ell", "2", "--d", "1", "--eps1", "0.01", "--eps2", "0.01"],
+     ["--D", "--ell", "--d", "--eps1", "--eps2"]),
+    (["leakage", "--m", "1", "--exhaustive", "--angles", "0,0.3"], ["--m", "--angles"]),
+)
+
+
+def _boundary_cases():
+    for base, flags in _BOUNDARY_BASE:
+        for flag in flags:
+            for value in ("0", "-3", "nan", "inf"):
+                argv = list(base)
+                if flag == "--rate":
+                    at = argv.index("--k")
+                    argv[at:at + 2] = ["--rate", value]
+                elif flag in argv:
+                    argv[argv.index(flag) + 1] = value
+                else:
+                    argv += [flag, value]
+                yield argv
+
+
+@pytest.mark.parametrize("argv", [
+    *_boundary_cases(),
+    ["bounds", "--coarse", "5e-324", "--fine", "5e-324"],
+    ["bounds", "--coarse", "0.001", "--fine", "0.001"],
+], ids=" ".join)
+def test_cli_boundary_numbers_exit_cleanly(argv, capsys):
+    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_INVARIANT, cli.EXIT_RESOURCE,
+                              cli.EXIT_INPUT)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prob", ["nan", "inf", "-0.5"])
+def test_entropy_rejects_bad_probabilities(prob, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"X,Y,prob\n0,0,{prob}\n1,1,0.5\n")
+    assert cli.main(["entropy", "--in", str(path), "--mi", "X", "Y"]) == cli.EXIT_INPUT

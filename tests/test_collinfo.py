@@ -27,6 +27,8 @@ def test_constructor_validation():
         JointDistribution(("X", "X"), np.full((2, 2), 0.25))
     with pytest.raises(ValueError):
         JointDistribution(("X",), np.array([1.2, -0.2]))
+    with pytest.raises(ValueError):
+        JointDistribution(("X",), np.array([np.nan, 1.0]))
 
 
 def test_marginal_and_grouped_consistency():
@@ -45,6 +47,15 @@ def test_csv_and_json_roundtrip():
     assert np.allclose(back.table, d.table, atol=1e-15)
     back = JointDistribution.from_json(d.to_json())
     assert np.allclose(back.table, d.table, atol=1e-15)
+
+
+@pytest.mark.parametrize("rows", [
+    "0,0.5\n1,0.5\n1,0.5\n",        # duplicate index: last would win
+    "0,0.5\n1,0\n-1,0.5\n",         # negative index would wrap
+])
+def test_from_csv_rejects_bad_rows(rows):
+    with pytest.raises(ValueError):
+        JointDistribution.from_csv("X,prob\n" + rows)
 
 
 def test_collision_entropy_uniform_and_point_mass():
@@ -215,6 +226,19 @@ def test_markov_smooth_bookkeeping():
     assert cond.max() < 0.6 + 1e-12
     with pytest.raises(ValueError):
         markov_smooth(d, ("X",), ("Y",), cap=0.0)
+
+
+def test_markov_smooth_mask_on_grouped_axes():
+    # target and given groups out of table order, one axis left out
+    d = random_joint(("A", "B", "C", "D"), (2, 3, 2, 2), seed=7)
+    joint = d.grouped(("C", "A"), ("D",))
+    cond = joint / joint.sum(axis=0)
+    cap = float(np.median(cond))
+    sm = markov_smooth(d, ("C", "A"), ("D",), cap=cap)
+    for idx in np.ndindex(*d.table.shape):
+        t = np.ravel_multi_index((idx[2], idx[0]), (2, 2))
+        removed = cond[t, idx[3]] >= cap
+        assert (sm.truncated.table[idx] == 0.0) == removed, idx
 
 
 def test_smooth_upper_at_zero_equals_exact():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from otmbench.errors import ResourceLimitError
 from otmbench.f2codes import (
     LinearCode,
     bits_to_int,
@@ -133,6 +134,19 @@ def test_mc_failure_matches_exact():
     emp = mc_failure_prob(code, CHANNEL_P, trials=trials, seed=17)
     sigma = math.sqrt(exact * (1 - exact) / trials)
     assert abs(emp - exact) <= 4 * sigma, f"empirical {emp} vs exact {exact}"
+
+
+def test_mc_failure_counts_high_bits():
+    # the codewords differ only in positions 0 and 1, which pack to bits
+    # 51 and 50 of the word; a noiseless channel must never fail
+    gen = np.zeros((52, 2), dtype=np.uint8)
+    gen[1, 0] = 1
+    gen[0, 1] = 1
+    code = LinearCode(n=52, k=2, generator=gen)
+    assert mc_failure_prob(code, 0.0, trials=2000, seed=3) == 0.0
+    wide = LinearCode(n=63, k=1, generator=np.ones((63, 1), dtype=np.uint8))
+    with pytest.raises(ResourceLimitError):
+        mc_failure_prob(wide, 0.0, trials=10, seed=0)
 
 
 def test_bsc_sample_statistics_and_determinism():

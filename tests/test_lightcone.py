@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from otmbench.errors import InvariantViolationError
@@ -62,9 +63,11 @@ def test_partition_small_plane_figures():
     part = build_partition(grid, r=3)
     assert part.outer_side == 14
     assert part.q == 4
-    assert all(len(cu) == 36 for cu in part.inner_cubes)
-    assert len(part.CU) == 144
-    assert len(part.CU_bar) == 640
+    cubes = [part.inner_cells(j) for j in range(part.q)]
+    assert all(len(cu) == 36 for cu in cubes)
+    inner = set(np.concatenate(cubes).tolist())
+    assert len(inner) == 144
+    assert grid.n - len(inner) == 640
     counts = shell_accounting(part)
     assert counts.cu == 144
     assert counts.cu_bar == 640
@@ -82,10 +85,20 @@ def test_partition_boxes_consistent():
             assert olo + grid.cone_radius == ilo
             assert ohi - grid.cone_radius == ihi
         # inner cube cells really sit inside the inner box
-        for qubit in part.inner_cubes[j]:
+        for qubit in part.inner_cells(j).tolist():
             for axis, coord in enumerate(grid.coords(qubit)):
                 lo, hi = inner[axis]
                 assert lo <= coord <= hi
+
+
+def test_inner_cells_match_index_enumeration():
+    for D, side, ell, depth, r in ((1, 12, 2, 1, 1), (2, 24, 2, 1, 2), (3, 16, 3, 0, 1)):
+        grid = GridSpec(D=D, side=side, ell=ell, depth=depth)
+        part = build_partition(grid, r=r)
+        for j in range(part.q):
+            ranges = [range(lo, hi + 1) for lo, hi in part.inner_box(j)]
+            want = sorted(grid.index(c) for c in itertools.product(*ranges))
+            assert part.inner_cells(j).tolist() == want
 
 
 def test_partition_requires_divisible_side():
@@ -158,10 +171,11 @@ def test_feasibility_shell_floor_binds():
 def test_regroup_measurements_partitions_outcomes():
     grid = GridSpec(D=1, side=12, ell=2, depth=1)
     part = build_partition(grid, r=1)
-    assignment = {q: q % 2 for cu in part.inner_cubes for q in cu}
+    inner = [q for j in range(part.q) for q in part.inner_cells(j).tolist()]
+    assignment = {q: q % 2 for q in inner}
     groups = regroup_measurements(part, assignment)
     assert len(groups) == part.q
     flat = [q for g in groups for q in g]
-    assert sorted(flat) == sorted(assignment[q] for cu in part.inner_cubes for q in cu)
+    assert sorted(flat) == sorted(assignment[q] for q in inner)
     with pytest.raises(ValueError):
         regroup_measurements(part, {})

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from otmbench import povmsearch
 from otmbench.errors import InvariantViolationError, ResourceLimitError
 from otmbench.povmsearch import (
     DISTINGUISHED_ANGLES,
@@ -283,6 +284,18 @@ def test_search_time_budget_partial_report():
     assert not partial.complete
     # the deadline is checked before the arc certificate and the flat count
     assert partial.slice_cells == 0 and partial.flat_cells == 0
+
+
+@pytest.mark.parametrize("coarse, fine", [(0.001, 0.001), (0.05, 1e-4)])
+def test_search_refuses_oversized_nets_before_allocating(coarse, fine, monkeypatch):
+    # about 10^9 coarse cells, then 10^8 (a, c) cells for the flat count
+    def never(*args):
+        raise AssertionError("allocated before the size guard")
+
+    for name in ("_slice_certificate", "_pair_cell_bases", "_count_flat_cells"):
+        monkeypatch.setattr(povmsearch, name, never)
+    with pytest.raises(ResourceLimitError):
+        search_bounds(coarse, fine, "greater")
 
 
 def test_slice_certificate_values():

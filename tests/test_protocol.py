@@ -9,7 +9,7 @@ import pytest
 
 from otmbench.collinfo import JointDistribution, conditional_collision_mi, collision_mi
 from otmbench.errors import ResourceLimitError
-from otmbench.f2codes import random_code
+from otmbench.f2codes import bits_to_int, encode, int_to_bits, random_code
 from otmbench.povmsearch import Povm
 from otmbench.protocol import (
     PER_PAIR_BOUNDS,
@@ -25,7 +25,8 @@ from otmbench.protocol import (
     otrm_read,
     simulator_transcript,
 )
-from otmbench.qrac import measure_prob, measurement_for, qrac_encode
+from otmbench.qrac import BasisMeasurement, measure_prob, measurement_for, qrac_encode
+from otmbench.seeds import derive_seed
 
 CHANNEL_P = math.sin(math.pi / 8) ** 2
 
@@ -372,9 +373,80 @@ def test_simulator_distance_shrinks_with_shorter_messages():
     assert m1.exact_sd <= m2.exact_sd + 1e-12
 
 
+def _trine():
+    projs = []
+    for j in range(3):
+        v = np.array([math.cos(j * math.pi / 3), math.sin(j * math.pi / 3)])
+        projs.append((2.0 / 3.0) * np.outer(v, v))
+    return Povm(tuple(projs))
+
+
+def _qubit_probs(entry, x, y):
+    state = qrac_encode(x, y)
+    if isinstance(entry, Povm):
+        return [float(np.trace(m @ state.density_matrix())) for m in entry.elements]
+    return list(measure_prob(state, BasisMeasurement(entry)))
+
+
+def _brute_force_views(m0, m1, params, strategy, seed):
+    """Real and simulated view tables and the c1 min-entropy, by explicit
+    loops over extractor seeds, messages and outcome strings."""
+    n, k, msg = params.n, params.k, params.msg_len
+    code0 = random_code(n, k, derive_seed(seed, "sim-code0"))
+    code1 = random_code(n, k, derive_seed(seed, "sim-code1"))
+    seed_len = n + msg - 1 if msg else 0
+    w_count, nc = 2 ** seed_len, 2 ** msg
+    alphabets = [range(len(_qubit_probs(e, 0, 0))) for e in strategy]
+    outs = list(itertools.product(*alphabets))
+    cws0 = [encode(code0, int_to_bits(r, k)) for r in range(2 ** k)]
+    cws1 = [encode(code1, int_to_bits(r, k)) for r in range(2 ** k)]
+    exts = [make_extractor(n, msg, int_to_bits(w, seed_len)) for w in range(w_count)]
+    real = np.zeros((w_count, w_count, len(outs), nc, nc))
+    side = {}
+    for w0, w1, r0, r1 in itertools.product(range(w_count), range(w_count),
+                                            range(2 ** k), range(2 ** k)):
+        c0, c1 = cws0[r0], cws1[r1]
+        ct0 = bits_to_int(m0 ^ exts[w0].apply(c0))
+        ct1 = bits_to_int(m1 ^ exts[w1].apply(c1))
+        for o, out in enumerate(outs):
+            p = 0.25 ** k / w_count**2
+            for i, oi in enumerate(out):
+                p *= _qubit_probs(strategy[i], int(c0[i]), int(c1[i]))[oi]
+            real[w0, w1, o, ct0, ct1] += p
+            key = (w0, o, ct0)
+            side.setdefault(key, {}).setdefault(r1, 0.0)
+            side[key][r1] += p
+    sim = np.repeat(real.sum(axis=-1, keepdims=True) / nc, nc, axis=-1)
+    hmin = -math.log2(sum(max(v.values()) for v in side.values()))
+    return real, sim, hmin
+
+
+@pytest.mark.parametrize("n, lam, k, strategy, seed", [
+    (3, 0, 2, [_trine(), 0.3], 1),
+    (3, 8, 2, [0.0, _trine()], 4),
+    (4, 8, 2, [math.pi / 8, 0.7], 9),
+])
+def test_simulator_matches_brute_force(n, lam, k, strategy, seed):
+    params = ProtocolParams(n=n, lam=lam, k=k)
+    rng = np.random.default_rng(seed)
+    m0 = rng.integers(0, 2, size=params.msg_len, dtype=np.uint8)
+    m1 = rng.integers(0, 2, size=params.msg_len, dtype=np.uint8)
+    rep = simulator_transcript(m0, m1, params, adversary_strategy=strategy, seed=seed)
+    real, sim, hmin = _brute_force_views(m0, m1, params, strategy, seed)
+    assert np.abs(rep.real_view.table - real).max() <= 1e-15
+    assert np.abs(rep.sim_view.table - sim).max() <= 1e-15
+    assert rep.exact_sd == pytest.approx(0.5 * np.abs(real - sim).sum(), abs=1e-12)
+    assert rep.min_entropy_c1 == pytest.approx(hmin, abs=1e-12)
+
+
 def test_simulator_resource_limit():
     params = ProtocolParams(n=10, lam=32, k=2, seed_root=0)
     with pytest.raises(ResourceLimitError):
         simulator_transcript(
             np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=np.uint8), params
         )
+    # lam = 0 keeps the view tiny, but the (r0, r1, out) table has 4^k * 2^n cells
+    empty = np.zeros(0, dtype=np.uint8)
+    with pytest.raises(ResourceLimitError):
+        simulator_transcript(empty, empty, ProtocolParams(n=10, lam=0, k=10),
+                             adversary_strategy=[0.0] * 10)
