@@ -1,9 +1,10 @@
 """Binary linear codes over F2 at desk scale.
 
-Everything here is exhaustive on purpose: decoding enumerates all 2^k
-codewords, failure probabilities enumerate all 2^n error patterns.  That is
-the regime where exact numbers are available to pin down the behaviour of
-the wrapping protocol; guards refuse inputs past the enumeration budget
+Everything here is exhaustive on purpose: decoding scans all 2^k
+codewords, and exact failure probabilities visit each of the 2^n error
+patterns once, as one coset representative plus a codeword offset.  That
+is the regime where exact numbers are available to pin down the behaviour
+of the wrapping protocol; guards refuse inputs past the enumeration budget
 instead of silently degrading.
 
 Bit vectors are numpy uint8 arrays.  A message ``m`` of length k maps to the
@@ -26,34 +27,38 @@ from .errors import ResourceLimitError
 __all__ = [
     "LinearCode",
     "random_code",
-    "random_f2_matrix",
     "f2_rank",
     "encode",
     "bsc_sample",
     "ml_decode",
+    "ml_decode_packed",
     "exact_failure_prob",
     "mc_failure_prob",
     "bits_to_int",
     "int_to_bits",
 ]
 
-# enumeration guards: 2^k codewords / 2^n error patterns
-MAX_MESSAGE_BITS = 24
+# enumeration guards: 2^k x n codeword table cells / 2^n error patterns
+MAX_TABLE_CELLS = 1 << 26
 MAX_BLOCK_BITS = 20
 # words packed into int64 for sampled decoding, sign bit left clear
 MAX_PACKED_BITS = 62
+# distance cells per decode block, whatever k is (k <= 21 under the table guard)
+_BLOCK_CELLS = 1 << 22
 
-_POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+_POP16 = np.zeros(1, dtype=np.uint8)
+for _ in range(16):        # the upper half of each doubling has one more set bit
+    _POP16 = np.concatenate([_POP16, _POP16 + 1])
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each int64, all 64 of them, from four 16-bit lookups."""
+    """Set bits of each int64, all 64 of them, as uint8 from four 16-bit lookups."""
     x = np.ascontiguousarray(x, dtype=np.int64)
     words = x.view(np.uint16).reshape(x.shape + (4,))
     out = _POP16[words[..., 0]]
     for i in (1, 2, 3):
         out += _POP16[words[..., i]]   # uint8 holds any count up to 64
-    return out.astype(np.int64)
+    return out
 
 
 def bits_to_int(bits: np.ndarray) -> int:
@@ -77,23 +82,39 @@ def _as_bits(x, length: int | None = None) -> np.ndarray:
     return arr
 
 
+def _echelon(rows) -> tuple[list, list]:
+    """Reduced echelon basis over F2 of packed-integer rows: the independent
+    reduced rows and one pivot bit each, set in its own row and clear in
+    every other, so clearing a word's pivots by those rows leaves 0 exactly
+    when the word is in the span."""
+    basis, pivots = [], []
+    for row in rows:
+        for b, p in zip(basis, pivots):
+            if row & p:
+                row ^= b
+        if row:
+            pivot = 1 << (row.bit_length() - 1)
+            basis = [b ^ row if b & pivot else b for b in basis]
+            basis.append(row)
+            pivots.append(pivot)
+    return basis, pivots
+
+
 def f2_rank(matrix: np.ndarray) -> int:
     """Rank of a 0/1 matrix over F2, by Gaussian elimination on packed rows."""
     mat = np.asarray(matrix, dtype=np.uint8) % 2
-    rows = [bits_to_int(r) for r in mat]
-    rank = 0
-    ncols = mat.shape[1] if mat.ndim == 2 else 0
-    for col in range(ncols):
-        bit = 1 << (ncols - 1 - col)
-        pivot = next((i for i in range(rank, len(rows)) if rows[i] & bit), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] & bit:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
+    return len(_echelon(bits_to_int(r) for r in mat)[0])
+
+
+def _span(basis: np.ndarray) -> np.ndarray:
+    """Every XOR combination of the k rows of ``basis``: row u of the result
+    XORs the rows i whose bit k-1-i is set in u, so basis row 0 goes with
+    the most significant bit.  Built by doubling, one XOR per output row."""
+    k = basis.shape[0]
+    out = np.zeros((1 << k,) + basis.shape[1:], dtype=basis.dtype)
+    for i in range(k):
+        np.bitwise_xor(out[: 1 << i], basis[k - 1 - i], out=out[1 << i : 2 << i])
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,35 +146,34 @@ class LinearCode:
             raise ValueError("generator does not have full column rank")
         object.__setattr__(self, "generator", gen)
 
-    @property
-    def rate(self) -> float:
-        return self.k / self.n
+    def _check_table(self):
+        if (1 << self.k) * self.n > MAX_TABLE_CELLS:
+            raise ResourceLimitError(f"2^{self.k} codewords of {self.n} bits exceed the "
+                                     f"enumeration budget of {MAX_TABLE_CELLS} cells")
 
     @cached_property
     def codewords(self) -> np.ndarray:
         """All 2^k codewords as a (2^k, n) uint8 array, row u = codeword of
         message with packed value u."""
-        if self.k > MAX_MESSAGE_BITS:
-            raise ResourceLimitError(
-                f"k={self.k} exceeds the enumeration budget of {MAX_MESSAGE_BITS}"
-            )
-        msgs = ((np.arange(1 << self.k)[:, None] >> np.arange(self.k - 1, -1, -1)) & 1)
-        return (msgs.astype(np.uint8) @ self.generator.T) % 2
+        self._check_table()
+        return _span(self.generator.T)
 
     @cached_property
     def codeword_ints(self) -> np.ndarray:
-        weights = 1 << np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        return self.codewords.astype(np.int64) @ weights
+        """The codeword table packed into int64, index 0 most significant."""
+        if self.n > MAX_PACKED_BITS:
+            raise ResourceLimitError(
+                f"n={self.n} exceeds the {MAX_PACKED_BITS}-bit packed-word limit"
+            )
+        self._check_table()
+        return _span(np.array([bits_to_int(col) for col in self.generator.T], dtype=np.int64))
 
     def min_distance(self) -> int:
         w = self.codewords[1:].sum(axis=1)
         return int(w.min())
 
     def to_json(self) -> str:
-        bits = self.generator.ravel()  # row-major
-        padded = np.zeros((-len(bits)) % 8 + len(bits), dtype=np.uint8)
-        padded[: len(bits)] = bits
-        packed = np.packbits(padded)
+        packed = np.packbits(self.generator.ravel())  # row-major, zero-padded
         return json.dumps(
             {"n": self.n, "k": self.k, "generator": packed.tobytes().hex(), "seed": self.seed}
         )
@@ -170,11 +190,6 @@ class LinearCode:
         return cls(n=n, k=k, generator=bits, seed=obj.get("seed"))
 
 
-def random_f2_matrix(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """One IID-uniform draw of an n-by-k 0/1 matrix (no rank condition)."""
-    return rng.integers(0, 2, size=(n, k), dtype=np.uint8)
-
-
 def random_code(n: int, k: int, seed: int) -> LinearCode:
     """Sample a uniform full-column-rank generator, resampling as needed.
 
@@ -184,7 +199,7 @@ def random_code(n: int, k: int, seed: int) -> LinearCode:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
     while True:
-        gen = random_f2_matrix(n, k, rng)
+        gen = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
         if f2_rank(gen) == k:
             return LinearCode(n=n, k=k, generator=gen, seed=seed)
 
@@ -220,35 +235,35 @@ def ml_decode(code: LinearCode, word: np.ndarray) -> np.ndarray:
     return int_to_bits(best, code.k)
 
 
-def _failure_given_error(code: LinearCode, err_ints: np.ndarray) -> np.ndarray:
-    """P[decode(c + e) != message | e], averaged over uniform messages.
-
-    Distances d(G(m') , Gm + e) = d(G(m' ^ m), e), so the minimizing
-    message-offsets U* do not depend on m.  Decoding succeeds iff 0 is in
-    U* and no other minimizer u flips a more-significant-1 position of m
-    downward; over uniform m that has probability 2^-|S| with S the set of
-    leading-bit positions of the nonzero minimizers.
-    """
-    cw = code.codeword_ints  # (2^k,)
-    nmsg = cw.shape[0]
-    # leading set bit of each nonzero offset u, as a one-hot mask over k positions
-    u = np.arange(nmsg, dtype=np.int64)
-    lead = np.zeros(nmsg, dtype=np.int64)
-    lead[1:] = 1 << (np.floor(np.log2(u[1:])).astype(np.int64))
-    dists = _popcount(err_ints[:, None] ^ cw[None, :])
-    dmin = dists.min(axis=1)
-    is_min = dists == dmin[:, None]
-    zero_ok = is_min[:, 0]
-    masks = np.bitwise_or.reduce(np.where(is_min[:, 1:], lead[None, 1:], 0), axis=1)
-    s_sizes = _popcount(masks)
-    p_success = np.where(zero_ok, 0.5 ** s_sizes, 0.0)
-    return 1.0 - p_success
+def ml_decode_packed(code: LinearCode, words) -> np.ndarray:
+    """:func:`ml_decode` for packed received words (int64, index 0 most
+    significant), returning message integers: the same argmin over the
+    codeword table, in blocks of at most 2^22 distance cells whatever k is."""
+    cw = code.codeword_ints
+    words = np.asarray(words, dtype=np.int64)
+    rows = max(1, _BLOCK_CELLS >> code.k)
+    out = np.empty(words.shape[0], dtype=np.int64)
+    for start in range(0, words.shape[0], rows):
+        block = words[start : start + rows]
+        out[start : start + rows] = np.argmin(_popcount(block[:, None] ^ cw[None, :]), axis=1)
+    return out
 
 
 def exact_failure_prob(code: LinearCode, p: float) -> float:
     """Exact BSC decode-failure probability, averaged over uniform codewords.
 
-    Enumerates all 2^n error patterns; refuses n beyond the block budget.
+    Decoding depends only on the coset of the error (the standard array).
+    The 2^(n-k) words zero on the pivots of a reduced echelon basis are one
+    representative rep_s per coset, so e = rep_s ^ cw_a lists every word
+    once.  By linearity cw_m ^ e is at distance wt[s, a ^ u] from cw_(m ^ u),
+    so the nearest offsets u are a ^ M_s, where M_s holds the b reaching the
+    least weight min_b wt[s, b].  With ties broken toward the smaller
+    message, m is decoded exactly when a is in M_s and m has a 0 at the
+    leading bit of a ^ b for every other b in M_s: probability 2^-|S(a)|
+    over uniform m, where bit j is in S(a) when (a >> j) ^ 1 is among the
+    prefixes M_s >> j.  The sum of P(e) (1 - 2^-|S(a)| [a in M_s]) over the
+    2^n cells takes k prefix levels of 2^n cells; each 1 - 2^-t is exact,
+    so nothing cancels.  Refuses n beyond the block budget.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"flip probability must lie in [0, 1], got {p}")
@@ -256,44 +271,37 @@ def exact_failure_prob(code: LinearCode, p: float) -> float:
         raise ResourceLimitError(
             f"n={code.n} exceeds the enumeration budget of {MAX_BLOCK_BITS}"
         )
-    total = 0.0
-    all_errs = np.arange(1 << code.n, dtype=np.int64)
-    # keep the (chunk x 2^k) distance block modest
-    chunk = max(1024, (1 << 22) // (1 << code.k))
-    for start in range(0, all_errs.shape[0], chunk):
-        errs = all_errs[start : start + chunk]
-        w = _popcount(errs)
-        prob = p ** w * (1.0 - p) ** (code.n - w)
-        total += float(np.dot(prob, _failure_given_error(code, errs)))
-    return total
+    n = code.n
+    _, pivots = _echelon(bits_to_int(col) for col in code.generator.T)
+    free = [1 << b for b in range(n) if not (1 << b) & sum(pivots)]
+    reps = _span(np.array(free, dtype=np.int64))
+    wt = _popcount(reps[:, None] ^ code.codeword_ints[None, :])     # 2^n cells
+    nearest = wt == wt.min(axis=1, keepdims=True)                    # a in M_s
+    ties = np.zeros(wt.shape, dtype=np.uint8)                        # |S(a)|
+    prefixes = nearest                                               # M_s >> j
+    for j in range(code.k):
+        pairs = prefixes.reshape(len(reps), -1, 2)
+        ties += np.repeat(pairs[:, :, ::-1].reshape(len(reps), -1), 1 << j, axis=1)
+        prefixes = pairs.any(axis=2)
+    by_weight = p ** np.arange(n + 1) * (1.0 - p) ** (n - np.arange(n + 1))
+    fail = np.where(nearest, 1.0 - 0.5 ** ties, 1.0)
+    return float(np.sum(by_weight[wt] * fail))
 
 
 def mc_failure_prob(code: LinearCode, p: float, trials: int, seed: int) -> float:
-    """Monte-Carlo estimate of the decode-failure probability.
-
-    Uses the same tie convention as :func:`ml_decode` (argmin over the
-    numerically ordered codeword table).
-    """
+    """Monte-Carlo estimate of the decode-failure probability, decoded by
+    :func:`ml_decode_packed`; drawn in chunks of max(1024, 2^22 / 2^k) trials."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    if code.n > MAX_PACKED_BITS:
-        raise ResourceLimitError(
-            f"n={code.n} exceeds the {MAX_PACKED_BITS}-bit packed-word limit"
-        )
-    rng = np.random.default_rng(seed)
     cw = code.codeword_ints
+    rng = np.random.default_rng(seed)
     weights = 1 << np.arange(code.n - 1, -1, -1, dtype=np.int64)
     failures = 0
-    chunk = max(1024, (1 << 22) // cw.shape[0])
-    remaining = trials
-    while remaining > 0:
-        m = min(chunk, remaining)
+    chunk = max(1024, _BLOCK_CELLS >> code.k)
+    for start in range(0, trials, chunk):
+        m = min(chunk, trials - start)
         msgs = rng.integers(0, cw.shape[0], size=m)
         flips = (rng.random((m, code.n)) < p).astype(np.int64)
-        errs = flips @ weights
-        received = cw[msgs] ^ errs
-        dists = _popcount(received[:, None] ^ cw[None, :])
-        decoded = np.argmin(dists, axis=1)
-        failures += int(np.sum(decoded != msgs))
-        remaining -= m
+        received = cw[msgs] ^ (flips @ weights)
+        failures += int(np.sum(ml_decode_packed(code, received) != msgs))
     return failures / trials

@@ -38,6 +38,10 @@ __all__ = [
 
 # cells listed at once, and cubes a partition loops over, stay at desk scale
 _MAX_CELLS = 1 << 22
+# log2 of the most cells a feasibility witness's outer cube may hold, and
+# the grid sizes its float re-check may try past the exact least one
+_MAX_OUTER_LOG2 = 400
+_MAX_GRID_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -337,32 +341,59 @@ def _eval_constraints(D, ell, depth, eps1, eps2, r, t):
     return n, cu_bar, float(lhs1), n / 100.0, float(cu_bar), log1
 
 
+def _least(pred, hi: int) -> int:
+    """Least integer r >= 1 with pred(r), for pred false below some point
+    and true from it on; hi is a guess at or above that point."""
+    lo = 0
+    while not pred(hi):      # only if the guess falls short
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:       # pred(hi) holds; pred(lo) fails unless lo == 0
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
+
+
 def find_feasible_params(
     eps1: float, eps2: float, ell: int, depth: int, D: int
 ) -> FeasibilityWitness:
     """Smallest r, then smallest grid, meeting both constraints.
 
-    Stage one grows r until the n-proportional part of the budget fits:
-    400 * (outer - inner) < outer in exact integers, where outer and inner
-    are the per-cube cell counts.  Stage two grows the number of outer
-    cubes per axis until the remaining (per-cube constant) terms fit too.
-    Everything is integer arithmetic except the two log terms, and the
-    returned witness re-verifies both inequalities by substitution.
+    Stage one finds the least r with 400 * (outer - inner) < outer in exact
+    integers, where outer and inner are the per-cube cell counts.  The
+    condition reads r / (r + ell**d) > (399/400)**(1/D) and grows with r,
+    so its closed form brackets r and bisection on the integer inequality
+    settles it.  Stage two takes the least number t of outer cubes per axis
+    for which the remaining (per-cube constant) terms fit too.  Everything
+    is integer arithmetic except the two log terms, and the returned
+    witness re-verifies both inequalities by substitution in floats.  So
+    parameters whose outer cube could exceed 2^400 cells are refused before
+    any power is taken, which keeps n (at most about the square of that
+    count) in float range, and a witness whose float re-check still fails
+    1024 grid steps past the least t is refused too.
     """
-    if not (0.0 < eps1 < 1.0 and 0.0 < eps2 < 1.0):
-        raise ValueError("smoothing parameters must lie in (0, 1)")
+    if not all(0.0 < e < 1.0 and math.isfinite(1.0 / e) for e in (eps1, eps2)):
+        raise ValueError("smoothing parameters must lie in (0, 1) with finite log2(1/eps)")
     GridSpec(D=D, side=1, ell=ell, depth=depth)  # bounds check on ell, d, D
+    # r <= 402 * D * ell**d, so an outer side is at most (804 * D + 4) * ell**d;
+    # a D or d past the limit fails the test anyway and is refused before
+    # it reaches a float
+    if max(D, depth) > _MAX_OUTER_LOG2 or (
+        D * (math.log2(804 * D + 4) + depth * math.log2(ell)) > _MAX_OUTER_LOG2
+    ):
+        raise ResourceLimitError(
+            f"D={D}, ell={ell}, d={depth}: an outer cube could exceed "
+            f"2^{_MAX_OUTER_LOG2} cells"
+        )
 
     width = ell**depth
-    r = 1
-    while True:
-        inner = (2 * r) ** D
-        outer = (2 * r + 2 * width) ** D
-        if 400 * (outer - inner) < outer:
-            break
-        r += 1
 
-    slack = outer - 400 * (outer - inner)  # > 0 by the loop above
+    def fits(r):
+        outer = (2 * r + 2 * width) ** D
+        return 400 * (outer - (2 * r) ** D) < outer
+
+    r = _least(fits, math.floor(width / -math.expm1(math.log1p(-1 / 400) / D)) + 1)
+    inner, outer = (2 * r) ** D, (2 * r + 2 * width) ** D
+    slack = outer - 400 * (outer - inner)  # > 0 by the choice of r
     log1 = math.log2(1.0 / eps1)
     consts = 2 * log1 + math.log2(1.0 / eps2)
     # need t**D * slack / 100 >= 3*inner + consts, plus the shell-size floor
@@ -371,20 +402,22 @@ def find_feasible_params(
         math.ceil(log1 / (outer - inner)),
         1,
     )
-    t = max(1, math.ceil(t_pow ** (1.0 / D)))
-    while t > 1 and (t - 1) ** D >= t_pow:
-        t -= 1
-    while t**D < t_pow:
-        t += 1
+    t = _least(lambda t: t**D >= t_pow, math.ceil(t_pow ** (1.0 / D)) + 1)
 
-    # float rounding paranoia: substitution is the authority
-    while True:
+    # float rounding paranoia: substitution is the authority.  Once the
+    # margin of (1) is below float resolution no grid step can show it.
+    for _ in range(_MAX_GRID_STEPS):
         n, cu_bar, lhs1, rhs1, lhs2, rhs2 = _eval_constraints(
             D, ell, depth, eps1, eps2, r, t
         )
         if lhs1 <= rhs1 and lhs2 >= rhs2:
             break
         t += 1
+    else:
+        raise ResourceLimitError(
+            f"no grid within {_MAX_GRID_STEPS} steps of t={t - _MAX_GRID_STEPS} passes "
+            "the float re-check; the budget margin is below float resolution"
+        )
 
     return FeasibilityWitness(
         D=D,

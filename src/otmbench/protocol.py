@@ -29,14 +29,16 @@ from .collinfo import (
     conditional_collision_mi,
 )
 from .errors import InvariantViolationError, ResourceLimitError
-from .f2codes import LinearCode, bits_to_int, encode, ml_decode, random_code
+from .f2codes import (MAX_BLOCK_BITS, LinearCode, bits_to_int, encode, exact_failure_prob,
+                      ml_decode, ml_decode_packed, random_code)
 from .povmsearch import Povm
 from .qrac import (
+    ENCODING_ANGLES,
     BasisMeasurement,
     measure_prob,
     measurement_for,
     qrac_encode,
-    sample_measurement,
+    sample_measurements,
 )
 from .seeds import derive_seed
 
@@ -66,6 +68,8 @@ __all__ = [
 PER_PAIR_BOUNDS = {"greater": 0.59, "total": 0.65, "conditional": 0.59}
 
 _CHANNEL_P = math.sin(math.pi / 8) ** 2   # bit-flip rate seen by the matched basis
+# qubit angle of the bit pair (b0, b1) as _ANGLES[b0, b1]
+_ANGLES = np.array([[ENCODING_ANGLES[(b0, b1)] for b1 in (0, 1)] for b0 in (0, 1)])
 
 
 @dataclass(frozen=True)
@@ -132,14 +136,16 @@ class OtrmInstance:
             if abs(q.theta - want.theta) > 1e-12:
                 raise InvariantViolationError(f"qubit {i} does not encode its bit pair")
 
-    def code(self, alpha: int) -> LinearCode:
-        return self.code0 if alpha == 0 else self.code1
 
-    def message(self, alpha: int) -> np.ndarray:
-        return self.r0 if alpha == 0 else self.r1
-
-    def codeword(self, alpha: int) -> np.ndarray:
-        return self.c0 if alpha == 0 else self.c1
+def _code_pair(params: ProtocolParams, codes, root: int, label: str) -> tuple:
+    """The supplied pair checked against params, or fresh codes drawn from
+    the labeled sub-streams label0 and label1 of root."""
+    if codes is None:
+        return tuple(random_code(params.n, params.k, derive_seed(root, f"{label}{i}"))
+                     for i in (0, 1))
+    if any(c.n != params.n or c.k != params.k for c in codes):
+        raise ValueError("code shapes disagree with params")
+    return tuple(codes)
 
 
 def otrm_prep(params: ProtocolParams, seed: int | None = None,
@@ -151,16 +157,7 @@ def otrm_prep(params: ProtocolParams, seed: int | None = None,
     integer reproduces the instance.
     """
     root = params.seed_root if seed is None else seed
-    if codes is None:
-        codes = (
-            random_code(params.n, params.k, derive_seed(root, "code0")),
-            random_code(params.n, params.k, derive_seed(root, "code1")),
-        )
-    code0, code1 = codes
-    if code0.n != params.n or code0.k != params.k:
-        raise ValueError("code0 shape disagrees with params")
-    if code1.n != params.n or code1.k != params.k:
-        raise ValueError("code1 shape disagrees with params")
+    code0, code1 = _code_pair(params, codes, root, "code")
     rng = np.random.default_rng(derive_seed(root, "messages"))
     r0 = rng.integers(0, 2, size=params.k, dtype=np.uint8)
     r1 = rng.integers(0, 2, size=params.k, dtype=np.uint8)
@@ -191,17 +188,15 @@ def otrm_read(instance: OtrmInstance, alpha: int, seed) -> ReadResult:
     if alpha not in (0, 1):
         raise ValueError(f"alpha must be 0 or 1, got {alpha}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    meas = measurement_for(alpha)
-    word = np.array(
-        [sample_measurement(q, meas, rng) for q in instance.qubits], dtype=np.uint8
-    )
-    msg = ml_decode(instance.code(alpha), word)
+    word = sample_measurements([q.theta for q in instance.qubits], measurement_for(alpha), rng)
+    code = (instance.code0, instance.code1)[alpha]
+    msg = ml_decode(code, word)
     return ReadResult(
         alpha=alpha,
         word=word,
         message=msg,
-        codeword=encode(instance.code(alpha), msg),
-        success=bool(np.array_equal(msg, instance.message(alpha))),
+        codeword=encode(code, msg),
+        success=bool(np.array_equal(msg, (instance.r0, instance.r1)[alpha])),
     )
 
 
@@ -317,33 +312,33 @@ def otm_read(pkg: OtmPackage, alpha: int, seed) -> OtmReadResult:
 
 def mc_correctness(params: ProtocolParams, alpha: int, trials: int, seed: int,
                    codes: tuple | None = None) -> dict:
-    """Monte-Carlo read success rate over fresh instances.
-
-    Returns counts plus the exact benchmark failure probability of the
-    code used (fixed codes advised: with fresh codes per trial the exact
-    benchmark is an average, not a constant).
+    """Monte-Carlo read failures over fresh message pairs, sampled and
+    decoded in blocks from one generator, with the exact failure probability
+    of the code read (None past the exact budget of n).  Codes are drawn
+    from the seed unless a pair is supplied.
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
-    if codes is None:
-        codes = (
-            random_code(params.n, params.k, derive_seed(seed, "mc-code0")),
-            random_code(params.n, params.k, derive_seed(seed, "mc-code1")),
-        )
-    from .f2codes import exact_failure_prob
-
+    codes = _code_pair(params, codes, seed, "mc-code")
+    cws = tuple(c.codeword_ints for c in codes)      # refuses n past the packed limit
+    code, meas = codes[alpha], measurement_for(alpha)
+    shifts = np.arange(params.n - 1, -1, -1, dtype=np.int64)
+    rng = np.random.default_rng(derive_seed(seed, "mc-reads"))
+    block = max(1, (1 << 20) // params.n)             # trials per block: 2^20 qubits
     failures = 0
-    for t in range(trials):
-        inst = otrm_prep(params, derive_seed(seed, f"trial{t}"), codes=codes)
-        res = otrm_read(inst, alpha, derive_seed(seed, f"read{t}"))
-        failures += not res.success
-    exact = exact_failure_prob(codes[alpha], _CHANNEL_P)
+    for start in range(0, trials, block):
+        m = min(block, trials - start)
+        msgs = [rng.integers(0, cw.shape[0], size=m) for cw in cws]
+        bits0, bits1 = ((cw[r][:, None] >> shifts) & 1 for cw, r in zip(cws, msgs))
+        word = sample_measurements(_ANGLES[bits0, bits1], meas, rng)
+        decoded = ml_decode_packed(code, word.astype(np.int64) @ (1 << shifts))
+        failures += int(np.sum(decoded != msgs[alpha]))
     return {
         "alpha": alpha,
         "trials": trials,
         "failures": failures,
         "empirical_failure": failures / trials,
-        "exact_failure": exact,
+        "exact_failure": exact_failure_prob(code, _CHANNEL_P) if code.n <= MAX_BLOCK_BITS else None,
     }
 
 
@@ -393,14 +388,6 @@ class LeakageReport:
     cond_b1: float
     lesser: int               # index of the string with the smaller leakage
     bounds: dict = field(compare=False)
-
-    @property
-    def greater_value(self) -> float:
-        return max(self.ic_b0, self.ic_b1)
-
-    @property
-    def conditional_value(self) -> float:
-        return max(self.cond_b0, self.cond_b1)
 
     @property
     def all_ok(self) -> bool:
@@ -538,8 +525,7 @@ def simulator_transcript(m0, m1, params: ProtocolParams, adversary_strategy=None
             "shrink n, k, lam, or the strategy"
         )
 
-    code0 = random_code(n, k, derive_seed(seed, "sim-code0"))
-    code1 = random_code(n, k, derive_seed(seed, "sim-code1"))
+    code0, code1 = _code_pair(params, None, seed, "sim-code")
     cws0, cws1 = code0.codewords, code1.codewords      # row r encodes message r
 
     # pout[r0, r1, out]: outcome distribution given the two codewords

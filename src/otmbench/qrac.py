@@ -17,7 +17,6 @@ are equivalent mod pi up to a global sign).
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 import math
 
 import numpy as np
@@ -33,6 +32,7 @@ __all__ = [
     "measurement_for",
     "measure_prob",
     "sample_measurement",
+    "sample_measurements",
     "qrac_success_table",
     "product_outcome_distribution",
     "states_equal",
@@ -57,9 +57,6 @@ class QubitState:
     def density_matrix(self) -> np.ndarray:
         c, s = math.cos(self.theta), math.sin(self.theta)
         return np.array([[c * c, c * s], [c * s, s * s]])
-
-    def to_json(self) -> str:
-        return json.dumps({"theta": self.theta})
 
 
 @dataclass(frozen=True)
@@ -98,10 +95,17 @@ def measure_prob(state: QubitState, meas: BasisMeasurement) -> tuple[float, floa
     return (p0, 1.0 - p0)
 
 
+def sample_measurements(thetas, meas: BasisMeasurement, rng: np.random.Generator) -> np.ndarray:
+    """Outcomes of measuring real states at angles ``thetas`` in ``meas``:
+    1 where a uniform draw u, one per state in array order, has
+    u >= cos^2(theta - meas.theta), the probability of outcome 0."""
+    thetas = np.asarray(thetas, dtype=float)
+    return (rng.random(thetas.shape) >= np.cos(thetas - meas.theta) ** 2).astype(np.uint8)
+
+
 def sample_measurement(state: QubitState, meas: BasisMeasurement, seed) -> int:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    p0, _ = measure_prob(state, meas)
-    return int(rng.random() >= p0)
+    return int(sample_measurements(state.theta, meas, rng))
 
 
 def qrac_success_table() -> dict:

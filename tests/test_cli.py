@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -222,10 +223,38 @@ def _boundary_cases():
     *_boundary_cases(),
     ["bounds", "--coarse", "5e-324", "--fine", "5e-324"],
     ["bounds", "--coarse", "0.001", "--fine", "0.001"],
+    ["feasibility", "--D", "1", "--ell", "2", "--d", "1", "--eps1", "1e-320", "--eps2", "0.01"],
 ], ids=" ".join)
 def test_cli_boundary_numbers_exit_cleanly(argv, capsys):
     assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_INVARIANT, cli.EXIT_RESOURCE,
                               cli.EXIT_INPUT)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, code", [(24, cli.EXIT_OK), (62, cli.EXIT_OK),
+                                     (63, cli.EXIT_RESOURCE)])
+def test_simulate_reads_up_to_packed_limit(n, code, capsys):
+    # exact failure covers n <= 20; reads run while words pack into 62 bits
+    assert cli.main(["simulate", "--n", str(n), "--k", "3", "--trials", "50"]) == code
+    out, err = capsys.readouterr()
+    if code == cli.EXIT_OK:
+        stats = json.loads(out)["result"]["statistics"]
+        assert stats["exact_failure"] is None and stats["trials"] == 50
+    else:
+        assert "62-bit" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--D", "1", "--ell", "2", "--d", "40"],
+    ["--D", "1", "--ell", "2", "--d", "2000"],
+    ["--D", "200", "--ell", "2", "--d", "1"],
+    ["--D", "1", "--ell", "1000000", "--d", "1000"],
+])
+def test_feasibility_large_widths_finish(flags, capsys):
+    start = time.perf_counter()
+    code = cli.main(["feasibility", *flags, "--eps1", "0.01", "--eps2", "0.01"])
+    assert code in (cli.EXIT_OK, cli.EXIT_RESOURCE)
+    assert time.perf_counter() - start < 5.0
     assert "Traceback" not in capsys.readouterr().err
 
 

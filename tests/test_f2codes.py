@@ -1,12 +1,14 @@
 """Binary linear codes, BSC sampling, and ML decoding."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from otmbench.errors import ResourceLimitError
 from otmbench.f2codes import (
+    _POP16,
     LinearCode,
     bits_to_int,
     bsc_sample,
@@ -16,6 +18,7 @@ from otmbench.f2codes import (
     int_to_bits,
     mc_failure_prob,
     ml_decode,
+    ml_decode_packed,
     random_code,
 )
 
@@ -99,9 +102,12 @@ def oracle_decode(code, word):
 def test_ml_decode_matches_oracle_small_codes():
     for n, k, seed in ((5, 2, 0), (6, 3, 1), (8, 4, 2)):
         code = random_code(n, k, seed)
+        packed = ml_decode_packed(code, np.arange(2**n))
         for w in range(2**n):
             word = int_to_bits(w, n)
-            assert np.array_equal(ml_decode(code, word), oracle_decode(code, word))
+            want = oracle_decode(code, word)
+            assert np.array_equal(ml_decode(code, word), want)
+            assert packed[w] == bits_to_int(want)
 
 
 def test_ml_decode_tie_break_prefers_smaller_message():
@@ -119,6 +125,41 @@ def test_repetition3_exact_failure_closed_form():
     want = 3 * p**2 * (1 - p) + p**3
     assert exact_failure_prob(code, p) == pytest.approx(want, abs=1e-12)
     assert exact_failure_prob(code, 0.0) == 0.0
+
+
+def oracle_failure(code, p):
+    # every (message, error) pair, decoded by the nearest-codeword oracle
+    n, k = code.n, code.k
+    cws = [encode(code, int_to_bits(m, k)) for m in range(2**k)]
+    total = 0.0
+    for m in range(2**k):
+        for e in range(2**n):
+            err = int_to_bits(e, n)
+            word = cws[m] ^ err
+            dists = [int((cw ^ word).sum()) for cw in cws]
+            if dists.index(min(dists)) != m:
+                wt = int(err.sum())
+                total += p**wt * (1 - p) ** (n - wt) / 2**k
+    return total
+
+
+def test_exact_failure_matches_brute_force_oracle():
+    repeated_row = np.array([[1, 0], [1, 0], [0, 1], [1, 1], [0, 1]], dtype=np.uint8)
+    codes = [
+        repetition_code(2),                                  # every error a tie
+        repetition_code(4),                                  # ties at weight 2
+        LinearCode(n=4, k=4, generator=np.eye(4, dtype=np.uint8)),
+        random_code(5, 5, seed=3),                           # k = n
+        LinearCode(n=5, k=2, generator=repeated_row),
+        random_code(6, 3, seed=1),
+        random_code(7, 2, seed=9),
+        random_code(6, 4, seed=2),
+    ]
+    for code in codes:
+        for p in (CHANNEL_P, 0.3, 0.5):
+            assert exact_failure_prob(code, p) == pytest.approx(
+                oracle_failure(code, p), abs=1e-12
+            ), (code.n, code.k, p)
 
 
 def test_exact_failure_monotone_in_p():
@@ -147,6 +188,39 @@ def test_mc_failure_counts_high_bits():
     wide = LinearCode(n=63, k=1, generator=np.ones((63, 1), dtype=np.uint8))
     with pytest.raises(ResourceLimitError):
         mc_failure_prob(wide, 0.0, trials=10, seed=0)
+
+
+def test_decode_block_bounded_in_cells():
+    # a [16,14] code decodes 2048 words against 2^14 codewords; a block of
+    # 1024 rows held 2^24 int64 distances
+    code = random_code(16, 14, seed=3)
+    code.codeword_ints
+    tracemalloc.start()
+    try:
+        mc_failure_prob(code, CHANNEL_P, trials=2048, seed=1)
+        exact_failure_prob(code, CHANNEL_P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
+def test_codeword_table_refused_before_allocating():
+    code = LinearCode(n=22, k=22, generator=np.eye(22, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        for read in (lambda: code.codewords, lambda: code.codeword_ints,
+                     lambda: ml_decode(code, np.zeros(22, dtype=np.uint8))):
+            with pytest.raises(ResourceLimitError, match="cells"):
+                read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_popcount_table_matches_bin_count():
+    assert _POP16.tolist() == [bin(i).count("1") for i in range(1 << 16)]
 
 
 def test_bsc_sample_statistics_and_determinism():

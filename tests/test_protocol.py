@@ -25,7 +25,13 @@ from otmbench.protocol import (
     otrm_read,
     simulator_transcript,
 )
-from otmbench.qrac import BasisMeasurement, measure_prob, measurement_for, qrac_encode
+from otmbench.qrac import (
+    BasisMeasurement,
+    measure_prob,
+    measurement_for,
+    qrac_encode,
+    sample_measurement,
+)
 from otmbench.seeds import derive_seed
 
 CHANNEL_P = math.sin(math.pi / 8) ** 2
@@ -107,12 +113,30 @@ def test_otrm_read_decodes_and_reports():
         otrm_read(inst, alpha=2, seed=0)
 
 
+def test_otrm_read_word_matches_per_qubit_sampling():
+    params = ProtocolParams(n=12, lam=8, k=3, seed_root=8)
+    inst = otrm_prep(params)
+    for alpha in (0, 1):
+        meas = measurement_for(alpha)
+        for seed in range(20):
+            # one scalar draw per qubit, outcome 1 when it reaches P(outcome 0)
+            rng = np.random.default_rng(seed)
+            want = [int(rng.random() >= measure_prob(q, meas)[0]) for q in inst.qubits]
+            rng = np.random.default_rng(seed)
+            assert [sample_measurement(q, meas, rng) for q in inst.qubits] == want
+            assert otrm_read(inst, alpha, seed).word.tolist() == want
+
+
 def test_otrm_read_failure_rate_tracks_exact_benchmark():
     params = ProtocolParams(n=7, lam=8, k=2, seed_root=0)
     codes = (random_code(7, 2, 100), random_code(7, 2, 101))
-    out = mc_correctness(params, alpha=0, trials=2000, seed=42, codes=codes)
-    sigma = math.sqrt(out["exact_failure"] * (1 - out["exact_failure"]) / 2000)
-    assert abs(out["empirical_failure"] - out["exact_failure"]) <= 4 * sigma
+    for alpha in (0, 1):
+        out = mc_correctness(params, alpha=alpha, trials=2000, seed=42, codes=codes)
+        assert out == mc_correctness(params, alpha=alpha, trials=2000, seed=42, codes=codes)
+        sigma = math.sqrt(out["exact_failure"] * (1 - out["exact_failure"]) / 2000)
+        assert abs(out["empirical_failure"] - out["exact_failure"]) <= 4 * sigma
+    with pytest.raises(ValueError):
+        mc_correctness(ProtocolParams(n=8, lam=8, k=2), 0, 10, seed=0, codes=codes)
 
 
 # ---------------------------------------------------------------------------
