@@ -290,18 +290,19 @@ def exact_failure_prob(code: LinearCode, p: float) -> float:
 
 def mc_failure_prob(code: LinearCode, p: float, trials: int, seed: int) -> float:
     """Monte-Carlo estimate of the decode-failure probability, decoded by
-    :func:`ml_decode_packed`; drawn in chunks of max(1024, 2^22 / 2^k) trials."""
+    :func:`ml_decode_packed`; drawn in chunks of max(1024, 2^22 / 2^k) trials,
+    cut to at most 2^22 / n so that no chunk draws more than 2^22 error bits."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     cw = code.codeword_ints
     rng = np.random.default_rng(seed)
     weights = 1 << np.arange(code.n - 1, -1, -1, dtype=np.int64)
     failures = 0
-    chunk = max(1024, _BLOCK_CELLS >> code.k)
+    chunk = min(max(1024, _BLOCK_CELLS >> code.k), _BLOCK_CELLS // code.n)
     for start in range(0, trials, chunk):
         m = min(chunk, trials - start)
         msgs = rng.integers(0, cw.shape[0], size=m)
-        flips = (rng.random((m, code.n)) < p).astype(np.int64)
+        flips = rng.random((m, code.n)) < p
         received = cw[msgs] ^ (flips @ weights)
         failures += int(np.sum(ml_decode_packed(code, received) != msgs))
     return failures / trials

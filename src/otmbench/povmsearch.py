@@ -52,6 +52,7 @@ __all__ = [
     "BoundReport",
     "ConvexityReport",
     "eval_povm_info",
+    "pair_info",
     "quantity_value",
     "value_from_info",
     "grid_extremal_povms",
@@ -257,8 +258,15 @@ def eval_povm_info(povm: Povm) -> PovmInfo:
     for (x, y) in itertools.product((0, 1), repeat=2):
         rho = qrac_encode(x, y).density_matrix()
         for i, m in enumerate(povm.elements):
-            table[x, y, i] = 0.25 * float(np.trace(m @ rho))
-    d = JointDistribution(("b0", "b1", "out"), table)
+            table[x, y, i] = float(np.trace(m @ rho))
+    return pair_info(table)
+
+
+def pair_info(table) -> PovmInfo:
+    """Exact per-bit collision MI figures of one measured pair, from its
+    outcome table table[x, y, o] = P(outcome o | bits (x, y)) under uniform
+    independent bits."""
+    d = JointDistribution(("b0", "b1", "out"), 0.25 * np.asarray(table, dtype=float))
     return PovmInfo(
         ic_b0=collision_mi(d, ("b0",), ("out",)),
         ic_b1=collision_mi(d, ("b1",), ("out",)),

@@ -22,16 +22,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .collinfo import (
-    JointDistribution,
-    avg_conditional_min_entropy,
-    collision_mi,
-    conditional_collision_mi,
-)
+from .collinfo import JointDistribution, avg_conditional_min_entropy
 from .errors import InvariantViolationError, ResourceLimitError
 from .f2codes import (MAX_BLOCK_BITS, LinearCode, bits_to_int, encode, exact_failure_prob,
                       ml_decode, ml_decode_packed, random_code)
-from .povmsearch import Povm
+from .povmsearch import Povm, pair_info
 from .qrac import (
     ENCODING_ANGLES,
     BasisMeasurement,
@@ -365,16 +360,6 @@ def _strategy_tables(strategy) -> list:
     return tables
 
 
-def _product_joint(tables) -> JointDistribution:
-    """Joint of (b0-string, b1-string, outcome-string) under uniform IID pairs."""
-    p = np.ones((1, 1, 1))
-    for t in tables:
-        p = np.einsum("ABC,xyo->AxByCo", p, 0.25 * t).reshape(
-            p.shape[0] * 2, p.shape[1] * 2, p.shape[2] * t.shape[2]
-        )
-    return JointDistribution(("b0", "b1", "out"), p)
-
-
 @dataclass(frozen=True)
 class LeakageReport:
     """Exact per-strategy leakage figures against the m-fold pair bounds."""
@@ -386,7 +371,7 @@ class LeakageReport:
     total: float
     cond_b0: float            # I_c(b0-string : outcomes | b1-string)
     cond_b1: float
-    lesser: int               # index of the string with the smaller leakage
+    lesser: int               # index of the string with the smaller leakage; 0 on a tie
     bounds: dict = field(compare=False)
 
     @property
@@ -402,31 +387,48 @@ class LeakageSweep:
     all_ok: bool
 
 
-def _single_leakage(m: int, strategy, tables) -> LeakageReport:
-    d = _product_joint(tables)
-    ic0 = collision_mi(d, ("b0",), ("out",))
-    ic1 = collision_mi(d, ("b1",), ("out",))
-    c0 = conditional_collision_mi(d, ("b0",), ("out",), ("b1",))
-    c1 = conditional_collision_mi(d, ("b1",), ("out",), ("b0",))
-    values = {
-        "greater": max(ic0, ic1),
-        "total": ic0 + ic1,
-        "conditional": max(c0, c1),
-    }
-    bounds = {
-        q: {"value": values[q], "limit": m * PER_PAIR_BOUNDS[q],
-            "ok": values[q] <= m * PER_PAIR_BOUNDS[q] + 1e-9}
-        for q in PER_PAIR_BOUNDS
-    }
-    label = tuple(
-        e if isinstance(e, Povm) else
-        (e.theta if isinstance(e, BasisMeasurement) else float(e))
-        for e in strategy
-    )
-    return LeakageReport(
-        m=m, strategy=label, ic_b0=ic0, ic_b1=ic1, total=ic0 + ic1,
-        cond_b0=c0, cond_b1=c1, lesser=0 if ic0 <= ic1 else 1, bounds=bounds,
-    )
+_TIE = 1e-12                  # |ic_b0 - ic_b1| at most this is a tie
+
+
+def _product_reports(m: int, labels: list, figs: np.ndarray) -> list:
+    """Reports of product strategies from per-pair figures figs[s, i], the
+    (ic_b0, ic_b1, cond_b0, cond_b1) of pair i alone under strategy s.
+
+    Every figure of a product strategy is the sum of its pairs' figures.
+    The pairs are independent, so the joint of the (b0, b1, outcome)
+    strings is p = prod_i p_i, and likewise each of its marginals.  Hence
+    sum_x p(x)^2 = prod_i sum_{x_i} p_i(x_i)^2, and on every slice y of
+    positive mass p(x|y) = prod_i p_i(x_i|y_i), so
+
+        sum_{x,y} p(x,y) p(x|y) = prod_i sum_{x_i,y_i} p_i(x_i,y_i) p_i(x_i|y_i).
+
+    A slice y has zero mass exactly when some factor p_i(y_i) is zero;
+    there p(x,y) is zero for every x too, so collinfo's convention drops
+    the same terms factor-wise on both sides.  Taking -log2 turns the
+    products into sums: H_c(X) and H_c(X|Y) are additive, and so are
+    I_c(X:Y) = H_c(X) - H_c(X|Y) and I_c(X:Y|Z) = H_c(X|Z) - H_c(X|YZ).
+    The tests hold this against the dense joint of all m pairs.
+
+    Each figure is summed over its sorted pair values, so a strategy's
+    figures, and its lesser string, do not depend on the order of its
+    entries.
+    """
+    ic0, ic1, c0, c1 = np.sort(figs, axis=1).sum(axis=1).T
+    values = {"greater": np.maximum(ic0, ic1), "total": ic0 + ic1,
+              "conditional": np.maximum(c0, c1)}
+    limits = {q: m * PER_PAIR_BOUNDS[q] for q in PER_PAIR_BOUNDS}
+    ok = {q: values[q] <= limits[q] + 1e-9 for q in PER_PAIR_BOUNDS}
+    lesser = ic0 - ic1 > _TIE
+    return [
+        LeakageReport(
+            m=m, strategy=label, ic_b0=float(ic0[s]), ic_b1=float(ic1[s]),
+            total=float(values["total"][s]), cond_b0=float(c0[s]), cond_b1=float(c1[s]),
+            lesser=int(lesser[s]),
+            bounds={q: {"value": float(values[q][s]), "limit": limits[q], "ok": bool(ok[q][s])}
+                    for q in PER_PAIR_BOUNDS},
+        )
+        for s, label in enumerate(labels)
+    ]
 
 
 def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
@@ -437,9 +439,12 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
     entry) gives one LeakageReport.  With exhaustive=True the grid of
     per-qubit angles (default: 9 angles, multiples of pi/16 up to pi/2)
     is swept over all product assignments and the worst case per figure
-    is reported.
+    is reported.  Figures come from the one-pair joint of each entry and
+    add up over the pairs (see _product_reports).
     """
-    if not 1 <= m <= 5:
+    if m < 1:
+        raise ValueError(f"need m >= 1 pairs, got {m}")
+    if m > 5:
         raise ResourceLimitError(f"m = {m} outside exact-enumeration range 1..5")
     if exhaustive:
         if strategy is not None:
@@ -450,22 +455,27 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
             raise ResourceLimitError(
                 f"{len(angles)}^{m} product strategies exceed the sweep budget"
             )
-        base_tables = {a: _strategy_tables([a])[0] for a in angles}
-        reports = []
-        for combo in itertools.product(angles, repeat=m):
-            reports.append(_single_leakage(m, combo, [base_tables[a] for a in combo]))
-        worst = {
-            q: max(r.bounds[q]["value"] for r in reports) for q in PER_PAIR_BOUNDS
-        }
-        return LeakageSweep(
-            m=m,
-            reports=tuple(reports),
-            worst=worst,
-            all_ok=all(r.all_ok for r in reports),
-        )
-    if strategy is None or len(strategy) != m:
-        raise ValueError(f"strategy must list {m} per-qubit measurements")
-    return _single_leakage(m, tuple(strategy), _strategy_tables(strategy))
+        entries = list(angles)
+        # every assignment of entries to the m pairs, in itertools.product order
+        idx = np.indices((len(entries),) * m).reshape(m, -1).T
+    else:
+        if strategy is None or len(strategy) != m:
+            raise ValueError(f"strategy must list {m} per-qubit measurements")
+        entries = list(strategy)
+        idx = np.arange(m)[None, :]
+    figs = np.array([pair_info(t) for t in _strategy_tables(entries)]).reshape(-1, 4)
+    names = [e if isinstance(e, Povm) else
+             (e.theta if isinstance(e, BasisMeasurement) else float(e)) for e in entries]
+    labels = [tuple(names[j] for j in row) for row in idx.tolist()]
+    reports = _product_reports(m, labels, figs[idx])
+    if not exhaustive:
+        return reports[0]
+    return LeakageSweep(
+        m=m,
+        reports=tuple(reports),
+        worst={q: max(r.bounds[q]["value"] for r in reports) for q in PER_PAIR_BOUNDS},
+        all_ok=all(r.all_ok for r in reports),
+    )
 
 
 # ---------------------------------------------------------------------------

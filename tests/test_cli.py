@@ -124,6 +124,11 @@ def test_leakage_resource_limit_exit(capsys):
     assert cli.main(["leakage", "--m", "9", "--exhaustive"]) == cli.EXIT_RESOURCE
 
 
+def test_leakage_nonpositive_m_is_bad_input(capsys):
+    assert cli.main(["leakage", "--m", "-2", "--exhaustive"]) == cli.EXIT_INPUT
+    assert "resource limit" not in capsys.readouterr().err
+
+
 def test_simulate_reports_and_reproduces(tmp_path, capsys):
     args = [
         "simulate", "--n", "6", "--k", "2", "--lam", "8",

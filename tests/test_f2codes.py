@@ -205,6 +205,21 @@ def test_decode_block_bounded_in_cells():
     assert peak < 100 * 2**20
 
 
+def test_mc_chunk_bounded_in_cells():
+    # at k = 2 one chunk took up to 2^20 trials, so these 2^18 drew
+    # 2^18 x 62 float64 cells (124 MiB) at once; a chunk of at most 2^22
+    # cells draws 32 MiB
+    code = random_code(62, 2, seed=5)
+    code.codeword_ints
+    tracemalloc.start()
+    try:
+        mc_failure_prob(code, CHANNEL_P, trials=2**18, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 def test_codeword_table_refused_before_allocating():
     code = LinearCode(n=22, k=22, generator=np.eye(22, dtype=np.uint8))
     tracemalloc.start()

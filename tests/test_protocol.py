@@ -304,9 +304,92 @@ def test_leakage_small_sweep_all_ok():
         assert worst <= 2 * PER_PAIR_BOUNDS[q] + 1e-9
 
 
+_TRINE = Povm(tuple(
+    2 / 3 * np.outer(v, v)
+    for v in ([math.cos(a), math.sin(a)] for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3))
+))
+_ZERO_OUTCOME = Povm((np.eye(2), np.zeros((2, 2))))   # outcome 1 never occurs
+
+_FIGURES = ("ic_b0", "ic_b1", "total", "cond_b0", "cond_b1")
+
+
+def _entry_table(entry) -> np.ndarray:
+    """t[x, y, o] = P(outcome o | bits (x, y)) for one strategy entry."""
+    if isinstance(entry, Povm):
+        return np.array([[[np.trace(el @ qrac_encode(x, y).density_matrix())
+                           for el in entry.elements] for y in (0, 1)] for x in (0, 1)])
+    meas = entry if isinstance(entry, BasisMeasurement) else BasisMeasurement(entry)
+    return np.array([[measure_prob(qrac_encode(x, y), meas) for y in (0, 1)] for x in (0, 1)])
+
+
+def _dense_figures(strategy) -> tuple:
+    """Oracle: the five figures from the dense joint of the (b0, b1, outcome)
+    strings of all pairs, with no use of additivity."""
+    p = np.ones((1, 1, 1))
+    for t in map(_entry_table, strategy):
+        p = np.einsum("ABC,xyo->AxByCo", p, 0.25 * t).reshape(
+            p.shape[0] * 2, p.shape[1] * 2, p.shape[2] * t.shape[2]
+        )
+    d = JointDistribution(("b0", "b1", "out"), p)
+    ic0 = collision_mi(d, "b0", "out")
+    ic1 = collision_mi(d, "b1", "out")
+    return (ic0, ic1, ic0 + ic1, conditional_collision_mi(d, "b0", "out", "b1"),
+            conditional_collision_mi(d, "b1", "out", "b0"))
+
+
+def _random_strategy(rng, m) -> list:
+    kinds = rng.integers(0, 3, size=m)
+    return [float(rng.uniform(0, math.pi)) if kind == 0 else
+            BasisMeasurement(float(rng.uniform(0, math.pi))) if kind == 1 else _TRINE
+            for kind in kinds]
+
+
+def test_leakage_matches_dense_product_joint():
+    rng = np.random.default_rng(2024)
+    strategies = [_random_strategy(rng, m) for m in (1, 2, 3, 4) for _ in range(6)]
+    strategies += [[_ZERO_OUTCOME], [0.3, _ZERO_OUTCOME, _TRINE],
+                   [_TRINE, BasisMeasurement(1.1), _ZERO_OUTCOME, math.pi / 8]]
+    for strategy in strategies:
+        rep = leakage_experiment(len(strategy), strategy=strategy)
+        got = tuple(getattr(rep, f) for f in _FIGURES)
+        want = _dense_figures(strategy)
+        # written so that a nan on either side fails
+        assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want)), (strategy, got, want)
+
+
+def _figure_rows(reports) -> set:
+    return {tuple(getattr(r, f) for f in _FIGURES) + (r.lesser,) for r in reports}
+
+
+def test_leakage_ignores_entry_order():
+    sweep = leakage_experiment(3, exhaustive=True)
+    by_multiset = {}
+    for r in sweep.reports:
+        by_multiset.setdefault(tuple(sorted(r.strategy)), []).append(r)
+    assert all(len(_figure_rows(reps)) == 1 for reps in by_multiset.values())
+    for strategy in ([0.0, math.pi / 4, 3 * math.pi / 8], [0.1, BasisMeasurement(0.7), _TRINE],
+                     [0.0, math.pi / 16, math.pi / 4, 3 * math.pi / 8],
+                     [_TRINE, 0.3, 0.3, BasisMeasurement(1.1)]):
+        rows = _figure_rows(leakage_experiment(len(strategy), strategy=list(perm))
+                            for perm in itertools.permutations(strategy))
+        assert len(rows) == 1, strategy
+    # {0, pi/4, 3pi/8} leaks equally from both strings: a tie, so lesser is 0,
+    # and the single-strategy path gives the sweep's bytes
+    tie = (0.0, math.pi / 4, 3 * math.pi / 8)
+    rows = _figure_rows(by_multiset[tie])
+    assert rows == _figure_rows([leakage_experiment(3, strategy=list(tie))])
+    assert rows.pop()[-1] == 0
+
+
 def test_leakage_argument_errors():
     with pytest.raises(ResourceLimitError):
         leakage_experiment(9)
+    with pytest.raises(ResourceLimitError):
+        leakage_experiment(6, strategy=[0.0] * 6)
+    for m in (0, -2):
+        with pytest.raises(ValueError) as err:
+            leakage_experiment(m, exhaustive=True)
+        assert not isinstance(err.value, ResourceLimitError)
     with pytest.raises(ValueError):
         leakage_experiment(2, strategy=[0.0])
     with pytest.raises(ValueError):
