@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import collinfo, lightcone, povmsearch, protocol
+from . import collinfo, f2codes, lightcone, povmsearch, protocol
 from .errors import InvariantViolationError, ResourceLimitError
 from .qrac import qrac_success_table
 from .seeds import derive_seed
@@ -47,16 +47,14 @@ class _Parser(argparse.ArgumentParser):
 def parse_eps(text: str) -> float:
     """Accept plain floats and power notation like 2^-20."""
     text = text.strip()
-    if "^" in text:
-        base, _, exp = text.partition("^")
-        try:
-            return float(base) ** float(exp)
-        except ValueError as e:
-            raise _CliError(f"bad epsilon {text!r}") from e
+    base, caret, exp = text.partition("^")
     try:
-        return float(text)
-    except ValueError as e:
+        value = float(base) ** float(exp) if caret else float(text)
+    except (ValueError, ArithmeticError) as e:   # 10^400 overflows, 0^-1 divides by 0
         raise _CliError(f"bad epsilon {text!r}") from e
+    if isinstance(value, complex):               # a negative base to a fractional power
+        raise _CliError(f"bad epsilon {text!r}: not a real number")
+    return value
 
 
 def _parse_angles(text: str) -> list:
@@ -183,6 +181,9 @@ def _run_bounds(args):
 
 def _run_simulate(args):
     params = protocol.ProtocolParams(n=args.n, k=args.k, rate=args.rate, lam=args.lam)
+    if params.n > f2codes.MAX_PACKED_BITS:   # reads pack each word into one int64
+        raise ResourceLimitError(f"n={params.n} exceeds the {f2codes.MAX_PACKED_BITS}-bit "
+                                 "packed-word limit")
     m0 = _derived_message(params, args.seed, "m0")
     m1 = _derived_message(params, args.seed, "m1")
     pkg = protocol.otm_prep(m0, m1, params, seed=derive_seed(args.seed, "pkg"))

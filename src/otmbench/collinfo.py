@@ -10,8 +10,7 @@ All quantities are computed exactly in float64:
 
 Conventions: variable groups may be a single name or a sequence of names;
 zero-mass conditioning slices contribute nothing (0 * anything = 0); logs
-are base 2 throughout.  Smoothing operations measure statistical distance
-on the marginal over the variables involved.
+are base 2 throughout.
 """
 
 from __future__ import annotations
@@ -23,24 +22,21 @@ import math
 
 import numpy as np
 
-from .errors import InvariantViolationError
+from .errors import ResourceLimitError
 
 __all__ = [
     "JointDistribution",
-    "SmoothedDistribution",
     "random_joint",
     "collision_entropy",
     "conditional_collision_entropy",
     "collision_mi",
     "conditional_collision_mi",
-    "min_entropy",
     "avg_conditional_min_entropy",
-    "statistical_distance",
-    "markov_smooth",
-    "smooth_collision_mi_upper",
 ]
 
 _MASS_TOL = 1e-9
+# cells a table read from a file may span, checked before it is allocated
+_MAX_FILE_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -137,6 +133,9 @@ class JointDistribution:
                 raise ValueError(f"duplicate row for index {idx}")
             rows[idx] = float(cells[-1])
         shape = [max(idx[i] for idx in rows) + 1 for i in range(len(names))]
+        if math.prod(shape) > _MAX_FILE_CELLS:
+            raise ResourceLimitError(f"a {shape} table exceeds the limit of "
+                                     f"{_MAX_FILE_CELLS} cells")
         table = np.zeros(shape)
         for idx, prob in rows.items():
             table[idx] = prob
@@ -210,166 +209,7 @@ def conditional_collision_mi(d: JointDistribution, x, y, z=None) -> float:
     )
 
 
-def min_entropy(d: JointDistribution, target) -> float:
-    p = d.grouped(_norm_group(target)).ravel()
-    return -math.log2(float(p.max()))
-
-
 def avg_conditional_min_entropy(d: JointDistribution, target, given) -> float:
     """-log2 E_g[max_t p(t|g)], the average-case conditional min-entropy."""
     joint = d.grouped(_norm_group(target), _norm_group(given))
     return -math.log2(float(joint.max(axis=0).sum()))
-
-
-def statistical_distance(p: JointDistribution, q: JointDistribution) -> float:
-    if p.names != q.names or p.table.shape != q.table.shape:
-        raise ValueError("distributions live on different variable sets")
-    return 0.5 * float(np.abs(p.table - q.table).sum())
-
-
-# -- smoothing ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmoothedDistribution:
-    """Result of a truncate-and-renormalize smoothing step.
-
-    ``sd_exact`` is the exact statistical distance between ``base`` and
-    ``truncated``; ``sd_bound`` is the Markov guarantee E[p(X|Z)]/cap,
-    checked to dominate ``sd_exact`` on construction.
-    """
-
-    base: JointDistribution
-    truncated: JointDistribution
-    cap: float
-    sd_exact: float
-    sd_bound: float
-
-    def __post_init__(self):
-        if self.sd_exact > self.sd_bound + 1e-12:
-            raise InvariantViolationError(
-                f"exact SD {self.sd_exact} exceeds Markov bound {self.sd_bound}"
-            )
-
-
-def markov_smooth(d: JointDistribution, target, given, cap: float) -> SmoothedDistribution:
-    """Remove all (target, given) events with p(target|given) >= cap, renormalize.
-
-    Removed mass equals Pr[p(X|Z) >= cap] <= E[p(X|Z)]/cap = 2^-Hc(X|Z)/cap.
-    """
-    if cap <= 0.0:
-        raise ValueError("cap must be positive")
-    target, given = _norm_group(target), _norm_group(given)
-    t_axes, g_axes = d.axes_of(target), d.axes_of(given)
-    joint = d.grouped(target, given)  # (T, G)
-    pg = joint.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(pg > 0.0, joint / pg, 0.0)
-    kill = cond >= cap  # (T, G) mask over flattened groups
-    # broadcast the mask back onto the full table: unflatten the groups,
-    # move their axes into table order, and give every other axis size 1
-    axes = t_axes + g_axes
-    kill = kill.reshape(d.sizes_of(target) + d.sizes_of(given))
-    kill = np.transpose(kill, np.argsort(axes))
-    shape = [d.table.shape[ax] if ax in axes else 1 for ax in range(d.table.ndim)]
-    mask_full = np.broadcast_to(kill.reshape(shape), d.table.shape)
-    removed = float(d.table[mask_full].sum())
-    if removed >= 1.0 - 1e-12:
-        raise ValueError(f"cap {cap} removes all probability mass")
-    new_table = np.where(mask_full, 0.0, d.table) / (1.0 - removed)
-    truncated = JointDistribution(d.names, new_table)
-    expectation = float((joint * cond).sum())  # E[p(X|Z)] = 2^-Hc(X|Z)
-    return SmoothedDistribution(
-        base=d,
-        truncated=truncated,
-        cap=cap,
-        sd_exact=statistical_distance(d, truncated),
-        sd_bound=expectation / cap,
-    )
-
-
-def _floor_y_witness(d: JointDistribution, x, y, z) -> JointDistribution:
-    """Nearby distribution with p(y|z) >= 1/(2|Y|^2) for every slice z.
-
-    Raising at most |Y| conditional masses by at most the floor moves at
-    most 1/(2|Y|) of probability, so the statistical distance to ``d`` is
-    at most 1/(2|Y|); the floor still forces p(x|y,z) <= 2|Y| p(x|z), hence
-    I_c of the witness is at most 1 + log2|Y| <= 2 log2|Y| for |Y| >= 2.
-    """
-    x, y, z = _norm_group(x), _norm_group(y), _norm_group(z)
-    order = x + y + z
-    marg = d.marginal(order)
-    nx = int(np.prod(marg.sizes_of(x), dtype=int))
-    ny = int(np.prod(marg.sizes_of(y), dtype=int))
-    nz = int(np.prod(marg.sizes_of(z), dtype=int)) if z else 1
-    table = marg.table.reshape(nx, ny, nz).copy()
-    floor = 1.0 / (2 * ny**2)
-    for iz in range(nz):
-        pz = table[:, :, iz].sum()
-        if pz <= 0.0:
-            continue
-        cond = table[:, :, iz].sum(axis=0) / pz  # p(y|z)
-        deficient = cond < floor
-        # water-fill: raise deficient ys to the floor, scale the rest down;
-        # repeat because scaling can push new ys below the floor
-        new_cond = cond.copy()
-        while True:
-            need = floor * deficient.sum()
-            keep = ~deficient
-            scale = (1.0 - need) / new_cond[keep].sum()
-            candidate = new_cond * scale
-            newly = keep & (candidate < floor)
-            if not newly.any():
-                new_cond = np.where(deficient, floor, candidate)
-                break
-            deficient |= newly
-        for iy in range(ny):
-            if cond[iy] > 0.0:
-                table[:, iy, iz] *= new_cond[iy] / cond[iy]
-            elif new_cond[iy] > 0.0:
-                table[:, iy, iz] = new_cond[iy] * pz / nx
-    names = tuple(order)
-    return JointDistribution(names, (table / table.sum()).reshape(marg.table.shape))
-
-
-def smooth_collision_mi_upper(
-    d: JointDistribution, x, y, z=None, epsilon: float = 0.0
-) -> float:
-    """Certified upper bound on the epsilon-smoothed I_c(X:Y|Z).
-
-    Exhibits explicit witness distributions within statistical distance
-    ``epsilon`` of the (X, Y, Z) marginal and returns the smallest exact
-    I_c among them; never claims to find the true minimum.  With
-    epsilon = 0 this is exactly the unsmoothed quantity.
-    """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
-    x, y, z = _norm_group(x), _norm_group(y), _norm_group(z)
-    marg = d.marginal(x + y + z)
-    candidates = [conditional_collision_mi(marg, x, y, z if z else None)]
-    if epsilon > 0.0:
-        ny = int(np.prod(marg.sizes_of(y), dtype=int))
-        witness = _floor_y_witness(marg, x, y, z)
-        if statistical_distance(marg, witness) <= epsilon + 1e-12:
-            candidates.append(conditional_collision_mi(witness, x, y, z if z else None))
-        # truncation witnesses: cut the largest p(x | y z) spikes the budget allows
-        joint = marg.grouped(x, y + z)
-        pg = joint.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(pg > 0.0, joint / pg, 0.0)
-        levels = np.unique(cond[cond > 0.0])[::-1]
-        for cap in levels[:8]:
-            removed = float(joint[cond >= cap].sum())
-            if removed > epsilon:
-                break
-            if removed == 0.0:
-                continue
-            try:
-                sm = markov_smooth(marg, x, y + z, cap=float(cap))
-            except ValueError:
-                continue
-            if sm.sd_exact <= epsilon + 1e-12:
-                candidates.append(
-                    conditional_collision_mi(sm.truncated, x, y, z if z else None)
-                )
-    return min(candidates)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-import json
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "random_code",
     "f2_rank",
     "encode",
-    "bsc_sample",
     "ml_decode",
     "ml_decode_packed",
     "exact_failure_prob",
@@ -172,23 +170,6 @@ class LinearCode:
         w = self.codewords[1:].sum(axis=1)
         return int(w.min())
 
-    def to_json(self) -> str:
-        packed = np.packbits(self.generator.ravel())  # row-major, zero-padded
-        return json.dumps(
-            {"n": self.n, "k": self.k, "generator": packed.tobytes().hex(), "seed": self.seed}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LinearCode":
-        try:
-            obj = json.loads(text)
-            n, k = int(obj["n"]), int(obj["k"])
-            raw = np.frombuffer(bytes.fromhex(obj["generator"]), dtype=np.uint8)
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"malformed code description: {exc}") from exc
-        bits = np.unpackbits(raw)[: n * k].reshape(n, k)
-        return cls(n=n, k=k, generator=bits, seed=obj.get("seed"))
-
 
 def random_code(n: int, k: int, seed: int) -> LinearCode:
     """Sample a uniform full-column-rank generator, resampling as needed.
@@ -207,19 +188,6 @@ def random_code(n: int, k: int, seed: int) -> LinearCode:
 def encode(code: LinearCode, message: np.ndarray) -> np.ndarray:
     message = _as_bits(message, code.k)
     return (code.generator @ message) % 2
-
-
-def bsc_sample(word: np.ndarray, p: float, seed) -> np.ndarray:
-    """Push ``word`` through a binary symmetric channel with flip rate p.
-
-    ``seed`` may be an int or an existing numpy Generator.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip probability must lie in [0, 1], got {p}")
-    word = _as_bits(word)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    flips = (rng.random(word.shape[0]) < p).astype(np.uint8)
-    return word ^ flips
 
 
 def ml_decode(code: LinearCode, word: np.ndarray) -> np.ndarray:

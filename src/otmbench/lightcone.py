@@ -33,15 +33,14 @@ __all__ = [
     "certify_independence",
     "shell_accounting",
     "find_feasible_params",
-    "regroup_measurements",
 ]
 
 # cells listed at once, and cubes a partition loops over, stay at desk scale
 _MAX_CELLS = 1 << 22
-# log2 of the most cells a feasibility witness's outer cube may hold, and
-# the grid sizes its float re-check may try past the exact least one
+# log2 of the most cells a feasibility witness's outer cube may hold
 _MAX_OUTER_LOG2 = 400
-_MAX_GRID_STEPS = 1024
+# log2(1/eps) < 1075 for every positive double (the least is 2^-1074)
+_LOG2_CAP = 1075
 
 
 @dataclass(frozen=True)
@@ -300,8 +299,10 @@ class FeasibilityWitness:
             <= n / 100                                             (1)
         |CU_bar| >= log2(1/eps1)                                   (2)
 
-    with |CU_bar| = n * (1 - (2r)**D / (2r + 2*ell**d)**D).  Both sides
-    are stored as evaluated and re-checked on construction.
+    with |CU_bar| = n * (1 - (2r)**D / (2r + 2*ell**d)**D).  Construction
+    re-decides both exactly from the integer fields; the four float fields
+    are both sides as evaluated in floats, for reporting, and must equal
+    that evaluation.
     """
 
     D: int
@@ -319,31 +320,57 @@ class FeasibilityWitness:
     eq2_rhs: float
 
     def __post_init__(self):
-        if self.eq1_lhs > self.eq1_rhs:
+        outer_side = 2 * self.r + 2 * self.ell**self.depth
+        t, rem = divmod(self.side, outer_side)
+        inner, outer = (2 * self.r) ** self.D, outer_side**self.D
+        if rem or self.n != self.side**self.D or self.cu_bar != t**self.D * (outer - inner):
             raise InvariantViolationError(
-                f"budget inequality fails: {self.eq1_lhs} > {self.eq1_rhs}"
+                f"side {self.side}, n {self.n} and cu_bar {self.cu_bar} do not tile "
+                f"outer cubes of side {outer_side}"
             )
-        if self.eq2_lhs < self.eq2_rhs:
-            raise InvariantViolationError(
-                f"shell-size inequality fails: {self.eq2_lhs} < {self.eq2_rhs}"
-            )
+        if not _budget_holds(self.eps1, self.eps2, inner, self.n, self.cu_bar):
+            raise InvariantViolationError("budget inequality (1) fails")
+        if not _shell_holds(self.eps1, self.cu_bar):
+            raise InvariantViolationError("shell-size inequality (2) fails")
+        sides = _float_sides(self.eps1, self.eps2, inner, self.n, self.cu_bar)
+        if (self.eq1_lhs, self.eq1_rhs, self.eq2_lhs, self.eq2_rhs) != sides:
+            raise InvariantViolationError(f"float sides disagree with {sides}")
 
 
-def _eval_constraints(D, ell, depth, eps1, eps2, r, t):
-    inner = (2 * r) ** D
-    outer_side = 2 * r + 2 * ell**depth
-    outer = outer_side**D
-    n = (t * outer_side) ** D
-    cu_bar = t**D * (outer - inner)
+def _budget_holds(eps1, eps2, inner, n, cu_bar) -> bool:
+    """(1) decided exactly.  Times 100 it reads
+    100 * (2*log2(1/eps1) + log2(1/eps2)) <= P with
+    P = n - 300*inner - 400*cu_bar, that is P >= 0 and
+    (eps1^2 * eps2)^-100 <= 2^P, each eps the ratio of integers its double
+    stores.  The left side is below 300 * _LOG2_CAP, so (1) holds for any P
+    past that."""
+    p = n - 300 * inner - 400 * cu_bar
+    if p < 0:
+        return False
+    if p >= 300 * _LOG2_CAP:
+        return True
+    (a1, b1), (a2, b2) = eps1.as_integer_ratio(), eps2.as_integer_ratio()
+    return (a1 * a1 * a2) ** 100 << p >= (b1 * b1 * b2) ** 100
+
+
+def _shell_holds(eps1, cu_bar) -> bool:
+    """(2) decided exactly: cu_bar >= log2(1/eps1) iff 2^cu_bar * eps1 >= 1."""
+    if cu_bar >= _LOG2_CAP:
+        return True
+    a, b = eps1.as_integer_ratio()
+    return a << cu_bar >= b
+
+
+def _float_sides(eps1, eps2, inner, n, cu_bar) -> tuple:
+    """Both sides of (1) and of (2) evaluated in floats."""
     log1 = math.log2(1.0 / eps1)
-    log2_ = math.log2(1.0 / eps2)
-    lhs1 = 3 * inner + 2 * log1 + log2_ + 4 * cu_bar
-    return n, cu_bar, float(lhs1), n / 100.0, float(cu_bar), log1
+    lhs1 = 3 * inner + 2 * log1 + math.log2(1.0 / eps2) + 4 * cu_bar
+    return float(lhs1), n / 100.0, float(cu_bar), log1
 
 
 def _least(pred, hi: int) -> int:
     """Least integer r >= 1 with pred(r), for pred false below some point
-    and true from it on; hi is a guess at or above that point."""
+    and true from it on; hi is a first guess, doubled while pred fails."""
     lo = 0
     while not pred(hi):      # only if the guess falls short
         lo, hi = hi, 2 * hi
@@ -363,13 +390,13 @@ def find_feasible_params(
     condition reads r / (r + ell**d) > (399/400)**(1/D) and grows with r,
     so its closed form brackets r and bisection on the integer inequality
     settles it.  Stage two takes the least number t of outer cubes per axis
-    for which the remaining (per-cube constant) terms fit too.  Everything
-    is integer arithmetic except the two log terms, and the returned
-    witness re-verifies both inequalities by substitution in floats.  So
-    parameters whose outer cube could exceed 2^400 cells are refused before
-    any power is taken, which keeps n (at most about the square of that
-    count) in float range, and a witness whose float re-check still fails
-    1024 grid steps past the least t is refused too.
+    for which (1) and (2) hold, both decided exactly (_budget_holds,
+    _shell_holds).  Once either holds it holds for every larger t: cu_bar
+    grows with t, and so does P = t**D * (outer - 400 * (outer - inner))
+    - 300 * inner, whose factor stage one made positive.  Parameters whose
+    outer cube could exceed 2^400 cells are refused before any power is
+    taken, which keeps n (at most about the square of that count) in float
+    range for the reported float sides.
     """
     if not all(0.0 < e < 1.0 and math.isfinite(1.0 / e) for e in (eps1, eps2)):
         raise ValueError("smoothing parameters must lie in (0, 1) with finite log2(1/eps)")
@@ -393,62 +420,14 @@ def find_feasible_params(
 
     r = _least(fits, math.floor(width / -math.expm1(math.log1p(-1 / 400) / D)) + 1)
     inner, outer = (2 * r) ** D, (2 * r + 2 * width) ** D
-    slack = outer - 400 * (outer - inner)  # > 0 by the choice of r
-    log1 = math.log2(1.0 / eps1)
-    consts = 2 * log1 + math.log2(1.0 / eps2)
-    # need t**D * slack / 100 >= 3*inner + consts, plus the shell-size floor
-    t_pow = max(
-        math.ceil((300 * inner + 100 * consts) / slack),
-        math.ceil(log1 / (outer - inner)),
-        1,
-    )
-    t = _least(lambda t: t**D >= t_pow, math.ceil(t_pow ** (1.0 / D)) + 1)
 
-    # float rounding paranoia: substitution is the authority.  Once the
-    # margin of (1) is below float resolution no grid step can show it.
-    for _ in range(_MAX_GRID_STEPS):
-        n, cu_bar, lhs1, rhs1, lhs2, rhs2 = _eval_constraints(
-            D, ell, depth, eps1, eps2, r, t
-        )
-        if lhs1 <= rhs1 and lhs2 >= rhs2:
-            break
-        t += 1
-    else:
-        raise ResourceLimitError(
-            f"no grid within {_MAX_GRID_STEPS} steps of t={t - _MAX_GRID_STEPS} passes "
-            "the float re-check; the budget margin is below float resolution"
-        )
+    def holds(t):
+        cu_bar = t**D * (outer - inner)
+        return (_budget_holds(eps1, eps2, inner, t**D * outer, cu_bar)
+                and _shell_holds(eps1, cu_bar))
 
-    return FeasibilityWitness(
-        D=D,
-        ell=ell,
-        depth=depth,
-        eps1=eps1,
-        eps2=eps2,
-        r=r,
-        side=t * (2 * r + 2 * width),
-        n=n,
-        cu_bar=cu_bar,
-        eq1_lhs=lhs1,
-        eq1_rhs=rhs1,
-        eq2_lhs=lhs2,
-        eq2_rhs=rhs2,
-    )
-
-
-def regroup_measurements(part: HypercubePartition, outcome_assignment: dict) -> list:
-    """Collect per-qubit outcomes into per-cube groups.
-
-    Non-adaptive circuits let us reorder measurements freely, so grouping
-    by cube is purely a relabeling.  Every inner-cube qubit must be
-    assigned; outcomes on shell qubits are ignored.  Group j lists cube
-    j's outcomes in qubit order, and the concatenation of all groups is a
-    permutation of the assigned inner-cube outcomes.
-    """
-    try:
-        return [
-            [outcome_assignment[qubit] for qubit in part.inner_cells(j).tolist()]
-            for j in range(part.q)
-        ]
-    except KeyError as exc:
-        raise ValueError(f"unassigned inner-cube qubit {exc.args[0]}") from None
+    t = _least(holds, 1)
+    side = t * (2 * r + 2 * width)
+    n, cu_bar = side**D, t**D * (outer - inner)
+    return FeasibilityWitness(D, ell, depth, eps1, eps2, r, side, n, cu_bar,
+                              *_float_sides(eps1, eps2, inner, n, cu_bar))

@@ -253,13 +253,18 @@ def eval_povm_info(povm: Povm) -> PovmInfo:
     path has closed-form shortcuts, and tests hold the two routes to each
     other.
     """
-    n = len(povm.elements)
-    table = np.empty((2, 2, n))
-    for (x, y) in itertools.product((0, 1), repeat=2):
+    return pair_info(_outcome_table(povm))
+
+
+def _outcome_table(povm: Povm) -> np.ndarray:
+    """t[x, y, o] = Tr[M_o rho_xy], the probability of outcome o on the
+    encoding of bits (x, y)."""
+    t = np.empty((2, 2, len(povm.elements)))
+    for x, y in itertools.product((0, 1), repeat=2):
         rho = qrac_encode(x, y).density_matrix()
-        for i, m in enumerate(povm.elements):
-            table[x, y, i] = float(np.trace(m @ rho))
-    return pair_info(table)
+        for o, m in enumerate(povm.elements):
+            t[x, y, o] = float(np.trace(m @ rho))
+    return t
 
 
 def pair_info(table) -> PovmInfo:

@@ -26,7 +26,7 @@ from .collinfo import JointDistribution, avg_conditional_min_entropy
 from .errors import InvariantViolationError, ResourceLimitError
 from .f2codes import (MAX_BLOCK_BITS, LinearCode, bits_to_int, encode, exact_failure_prob,
                       ml_decode, ml_decode_packed, random_code)
-from .povmsearch import Povm, pair_info
+from .povmsearch import Povm, _outcome_table, pair_info
 from .qrac import (
     ENCODING_ANGLES,
     BasisMeasurement,
@@ -345,17 +345,12 @@ def _strategy_tables(strategy) -> list:
     tables = []
     for entry in strategy:
         if isinstance(entry, Povm):
-            els = entry.elements
-            t = np.empty((2, 2, len(els)))
-            for x, y in itertools.product((0, 1), repeat=2):
-                rho = qrac_encode(x, y).density_matrix()
-                for o, m in enumerate(els):
-                    t[x, y, o] = float(np.trace(m @ rho))
-        else:
-            meas = entry if isinstance(entry, BasisMeasurement) else BasisMeasurement(float(entry))
-            t = np.empty((2, 2, 2))
-            for x, y in itertools.product((0, 1), repeat=2):
-                t[x, y] = measure_prob(qrac_encode(x, y), meas)
+            tables.append(_outcome_table(entry))
+            continue
+        meas = entry if isinstance(entry, BasisMeasurement) else BasisMeasurement(float(entry))
+        t = np.empty((2, 2, 2))
+        for x, y in itertools.product((0, 1), repeat=2):
+            t[x, y] = measure_prob(qrac_encode(x, y), meas)
         tables.append(t)
     return tables
 

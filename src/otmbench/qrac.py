@@ -21,8 +21,6 @@ import math
 
 import numpy as np
 
-from .collinfo import JointDistribution
-
 __all__ = [
     "QubitState",
     "BasisMeasurement",
@@ -31,11 +29,8 @@ __all__ = [
     "qrac_encode",
     "measurement_for",
     "measure_prob",
-    "sample_measurement",
     "sample_measurements",
     "qrac_success_table",
-    "product_outcome_distribution",
-    "states_equal",
 ]
 
 SUCCESS_PROB = math.cos(math.pi / 8) ** 2
@@ -103,11 +98,6 @@ def sample_measurements(thetas, meas: BasisMeasurement, rng: np.random.Generator
     return (rng.random(thetas.shape) >= np.cos(thetas - meas.theta) ** 2).astype(np.uint8)
 
 
-def sample_measurement(state: QubitState, meas: BasisMeasurement, seed) -> int:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return int(sample_measurements(state.theta, meas, rng))
-
-
 def qrac_success_table() -> dict:
     """P[readout of b_alpha is correct] for all (b0, b1, alpha).
 
@@ -120,36 +110,3 @@ def qrac_success_table() -> dict:
             probs = measure_prob(state, measurement_for(alpha))
             table[(b0, b1, alpha)] = probs[want]
     return table
-
-
-def states_equal(a: QubitState, b: QubitState, tol: float = 1e-12) -> bool:
-    """Equality up to global sign: theta differing by a multiple of pi."""
-    return math.isclose(
-        math.cos(a.theta - b.theta) ** 2, 1.0, rel_tol=0.0, abs_tol=tol
-    )
-
-
-def product_outcome_distribution(pairs, measurements) -> JointDistribution:
-    """Exact joint outcome distribution for fixed encoded bit pairs.
-
-    Parameters
-    ----------
-    pairs : sequence of (b0, b1)
-        Bits encoded on each of the m qubits.
-    measurements : sequence of BasisMeasurement
-        Basis used on each qubit.
-
-    Returns
-    -------
-    JointDistribution over variables o1..om, one binary axis per qubit.
-    """
-    pairs = list(pairs)
-    measurements = list(measurements)
-    if len(pairs) != len(measurements):
-        raise ValueError("one measurement per qubit required")
-    table = np.ones(())
-    for (b0, b1), meas in zip(pairs, measurements):
-        p = np.array(measure_prob(qrac_encode(b0, b1), meas))
-        table = np.multiply.outer(table, p)
-    names = tuple(f"o{i+1}" for i in range(len(pairs)))
-    return JointDistribution(names, table.reshape((2,) * len(pairs)))

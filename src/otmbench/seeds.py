@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
-__all__ = ["derive_seed", "rng_for"]
+__all__ = ["derive_seed"]
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -20,6 +18,3 @@ def derive_seed(root: int, label: str) -> int:
     digest = hashlib.sha256(f"{root}/{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
-
-def rng_for(root: int, label: str) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(root, label))

@@ -91,6 +91,17 @@ def test_entropy_json_input(tmp_path, capsys):
     assert "collision_entropy" in json.loads(out)["result"]
 
 
+@pytest.mark.parametrize("text", [
+    "X,prob\n1000000000000000,1.0\n",          # one axis of 10^15 cells
+    "X,Y,prob\n0,0,0.5\n4096,4096,0.5\n",     # 4097^2 cells, just past 2^24
+])
+def test_entropy_refuses_oversized_table(text, tmp_path, capsys):
+    path = tmp_path / "dist.csv"
+    path.write_text(text)
+    assert cli.main(["entropy", "--in", str(path), "--entropy", "X"]) == cli.EXIT_RESOURCE
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_entropy_missing_file_is_input_error(capsys):
     assert cli.main(["entropy", "--in", "/no/such/file.csv", "--mi", "X", "Y"]) == (
         cli.EXIT_INPUT
@@ -229,6 +240,9 @@ def _boundary_cases():
     ["bounds", "--coarse", "5e-324", "--fine", "5e-324"],
     ["bounds", "--coarse", "0.001", "--fine", "0.001"],
     ["feasibility", "--D", "1", "--ell", "2", "--d", "1", "--eps1", "1e-320", "--eps2", "0.01"],
+    ["feasibility", "--D", "1", "--ell", "2", "--d", "1", "--eps1", "10^400", "--eps2", "0.01"],
+    ["feasibility", "--D", "1", "--ell", "2", "--d", "1", "--eps1=-8^0.5", "--eps2", "0.01"],
+    ["feasibility", "--D", "1", "--ell", "2", "--d", "1", "--eps1", "0^-1", "--eps2", "0.01"],
 ], ids=" ".join)
 def test_cli_boundary_numbers_exit_cleanly(argv, capsys):
     assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_INVARIANT, cli.EXIT_RESOURCE,
@@ -247,6 +261,12 @@ def test_simulate_reads_up_to_packed_limit(n, code, capsys):
         assert stats["exact_failure"] is None and stats["trials"] == 50
     else:
         assert "62-bit" in err
+
+
+def test_simulate_refuses_unpackable_n_before_building():
+    start = time.perf_counter()
+    assert cli.main(["simulate", "--n", "400000", "--k", "1", "--trials", "1"]) == cli.EXIT_RESOURCE
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("flags", [

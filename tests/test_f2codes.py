@@ -11,7 +11,6 @@ from otmbench.f2codes import (
     _POP16,
     LinearCode,
     bits_to_int,
-    bsc_sample,
     encode,
     exact_failure_prob,
     f2_rank,
@@ -236,24 +235,6 @@ def test_codeword_table_refused_before_allocating():
 
 def test_popcount_table_matches_bin_count():
     assert _POP16.tolist() == [bin(i).count("1") for i in range(1 << 16)]
-
-
-def test_bsc_sample_statistics_and_determinism():
-    word = np.zeros(2000, dtype=np.uint8)
-    out = bsc_sample(word, 0.3, seed=4)
-    assert np.array_equal(out, bsc_sample(word, 0.3, seed=4))
-    rate = out.mean()
-    assert abs(rate - 0.3) <= 4 * math.sqrt(0.3 * 0.7 / 2000)
-    assert np.array_equal(bsc_sample(word, 0.0, seed=4), word)
-    with pytest.raises(ValueError):
-        bsc_sample(word, 1.5, seed=0)
-
-
-def test_json_roundtrip():
-    code = random_code(8, 3, seed=21)
-    back = LinearCode.from_json(code.to_json())
-    assert back.n == code.n and back.k == code.k
-    assert np.array_equal(back.generator, code.generator)
 
 
 def test_code_validation():

@@ -1,5 +1,7 @@
 """Grid partitions, cone containment certificates, and feasibility arithmetic."""
 
+import dataclasses
+from decimal import Decimal, localcontext
 import itertools
 import math
 
@@ -13,7 +15,6 @@ from otmbench.lightcone import (
     build_partition,
     certify_independence,
     find_feasible_params,
-    regroup_measurements,
     reverse_lightcone,
     shell_accounting,
 )
@@ -163,19 +164,61 @@ def test_feasibility_witness_reverifies_on_construction():
         find_feasible_params(0.0, 0.5, ell=2, depth=1, D=1)
 
 
+def _tiled_at(w, t):
+    """Fields of w with t outer cubes per axis, tiling consistently."""
+    outer_side = 2 * w.r + 2 * w.ell**w.depth
+    inner, outer = (2 * w.r) ** w.D, outer_side**w.D
+    side = t * outer_side
+    return {"side": side, "n": side**w.D, "cu_bar": t**w.D * (outer - inner)}
+
+
+@pytest.mark.parametrize("change", [
+    lambda w: {"side": w.side + 1},                     # not a multiple of the outer side
+    lambda w: {"n": w.n + 1},                           # n is not side**D
+    lambda w: {"cu_bar": w.cu_bar - 1},                 # shell count off by one
+    lambda w: _tiled_at(w, w.side // (2 * w.r + 2 * w.ell**w.depth) - 1),  # t - 1
+], ids=["side", "n", "cu_bar", "least_t_minus_one"])
+def test_feasibility_witness_rejects_untiled_or_short_fields(change):
+    """Construction re-derives the tiling and re-decides (1) and (2): a field
+    that does not tile, or a consistent tiling one step below the least t,
+    is refused."""
+    w = find_feasible_params(0.25, 0.25, ell=2, depth=1, D=2)
+    t = w.side // (2 * w.r + 2 * w.ell**w.depth)
+    assert dataclasses.replace(w, **_tiled_at(w, t)) == w
+    with pytest.raises(InvariantViolationError):
+        dataclasses.replace(w, **change(w))
+
+
 def test_feasibility_shell_floor_binds():
     w = find_feasible_params(2**-20, 0.5, ell=2, depth=1, D=1)
     assert w.cu_bar >= math.log2(1 / w.eps1)
 
 
-def test_regroup_measurements_partitions_outcomes():
-    grid = GridSpec(D=1, side=12, ell=2, depth=1)
-    part = build_partition(grid, r=1)
-    inner = [q for j in range(part.q) for q in part.inner_cells(j).tolist()]
-    assignment = {q: q % 2 for q in inner}
-    groups = regroup_measurements(part, assignment)
-    assert len(groups) == part.q
-    flat = [q for g in groups for q in g]
-    assert sorted(flat) == sorted(assignment[q] for q in inner)
-    with pytest.raises(ValueError):
-        regroup_measurements(part, {})
+def _constraints_hold_decimal(w, t) -> bool:
+    """(1) and (2) at t outer cubes per axis, with the logs taken in
+    60-digit decimal arithmetic: an oracle independent of the library."""
+    width = w.ell**w.depth
+    inner, outer = (2 * w.r) ** w.D, (2 * w.r + 2 * width) ** w.D
+    cu_bar = t**w.D * (outer - inner)
+    slack = t**w.D * outer - 300 * inner - 400 * cu_bar   # exact integer
+    with localcontext() as ctx:
+        ctx.prec = 60
+        log2 = Decimal(2).ln()
+        log1 = -Decimal(w.eps1).ln() / log2
+        logs = 2 * log1 - Decimal(w.eps2).ln() / log2
+        return 100 * logs <= slack and cu_bar >= log1
+
+
+@pytest.mark.parametrize("D, ell, d, eps1, eps2, least_t", [
+    # the float budget once took t one short of the least: (1) failed there
+    (1, 2, 40, 1.0349472528284511e-113, 4.903351566684809e-133, 131611541844847009),
+    # the float guess fell 4 645 477 steps short and the search gave up
+    (2, 10, 40, 1.1184487846563072e-158, 2.444075158768966e-56,
+     55519227428122203836057),
+])
+def test_feasibility_least_grid_is_exact(D, ell, d, eps1, eps2, least_t):
+    w = find_feasible_params(eps1, eps2, ell=ell, depth=d, D=D)
+    t, rem = divmod(w.side, 2 * w.r + 2 * ell**d)
+    assert rem == 0 and t == least_t
+    assert _constraints_hold_decimal(w, t)
+    assert not _constraints_hold_decimal(w, t - 1)

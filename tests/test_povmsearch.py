@@ -21,8 +21,13 @@ from otmbench.povmsearch import (
     value_from_info,
     verify_convexity_fact,
 )
-from otmbench.povmsearch import _count_flat_cells, _pair_cell_bases, _slice_certificate
-from otmbench.qrac import BasisMeasurement, qrac_encode
+from otmbench.povmsearch import (
+    _count_flat_cells,
+    _outcome_table,
+    _pair_cell_bases,
+    _slice_certificate,
+)
+from otmbench.qrac import BasisMeasurement, measure_prob, qrac_encode
 
 LOG2_3_2 = math.log2(1.5)
 LOG2_5_4_X2 = 2 * math.log2(1.25)
@@ -372,3 +377,25 @@ def test_convexity_fact_zero_violations():
     assert report.trials == 5000
     assert report.violations == 0
     assert report.max_excess <= 1e-10
+
+
+def test_outcome_table_is_born_rule():
+    """t[x, y, o] = Tr[M_o rho_xy]: on basis POVMs it equals measure_prob on
+    the encoded state, and on any POVM each (x, y) row is a distribution."""
+    for theta in (0.0, math.pi / 8, 0.3, math.pi / 4, 1.2):
+        t = _outcome_table(basis_povm(theta))
+        meas = BasisMeasurement(theta)
+        for x in (0, 1):
+            for y in (0, 1):
+                want = measure_prob(qrac_encode(x, y), meas)
+                assert np.abs(t[x, y] - want).max() <= 1e-15
+    rng = np.random.default_rng(7)
+    trine = Povm(tuple(
+        (2 / 3) * np.outer(v, v)
+        for v in ([math.cos(a), math.sin(a)] for a in (0.0, math.pi / 3, 2 * math.pi / 3))
+    ))
+    for povm in [trine] + [random_two_outcome(rng) for _ in range(20)]:
+        t = _outcome_table(povm)
+        assert t.shape == (2, 2, len(povm.elements))
+        assert t.min() >= -1e-12
+        assert np.abs(t.sum(axis=2) - 1.0).max() <= 1e-12

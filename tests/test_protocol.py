@@ -30,7 +30,6 @@ from otmbench.qrac import (
     measure_prob,
     measurement_for,
     qrac_encode,
-    sample_measurement,
 )
 from otmbench.seeds import derive_seed
 
@@ -122,8 +121,6 @@ def test_otrm_read_word_matches_per_qubit_sampling():
             # one scalar draw per qubit, outcome 1 when it reaches P(outcome 0)
             rng = np.random.default_rng(seed)
             want = [int(rng.random() >= measure_prob(q, meas)[0]) for q in inst.qubits]
-            rng = np.random.default_rng(seed)
-            assert [sample_measurement(q, meas, rng) for q in inst.qubits] == want
             assert otrm_read(inst, alpha, seed).word.tolist() == want
 
 
