@@ -69,9 +69,12 @@ def _parse_angles(text: str) -> list:
             out.append(named[part])
             continue
         try:
-            out.append(float(part))
+            value = float(part)
         except ValueError as e:
             raise _CliError(f"bad angle {part!r}") from e
+        if not math.isfinite(value):
+            raise _CliError(f"bad angle {part!r}")
+        out.append(value)
     if not out:
         raise _CliError("strategy lists no angles")
     return out
@@ -255,23 +258,31 @@ def _load_distribution(path) -> collinfo.JointDistribution:
         raise _CliError(f"malformed distribution file {path}: {e}") from e
 
 
+def _distinct(*names):
+    """One query's variables, each of which may be named once."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise _CliError(f"variable {name!r} is named twice in one query")
+
+
 def _run_entropy(args):
     d = _load_distribution(args.infile)
     result = {"variables": list(d.names)}
+    given = tuple(args.given or ())
     if args.mi:
         x, y = args.mi
-        if args.given:
+        _distinct(x, y, *given)
+        if given:
             result["conditional_collision_mi"] = collinfo.conditional_collision_mi(
-                d, (x,), (y,), tuple(args.given)
+                d, (x,), (y,), given
             )
         else:
             result["collision_mi"] = collinfo.collision_mi(d, (x,), (y,))
     if args.entropy:
-        if args.given:
+        _distinct(args.entropy, *given)
+        if given:
             result["conditional_collision_entropy"] = (
-                collinfo.conditional_collision_entropy(
-                    d, (args.entropy,), tuple(args.given)
-                )
+                collinfo.conditional_collision_entropy(d, (args.entropy,), given)
             )
         else:
             result["collision_entropy"] = collinfo.collision_entropy(d, (args.entropy,))

@@ -1,11 +1,14 @@
 """Binary linear codes over F2 at desk scale.
 
-Everything here is exhaustive on purpose: decoding scans all 2^k
-codewords, and exact failure probabilities visit each of the 2^n error
-patterns once, as one coset representative plus a codeword offset.  That
-is the regime where exact numbers are available to pin down the behaviour
-of the wrapping protocol; guards refuse inputs past the enumeration budget
-instead of silently degrading.
+Everything here is exhaustive on purpose.  One sweep over the cosets of
+the code visits each of the 2^n words once, as one coset representative
+plus a codeword offset, and yields both the exact failure probability and
+a decode table holding the ML decoding of every word; sampled decoding
+gathers from that table when it is cheaper than scoring each word against
+all 2^k codewords, and scans the codewords otherwise (and for n past the
+table budget).  That is the regime where exact numbers are available to
+pin down the behaviour of the wrapping protocol; guards refuse inputs past
+the enumeration budget instead of silently degrading.
 
 Bit vectors are numpy uint8 arrays.  A message ``m`` of length k maps to the
 codeword ``G @ m mod 2`` with ``G`` an n-by-k full-column-rank generator.
@@ -36,13 +39,20 @@ __all__ = [
     "int_to_bits",
 ]
 
-# enumeration guards: 2^k x n codeword table cells / 2^n error patterns
+# enumeration guards: 2^k x n codeword table cells / 2^n error patterns and
+# decode-table cells
 MAX_TABLE_CELLS = 1 << 26
 MAX_BLOCK_BITS = 20
 # words packed into int64 for sampled decoding, sign bit left clear
 MAX_PACKED_BITS = 62
+# sampled bits per Monte-Carlo call, trials x n
+MAX_SAMPLED_BITS = 1 << 30
 # distance cells per decode block, whatever k is (k <= 21 under the table guard)
 _BLOCK_CELLS = 1 << 22
+# distance cells that take as long as building one decode-table cell on a
+# fresh code, rounded up: measured 1.4-5 for n = 14..20, and up to 10 for
+# n <= 12, where a build is about 0.1 ms in all (2-core Xeon, numpy 2.4)
+_TABLE_CELL_COST = 8
 
 _POP16 = np.zeros(1, dtype=np.uint8)
 for _ in range(16):        # the upper half of each doubling has one more set bit
@@ -166,6 +176,35 @@ class LinearCode:
         self._check_table()
         return _span(np.array([bits_to_int(col) for col in self.generator.T], dtype=np.int64))
 
+    @cached_property
+    def decode_table(self) -> np.ndarray:
+        """Entry y of this 2^n int32 table is the packed message that
+        :func:`ml_decode` returns for the packed word y.
+
+        In the names of :func:`_coset_sweep`, the word y = rep_s ^ cw_a is
+        nearest to the codewords cw_(a ^ b) with b in M_s, so ML decoding
+        returns min over b in M_s of a ^ b.  One greedy pass over the prefix
+        levels, top bit first, finds it: keep the result's bit j at 0 (b's
+        bit j equal to a's) whenever that prefix of b is in M_s >> j, and
+        flip it otherwise.  Refuses n past the block budget before
+        allocating.
+        """
+        if self.n > MAX_BLOCK_BITS:
+            raise ResourceLimitError(f"a decode table of 2^{self.n} cells exceeds the "
+                                     f"budget of 2^{MAX_BLOCK_BITS} cells")
+        reps, _, levels = _coset_sweep(self)
+        k = self.k
+        a = np.arange(1 << k, dtype=np.int32)
+        # at = s * 2^(k-j) + (prefix of b chosen so far) indexes levels[j].ravel()
+        at = np.repeat(np.arange(len(reps), dtype=np.int32), 1 << k).reshape(len(reps), -1)
+        for j in range(k - 1, -1, -1):
+            at <<= 1
+            at |= (a >> j) & 1
+            at ^= np.take(~levels[j].ravel(), at)
+        table = np.empty(1 << self.n, dtype=np.int32)
+        table[reps[:, None] ^ self.codeword_ints[None, :]] = a ^ (at & ((1 << k) - 1))
+        return table
+
     def min_distance(self) -> int:
         w = self.codewords[1:].sum(axis=1)
         return int(w.min())
@@ -205,10 +244,20 @@ def ml_decode(code: LinearCode, word: np.ndarray) -> np.ndarray:
 
 def ml_decode_packed(code: LinearCode, words) -> np.ndarray:
     """:func:`ml_decode` for packed received words (int64, index 0 most
-    significant), returning message integers: the same argmin over the
-    codeword table, in blocks of at most 2^22 distance cells whatever k is."""
-    cw = code.codeword_ints
+    significant), returning message integers; bits above n are ignored.
+
+    Gathers from the decode table when it is cached or when scoring the
+    words would take longer than building it (words x 2^k distance cells
+    against 2^n table cells at _TABLE_CELL_COST each, for n within the
+    table budget).  Otherwise it takes the argmin over the codeword table,
+    in blocks of at most 2^22 distance cells whatever k is.
+    """
     words = np.asarray(words, dtype=np.int64)
+    cached = "decode_table" in vars(code)          # where cached_property keeps it
+    if cached or (code.n <= MAX_BLOCK_BITS
+                  and words.shape[0] << code.k >= _TABLE_CELL_COST << code.n):
+        return code.decode_table[words & ((1 << code.n) - 1)].astype(np.int64)
+    cw = code.codeword_ints
     rows = max(1, _BLOCK_CELLS >> code.k)
     out = np.empty(words.shape[0], dtype=np.int64)
     for start in range(0, words.shape[0], rows):
@@ -217,21 +266,38 @@ def ml_decode_packed(code: LinearCode, words) -> np.ndarray:
     return out
 
 
+def _coset_sweep(code: LinearCode) -> tuple:
+    """The standard array of the code, as (reps, wt, levels).
+
+    The 2^(n-k) words zero on the pivots of a reduced echelon basis are one
+    representative reps[s] per coset, so e = rep_s ^ cw_a lists every word
+    once, with weight wt[s, a].  levels[j][s, q] says whether q is among
+    the prefixes M_s >> j, for j < k, where M_s holds the offsets b that
+    reach the least weight min_b wt[s, b]; levels[0] marks M_s itself.
+    """
+    _, pivots = _echelon(bits_to_int(col) for col in code.generator.T)
+    free = [1 << b for b in range(code.n) if not (1 << b) & sum(pivots)]
+    reps = _span(np.array(free, dtype=np.int64))
+    wt = _popcount(reps[:, None] ^ code.codeword_ints[None, :])     # 2^n cells
+    levels = [wt == wt.min(axis=1, keepdims=True)]
+    for _ in range(code.k - 1):                    # prefix q survives if 2q or 2q+1 does
+        levels.append(levels[-1][:, 0::2] | levels[-1][:, 1::2])
+    return reps, wt, levels
+
+
 def exact_failure_prob(code: LinearCode, p: float) -> float:
     """Exact BSC decode-failure probability, averaged over uniform codewords.
 
-    Decoding depends only on the coset of the error (the standard array).
-    The 2^(n-k) words zero on the pivots of a reduced echelon basis are one
-    representative rep_s per coset, so e = rep_s ^ cw_a lists every word
-    once.  By linearity cw_m ^ e is at distance wt[s, a ^ u] from cw_(m ^ u),
-    so the nearest offsets u are a ^ M_s, where M_s holds the b reaching the
-    least weight min_b wt[s, b].  With ties broken toward the smaller
-    message, m is decoded exactly when a is in M_s and m has a 0 at the
-    leading bit of a ^ b for every other b in M_s: probability 2^-|S(a)|
-    over uniform m, where bit j is in S(a) when (a >> j) ^ 1 is among the
-    prefixes M_s >> j.  The sum of P(e) (1 - 2^-|S(a)| [a in M_s]) over the
-    2^n cells takes k prefix levels of 2^n cells; each 1 - 2^-t is exact,
-    so nothing cancels.  Refuses n beyond the block budget.
+    Decoding depends only on the coset of the error (the standard array,
+    see :func:`_coset_sweep`).  By linearity cw_m ^ e is at distance
+    wt[s, a ^ u] from cw_(m ^ u), so the nearest offsets u are a ^ M_s.
+    With ties broken toward the smaller message, m is decoded exactly when
+    a is in M_s and m has a 0 at the leading bit of a ^ b for every other b
+    in M_s: probability 2^-|S(a)| over uniform m, where bit j is in S(a)
+    when (a >> j) ^ 1 is among the prefixes M_s >> j.  The sum of
+    P(e) (1 - 2^-|S(a)| [a in M_s]) over the 2^n cells takes k prefix
+    levels of 2^n cells; each 1 - 2^-t is exact, so nothing cancels.
+    Refuses n beyond the block budget.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"flip probability must lie in [0, 1], got {p}")
@@ -240,28 +306,32 @@ def exact_failure_prob(code: LinearCode, p: float) -> float:
             f"n={code.n} exceeds the enumeration budget of {MAX_BLOCK_BITS}"
         )
     n = code.n
-    _, pivots = _echelon(bits_to_int(col) for col in code.generator.T)
-    free = [1 << b for b in range(n) if not (1 << b) & sum(pivots)]
-    reps = _span(np.array(free, dtype=np.int64))
-    wt = _popcount(reps[:, None] ^ code.codeword_ints[None, :])     # 2^n cells
-    nearest = wt == wt.min(axis=1, keepdims=True)                    # a in M_s
+    reps, wt, levels = _coset_sweep(code)
     ties = np.zeros(wt.shape, dtype=np.uint8)                        # |S(a)|
-    prefixes = nearest                                               # M_s >> j
-    for j in range(code.k):
+    for j, prefixes in enumerate(levels):
         pairs = prefixes.reshape(len(reps), -1, 2)
         ties += np.repeat(pairs[:, :, ::-1].reshape(len(reps), -1), 1 << j, axis=1)
-        prefixes = pairs.any(axis=2)
     by_weight = p ** np.arange(n + 1) * (1.0 - p) ** (n - np.arange(n + 1))
-    fail = np.where(nearest, 1.0 - 0.5 ** ties, 1.0)
+    fail = np.where(levels[0], 1.0 - 0.5 ** ties, 1.0)
     return float(np.sum(by_weight[wt] * fail))
+
+
+def _check_trials(trials: int, n: int):
+    """Refuse a sampling call before it draws anything: trials must be
+    positive and the trials x n sampled bits within MAX_SAMPLED_BITS."""
+    if trials <= 0:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if trials * n > MAX_SAMPLED_BITS:
+        raise ResourceLimitError(f"{trials} trials of {n} bits exceed the sampling "
+                                 f"budget of {MAX_SAMPLED_BITS} bits")
 
 
 def mc_failure_prob(code: LinearCode, p: float, trials: int, seed: int) -> float:
     """Monte-Carlo estimate of the decode-failure probability, decoded by
     :func:`ml_decode_packed`; drawn in chunks of max(1024, 2^22 / 2^k) trials,
-    cut to at most 2^22 / n so that no chunk draws more than 2^22 error bits."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    cut to at most 2^22 / n so that no chunk draws more than 2^22 error bits.
+    Refuses more than MAX_SAMPLED_BITS error bits in all."""
+    _check_trials(trials, code.n)
     cw = code.codeword_ints
     rng = np.random.default_rng(seed)
     weights = 1 << np.arange(code.n - 1, -1, -1, dtype=np.int64)

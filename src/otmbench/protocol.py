@@ -16,6 +16,7 @@ the unread ciphertext is replaced by fresh uniform bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import itertools
 import math
 from typing import NamedTuple, Sequence
@@ -24,12 +25,13 @@ import numpy as np
 
 from .collinfo import JointDistribution, avg_conditional_min_entropy
 from .errors import InvariantViolationError, ResourceLimitError
-from .f2codes import (MAX_BLOCK_BITS, LinearCode, bits_to_int, encode, exact_failure_prob,
-                      ml_decode, ml_decode_packed, random_code)
+from .f2codes import (MAX_BLOCK_BITS, LinearCode, _check_trials, bits_to_int, encode,
+                      exact_failure_prob, ml_decode, ml_decode_packed, random_code)
 from .povmsearch import Povm, _outcome_table, pair_info
 from .qrac import (
     ENCODING_ANGLES,
     BasisMeasurement,
+    QubitState,
     measure_prob,
     measurement_for,
     qrac_encode,
@@ -108,7 +110,8 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class OtrmInstance:
-    """Sender view of one random-string memory: secrets included."""
+    """Sender view of one random-string memory: secrets included.  Qubit i
+    is the state at angle angles[i], the QRAC encoding of (c0[i], c1[i])."""
 
     code0: LinearCode
     code1: LinearCode
@@ -116,20 +119,25 @@ class OtrmInstance:
     r1: np.ndarray
     c0: np.ndarray
     c1: np.ndarray
-    qubits: tuple
+    angles: np.ndarray
 
     def __post_init__(self):
+        angles = np.asarray(self.angles, dtype=float)
+        object.__setattr__(self, "angles", angles)
         n = self.code0.n
-        if self.code1.n != n or len(self.qubits) != n:
+        if self.code1.n != n or angles.shape != (n,):
             raise InvariantViolationError("code lengths and qubit count disagree")
         for name, code, r, c in (("0", self.code0, self.r0, self.c0),
                                  ("1", self.code1, self.r1, self.c1)):
             if not np.array_equal(encode(code, r), c):
                 raise InvariantViolationError(f"c{name} is not the encoding of r{name}")
-        for i, q in enumerate(self.qubits):
-            want = qrac_encode(int(self.c0[i]), int(self.c1[i]))
-            if abs(q.theta - want.theta) > 1e-12:
-                raise InvariantViolationError(f"qubit {i} does not encode its bit pair")
+        bad = np.flatnonzero(~(np.abs(angles - _ANGLES[self.c0, self.c1]) <= 1e-12))
+        if bad.size:
+            raise InvariantViolationError(f"qubit {bad[0]} does not encode its bit pair")
+
+    @property
+    def qubits(self) -> tuple:
+        return tuple(QubitState(float(t)) for t in self.angles)
 
 
 def _code_pair(params: ProtocolParams, codes, root: int, label: str) -> tuple:
@@ -157,8 +165,7 @@ def otrm_prep(params: ProtocolParams, seed: int | None = None,
     r0 = rng.integers(0, 2, size=params.k, dtype=np.uint8)
     r1 = rng.integers(0, 2, size=params.k, dtype=np.uint8)
     c0, c1 = encode(code0, r0), encode(code1, r1)
-    qubits = tuple(qrac_encode(int(a), int(b)) for a, b in zip(c0, c1))
-    return OtrmInstance(code0, code1, r0, r1, c0, c1, qubits)
+    return OtrmInstance(code0, code1, r0, r1, c0, c1, _ANGLES[c0, c1])
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,7 @@ def otrm_read(instance: OtrmInstance, alpha: int, seed) -> ReadResult:
     if alpha not in (0, 1):
         raise ValueError(f"alpha must be 0 or 1, got {alpha}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    word = sample_measurements([q.theta for q in instance.qubits], measurement_for(alpha), rng)
+    word = sample_measurements(instance.angles, measurement_for(alpha), rng)
     code = (instance.code0, instance.code1)[alpha]
     msg = ml_decode(code, word)
     return ReadResult(
@@ -222,7 +229,7 @@ class Extractor:
         if bits.shape != (max(want, 0),):
             raise ValueError(f"seed must hold {want} bits, got shape {bits.shape}")
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
         return self.bits[_toeplitz_index(self.output_len, self.input_len)]
 
@@ -310,10 +317,10 @@ def mc_correctness(params: ProtocolParams, alpha: int, trials: int, seed: int,
     """Monte-Carlo read failures over fresh message pairs, sampled and
     decoded in blocks from one generator, with the exact failure probability
     of the code read (None past the exact budget of n).  Codes are drawn
-    from the seed unless a pair is supplied.
+    from the seed unless a pair is supplied.  Refuses trials x n past
+    f2codes.MAX_SAMPLED_BITS before drawing anything.
     """
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
+    _check_trials(trials, params.n)
     codes = _code_pair(params, codes, seed, "mc-code")
     cws = tuple(c.codeword_ints for c in codes)      # refuses n past the packed limit
     code, meas = codes[alpha], measurement_for(alpha)

@@ -283,6 +283,27 @@ def test_feasibility_large_widths_finish(flags, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_simulate_refuses_trials_past_sampling_budget(capsys):
+    start = time.perf_counter()
+    argv = ["simulate", "--n", "15", "--k", "3", "--trials", "10000000000"]
+    assert cli.main(argv) == cli.EXIT_RESOURCE
+    assert time.perf_counter() - start < 1.0
+    assert "sampling budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["entropy", "--in", "{csv}", "--mi", "X", "X"], "variable 'X' is named twice"),
+    (["entropy", "--in", "{csv}", "--entropy", "X", "--given", "X"],
+     "variable 'X' is named twice"),
+    (["leakage", "--m", "2", "--exhaustive", "--angles", "inf,0"], "bad angle 'inf'"),
+])
+def test_bad_input_names_the_input(argv, message, tmp_path, capsys):
+    path = tmp_path / "dist.csv"
+    path.write_text(random_joint(("X", "Y"), (2, 2), seed=1).to_csv())
+    assert cli.main([a.format(csv=path) for a in argv]) == cli.EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("prob", ["nan", "inf", "-0.5"])
 def test_entropy_rejects_bad_probabilities(prob, tmp_path, capsys):
     path = tmp_path / "bad.csv"

@@ -9,7 +9,9 @@ import pytest
 from otmbench.errors import ResourceLimitError
 from otmbench.f2codes import (
     _POP16,
+    MAX_SAMPLED_BITS,
     LinearCode,
+    _popcount,
     bits_to_int,
     encode,
     exact_failure_prob,
@@ -142,9 +144,9 @@ def oracle_failure(code, p):
     return total
 
 
-def test_exact_failure_matches_brute_force_oracle():
+def tie_heavy_codes():
     repeated_row = np.array([[1, 0], [1, 0], [0, 1], [1, 1], [0, 1]], dtype=np.uint8)
-    codes = [
+    return [
         repetition_code(2),                                  # every error a tie
         repetition_code(4),                                  # ties at weight 2
         LinearCode(n=4, k=4, generator=np.eye(4, dtype=np.uint8)),
@@ -154,11 +156,93 @@ def test_exact_failure_matches_brute_force_oracle():
         random_code(7, 2, seed=9),
         random_code(6, 4, seed=2),
     ]
-    for code in codes:
+
+
+def test_exact_failure_matches_brute_force_oracle():
+    for code in tie_heavy_codes():
         for p in (CHANNEL_P, 0.3, 0.5):
             assert exact_failure_prob(code, p) == pytest.approx(
                 oracle_failure(code, p), abs=1e-12
             ), (code.n, code.k, p)
+
+
+def scan_decode(code, words):
+    # the block scan: argmin over the distances to all 2^k codewords, so
+    # ties go to the smallest message; 256 words at a time
+    cw = code.codeword_ints
+    return np.concatenate([np.argmin(_popcount(words[i:i + 256, None] ^ cw[None, :]), axis=1)
+                           for i in range(0, len(words), 256)])
+
+
+def test_decode_table_matches_scan():
+    rng = np.random.default_rng(6)
+    cases = [(code, np.arange(2**code.n)) for code in tie_heavy_codes()]
+    cases += [(random_code(n, k, seed), rng.integers(0, 2**n, size=20_000))
+              for n, k, seed in ((18, 10, 5), (20, 12, 4))]
+    for code, words in cases:
+        want = scan_decode(code, words)
+        assert np.array_equal(code.decode_table[words], want), (code.n, code.k)
+        # once the table is cached ml_decode_packed gathers from it even for
+        # a few words; bits above n are ignored, as by the scan
+        assert np.array_equal(ml_decode_packed(code, words[:50] | (1 << 40)), want[:50])
+
+
+def test_decode_table_built_when_cheaper_than_scan():
+    # 2^11 words of a [12,4] code cost 2^15 distance cells, the price of the
+    # 2^12-cell table at 8 distance cells per table cell
+    code = random_code(12, 4, seed=2)
+    words = np.arange(2048)
+    scanned = ml_decode_packed(code, words[:2047])
+    ml_decode(code, np.zeros(12, dtype=np.uint8))
+    assert "decode_table" not in vars(code)
+    assert np.array_equal(ml_decode_packed(code, words)[:2047], scanned)
+    assert "decode_table" in vars(code)
+
+
+def test_decode_table_refused_before_allocating():
+    code = random_code(21, 10, seed=1)
+    words = np.random.default_rng(0).integers(0, 2**21, size=2048)    # 2^21 cells
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="cells"):
+            code.decode_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # past the table budget sampled decoding keeps scanning
+    assert np.array_equal(ml_decode_packed(code, words), scan_decode(code, words))
+
+
+def test_sampled_decoding_bytes_per_seed():
+    # the bytes each seed gave under the block scan alone, which the table
+    # must reproduce; with a fresh code each call, [18,10] scans at 2000
+    # trials and gathers at 5000, [15,3] scans at 5000 and gathers at 40000
+    want = {
+        (18, 10, 5, 2000): [0.5785, 0.551],
+        (18, 10, 5, 5000): [0.5702, 0.5646],
+        (15, 3, 1, 2000): [0.0665, 0.0675],
+        (15, 3, 1, 5000): [0.0672, 0.0662],
+        (15, 3, 1, 40000): [0.0661, 0.065275],
+    }
+    for (n, k, code_seed, trials), rates in want.items():
+        got = [mc_failure_prob(random_code(n, k, code_seed), CHANNEL_P, trials, seed)
+               for seed in (0, 1)]
+        assert got == rates, (n, k, trials)
+
+
+def test_sampling_refused_past_bit_budget():
+    code = random_code(15, 3, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="sampling budget"):
+            mc_failure_prob(code, CHANNEL_P, MAX_SAMPLED_BITS // 15 + 1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValueError, match="positive"):
+        mc_failure_prob(code, CHANNEL_P, 0, seed=0)
 
 
 def test_exact_failure_monotone_in_p():
@@ -224,6 +308,7 @@ def test_codeword_table_refused_before_allocating():
     tracemalloc.start()
     try:
         for read in (lambda: code.codewords, lambda: code.codeword_ints,
+                     lambda: code.decode_table,
                      lambda: ml_decode(code, np.zeros(22, dtype=np.uint8))):
             with pytest.raises(ResourceLimitError, match="cells"):
                 read()

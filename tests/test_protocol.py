@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from otmbench.collinfo import JointDistribution, conditional_collision_mi, collision_mi
-from otmbench.errors import ResourceLimitError
-from otmbench.f2codes import bits_to_int, encode, int_to_bits, random_code
+from otmbench.errors import InvariantViolationError, ResourceLimitError
+from otmbench.f2codes import MAX_SAMPLED_BITS, bits_to_int, encode, int_to_bits, random_code
 from otmbench.povmsearch import Povm
 from otmbench.protocol import (
     PER_PAIR_BOUNDS,
@@ -76,6 +76,21 @@ def test_otrm_prep_qubits_encode_codeword_pairs():
         assert abs(q.theta - want.theta) <= 1e-12
 
 
+def test_otrm_instance_rejects_inconsistent_fields():
+    inst = otrm_prep(ProtocolParams(n=6, lam=8, k=2, seed_root=1))
+    assert inst.angles.tolist() == [q.theta for q in inst.qubits]
+    flip = np.zeros(6, dtype=np.uint8)
+    flip[2] = 1
+    for change, message in (
+        ({"c0": inst.c0 ^ flip}, "c0 is not the encoding of r0"),
+        ({"angles": inst.angles + 0.1 * flip}, "qubit 2 does not encode"),
+        ({"angles": np.where(flip, np.nan, inst.angles)}, "qubit 2 does not encode"),
+        ({"angles": inst.angles[:5]}, "qubit count"),
+    ):
+        with pytest.raises(InvariantViolationError, match=message):
+            dataclasses.replace(inst, **change)
+
+
 def find_zero_free_codes(n, k):
     # a zero generator row pins that qubit's bit to 0; skip such draws
     seed = 0
@@ -134,6 +149,29 @@ def test_otrm_read_failure_rate_tracks_exact_benchmark():
         assert abs(out["empirical_failure"] - out["exact_failure"]) <= 4 * sigma
     with pytest.raises(ValueError):
         mc_correctness(ProtocolParams(n=8, lam=8, k=2), 0, 10, seed=0, codes=codes)
+
+
+def test_reads_bytes_per_seed():
+    # the bytes each seed gave when reads decoded by the block scan alone and
+    # instances held one QubitState per qubit; both paths must reproduce them
+    codes = (random_code(15, 3, 900), random_code(15, 3, 901))
+    params = ProtocolParams(n=15, lam=8, k=3)
+    wide = ProtocolParams(n=18, lam=8, k=10)                  # decoded by the table
+    assert [mc_correctness(params, a, 2000, 11, codes=codes)["failures"] for a in (0, 1)] == [106, 157]
+    assert [mc_correctness(wide, a, 3000, 5)["failures"] for a in (0, 1)] == [1715, 1625]
+    pkg = otm_prep(np.array([1, 0], dtype=np.uint8), np.array([0, 1], dtype=np.uint8),
+                   ProtocolParams(n=15, lam=16, k=3), seed=123)
+    res = otm_read(pkg, 1, seed=9)
+    assert res.message.tolist() == [0, 1] and res.inner.message.tolist() == [1, 0, 1]
+    assert res.inner.word.tolist() == [1, 0, 1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1]
+
+
+def test_mc_correctness_refused_past_bit_budget():
+    params = ProtocolParams(n=15, lam=8, k=3)
+    with pytest.raises(ResourceLimitError, match="sampling budget"):
+        mc_correctness(params, 0, MAX_SAMPLED_BITS // 15 + 1, seed=0)
+    with pytest.raises(ValueError, match="positive"):
+        mc_correctness(params, 0, 0, seed=0)
 
 
 # ---------------------------------------------------------------------------
