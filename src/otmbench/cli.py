@@ -104,7 +104,8 @@ def build_parser() -> _Parser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--strategy", default=None,
                    help="per-qubit angles for an exact simulator comparison "
-                        "(comma list or mu0/mid/mu1; needs small n)")
+                        "(comma list or mu0/mid/mu1; one angle on every qubit at "
+                        "lam = 8 reaches n + 2k <= 20)")
 
     f = sub.add_parser("feasibility", help="solve for locality parameters")
     f.add_argument("--D", type=int, required=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -483,6 +483,18 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
 # ---------------------------------------------------------------------------
 # exact simulator comparison
 
+# cells any one simulator stage may hold: the pad tables, the outcome table,
+# the seed-class tables held at once, or a per-seed view gathered on demand
+_MAX_SIM_CELLS = 1 << 24
+
+
+def _check_sim_cells(what: str, cells: int):
+    if cells > _MAX_SIM_CELLS:
+        raise ResourceLimitError(
+            f"{what} would hold {cells} cells; shrink n, k, lam, or the strategy"
+        )
+
+
 def _pad_table(cws: np.ndarray, msg: int) -> np.ndarray:
     """Packed extractor output pad[w, r] for every seed value w (as an
     (n + msg - 1)-bit integer, index 0 most significant) and codeword row r:
@@ -495,12 +507,46 @@ def _pad_table(cws: np.ndarray, msg: int) -> np.ndarray:
     return np.einsum("wir,i->wr", bits, 1 << np.arange(msg - 1, -1, -1))
 
 
-class SimulatorReport(NamedTuple):
-    real_view: JointDistribution
-    sim_view: JointDistribution
-    exact_sd: float
-    min_entropy_c1: float
-    lhl_bound: float
+def _seed_classes(m: np.ndarray, cws: np.ndarray, msg: int) -> tuple:
+    """Seeds grouped by their ciphertext row ct[w, :] = m ^ pad(w, :), as
+    (rows, inverse, counts): class c has row rows[c] and counts[c] seeds,
+    and seed w lies in class inverse[w]."""
+    ct = bits_to_int(m) ^ _pad_table(cws, msg)
+    rows, inverse, counts = np.unique(ct, axis=0, return_inverse=True, return_counts=True)
+    return rows, inverse.reshape(-1), counts
+
+
+class SimulatorReport:
+    """Exact figures of one simulator comparison.
+
+    real_view and sim_view, the joints over (w0, w1, out, ct0, ct1), are
+    gathered from the seed-class tables on first access: a view entry is
+    its class entry divided by the seed counts of its two classes.  A view
+    past the simulator's cell budget is refused when it is read.
+    """
+
+    def __init__(self, exact_sd: float, min_entropy_c1: float, lhl_bound: float,
+                 classes: tuple):
+        self.exact_sd = exact_sd
+        self.min_entropy_c1 = min_entropy_c1
+        self.lhl_bound = lhl_bound
+        self._classes = classes        # real class table, inverse0, counts0, inverse1, counts1
+
+    def _gather(self, table: np.ndarray) -> JointDistribution:
+        _, inv0, cnt0, inv1, cnt1 = self._classes
+        _check_sim_cells("view", len(inv0) * len(inv1) * math.prod(table.shape[2:]))
+        per_seed = table / (cnt0[:, None] * cnt1[None, :])[:, :, None, None, None]
+        return JointDistribution(("w0", "w1", "out", "ct0", "ct1"), per_seed[np.ix_(inv0, inv1)])
+
+    @cached_property
+    def real_view(self) -> JointDistribution:
+        return self._gather(self._classes[0])
+
+    @cached_property
+    def sim_view(self) -> JointDistribution:
+        real = self._classes[0]
+        return self._gather(np.broadcast_to(real.sum(axis=-1, keepdims=True) / real.shape[-1],
+                                            real.shape))
 
 
 def simulator_transcript(m0, m1, params: ProtocolParams, adversary_strategy=None,
@@ -510,10 +556,46 @@ def simulator_transcript(m0, m1, params: ProtocolParams, adversary_strategy=None
     The view is (extractor seeds, measurement outcomes, ct0, ct1) with
     uniform messages r0, r1, uniform extractor seeds, and a fixed
     product measurement strategy.  The simulation replaces ct1 by fresh
-    uniform bits.  Returns both exact view distributions, their exact
-    statistical distance, the average conditional min-entropy of c1
-    given the rest of the view, and the leftover-hash bound
+    uniform bits.  Returns the exact statistical distance between the
+    two views, the average conditional min-entropy of c1 given the rest
+    of the view, and the leftover-hash bound
     (1/2) * sqrt(2^(msg_len - min_entropy)) that the distance must obey.
+
+    The work runs over seed classes, not seeds.  The real view is
+
+        P(w0, w1, o, a, b) = 4^-k W^-2 sum_{r0,r1} pout[r0, r1, o]
+                             [ct0[w0, r0] = a] [ct1[w1, r1] = b],
+
+    with W seeds per side and ct_i[w, r] = m_i ^ pad_i(w, r), so w0 enters
+    only through the row ct0[w0, :] (likewise w1).  Seeds with equal rows
+    form a class; all seeds of a class pair have equal real entries, and
+    equal simulated entries P(w0, w1, o, a) / 2^msg.  The class table T,
+    the sum of P over the seeds of each class pair, is the exact
+    distribution of (class0, class1, o, a, b); the real and simulated
+    views both give the seeds the uniform conditional within their
+    classes, so the distance over seeds is the distance over classes:
+
+        sum_{w0,w1} |P - S| = sum_{c0,c1} |c0| |c1| |T/(|c0||c1|) - S_T/(|c0||c1|)|
+                            = sum_{c0,c1} |T - S_T|.
+
+    Likewise the side joint of (c1, w0, o, a) has equal columns
+    p(., w0, o, a) for the |c0| seeds of a class, so the sum over seeds of
+    the column maxima is the sum over classes of the maxima of the
+    count-weighted class columns: the min-entropy is computed from the
+    class joint unchanged.
+
+    pad_i(w, .) is F2-linear in the message (a msg x k matrix T_w G over
+    F2, T_w the Toeplitz matrix of w and G the generator), so a row is
+    fixed by that matrix and a side has at most
+    min(2^(n + msg - 1), 2^(k msg)) classes: 8 instead of 128 seeds at
+    n = 7, k = 3, lam = 8.
+
+    Each table is checked against the cell budget before it is
+    allocated: the pad tables (the W x msg x n seed bits and their
+    W x msg x 2^k Toeplitz product with the codewords), the outcome
+    table pout (4^k x outcomes), and the class-sized tables held at once
+    (the view, its |real - sim| temporary, the side table and the
+    contraction's intermediate).
     """
     m0 = np.asarray(m0, dtype=np.uint8) & 1
     m1 = np.asarray(m1, dtype=np.uint8) & 1
@@ -527,56 +609,52 @@ def simulator_transcript(m0, m1, params: ProtocolParams, adversary_strategy=None
     tables = _strategy_tables(strategy)
     if len(tables) > n:
         raise ValueError("strategy lists more qubits than the instance holds")
-    n_out = int(np.prod([t.shape[2] for t in tables])) if tables else 1
+    n_out = math.prod(t.shape[2] for t in tables)
     w_count = 2 ** (n + msg - 1) if msg else 1
-    # the view table, or with lam = 0 the (r0, r1, out) outcome table
-    cells = max(w_count, 2 ** k) ** 2 * n_out * 4 ** msg
-    if cells > 1 << 24:
-        raise ResourceLimitError(
-            f"view or outcome table would hold {cells} cells; "
-            "shrink n, k, lam, or the strategy"
-        )
+    r_count, nc = 2 ** k, 2 ** msg
+    _check_sim_cells("pad table", w_count * msg * max(r_count, n))
+    _check_sim_cells("outcome table", r_count * r_count * n_out)
 
     code0, code1 = _code_pair(params, None, seed, "sim-code")
     cws0, cws1 = code0.codewords, code1.codewords      # row r encodes message r
 
     # pout[r0, r1, out]: outcome distribution given the two codewords
-    pout = np.ones((2 ** k, 2 ** k, 1))
+    pout = np.ones((r_count, r_count, 1))
     for i, t in enumerate(tables):
         qubit = t[cws0[:, i][:, None], cws1[:, i][None, :]]          # (r0, r1, o)
-        pout = (pout[..., None] * qubit[:, :, None, :]).reshape(2 ** k, 2 ** k, -1)
+        pout = (pout[..., None] * qubit[:, :, None, :]).reshape(r_count, r_count, -1)
 
-    # one-hot ciphertexts: hot[w, r, ct] = 1 where seed w pads message r to ct
-    nc = 2 ** msg
-    hot0 = (bits_to_int(m0) ^ _pad_table(cws0, msg))[..., None] == np.arange(nc)
-    hot1 = (bits_to_int(m1) ^ _pad_table(cws1, msg))[..., None] == np.arange(nc)
-    # contract r1 first so no intermediate outgrows the view table
+    rows0, inv0, cnt0 = _seed_classes(m0, cws0, msg)
+    rows1, inv1, cnt1 = _seed_classes(m1, cws1, msg)
+    c0, c1 = len(cnt0), len(cnt1)
+    _check_sim_cells("class tables",
+                     2 * c0 * c1 * n_out * nc * nc + r_count * (c0 + c1) * n_out * nc)
+
+    # one-hot ciphertexts weighted by class size: hot[c, r, ct] = |c| where
+    # the seeds of class c pad message r to ct
+    hot0 = cnt0[:, None, None] * (rows0[..., None] == np.arange(nc))
+    hot1 = cnt1[:, None, None] * (rows1[..., None] == np.arange(nc))
+    # contract r1 first so no intermediate outgrows the class table
     real = np.einsum("rso,xra,ysb->xyoab", (0.25 ** k / (w_count * w_count)) * pout,
                      hot0, hot1, optimize=["einsum_path", (0, 2), (0, 1)])
-    # side table for the min-entropy of c1: (c1 = codeword of r1, w0, out, ct0);
+    # side table for the min-entropy of c1: (c1 = codeword of r1, class0, out, ct0);
     # distinct messages have distinct codewords, so r1 indexes the c1 values
     side = np.einsum("rso,xra->sxoa", (0.25 ** k / w_count) * pout, hot0)
 
-    sim = np.broadcast_to(real.sum(axis=-1, keepdims=True) / nc, real.shape)
-    diff = real - sim
+    diff = real - real.sum(axis=-1, keepdims=True) / nc
     exact_sd = 0.5 * float(np.abs(diff, out=diff).sum())
-    del diff                   # view-sized tables are freed as soon as done
-    names = ("w0", "w1", "out", "ct0", "ct1")
-    real_view = JointDistribution(names, real)
-    del real                   # real_view holds its own normalized copy
-    sim_view = JointDistribution(names, sim)
+    del diff
 
-    side_d = JointDistribution(("c1", "w0", "out", "ct0"), side)
-    hmin = avg_conditional_min_entropy(side_d, ("c1",), ("w0", "out", "ct0"))
+    side_d = JointDistribution(("c1", "class0", "out", "ct0"), side)
+    hmin = avg_conditional_min_entropy(side_d, ("c1",), ("class0", "out", "ct0"))
     lhl = 0.5 * math.sqrt(2.0 ** (msg - hmin))
     if exact_sd > lhl + 1e-12:
         raise InvariantViolationError(
             f"exact SD {exact_sd} exceeds the leftover-hash bound {lhl}"
         )
     return SimulatorReport(
-        real_view=real_view,
-        sim_view=sim_view,
         exact_sd=exact_sd,
         min_entropy_c1=hmin,
         lhl_bound=lhl,
+        classes=(real, inv0, cnt0, inv1, cnt1),
     )

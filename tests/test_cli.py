@@ -243,6 +243,7 @@ def _boundary_cases():
     ["feasibility", "--D", "1", "--ell", "2", "--d", "1", "--eps1", "10^400", "--eps2", "0.01"],
     ["feasibility", "--D", "1", "--ell", "2", "--d", "1", "--eps1=-8^0.5", "--eps2", "0.01"],
     ["feasibility", "--D", "1", "--ell", "2", "--d", "1", "--eps1", "0^-1", "--eps2", "0.01"],
+    ["simulate", "--n", "62", "--k", "3", "--trials", "20", "--strategy", "mu0"],
 ], ids=" ".join)
 def test_cli_boundary_numbers_exit_cleanly(argv, capsys):
     assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_INVARIANT, cli.EXIT_RESOURCE,
@@ -261,6 +262,22 @@ def test_simulate_reads_up_to_packed_limit(n, code, capsys):
         assert stats["exact_failure"] is None and stats["trials"] == 50
     else:
         assert "62-bit" in err
+
+
+@pytest.mark.parametrize("n, code", [(8, cli.EXIT_OK), (62, cli.EXIT_RESOURCE)])
+def test_simulate_strategy_reach(n, code, capsys):
+    # the exact simulator works on seed classes, so n = 8 at k = 3 fits;
+    # at n = 62 the 2^62-seed pad table is refused before it is built
+    start = time.perf_counter()
+    argv = ["simulate", "--n", str(n), "--k", "3", "--trials", "20", "--strategy", "mu0"]
+    assert cli.main(argv) == code
+    assert time.perf_counter() - start < 2.0
+    out, err = capsys.readouterr()
+    if code == cli.EXIT_OK:
+        sim = json.loads(out)["result"]["simulator"]
+        assert sim["exact_sd"] <= sim["lhl_bound"]
+    else:
+        assert "pad table" in err
 
 
 def test_simulate_refuses_unpackable_n_before_building():

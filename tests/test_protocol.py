@@ -3,10 +3,12 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from otmbench import protocol
 from otmbench.collinfo import JointDistribution, conditional_collision_mi, collision_mi
 from otmbench.errors import InvariantViolationError, ResourceLimitError
 from otmbench.f2codes import MAX_SAMPLED_BITS, bits_to_int, encode, int_to_bits, random_code
@@ -497,6 +499,93 @@ def test_simulator_all_matched_basis_adversary():
     assert rep.exact_sd <= rep.lhl_bound + 1e-12
     assert rep.min_entropy_c1 >= 0.0
     assert rep.real_view.names == rep.sim_view.names
+
+
+def test_simulator_within_lhl_over_adversary_table():
+    # every basis-choice adversary in {0, pi/4}^6 and each uniform angle of
+    # the 9-angle leakage grid: 64 + 9 strategies
+    params = ProtocolParams(n=6, lam=8, k=2, seed_root=0)
+    table = [list(s) for s in itertools.product((0.0, math.pi / 4), repeat=6)]
+    table += [[j * math.pi / 16] * 6 for j in range(9)]
+    assert len(table) == 73
+    for strategy in table:
+        rep = simulator_transcript(np.array([1], dtype=np.uint8), np.array([0], dtype=np.uint8),
+                                   params, adversary_strategy=strategy, seed=0)
+        assert rep.exact_sd <= rep.lhl_bound + 1e-12, strategy
+
+
+def test_simulator_distance_equals_gathered_views():
+    params = ProtocolParams(n=6, lam=8, k=3, seed_root=0)
+    rep = simulator_transcript(np.array([0], dtype=np.uint8), np.array([1], dtype=np.uint8),
+                               params, adversary_strategy=[0.0, math.pi / 8] * 3, seed=3)
+    assert rep.real_view.table.shape == (64, 64, 64, 2, 2)
+    dense = 0.5 * np.abs(rep.real_view.table - rep.sim_view.table).sum()
+    assert rep.exact_sd == pytest.approx(dense, abs=1e-15)
+    assert rep.real_view is rep.real_view          # gathered once
+
+
+def test_simulator_figures_skip_the_dense_view():
+    # the dense (w0, w1, out, ct0, ct1) view at n = 7, k = 3 holds 2^23
+    # float64 cells (64 MiB); the 8 seed classes per side need 32 768
+    params = ProtocolParams(n=7, lam=8, k=3, seed_root=0)
+    m0, m1 = np.array([1], dtype=np.uint8), np.array([0], dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        rep = simulator_transcript(m0, m1, params, adversary_strategy=[0.0] * 7, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert rep.exact_sd <= rep.lhl_bound + 1e-12
+
+
+def test_simulator_distance_past_lhl_is_refused(monkeypatch):
+    # a min-entropy of 60 bits puts the LHL bound near 2^-30, far below
+    # the 2^-5 distance of the measure-nothing instance
+    monkeypatch.setattr(protocol, "avg_conditional_min_entropy", lambda *a: 60.0)
+    with pytest.raises(InvariantViolationError, match="leftover-hash"):
+        simulator_transcript(np.array([0], dtype=np.uint8), np.array([1], dtype=np.uint8),
+                             ProtocolParams(n=4, lam=8, k=4, seed_root=0), seed=5)
+
+
+def test_simulator_view_refused_on_access():
+    # 4 seed classes per side give the figures; the 2^12-seed view has 2^26 cells
+    params = ProtocolParams(n=12, lam=8, k=2, seed_root=0)
+    rep = simulator_transcript(np.array([1], dtype=np.uint8), np.array([0], dtype=np.uint8),
+                               params, seed=1)
+    assert rep.exact_sd <= rep.lhl_bound + 1e-12
+    for read in (lambda: rep.real_view, lambda: rep.sim_view):
+        with pytest.raises(ResourceLimitError, match="view"):
+            read()
+
+
+def test_simulator_refuses_wide_seeds_before_allocating():
+    params = ProtocolParams(n=62, lam=8, k=3, seed_root=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="pad table"):
+            simulator_transcript(np.array([1], dtype=np.uint8), np.array([0], dtype=np.uint8),
+                                 params, adversary_strategy=[0.0] * 62)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_simulator_refuses_wide_pad_product_before_allocating():
+    # 2^17 seeds of 12 message bits each, times 64 codewords, is the
+    # Toeplitz product's size; it is refused before either side is built
+    params = ProtocolParams(n=6, lam=96, k=6, seed_root=0)
+    assert params.msg_len == 12
+    m = np.zeros(12, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="pad table"):
+            simulator_transcript(m, m, params, adversary_strategy=[0.0] * 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_simulator_distance_shrinks_with_shorter_messages():
