@@ -175,17 +175,22 @@ def _corner_deltas(eps: float) -> np.ndarray:
     return np.array(list(itertools.product((0.0, eps), repeat=3)))
 
 
-def _combine(quantity: str, sum_a, sum_b):
-    """Quantity value from the two family sums (arrays or scalars)."""
-    with np.errstate(divide="ignore"):
-        la, lb = np.log2(sum_a), np.log2(sum_b)
+def _finish(quantity: str, la, lb, top):
+    """Quantity value from the two families' log2 sums and their larger one."""
     if quantity == "greater":
-        return np.maximum(la, lb)
+        return top
     if quantity == "total":
         return la + lb
     if quantity == "conditional":
-        return np.maximum(la, lb) - 2.0
+        return top - 2.0
     raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
+
+
+def _combine(quantity: str, sum_a, sum_b):
+    """Quantity value from the two family sums (arrays or numpy scalars)."""
+    with np.errstate(divide="ignore"):
+        la, lb = np.log2(sum_a), np.log2(sum_b)
+    return _finish(quantity, la, lb, np.maximum(la, lb))
 
 
 def _value_at(quantity: str, coords: np.ndarray) -> float:
@@ -200,42 +205,70 @@ def _eigmin_arr(pts: np.ndarray) -> np.ndarray:
     return 0.5 * (a + c - np.sqrt((a - c) ** 2 + 4.0 * b * b))
 
 
-@dataclass(frozen=True, eq=False)
+def _checked_rows(rows: tuple) -> tuple:
+    """The rows (a, b, c) of a valid POVM's elements, or InvariantViolationError.
+
+    Closed form with a _PSD_TOL slack: each element's least eigenvalue
+    (the _eigmin_arr formula) and each entry of the sum against the
+    identity.  The comparisons are written so that a nan fails them.
+    """
+    if not 1 <= len(rows) <= 4:
+        raise InvariantViolationError(f"need 1..4 elements, got {len(rows)}")
+    sa = sb = sc = 0.0
+    for a, b, c in rows:
+        d = a - c
+        if not 0.5 * (a + c - math.sqrt(d * d + 4.0 * b * b)) >= -_PSD_TOL:
+            raise InvariantViolationError(f"element not PSD: {[[a, b], [b, c]]}")
+        sa += a
+        sb += b
+        sc += c
+    if not (abs(sa - 1.0) <= _PSD_TOL and abs(sb) <= _PSD_TOL and abs(sc - 1.0) <= _PSD_TOL):
+        raise InvariantViolationError("elements do not sum to the identity")
+    return rows
+
+
 class Povm:
-    """Up to four real symmetric 2x2 elements summing to the identity."""
+    """Up to four real symmetric 2x2 elements summing to the identity.
 
-    elements: tuple
+    Holds element [[a, b], [b, c]] as its coordinate row (a, b, c) in
+    plain floats; elements, coords(), key() and as_lists() are built
+    from those rows.
+    """
 
-    def __post_init__(self):
-        els = tuple(np.asarray(m, dtype=float) for m in self.elements)
-        object.__setattr__(self, "elements", els)
-        if not 1 <= len(els) <= 4:
-            raise InvariantViolationError(f"need 1..4 elements, got {len(els)}")
-        acc = np.zeros((2, 2))
-        for m in els:
-            if m.shape != (2, 2) or abs(m[0, 1] - m[1, 0]) > 1e-12:
+    __slots__ = ("_rows",)
+
+    def __init__(self, elements):
+        rows = []
+        for m in elements:
+            m = np.asarray(m, dtype=float)
+            if m.shape != (2, 2) or not abs(m[0, 1] - m[1, 0]) <= 1e-12:
                 raise InvariantViolationError("elements must be symmetric 2x2")
-            if np.linalg.eigvalsh(m)[0] < -_PSD_TOL:
-                raise InvariantViolationError(f"element not PSD: {m.tolist()}")
-            acc += m
-        if np.abs(acc - np.eye(2)).max() > _PSD_TOL:
-            raise InvariantViolationError("elements do not sum to the identity")
-
-    def coords(self) -> np.ndarray:
-        return np.stack([_coeff(m) / np.array([1.0, 2.0, 1.0]) for m in self.elements])
-
-    def key(self) -> tuple:
-        return tuple(tuple(row) for row in self.coords())
+            rows.append((float(m[0, 0]), float(m[0, 1]), float(m[1, 1])))
+        self._rows = _checked_rows(tuple(rows))
 
     @staticmethod
     def from_coords(coords) -> "Povm":
-        els = tuple(
-            np.array([[a, b], [b, c]]) for a, b, c in np.asarray(coords, dtype=float)
-        )
-        return Povm(els)
+        try:
+            rows = tuple((float(a), float(b), float(c)) for a, b, c in coords)
+        except (TypeError, ValueError):
+            raise InvariantViolationError(
+                "coordinates must be rows of three numbers (a, b, c)") from None
+        povm = object.__new__(Povm)
+        povm._rows = _checked_rows(rows)
+        return povm
+
+    @property
+    def elements(self) -> tuple:
+        return tuple(np.array([[a, b], [b, c]]) for a, b, c in self._rows)
+
+    def coords(self) -> np.ndarray:
+        return np.array(self._rows)
+
+    def key(self) -> tuple:
+        return self._rows
 
     def as_lists(self) -> list:
-        return [m.tolist() for m in self.elements]
+        return [[[a, b], [b, c]] for a, b, c in self._rows]
 
 
 class PovmInfo(NamedTuple):
@@ -259,10 +292,11 @@ def eval_povm_info(povm: Povm) -> PovmInfo:
 def _outcome_table(povm: Povm) -> np.ndarray:
     """t[x, y, o] = Tr[M_o rho_xy], the probability of outcome o on the
     encoding of bits (x, y)."""
-    t = np.empty((2, 2, len(povm.elements)))
+    els = povm.elements
+    t = np.empty((2, 2, len(els)))
     for x, y in itertools.product((0, 1), repeat=2):
         rho = qrac_encode(x, y).density_matrix()
-        for o, m in enumerate(povm.elements):
+        for o, m in enumerate(els):
             t[x, y, o] = float(np.trace(m @ rho))
     return t
 
@@ -290,11 +324,43 @@ def value_from_info(info: PovmInfo, quantity: str) -> float:
     raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
 
 
+def _float_groups(fam: _Family) -> tuple:
+    """fam's (numerator rows, denominator row) per group, as float tuples."""
+    return tuple((tuple(map(tuple, nums.tolist())), tuple(den.tolist()))
+                 for nums, den in zip(fam.num_mats, fam.den_vecs))
+
+
+_QUANT_GROUPS = {q: tuple(map(_float_groups, fams)) for q, fams in _QUANT_FAMS.items()}
+
+
+def _family_sum(groups: tuple, rows: tuple) -> float:
+    """sum over the rows of F, in plain floats: _eval_family(...)[0].sum()
+    up to rounding, dropping the same terms at or below _DEN_ZERO."""
+    total = 0.0
+    for a, b, c in rows:
+        for nums, (d0, d1, d2) in groups:
+            den = a * d0 + b * d1 + c * d2
+            if den > _DEN_ZERO:
+                num = 0.0
+                for n0, n1, n2 in nums:
+                    t = a * n0 + b * n1 + c * n2
+                    num += t * t
+                total += num / den
+    return total
+
+
 def quantity_value(povm: Povm, quantity: str) -> float:
-    """Fast-path value via the family functionals (matches eval_povm_info)."""
-    if quantity not in _QUANT_FAMS:
+    """Fast-path value via the family functionals (matches eval_povm_info).
+
+    A family sum over a valid POVM is positive (the elements' denominators
+    add up to a positive trace), so its log2 exists.
+    """
+    if quantity not in _QUANT_GROUPS:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
-    return _value_at(quantity, povm.coords())
+    groups_a, groups_b = _QUANT_GROUPS[quantity]
+    la = math.log2(_family_sum(groups_a, povm._rows))
+    lb = math.log2(_family_sum(groups_b, povm._rows))
+    return _finish(quantity, la, lb, max(la, lb))
 
 
 def _grid_values(eps: float, lo: float, hi: float) -> np.ndarray:
@@ -362,6 +428,8 @@ def corner_corrected_value(povm: Povm, eps: float, quantity: str) -> float:
     """
     if quantity not in _QUANT_FAMS:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     coords = povm.coords()
     lead, last = coords[:-1], coords[-1:]
     back_width = eps * max(len(coords) - 1, 0)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, report reproducibility."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -178,6 +179,23 @@ def test_bounds_small_run(tmp_path, capsys):
     assert res["quantity"] == "greater"
     assert "elapsed_s" in payload["meta"]
     assert "elapsed_s" not in res
+
+
+# sha256 of json.dumps(result, sort_keys=True) for the README bounds call
+_BOUNDS_PAYLOAD_SHA256 = {
+    "greater": "206ce76d7724b4003542861a87e0586463c4aaa81d42841544211d9942b810c7",
+    "total": "654420b51b120366413f4b36af7be7e041ca0fb52fdb1a4ab817db6d47816579",
+    "conditional": "32e7f4580b399452f0e961a28871f5723e19cd6ae1dab2114d352a95ab310152",
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(_BOUNDS_PAYLOAD_SHA256))
+def test_bounds_readme_payload_is_pinned(quantity, capsys):
+    code, out = run(["bounds", "--quantity", quantity, "--coarse", "0.05", "--fine", "0.005"],
+                    capsys)
+    assert code == cli.EXIT_OK
+    text = json.dumps(json.loads(out)["result"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _BOUNDS_PAYLOAD_SHA256[quantity]
 
 
 def test_bounds_budget_exhaustion_partial_payload(tmp_path, capsys):

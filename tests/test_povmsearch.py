@@ -134,6 +134,48 @@ def test_coords_roundtrip():
         assert np.allclose(a, b, atol=1e-15)
 
 
+def test_povm_refuses_nan_and_malformed_rows():
+    with pytest.raises(InvariantViolationError, match="not PSD"):
+        Povm.from_coords([[math.nan, 0.0, 0.0], [1.0, 0.0, 1.0]])
+    with pytest.raises(InvariantViolationError):
+        Povm.from_coords([[0.5, math.nan, 0.5], [0.5, 0.0, 0.5]])
+    with pytest.raises(InvariantViolationError, match="three numbers"):
+        Povm.from_coords([[1.0, 0.0, 1.0, 0.0]])
+    with pytest.raises(InvariantViolationError, match="three numbers"):
+        Povm.from_coords([1.0, 0.0, 1.0])
+    with pytest.raises(InvariantViolationError):
+        Povm((np.array([[math.nan, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])))
+
+
+def random_povm(rng, k):
+    """k random PSD elements, congruence-normalized to sum to the identity."""
+    if k == 1:
+        return [np.eye(2)]
+    xs = rng.normal(size=(k, 2, 2))
+    raw = xs @ xs.transpose(0, 2, 1)
+    w, v = np.linalg.eigh(raw.sum(axis=0))
+    s = v @ np.diag(w ** -0.5) @ v.T
+    return [(m + m.T) / 2 for m in s @ raw @ s]
+
+
+def test_scalar_path_matches_array_kernel():
+    rng = np.random.default_rng(9)
+    cases = [random_povm(rng, k) for k in (1, 2, 3, 4) for _ in range(25)]
+    # a zero element: every one of its denominators is 0 <= _DEN_ZERO
+    cases.append(random_povm(rng, 3) + [np.zeros((2, 2))])
+    cases.append([np.zeros((2, 2)), np.eye(2)])
+    for els in cases:
+        p = Povm(tuple(els))
+        coords = [(m[0, 0], m[0, 1], m[1, 1]) for m in els]
+        r = Povm.from_coords(coords)
+        assert p.key() == r.key()
+        assert p.as_lists() == r.as_lists()
+        for q in QUANTITIES:
+            fast = quantity_value(p, q)
+            assert abs(fast - povmsearch._value_at(q, p.coords())) <= 1e-13
+            assert quantity_value(r, q) == fast
+
+
 # ---------------------------------------------------------------------------
 # grid enumeration
 
@@ -198,6 +240,22 @@ def test_corner_correction_at_zero_is_point_value():
             assert corner_corrected_value(p, 0.0, q) == pytest.approx(
                 quantity_value(p, q), abs=1e-10
             )
+
+
+def test_corner_correction_refuses_bad_eps(monkeypatch):
+    p = basis_povm(math.pi / 8)
+    point = {q: quantity_value(p, q) for q in QUANTITIES}
+
+    def no_eval(*args):
+        raise AssertionError("evaluated before refusing eps")
+
+    monkeypatch.setattr(povmsearch, "_eval_family", no_eval)
+    for eps in (-0.1, -1e-300, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            corner_corrected_value(p, eps, "total")
+    monkeypatch.undo()
+    for q in QUANTITIES:
+        assert corner_corrected_value(p, 0.0, q) == pytest.approx(point[q], abs=1e-13)
 
 
 def all_corners_valid(base, eps):
