@@ -73,6 +73,8 @@ class GridSpec:
         return self.ell**self.depth
 
     def index(self, coords) -> int:
+        if len(coords) != self.D:
+            raise ValueError(f"{len(coords)} coordinates for a {self.D}-dimensional grid")
         idx = 0
         for c in coords:
             if not 0 <= c < self.side:
@@ -101,9 +103,11 @@ class ShellCounts(NamedTuple):
 class HypercubePartition:
     """Tiling of a grid by outer cubes, each split into inner cube + shell.
 
-    Outer cubes have side 2r + 2*ell**d; the centered inner cube has side
-    2r, leaving a shell of width ell**d on every face.  A partition is its
-    boxes: cube j's cells are listed only on demand, by inner_cells(j).
+    Outer cubes have side s = 2r + 2*ell**d; the centered inner cube has
+    side 2r, leaving a shell of width ell**d on every face.  Every axis is
+    cut into the same intervals, position p spanning [p*s, (p+1)*s - 1];
+    cube j is the product of the intervals at its D positions, and its
+    cells are listed only on demand, by inner_cells(j).
     """
 
     grid: GridSpec
@@ -113,12 +117,20 @@ class HypercubePartition:
 
     def __post_init__(self):
         g = self.grid
-        if g.n % self.outer_side**g.D != 0:
+        if self.r < 1 or self.outer_side != 2 * self.r + 2 * g.cone_radius:
             raise InvariantViolationError(
-                f"{g.n} cells not a multiple of {self.outer_side}**{g.D}"
-            )
+                f"outer side {self.outer_side} is not 2r + 2*ell**d for r = {self.r}")
+        if g.n % self.outer_side**g.D != 0:
+            raise InvariantViolationError(f"{g.n} cells not a multiple of {self.outer_side}**{g.D}")
         if self.q != g.n // self.outer_side**g.D:
             raise InvariantViolationError(f"q = {self.q} disagrees with the tiling")
+
+    @property
+    def interval_lows(self) -> range:
+        """Low ends of the per-axis intervals: position p spans
+        [lows[p], lows[p] + outer_side - 1] on every axis.  A range, so it
+        is exact and takes no memory at any side."""
+        return range(0, self.grid.side, self.outer_side)
 
     def cube_position(self, j: int) -> tuple:
         """Position of outer cube j on the cube grid, C order."""
@@ -131,8 +143,8 @@ class HypercubePartition:
 
     def outer_box(self, j: int) -> list:
         """Per-axis (lo, hi) inclusive bounds of outer cube j."""
-        pos = self.cube_position(j)
-        return [(p * self.outer_side, (p + 1) * self.outer_side - 1) for p in pos]
+        lows, s = self.interval_lows, self.outer_side
+        return [(lows[p], lows[p] + s - 1) for p in self.cube_position(j)]
 
     def inner_box(self, j: int) -> list:
         w = self.grid.cone_radius
@@ -143,13 +155,9 @@ class HypercubePartition:
         return _box_cells(self.grid, self.inner_box(j))
 
 
-def _box_volume(box) -> int:
-    return math.prod(max(0, hi - lo + 1) for lo, hi in box)
-
-
 def _box_cells(grid: GridSpec, box) -> np.ndarray:
     """Sorted grid indices of an inclusive per-axis box (empty if any lo > hi)."""
-    cells = _box_volume(box)
+    cells = math.prod(max(0, hi - lo + 1) for lo, hi in box)
     if cells > _MAX_CELLS:
         raise ResourceLimitError(
             f"a box of {cells} cells exceeds the listing limit {_MAX_CELLS}"
@@ -193,99 +201,91 @@ def reverse_lightcone(grid: GridSpec, qubit: int) -> np.ndarray:
 class IndependenceReport:
     passed: bool
     cubes_checked: int
-    method: str
     # (cube index, inner qubit, cell its cone reaches outside the claim)
     counterexample: tuple | None = None
 
 
-def certify_independence(
-    part: HypercubePartition, outer_shrink: int = 0, method: str = "auto"
-) -> IndependenceReport:
+def _claim_shrink(outer_shrink) -> int:
+    ok = isinstance(outer_shrink, (int, np.integer)) and not isinstance(outer_shrink, bool)
+    if not ok or outer_shrink < 0:
+        raise ValueError(f"outer_shrink must be a nonnegative integer, got {outer_shrink!r}")
+    return int(outer_shrink)
+
+
+def certify_independence(part: HypercubePartition, outer_shrink: int = 0) -> IndependenceReport:
     """Check that every inner-cube qubit's cone stays inside its outer cube.
 
     ``outer_shrink`` trims the claimed region by that many cells on every
     face, which lets tests confirm the certificate is tight: the honest
     claim passes and any smaller one fails.
 
-    The interval method checks, per axis, the extreme inner coordinates
-    only.  The clipped cone bounds max(0, p-R) and min(side-1, p+R) are
-    monotone in p, so the extremes dominate every interior qubit; this
-    certifies the same statement as the exhaustive set check.
+    Inner cubes, cone boxes and claims are products of per-axis intervals,
+    and every axis has the same intervals, so a cube's claim holds exactly
+    when it holds at each of its positions: one pass over the positions
+    decides every cube.  A position needs only its extreme inner
+    coordinates, since the clipped cone bounds max(0, c-R) and
+    min(side-1, c+R) are monotone in c.  The first failing cube in C order
+    is cube p, p the first failing position (p on the last axis, 0 on the
+    others), and its witness sits on its first failing axis.
     """
+    shrink = _claim_shrink(outer_shrink)
+    grid, R, s = part.grid, part.grid.cone_radius, part.outer_side
+    for p, lo in enumerate(part.interval_lows):
+        ilo, ihi = lo + R, lo + s - 1 - R
+        reach_lo, reach_hi = max(0, ilo - R), min(grid.side - 1, ihi + R)
+        if reach_lo < lo + shrink:
+            edge, reach = ilo, reach_lo
+        elif reach_hi > lo + s - 1 - shrink:
+            edge, reach = ihi, reach_hi
+        else:
+            continue
+        axis = 0 if p == 0 else grid.D - 1
+        witness = [R] * grid.D  # inner low corner at position 0 on every axis
+        witness[axis] = edge
+        cell = witness[:axis] + [reach] + witness[axis + 1:]
+        return IndependenceReport(False, p + 1, (p, grid.index(witness), grid.index(cell)))
+    return IndependenceReport(True, part.q)
+
+
+def _per_qubit_certificate(part: HypercubePartition, outer_shrink: int = 0) -> IndependenceReport:
+    """Reference oracle for certify_independence, reached only by tests:
+    lists every inner qubit's reverse cone and marks each cell against its
+    cube's claim."""
+    outer_shrink = _claim_shrink(outer_shrink)
     grid = part.grid
-    if method == "auto":
-        method = "exhaustive" if grid.n <= 20_000 else "interval"
-    R = grid.cone_radius
-
-    if method == "exhaustive":
-        if grid.n > _MAX_CELLS:
-            raise ResourceLimitError(
-                f"{grid.n} cells exceeds the listing limit {_MAX_CELLS}"
-            )
-        in_claim = np.zeros(grid.n, dtype=bool)
-        for j in range(part.q):
-            claim = [
-                (lo + outer_shrink, hi - outer_shrink) for lo, hi in part.outer_box(j)
-            ]
-            claim_cells = _box_cells(grid, claim)
-            in_claim[claim_cells] = True
-            for qubit in part.inner_cells(j).tolist():
-                cone = reverse_lightcone(grid, qubit)
-                escaped = cone[~in_claim[cone]]
-                if escaped.size:
-                    return IndependenceReport(
-                        False, j + 1, method, (j, qubit, int(escaped[0]))
-                    )
-            in_claim[claim_cells] = False
-        return IndependenceReport(True, part.q, method)
-
-    if method != "interval":
-        raise ValueError(f"unknown method {method!r}")
-
+    if grid.n > _MAX_CELLS:
+        raise ResourceLimitError(f"{grid.n} cells exceeds the listing limit {_MAX_CELLS}")
+    in_claim = np.zeros(grid.n, dtype=bool)
     for j in range(part.q):
-        inner = part.inner_box(j)
         claim = [(lo + outer_shrink, hi - outer_shrink) for lo, hi in part.outer_box(j)]
-        base = [lo for lo, _ in inner]
-        for axis in range(grid.D):
-            ilo, ihi = inner[axis]
-            clo, chi = claim[axis]
-            reach_lo = max(0, ilo - R)
-            reach_hi = min(grid.side - 1, ihi + R)
-            if reach_lo < clo:
-                witness = list(base)
-                witness[axis] = ilo
-                cell = list(witness)
-                cell[axis] = reach_lo
-                return IndependenceReport(
-                    False, j + 1, method, (j, grid.index(witness), grid.index(cell))
-                )
-            if reach_hi > chi:
-                witness = list(base)
-                witness[axis] = ihi
-                cell = list(witness)
-                cell[axis] = reach_hi
-                return IndependenceReport(
-                    False, j + 1, method, (j, grid.index(witness), grid.index(cell))
-                )
-    return IndependenceReport(True, part.q, method)
+        claim_cells = _box_cells(grid, claim)
+        in_claim[claim_cells] = True
+        for qubit in part.inner_cells(j).tolist():
+            cone = reverse_lightcone(grid, qubit)
+            escaped = cone[~in_claim[cone]]
+            if escaped.size:
+                return IndependenceReport(False, j + 1, (j, qubit, int(escaped[0])))
+        in_claim[claim_cells] = False
+    return IndependenceReport(True, part.q)
 
 
 def shell_accounting(part: HypercubePartition) -> ShellCounts:
-    """Closed-form cell counts, cross-checked against the summed box volumes."""
-    g = part.grid
-    inner = (2 * part.r) ** g.D
-    outer = part.outer_side**g.D
+    """Closed-form cell counts, cross-checked against the interval list.
+
+    The cubes are the product of the per-axis intervals, so the inner and
+    outer volumes summed over all cubes are the D-th powers of the inner
+    and outer extents summed over one axis's intervals (s and s - 2*ell**d
+    each, s the outer side).
+    """
+    g, s = part.grid, part.outer_side
+    inner, outer = (2 * part.r) ** g.D, s**g.D
     cu = part.q * inner
-    cu_bar = g.n - cu
-    fraction = 1.0 - inner / outer
-    inner_sum = sum(_box_volume(part.inner_box(j)) for j in range(part.q))
-    outer_sum = sum(_box_volume(part.outer_box(j)) for j in range(part.q))
+    per_axis = len(part.interval_lows)
+    inner_sum, outer_sum = (per_axis * (s - 2 * g.cone_radius)) ** g.D, (per_axis * s) ** g.D
     if cu != inner_sum or g.n != outer_sum:
-        raise InvariantViolationError(
-            f"closed-form counts ({cu}, {g.n}) disagree with summed box volumes "
-            f"({inner_sum}, {outer_sum})"
-        )
-    return ShellCounts(cu, cu_bar, part.q, fraction)
+        raise InvariantViolationError(f"closed-form counts ({cu}, {g.n}) disagree with summed "
+                                      f"box volumes ({inner_sum}, {outer_sum})")
+    return ShellCounts(cu, g.n - cu, part.q, 1.0 - inner / outer)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from otmbench.f2codes import (
 )
 from otmbench.lightcone import (
     GridSpec,
+    _per_qubit_certificate,
     build_partition,
     certify_independence,
     find_feasible_params,
@@ -268,16 +269,16 @@ def test_criterion_08_lightcone_geometry():
         part = build_partition(grid, r=r)
         ok &= certify_independence(part).passed
         # any claim one cell smaller must be rejected
-        ok &= not certify_independence(part, outer_shrink=1, method="interval").passed
+        ok &= not certify_independence(part, outer_shrink=1).passed
         counts = shell_accounting(part)
         ok &= counts.cu == part.q * (2 * r) ** D
         ok &= counts.cu_bar == grid.n - counts.cu
         ok &= counts.q == 2**D
         checked += 1
-    # exhaustive method agrees on a small undersized claim
+    # the per-qubit reference agrees on a small undersized claim
     grid = GridSpec(D=2, side=16, ell=2, depth=1)
     part = build_partition(grid, r=2)
-    ok &= not certify_independence(part, outer_shrink=1, method="exhaustive").passed
+    ok &= not _per_qubit_certificate(part, outer_shrink=1).passed
     record_criterion(
         8,
         ok,

@@ -12,6 +12,9 @@ from otmbench.errors import InvariantViolationError
 from otmbench.lightcone import (
     FeasibilityWitness,
     GridSpec,
+    HypercubePartition,
+    ShellCounts,
+    _per_qubit_certificate,
     build_partition,
     certify_independence,
     find_feasible_params,
@@ -27,6 +30,9 @@ def test_grid_index_roundtrip():
         assert grid.index(grid.coords(idx)) == idx
     with pytest.raises(ValueError):
         grid.index((5, 0, 0))
+    for wrong_length in ((1,), (1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            grid.index(wrong_length)
     with pytest.raises(ValueError):
         grid.coords(125)
 
@@ -108,29 +114,91 @@ def test_partition_requires_divisible_side():
         build_partition(grid, r=2)  # outer side 8 does not divide 10
 
 
+def test_partition_refuses_outer_side_that_does_not_match_r():
+    grid = GridSpec(D=2, side=24, ell=2, depth=1)
+    assert HypercubePartition(grid, r=2, outer_side=8, q=9) == build_partition(grid, r=2)
+    with pytest.raises(InvariantViolationError):
+        HypercubePartition(grid, r=1, outer_side=12, q=4)
+    with pytest.raises(InvariantViolationError):
+        HypercubePartition(grid, r=0, outer_side=4, q=36)
+
+
+def _assert_valid_counterexample(part, shrink, report):
+    """The witness is an inner qubit of cube j whose cone reaches the cell,
+    and the cell lies outside cube j's claim shrunk by ``shrink``."""
+    grid = part.grid
+    j, witness, cell = report.counterexample
+    assert report.cubes_checked == j + 1
+    assert witness in part.inner_cells(j)
+    assert cell in reverse_lightcone(grid, witness)
+    claim = [(lo + shrink, hi - shrink) for lo, hi in part.outer_box(j)]
+    assert not all(lo <= c <= hi for c, (lo, hi) in zip(grid.coords(cell), claim))
+
+
 def test_certificate_passes_and_fails_by_one_cell():
     grid = GridSpec(D=2, side=28, ell=2, depth=2)
     part = build_partition(grid, r=3)
-    for method in ("exhaustive", "interval"):
-        ok = certify_independence(part, method=method)
-        assert ok.passed, method
-        bad = certify_independence(part, outer_shrink=1, method=method)
+    for certify in (certify_independence, _per_qubit_certificate):
+        ok = certify(part)
+        assert ok.passed, certify
+        bad = certify(part, outer_shrink=1)
         assert not bad.passed
         assert bad.counterexample is not None
-        j, qubit, cell = bad.counterexample
-        # the witness cone really does leave the shrunken claim
-        cone = reverse_lightcone(grid, qubit)
-        assert cell in cone
+        _assert_valid_counterexample(part, 1, bad)
+
+
+@pytest.mark.parametrize("shrink", [-1, 0.5, 1.0, True, "1", None])
+def test_certificate_refuses_shrink_that_is_not_a_nonnegative_integer(shrink):
+    part = build_partition(GridSpec(D=2, side=24, ell=2, depth=1), r=2)
+    for certify in (certify_independence, _per_qubit_certificate):
+        with pytest.raises(ValueError):
+            certify(part, outer_shrink=shrink)
+    assert certify_independence(part, outer_shrink=np.int64(1)).counterexample == (0, 50, 2)
+
+
+@pytest.mark.parametrize("D, side, shrunk, counts", [
+    (2, 768, (0, 1538, 2), ShellCounts(262144, 327680, 4096, 0.5555555555555556)),
+    (3, 96, (0, 18626, 194), ShellCounts(262144, 622592, 512, 0.7037037037037037)),
+    (2, 96, (0, 194, 2), ShellCounts(4096, 5120, 64, 0.5555555555555556)),
+])
+def test_benchmark_grids_match_pinned_reports(D, side, shrunk, counts):
+    """The benchmark's light-cone grids (ell 2, d 1, r 4): reports and shell
+    counts as the per-cube interval check gave them."""
+    part = build_partition(GridSpec(D=D, side=side, ell=2, depth=1), r=4)
+    honest = certify_independence(part)
+    assert (honest.passed, honest.cubes_checked, honest.counterexample) == (True, counts.q, None)
+    bad = certify_independence(part, outer_shrink=1)
+    assert (bad.passed, bad.cubes_checked, bad.counterexample) == (False, 1, shrunk)
+    assert shell_accounting(part) == counts
+
+
+def test_certificate_exact_past_int64():
+    # one cube of outer side 2 + 2**62 per half of a 1-D grid: sides and
+    # cells past 2**63, held in Python ints
+    part = build_partition(GridSpec(D=1, side=2 * (2 + 2**62), ell=2, depth=61), r=1)
+    assert shell_accounting(part) == ShellCounts(4, 2**63, 2, 1.0)
+    honest = certify_independence(part)
+    assert (honest.passed, honest.cubes_checked) == (True, 2)
+    bad = certify_independence(part, outer_shrink=1)
+    assert (bad.passed, bad.cubes_checked, bad.counterexample) == (False, 1, (0, 2**61, 0))
 
 
 def test_certificate_methods_agree_on_sweep():
-    for D, r, ell, depth in itertools.product((1, 2), (1, 2), (2, 3), (0, 1)):
-        outer = 2 * r + 2 * ell**depth
-        grid = GridSpec(D=D, side=2 * outer, ell=ell, depth=depth)
+    """The partitions of acceptance criterion 8, each at shrink 0-3: the
+    certificate and the per-qubit reference agree on passed and
+    cubes_checked, every counterexample either reports is genuine, and the
+    shell counts add up."""
+    for D, ell, depth, r in itertools.product((1, 2, 3), (2, 3), (0, 1, 2), (1, 2, 3, 4)):
+        grid = GridSpec(D=D, side=2 * (2 * r + 2 * ell**depth), ell=ell, depth=depth)
         part = build_partition(grid, r=r)
-        a = certify_independence(part, method="exhaustive")
-        b = certify_independence(part, method="interval")
-        assert a.passed and b.passed, (D, r, ell, depth)
+        for shrink in range(4):
+            a = certify_independence(part, outer_shrink=shrink)
+            b = _per_qubit_certificate(part, outer_shrink=shrink)
+            assert (a.passed, a.cubes_checked) == (b.passed, b.cubes_checked), (part, shrink)
+            assert a.passed == (shrink == 0)
+            for report in (a, b):
+                if not report.passed:
+                    _assert_valid_counterexample(part, shrink, report)
         counts = shell_accounting(part)
         assert counts.cu == part.q * (2 * r) ** D
         assert counts.cu + counts.cu_bar == grid.n
