@@ -227,21 +227,27 @@ def certify_independence(part: HypercubePartition, outer_shrink: int = 0) -> Ind
     min(side-1, c+R) are monotone in c.  The first failing cube in C order
     is cube p, p the first failing position (p on the last axis, 0 on the
     others), and its witness sits on its first failing axis.
+
+    Only the low side needs a check.  The partition fixes s = 2r + 2R, so
+    position p's inner interval [lo + R, lo + s - 1 - R] reaches exactly
+    [lo, lo + s - 1]: the low reach max(0, lo) is lo, and the high reach
+    min(side - 1, lo + s - 1) is lo + s - 1, as the intervals tile the
+    side.  The claim is [lo + shrink, lo + s - 1 - shrink], so the low
+    reach escapes it exactly when shrink >= 1, and so does the high reach,
+    by the mirror argument: the low check fires at every position where
+    the high one would, and first.  Hence an accepted partition passes at
+    shrink 0 and fails at position 0 for every shrink >= 1.
     """
     shrink = _claim_shrink(outer_shrink)
-    grid, R, s = part.grid, part.grid.cone_radius, part.outer_side
+    grid, R = part.grid, part.grid.cone_radius
     for p, lo in enumerate(part.interval_lows):
-        ilo, ihi = lo + R, lo + s - 1 - R
-        reach_lo, reach_hi = max(0, ilo - R), min(grid.side - 1, ihi + R)
-        if reach_lo < lo + shrink:
-            edge, reach = ilo, reach_lo
-        elif reach_hi > lo + s - 1 - shrink:
-            edge, reach = ihi, reach_hi
-        else:
+        ilo = lo + R
+        reach = max(0, ilo - R)
+        if reach >= lo + shrink:
             continue
         axis = 0 if p == 0 else grid.D - 1
         witness = [R] * grid.D  # inner low corner at position 0 on every axis
-        witness[axis] = edge
+        witness[axis] = ilo
         cell = witness[:axis] + [reach] + witness[axis + 1:]
         return IndependenceReport(False, p + 1, (p, grid.index(witness), grid.index(cell)))
     return IndependenceReport(True, part.q)

@@ -15,11 +15,12 @@ the unread ciphertext is replaced by fresh uniform bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cached_property
 import itertools
 import math
-from typing import Sequence
+import operator
 
 import numpy as np
 
@@ -374,27 +375,72 @@ class LeakageReport:
     cond_b0: float            # I_c(b0-string : outcomes | b1-string)
     cond_b1: float
     lesser: int               # index of the string with the smaller leakage; 0 on a tie
-    bounds: dict = field(compare=False)
+
+    @cached_property
+    def bounds(self) -> dict:
+        """Per quantity: its value, its limit m times the pair bound, and
+        whether the value is within the limit (to 1e-9)."""
+        values = {"greater": max(self.ic_b0, self.ic_b1), "total": self.total,
+                  "conditional": max(self.cond_b0, self.cond_b1)}
+        out = {}
+        for q, value in values.items():
+            limit = self.m * PER_PAIR_BOUNDS[q]
+            out[q] = {"value": value, "limit": limit, "ok": value <= limit + 1e-9}
+        return out
 
     @property
     def all_ok(self) -> bool:
         return all(v["ok"] for v in self.bounds.values())
 
 
+class _ProductReports(Sequence):
+    """Read-only sequence of the reports of product strategies, kept as
+    columns: report s is built from row s when it is read.  Strategy s
+    assigns entry rows[s][i] of names to pair i; cols lists the ic_b0,
+    ic_b1, total, cond_b0, cond_b1 and lesser columns."""
+
+    def __init__(self, m: int, names: list, rows: list, cols: tuple):
+        self._m, self._names, self._rows, self._cols = m, names, rows, cols
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def _report(self, row, ic0, ic1, total, c0, c1, lesser) -> LeakageReport:
+        return LeakageReport(self._m, tuple(map(self._names.__getitem__, row)), ic0, ic1, total,
+                             c0, c1, lesser)
+
+    def __getitem__(self, s):
+        if isinstance(s, slice):
+            return tuple(self[i] for i in range(*s.indices(len(self))))
+        s = operator.index(s)
+        if not -len(self) <= s < len(self):
+            raise IndexError(f"report {s} outside a sweep of {len(self)}")
+        return self._report(self._rows[s], *(c[s] for c in self._cols))
+
+    def __iter__(self):
+        return itertools.starmap(self._report, zip(self._rows, *self._cols))
+
+
 @dataclass(frozen=True)
 class LeakageSweep:
     m: int
-    reports: tuple
+    reports: Sequence
     worst: dict
     all_ok: bool
 
 
 _TIE = 1e-12                  # |ic_b0 - ic_b1| at most this is a tie
+_MAX_SWEEP_ROWS = 20_000      # product strategies one sweep may list
+# index cells, rows x m, one sweep may hold: every grid of two or more entries
+# that the row budget admits fits (at most 2^14 rows x 14 pairs), so this
+# bounds only m on a one-entry grid
+_MAX_SWEEP_CELLS = 1 << 18
 
 
-def _product_reports(m: int, labels: list, figs: np.ndarray) -> list:
-    """Reports of product strategies from per-pair figures figs[s, i], the
-    (ic_b0, ic_b1, cond_b0, cond_b1) of pair i alone under strategy s.
+def _product_figures(figs: np.ndarray) -> tuple:
+    """Columns ic_b0, ic_b1, cond_b0, cond_b1 of product strategies from
+    per-pair figures figs[s, i], the (ic_b0, ic_b1, cond_b0, cond_b1) of
+    pair i alone under strategy s.
 
     Every figure of a product strategy is the sum of its pairs' figures.
     The pairs are independent, so the joint of the (b0, b1, outcome)
@@ -415,22 +461,22 @@ def _product_reports(m: int, labels: list, figs: np.ndarray) -> list:
     figures, and its lesser string, do not depend on the order of its
     entries.
     """
-    ic0, ic1, c0, c1 = np.sort(figs, axis=1).sum(axis=1).T
-    values = {"greater": np.maximum(ic0, ic1), "total": ic0 + ic1,
-              "conditional": np.maximum(c0, c1)}
-    limits = {q: m * PER_PAIR_BOUNDS[q] for q in PER_PAIR_BOUNDS}
-    ok = {q: values[q] <= limits[q] + 1e-9 for q in PER_PAIR_BOUNDS}
-    lesser = ic0 - ic1 > _TIE
-    return [
-        LeakageReport(
-            m=m, strategy=label, ic_b0=float(ic0[s]), ic_b1=float(ic1[s]),
-            total=float(values["total"][s]), cond_b0=float(c0[s]), cond_b1=float(c1[s]),
-            lesser=int(lesser[s]),
-            bounds={q: {"value": float(values[q][s]), "limit": limits[q], "ok": bool(ok[q][s])}
-                    for q in PER_PAIR_BOUNDS},
-        )
-        for s, label in enumerate(labels)
-    ]
+    return tuple(np.sort(figs, axis=1).sum(axis=1).T)
+
+
+def _sweep_index(count: int, m: int) -> np.ndarray:
+    """Every assignment of count entries to m pairs, one row each, in
+    itertools.product order.  Refuses more than _MAX_SWEEP_ROWS rows or
+    _MAX_SWEEP_CELLS index cells before anything is allocated, in time
+    that does not grow with m: a grid of two or more entries passes the
+    row budget by m = 15, and one entry gives one row at any m."""
+    rows = 1 if count == 1 else count ** min(m, _MAX_SWEEP_ROWS.bit_length())
+    if rows > _MAX_SWEEP_ROWS:
+        raise ResourceLimitError(f"{count}^{m} product strategies exceed the sweep budget")
+    if rows * m > _MAX_SWEEP_CELLS:
+        raise ResourceLimitError(f"{rows} x {m} index cells exceed the sweep budget")
+    # digit i of row r in base count, most significant first
+    return np.arange(rows)[:, None] // count ** np.arange(m - 1, -1, -1) % count
 
 
 def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
@@ -442,41 +488,43 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
     per-qubit angles (default: 9 angles, multiples of pi/16 up to pi/2)
     is swept over all product assignments and the worst case per figure
     is reported.  Figures come from the one-pair joint of each entry and
-    add up over the pairs (see _product_reports).
+    add up over the pairs (see _product_figures).  The sweep keeps them
+    in columns: its worst case and all_ok are read from the columns, and
+    each report is built only when it is read.
     """
     if m < 1:
         raise ValueError(f"need m >= 1 pairs, got {m}")
-    if m > 5:
-        raise ResourceLimitError(f"m = {m} outside exact-enumeration range 1..5")
     if exhaustive:
         if strategy is not None:
             raise ValueError("exhaustive sweep generates its own strategies")
         if angles is None:
             angles = [j * math.pi / 16 for j in range(9)]
-        if len(angles) ** m > 20_000:
-            raise ResourceLimitError(
-                f"{len(angles)}^{m} product strategies exceed the sweep budget"
-            )
         entries = list(angles)
-        # every assignment of entries to the m pairs, in itertools.product order
-        idx = np.indices((len(entries),) * m).reshape(m, -1).T
+        if not entries:
+            raise ValueError("the sweep grid angles lists no entries")
+        idx = _sweep_index(len(entries), m)
     else:
         if strategy is None or len(strategy) != m:
             raise ValueError(f"strategy must list {m} per-qubit measurements")
         entries = list(strategy)
         idx = np.arange(m)[None, :]
     figs = np.array([pair_info(t) for t in _strategy_tables(entries)]).reshape(-1, 4)
+    ic0, ic1, c0, c1 = _product_figures(figs[idx])
+    total = ic0 + ic1
+    lesser = (ic0 - ic1 > _TIE).astype(np.int64)
     names = [e if isinstance(e, Povm) else
              (e.theta if isinstance(e, BasisMeasurement) else float(e)) for e in entries]
-    labels = [tuple(names[j] for j in row) for row in idx.tolist()]
-    reports = _product_reports(m, labels, figs[idx])
+    reports = _ProductReports(m, names, idx.tolist(),
+                              tuple(c.tolist() for c in (ic0, ic1, total, c0, c1, lesser)))
     if not exhaustive:
         return reports[0]
+    values = {"greater": np.maximum(ic0, ic1), "total": total,
+              "conditional": np.maximum(c0, c1)}
     return LeakageSweep(
         m=m,
-        reports=tuple(reports),
-        worst={q: max(r.bounds[q]["value"] for r in reports) for q in PER_PAIR_BOUNDS},
-        all_ok=all(r.all_ok for r in reports),
+        reports=reports,
+        worst={q: float(v.max()) for q, v in values.items()},
+        all_ok=all(bool(np.all(v <= m * PER_PAIR_BOUNDS[q] + 1e-9)) for q, v in values.items()),
     )
 
 

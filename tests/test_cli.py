@@ -132,6 +132,31 @@ def test_leakage_exhaustive_rows(capsys):
     assert len(rows) == 1 + 9  # header + 3^2 strategies
 
 
+# sha256 of the CSV on stdout for the README leakage calls
+_LEAKAGE_CSV_SHA256 = {
+    ("--m", "2", "--exhaustive"):
+        "0979f8f2140f10f3a3b269dfb644c8c75936c09ebab360daf2bbb72c70d35e14",
+    ("--m", "3", "--exhaustive"):
+        "0bcafd6fe9eb0877c4fae67b186cfbde40fafa8d8da0caf7959ce2eed253f61d",
+    ("--m", "3", "--strategy", "0,0.3926991,0.7853982"):
+        "ccfeeee0e2d2568ae6344c6850396cfd1755c88282a475610ed69f5701fa2e7d",
+}
+
+
+@pytest.mark.parametrize("args", list(_LEAKAGE_CSV_SHA256), ids=" ".join)
+def test_leakage_csv_is_pinned(args, capsys):
+    code, out = run(["leakage", *args], capsys)
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == _LEAKAGE_CSV_SHA256[args]
+
+
+def test_leakage_one_strategy_past_the_sweep_range(capsys):
+    code, out = run(["leakage", "--m", "6", "--strategy", "0,0,0,0,0,0"], capsys)
+    assert code == cli.EXIT_OK
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 2 and rows[1][0] == "0;0;0;0;0;0"
+
+
 def test_leakage_resource_limit_exit(capsys):
     assert cli.main(["leakage", "--m", "9", "--exhaustive"]) == cli.EXIT_RESOURCE
 

@@ -204,6 +204,38 @@ def test_certificate_methods_agree_on_sweep():
         assert counts.cu + counts.cu_bar == grid.n
 
 
+def _partitions_built_by_tests():
+    """Every partition the light-cone tests and acceptance criterion 8 build."""
+    specs = [(D, 2 * (2 * r + 2 * ell**depth), ell, depth, r)
+             for D, ell, depth, r in itertools.product((1, 2, 3), (2, 3), (0, 1, 2), (1, 2, 3, 4))]
+    specs += [(2, 16, 2, 1, 2), (2, 28, 2, 2, 3), (2, 24, 2, 1, 2), (1, 12, 2, 1, 1),
+              (3, 16, 3, 0, 1), (2, 768, 2, 1, 4), (3, 96, 2, 1, 4), (2, 96, 2, 1, 4),
+              (1, 2 * (2 + 2**62), 2, 61, 1)]
+    return [build_partition(GridSpec(D=D, side=side, ell=ell, depth=depth), r=r)
+            for D, side, ell, depth, r in specs]
+
+
+def test_certificate_passes_exactly_at_shrink_zero():
+    """With outer side 2r + 2*ell**d every accepted partition passes the
+    honest claim and fails every shrunk one at cube 0, as the
+    certify_independence docstring argues; the per-qubit reference agrees
+    wherever it can list the grid (at shrink 0 only on small grids, where
+    it must walk every inner qubit; the 2**63-cell grid is past its
+    listing limit)."""
+    for part in _partitions_built_by_tests():
+        honest = certify_independence(part)
+        assert (honest.passed, honest.cubes_checked, honest.counterexample) == (True, part.q, None)
+        if part.grid.n <= 10_000:
+            assert _per_qubit_certificate(part) == honest, part
+        for shrink in (1, 2, 3):
+            bad = certify_independence(part, outer_shrink=shrink)
+            assert (bad.passed, bad.cubes_checked, bad.counterexample[0]) == (False, 1, 0)
+            if part.grid.n <= 1 << 22:      # cells listed in int64
+                _assert_valid_counterexample(part, shrink, bad)
+                ref = _per_qubit_certificate(part, outer_shrink=shrink)
+                assert (ref.passed, ref.cubes_checked) == (bad.passed, bad.cubes_checked), part
+
+
 def test_feasibility_witness_small_epsilons():
     w = find_feasible_params(0.01, 0.01, ell=2, depth=1, D=1)
     assert w.eq1_lhs <= w.eq1_rhs

@@ -12,10 +12,11 @@ from otmbench import protocol
 from otmbench.collinfo import JointDistribution, conditional_collision_mi, collision_mi
 from otmbench.errors import InvariantViolationError, ResourceLimitError
 from otmbench.f2codes import MAX_SAMPLED_BITS, bits_to_int, encode, int_to_bits, random_code
-from otmbench.povmsearch import Povm
+from otmbench.povmsearch import Povm, pair_info
 from otmbench.protocol import (
     PER_PAIR_BOUNDS,
     Extractor,
+    LeakageReport,
     LeakageSweep,
     ProtocolParams,
     leakage_experiment,
@@ -384,6 +385,7 @@ def _random_strategy(rng, m) -> list:
 def test_leakage_matches_dense_product_joint():
     rng = np.random.default_rng(2024)
     strategies = [_random_strategy(rng, m) for m in (1, 2, 3, 4) for _ in range(6)]
+    strategies += [_random_strategy(rng, 6), [_TRINE] * 6]   # dense joint: 2^12 * 3^6 cells
     strategies += [[_ZERO_OUTCOME], [0.3, _ZERO_OUTCOME, _TRINE],
                    [_TRINE, BasisMeasurement(1.1), _ZERO_OUTCOME, math.pi / 8]]
     for strategy in strategies:
@@ -420,9 +422,10 @@ def test_leakage_ignores_entry_order():
 
 def test_leakage_argument_errors():
     with pytest.raises(ResourceLimitError):
-        leakage_experiment(9)
-    with pytest.raises(ResourceLimitError):
-        leakage_experiment(6, strategy=[0.0] * 6)
+        leakage_experiment(9, exhaustive=True)
+    # one strategy costs O(m): no cap on m
+    assert leakage_experiment(6, strategy=[0.0] * 6).ic_b0 == pytest.approx(
+        6 * math.log2(1.5), abs=1e-12)
     for m in (0, -2):
         with pytest.raises(ValueError) as err:
             leakage_experiment(m, exhaustive=True)
@@ -433,6 +436,113 @@ def test_leakage_argument_errors():
         leakage_experiment(1, strategy=[0.0], exhaustive=True)
     with pytest.raises(ResourceLimitError):
         leakage_experiment(5, exhaustive=True, angles=[j * 0.1 for j in range(9)])
+
+
+def test_leakage_sweep_guard_is_checked_before_listing():
+    # a one-angle grid has one row at any m; the index cells are still counted
+    sweep = leakage_experiment(1000, exhaustive=True, angles=[0.3])
+    assert len(sweep.reports) == 1 and sweep.reports[0].strategy == (0.3,) * 1000
+    for m in (10**6, 10**18):
+        with pytest.raises(ResourceLimitError):
+            leakage_experiment(m, exhaustive=True, angles=[0.3])
+        with pytest.raises(ResourceLimitError):
+            leakage_experiment(m, exhaustive=True)
+    assert len(leakage_experiment(14, exhaustive=True, angles=[0.0, 0.5]).reports) == 2**14
+    with pytest.raises(ResourceLimitError):
+        leakage_experiment(15, exhaustive=True, angles=[0.0, 0.5])
+    with pytest.raises(ValueError, match="angles"):
+        leakage_experiment(2, exhaustive=True, angles=[])
+
+
+def _eager_reports(m: int, labels: list, figs: np.ndarray) -> list:
+    """Oracle: the reports as the eager sweep built them, one dict per
+    strategy with its bounds dict built from the figure columns."""
+    ic0, ic1, c0, c1 = np.sort(figs, axis=1).sum(axis=1).T
+    values = {"greater": np.maximum(ic0, ic1), "total": ic0 + ic1,
+              "conditional": np.maximum(c0, c1)}
+    limits = {q: m * PER_PAIR_BOUNDS[q] for q in PER_PAIR_BOUNDS}
+    ok = {q: values[q] <= limits[q] + 1e-9 for q in PER_PAIR_BOUNDS}
+    lesser = ic0 - ic1 > 1e-12
+    return [
+        dict(m=m, strategy=label, ic_b0=float(ic0[s]), ic_b1=float(ic1[s]),
+             total=float(values["total"][s]), cond_b0=float(c0[s]), cond_b1=float(c1[s]),
+             lesser=int(lesser[s]),
+             bounds={q: {"value": float(values[q][s]), "limit": limits[q],
+                         "ok": bool(ok[q][s])} for q in PER_PAIR_BOUNDS})
+        for s, label in enumerate(labels)
+    ]
+
+
+def _eager_figures(entries: list) -> tuple:
+    """Per-entry pair figures and strategy labels of a list of entries."""
+    figs = np.array([pair_info(t) for t in protocol._strategy_tables(entries)])
+    names = [e if isinstance(e, Povm) else
+             (e.theta if isinstance(e, BasisMeasurement) else float(e)) for e in entries]
+    return figs, names
+
+
+def _eager_sweep(m: int, entries: list) -> tuple:
+    """Oracle: (reports, worst, all_ok) of the eager sweep, with one Python
+    loop over every report for worst and all_ok."""
+    figs, names = _eager_figures(entries)
+    idx = np.array(list(itertools.product(range(len(entries)), repeat=m)))
+    reports = _eager_reports(m, [tuple(names[j] for j in row) for row in idx.tolist()],
+                             figs[idx])
+    worst = {q: max(r["bounds"][q]["value"] for r in reports) for q in PER_PAIR_BOUNDS}
+    all_ok = all(v["ok"] for r in reports for v in r["bounds"].values())
+    return reports, worst, all_ok
+
+
+def _report_fields(rep) -> dict:
+    return dict(m=rep.m, strategy=rep.strategy, **{f: getattr(rep, f) for f in _FIGURES},
+                lesser=rep.lesser, bounds=rep.bounds)
+
+
+def test_leakage_sweep_columns_match_eager_reports():
+    grids = [None, [0.0, math.pi / 8, math.pi / 4],
+             np.random.default_rng(11).uniform(0, math.pi, size=7).tolist(),
+             [0.2, BasisMeasurement(0.9), _TRINE, _ZERO_OUTCOME]]
+    for angles, m in itertools.product(grids, (1, 2, 3, 4)):
+        entries = [j * math.pi / 16 for j in range(9)] if angles is None else angles
+        want, worst, all_ok = _eager_sweep(m, entries)
+        sweep = leakage_experiment(m, exhaustive=True, angles=angles)
+        got = [_report_fields(r) for r in sweep.reports]
+        assert [r.all_ok for r in sweep.reports] == [
+            all(v["ok"] for v in r["bounds"].values()) for r in want]
+        assert got == want, (angles, m)
+        assert (sweep.worst, sweep.all_ok) == (worst, all_ok), (angles, m)
+    # one strategy goes through the same columns
+    for strategy in ([0.3, _TRINE, BasisMeasurement(1.1)], [0.0] * 6):
+        figs, names = _eager_figures(strategy)
+        want = _eager_reports(len(strategy), [tuple(names)], figs[None, :])
+        assert _report_fields(leakage_experiment(len(strategy), strategy=strategy)) == want[0]
+
+
+def test_leakage_sweep_reports_are_a_sequence():
+    sweep = leakage_experiment(3, exhaustive=True, angles=[0.0, 0.4, 0.8])
+    reports = sweep.reports
+    listed = list(reports)
+    assert len(reports) == len(listed) == 27
+    assert [reports[i] for i in range(27)] == listed
+    assert reports[-1] == listed[-1] and reports[-27] == listed[0]
+    assert reports[-1].strategy == (0.8, 0.8, 0.8)
+    assert reports[3:9:2] == tuple(listed[3:9:2]) and reports[::-1] == tuple(listed[::-1])
+    assert reports[np.int64(4)] == listed[4]
+    for bad in (27, -28):
+        with pytest.raises(IndexError):
+            reports[bad]
+    with pytest.raises(TypeError):
+        reports[1.0]
+    with pytest.raises(TypeError):
+        reports[0] = listed[0]
+    # bounds is derived from the figures, cached, and outside equality
+    rep = reports[5]
+    assert rep.bounds is rep.bounds
+    assert "bounds" not in {f.name for f in dataclasses.fields(rep)}
+    # a value is within its limit up to 1e-9
+    edge = LeakageReport(1, (0.0,), 0.59 + 5e-10, 0.0, 0.59 + 5e-10, 0.59 + 2e-9, 0.0, 1)
+    assert [v["ok"] for v in edge.bounds.values()] == [True, True, False]
+    assert not edge.all_ok
 
 
 def test_honest_receiver_leaves_other_string_bounded():
