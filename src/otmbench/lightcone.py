@@ -221,36 +221,22 @@ def certify_independence(part: HypercubePartition, outer_shrink: int = 0) -> Ind
 
     Inner cubes, cone boxes and claims are products of per-axis intervals,
     and every axis has the same intervals, so a cube's claim holds exactly
-    when it holds at each of its positions: one pass over the positions
-    decides every cube.  A position needs only its extreme inner
-    coordinates, since the clipped cone bounds max(0, c-R) and
-    min(side-1, c+R) are monotone in c.  The first failing cube in C order
-    is cube p, p the first failing position (p on the last axis, 0 on the
-    others), and its witness sits on its first failing axis.
-
-    Only the low side needs a check.  The partition fixes s = 2r + 2R, so
-    position p's inner interval [lo + R, lo + s - 1 - R] reaches exactly
-    [lo, lo + s - 1]: the low reach max(0, lo) is lo, and the high reach
-    min(side - 1, lo + s - 1) is lo + s - 1, as the intervals tile the
-    side.  The claim is [lo + shrink, lo + s - 1 - shrink], so the low
-    reach escapes it exactly when shrink >= 1, and so does the high reach,
-    by the mirror argument: the low check fires at every position where
-    the high one would, and first.  Hence an accepted partition passes at
-    shrink 0 and fails at position 0 for every shrink >= 1.
+    when it holds at each of its positions.  The partition fixes
+    s = 2r + 2R, so position p's inner interval [lo + R, lo + s - 1 - R]
+    reaches exactly [lo, lo + s - 1]: the low reach max(0, lo) is lo, and
+    the high reach min(side - 1, lo + s - 1) is lo + s - 1, as the
+    intervals tile the side.  The claim is [lo + shrink, lo + s - 1 - shrink],
+    so every position holds at shrink 0 and none holds at shrink >= 1.
+    Hence an accepted partition passes at shrink 0, and otherwise fails at
+    cube 0, whose inner low corner's cone reaches cell 0 on axis 0.
     """
     shrink = _claim_shrink(outer_shrink)
+    if shrink == 0:
+        return IndependenceReport(True, part.q)
     grid, R = part.grid, part.grid.cone_radius
-    for p, lo in enumerate(part.interval_lows):
-        ilo = lo + R
-        reach = max(0, ilo - R)
-        if reach >= lo + shrink:
-            continue
-        axis = 0 if p == 0 else grid.D - 1
-        witness = [R] * grid.D  # inner low corner at position 0 on every axis
-        witness[axis] = ilo
-        cell = witness[:axis] + [reach] + witness[axis + 1:]
-        return IndependenceReport(False, p + 1, (p, grid.index(witness), grid.index(cell)))
-    return IndependenceReport(True, part.q)
+    witness = [R] * grid.D  # inner low corner of cube 0
+    cell = [0] + [R] * (grid.D - 1)
+    return IndependenceReport(False, 1, (0, grid.index(witness), grid.index(cell)))
 
 
 def _per_qubit_certificate(part: HypercubePartition, outer_shrink: int = 0) -> IndependenceReport:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -393,38 +392,10 @@ class LeakageReport:
         return all(v["ok"] for v in self.bounds.values())
 
 
-class _ProductReports(Sequence):
-    """Read-only sequence of the reports of product strategies, kept as
-    columns: report s is built from row s when it is read.  Strategy s
-    assigns entry rows[s][i] of names to pair i; cols lists the ic_b0,
-    ic_b1, total, cond_b0, cond_b1 and lesser columns."""
-
-    def __init__(self, m: int, names: list, rows: list, cols: tuple):
-        self._m, self._names, self._rows, self._cols = m, names, rows, cols
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def _report(self, row, ic0, ic1, total, c0, c1, lesser) -> LeakageReport:
-        return LeakageReport(self._m, tuple(map(self._names.__getitem__, row)), ic0, ic1, total,
-                             c0, c1, lesser)
-
-    def __getitem__(self, s):
-        if isinstance(s, slice):
-            return tuple(self[i] for i in range(*s.indices(len(self))))
-        s = operator.index(s)
-        if not -len(self) <= s < len(self):
-            raise IndexError(f"report {s} outside a sweep of {len(self)}")
-        return self._report(self._rows[s], *(c[s] for c in self._cols))
-
-    def __iter__(self):
-        return itertools.starmap(self._report, zip(self._rows, *self._cols))
-
-
 @dataclass(frozen=True)
 class LeakageSweep:
     m: int
-    reports: Sequence
+    reports: tuple
     worst: dict
     all_ok: bool
 
@@ -488,9 +459,8 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
     per-qubit angles (default: 9 angles, multiples of pi/16 up to pi/2)
     is swept over all product assignments and the worst case per figure
     is reported.  Figures come from the one-pair joint of each entry and
-    add up over the pairs (see _product_figures).  The sweep keeps them
-    in columns: its worst case and all_ok are read from the columns, and
-    each report is built only when it is read.
+    add up over the pairs (see _product_figures).  The sweep's worst case
+    and all_ok are read from the figure columns.
     """
     if m < 1:
         raise ValueError(f"need m >= 1 pairs, got {m}")
@@ -514,8 +484,9 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
     lesser = (ic0 - ic1 > _TIE).astype(np.int64)
     names = [e if isinstance(e, Povm) else
              (e.theta if isinstance(e, BasisMeasurement) else float(e)) for e in entries]
-    reports = _ProductReports(m, names, idx.tolist(),
-                              tuple(c.tolist() for c in (ic0, ic1, total, c0, c1, lesser)))
+    labels = (tuple(map(names.__getitem__, row)) for row in idx.tolist())
+    cols = (c.tolist() for c in (ic0, ic1, total, c0, c1, lesser))
+    reports = tuple(itertools.starmap(LeakageReport, zip(itertools.repeat(m), labels, *cols)))
     if not exhaustive:
         return reports[0]
     values = {"greater": np.maximum(ic0, ic1), "total": total,
