@@ -81,11 +81,13 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
 
 
-def _as_bits(x, length: int | None = None) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.uint8) % 2
+def _as_vector(x, length: int) -> np.ndarray:
+    """x cast to a uint8 vector of the given length; entries are read mod 2,
+    and callers reduce them where more than their parity matters."""
+    arr = np.asarray(x, dtype=np.uint8)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-d bit vector, got shape {arr.shape}")
-    if length is not None and arr.shape[0] != length:
+    if arr.shape[0] != length:
         raise ValueError(f"expected length {length}, got {arr.shape[0]}")
     return arr
 
@@ -167,6 +169,13 @@ class LinearCode:
         return _span(self.generator.T)
 
     @cached_property
+    def messages(self) -> np.ndarray:
+        """All 2^k messages as a (2^k, k) uint8 array, row u = the bits of
+        u, index 0 most significant: the message of codeword row u."""
+        self._check_table()
+        return _span(np.eye(self.k, dtype=np.uint8))
+
+    @cached_property
     def codeword_ints(self) -> np.ndarray:
         """The codeword table packed into int64, index 0 most significant."""
         if self.n > MAX_PACKED_BITS:
@@ -225,21 +234,25 @@ def random_code(n: int, k: int, seed: int) -> LinearCode:
 
 
 def encode(code: LinearCode, message: np.ndarray) -> np.ndarray:
-    message = _as_bits(message, code.k)
-    return (code.generator @ message) % 2
+    # uint8 sums wrap mod 256, which keeps their parity
+    return (code.generator @ _as_vector(message, code.k)) % 2
 
 
-def ml_decode(code: LinearCode, word: np.ndarray) -> np.ndarray:
-    """Nearest-codeword decoding, exhaustive over all 2^k codewords.
+def _nearest(code: LinearCode, word: np.ndarray) -> int:
+    """Packed message whose codeword is nearest the n-bit 0/1 uint8 word,
+    exhaustive over all 2^k codewords.
 
     Ties resolve to the lexicographically smallest message, i.e. the
     smallest packed message integer; argmin on the numerically ordered
     codeword table gives exactly that.
     """
-    word = _as_bits(word, code.n)
-    dists = (code.codewords != word[None, :]).sum(axis=1)
-    best = int(np.argmin(dists))
-    return int_to_bits(best, code.k)
+    return int((code.codewords ^ word).sum(axis=1).argmin())
+
+
+def ml_decode(code: LinearCode, word: np.ndarray) -> np.ndarray:
+    """Nearest-codeword decoding (see :func:`_nearest`), as a fresh copy of
+    the decoded row of ``code.messages``."""
+    return code.messages[_nearest(code, _as_vector(word, code.n) & 1)].copy()
 
 
 def ml_decode_packed(code: LinearCode, words) -> np.ndarray:

@@ -25,8 +25,8 @@ import numpy as np
 
 from .collinfo import JointDistribution, avg_conditional_min_entropy
 from .errors import InvariantViolationError, ResourceLimitError
-from .f2codes import (MAX_BLOCK_BITS, LinearCode, _check_trials, bits_to_int, encode,
-                      exact_failure_prob, ml_decode, ml_decode_packed, random_code)
+from .f2codes import (MAX_BLOCK_BITS, LinearCode, _check_trials, _nearest, bits_to_int,
+                      encode, exact_failure_prob, ml_decode_packed, random_code)
 from .povmsearch import Povm, _outcome_table, pair_info
 from .qrac import (
     ENCODING_ANGLES,
@@ -67,6 +67,19 @@ PER_PAIR_BOUNDS = {"greater": 0.59, "total": 0.65, "conditional": 0.59}
 _CHANNEL_P = math.sin(math.pi / 8) ** 2   # bit-flip rate seen by the matched basis
 # qubit angle of the bit pair (b0, b1) as _ANGLES[b0, b1]
 _ANGLES = np.array([[ENCODING_ANGLES[(b0, b1)] for b1 in (0, 1)] for b0 in (0, 1)])
+_READOUT = {alpha: measurement_for(alpha) for alpha in (0, 1)}
+
+
+def _equal_bits(bits: np.ndarray, other) -> bool:
+    """np.array_equal(bits, other) for a 1-d array bits, as one comparison
+    of Python lists: equal shapes give equal-length flat lists, any other
+    shape a nested list or a scalar, and 0/1 compares with True/False and
+    1.0/0.0 as it does in numpy."""
+    try:
+        other = np.asarray(other)
+    except (TypeError, ValueError):     # ragged: array_equal says unequal
+        return False
+    return bits.tolist() == other.tolist()
 
 
 @dataclass(frozen=True)
@@ -129,11 +142,15 @@ class OtrmInstance:
             raise InvariantViolationError("code lengths and qubit count disagree")
         for name, code, r, c in (("0", self.code0, self.r0, self.c0),
                                  ("1", self.code1, self.r1, self.c1)):
-            if not np.array_equal(encode(code, r), c):
+            if not _equal_bits(encode(code, r), c):
                 raise InvariantViolationError(f"c{name} is not the encoding of r{name}")
-        bad = np.flatnonzero(~(np.abs(angles - _ANGLES[self.c0, self.c1]) <= 1e-12))
-        if bad.size:
-            raise InvariantViolationError(f"qubit {bad[0]} does not encode its bit pair")
+        want = _ANGLES[self.c0, self.c1]
+        # equal angles pass the 1e-12 test (want is finite), so only
+        # unequal ones need the mask; nan fails it
+        if angles.tolist() != want.tolist():
+            bad = np.flatnonzero(~(np.abs(angles - want) <= 1e-12))
+            if bad.size:
+                raise InvariantViolationError(f"qubit {bad[0]} does not encode its bit pair")
 
     @property
     def qubits(self) -> tuple:
@@ -164,7 +181,7 @@ def otrm_prep(params: ProtocolParams, seed: int | None = None,
     rng = np.random.default_rng(derive_seed(root, "messages"))
     r0 = rng.integers(0, 2, size=params.k, dtype=np.uint8)
     r1 = rng.integers(0, 2, size=params.k, dtype=np.uint8)
-    c0, c1 = encode(code0, r0), encode(code1, r1)
+    c0, c1 = (code0.generator @ r0) & 1, (code1.generator @ r1) & 1
     return OtrmInstance(code0, code1, r0, r1, c0, c1, _ANGLES[c0, c1])
 
 
@@ -175,7 +192,7 @@ class ReadResult:
     alpha: int
     word: np.ndarray          # raw measurement outcomes, one bit per qubit
     message: np.ndarray       # ML-decoded k-bit message
-    codeword: np.ndarray      # re-encoding of message
+    codeword: np.ndarray      # encoding of message
     success: bool             # message equals the instance's secret
 
 
@@ -190,15 +207,16 @@ def otrm_read(instance: OtrmInstance, alpha: int, seed) -> ReadResult:
     if alpha not in (0, 1):
         raise ValueError(f"alpha must be 0 or 1, got {alpha}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    word = sample_measurements(instance.angles, measurement_for(alpha), rng)
+    word = sample_measurements(instance.angles, _READOUT[alpha], rng)
     code = (instance.code0, instance.code1)[alpha]
-    msg = ml_decode(code, word)
+    u = _nearest(code, word)                  # what ml_decode returns, packed
+    msg = code.messages[u].copy()
     return ReadResult(
         alpha=alpha,
         word=word,
         message=msg,
-        codeword=encode(code, msg),
-        success=bool(np.array_equal(msg, (instance.r0, instance.r1)[alpha])),
+        codeword=code.codewords[u].copy(),
+        success=_equal_bits(msg, (instance.r0, instance.r1)[alpha]),
     )
 
 
@@ -234,10 +252,18 @@ class Extractor:
         return self.bits[_toeplitz_index(self.output_len, self.input_len)]
 
     def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.uint8) & 1
-        if x.shape != (self.input_len,):
-            raise ValueError(f"input must hold {self.input_len} bits")
-        return (self.matrix @ x) % 2
+        """matrix @ (x mod 2) mod 2, without building the matrix: entry i
+        is sum_j bits[i - j + n - 1] x_j = sum_j bits[i + j] x[n - 1 - j]
+        with n = input_len, the i-th window of bits against x reversed.
+        uint8 sums wrap mod 256, which keeps their parity, so x needs no
+        reduction first."""
+        x = np.asarray(x, dtype=np.uint8)
+        n = self.input_len
+        if x.shape != (n,):
+            raise ValueError(f"input must hold {n} bits")
+        if not self.output_len:                 # np.correlate refuses an empty seed
+            return np.zeros(0, dtype=np.uint8)
+        return np.correlate(self.bits, x[::-1]) & 1      # "valid": one sum per window
 
 
 def make_extractor(input_len: int, output_len: int, seed) -> Extractor:
@@ -478,12 +504,21 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
             raise ValueError(f"strategy must list {m} per-qubit measurements")
         entries = list(strategy)
         idx = np.arange(m)[None, :]
-    figs = np.array([pair_info(t) for t in _strategy_tables(entries)]).reshape(-1, 4)
+    names = [e if isinstance(e, Povm) else
+             (e.theta if isinstance(e, BasisMeasurement) else float(e)) for e in entries]
+    # one pair_info per distinct entry, scattered back to every entry: an
+    # angle or basis is keyed by its float angle, since equal angles measure
+    # alike, and a Povm, which defines no equality, by identity
+    keys = [e if isinstance(e, Povm) else float(name) for e, name in zip(entries, names)]
+    first = {}
+    for key, entry in zip(keys, entries):
+        first.setdefault(key, entry)
+    slot = {key: s for s, key in enumerate(first)}
+    figs = np.array([pair_info(t) for t in _strategy_tables(list(first.values()))])
+    figs = figs.reshape(-1, 4)[[slot[key] for key in keys]]
     ic0, ic1, c0, c1 = _product_figures(figs[idx])
     total = ic0 + ic1
     lesser = (ic0 - ic1 > _TIE).astype(np.int64)
-    names = [e if isinstance(e, Povm) else
-             (e.theta if isinstance(e, BasisMeasurement) else float(e)) for e in entries]
     labels = (tuple(map(names.__getitem__, row)) for row in idx.tolist())
     cols = (c.tolist() for c in (ic0, ic1, total, c0, c1, lesser))
     reports = tuple(itertools.starmap(LeakageReport, zip(itertools.repeat(m), labels, *cols)))

@@ -1,6 +1,7 @@
 """Protocol round trips, extractor guarantees, leakage and simulator checks."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -11,7 +12,8 @@ import pytest
 from otmbench import protocol
 from otmbench.collinfo import JointDistribution, conditional_collision_mi, collision_mi
 from otmbench.errors import InvariantViolationError, ResourceLimitError
-from otmbench.f2codes import MAX_SAMPLED_BITS, bits_to_int, encode, int_to_bits, random_code
+from otmbench.f2codes import (MAX_SAMPLED_BITS, bits_to_int, encode, int_to_bits, ml_decode,
+                              random_code)
 from otmbench.povmsearch import Povm, pair_info
 from otmbench.protocol import (
     PER_PAIR_BOUNDS,
@@ -89,9 +91,22 @@ def test_otrm_instance_rejects_inconsistent_fields():
         ({"angles": inst.angles + 0.1 * flip}, "qubit 2 does not encode"),
         ({"angles": np.where(flip, np.nan, inst.angles)}, "qubit 2 does not encode"),
         ({"angles": inst.angles[:5]}, "qubit count"),
+        ({"c1": inst.c1 ^ flip}, "c1 is not the encoding of r1"),
+        ({"c0": inst.c0[:5]}, "c0 is not the encoding of r0"),
+        ({"c0": inst.c0[:, None]}, "c0 is not the encoding of r0"),
     ):
         with pytest.raises(InvariantViolationError, match=message):
             dataclasses.replace(inst, **change)
+    with pytest.raises(ValueError, match="expected length 2, got 1"):
+        dataclasses.replace(inst, r0=inst.r0[:1])
+    # integer arrays and lists of the codeword bits are accepted; bool and
+    # float arrays pass the encoding check and are refused by the angle
+    # lookup, which indexes with them
+    for c0 in (inst.c0.astype(np.int64), inst.c0.tolist()):
+        assert dataclasses.replace(inst, c0=c0).c0 is c0
+    for dtype, message in ((bool, "boolean index"), (float, "integer")):
+        with pytest.raises(IndexError, match=message):
+            dataclasses.replace(inst, c0=inst.c0.astype(dtype))
 
 
 def find_zero_free_codes(n, k):
@@ -128,6 +143,23 @@ def test_otrm_read_decodes_and_reports():
     assert np.array_equal(res.codeword, (inst.code1.generator @ res.message) % 2)
     with pytest.raises(ValueError):
         otrm_read(inst, alpha=2, seed=0)
+
+
+def test_reads_hand_out_fresh_arrays():
+    params = ProtocolParams(n=9, lam=8, k=2, seed_root=3)
+    inst = otrm_prep(params)
+    code = inst.code1
+    first = otrm_read(inst, 1, seed=11)
+    tables = code.codewords.copy(), code.messages.copy()
+    message, codeword = first.message.copy(), first.codeword.copy()
+    first.message[:] ^= 1
+    first.codeword[:] ^= 1
+    decoded = ml_decode(code, first.word)
+    decoded ^= 1
+    assert np.array_equal(code.codewords, tables[0]) and np.array_equal(code.messages, tables[1])
+    again = otrm_read(inst, 1, seed=11)
+    assert np.array_equal(again.message, message) and np.array_equal(again.codeword, codeword)
+    assert np.array_equal(ml_decode(code, first.word), message)
 
 
 def test_otrm_read_word_matches_per_qubit_sampling():
@@ -169,6 +201,40 @@ def test_reads_bytes_per_seed():
     assert res.inner.word.tolist() == [1, 0, 1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1]
 
 
+def _round_trip_digest(params, codes) -> str:
+    """sha256 over the dtype, shape and bytes of every array a round trip
+    hands out (the instance's secrets and angles too) and its success
+    flags, for seeds 0..299 and both alpha."""
+    digest = hashlib.sha256()
+    msg = params.msg_len
+    for seed in range(300):
+        m0 = np.array([(seed >> i) & 1 for i in range(msg)], dtype=np.uint8)
+        m1 = np.array([(seed >> (msg + i)) & 1 for i in range(msg)], dtype=np.uint8)
+        pkg = otm_prep(m0, m1, params, seed=seed, codes=codes)
+        inst = pkg.instance
+        arrays = [pkg.ct0, pkg.ct1, pkg.ext0.bits, pkg.ext1.bits,
+                  inst.r0, inst.r1, inst.c0, inst.c1, inst.angles]
+        flags = []
+        for alpha in (0, 1):
+            res = otm_read(pkg, alpha, seed=seed + 1000)
+            arrays += [res.inner.word, res.inner.message, res.inner.codeword, res.message]
+            flags += [res.success, res.inner.success]
+        for a in arrays:
+            digest.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+        digest.update(repr(flags).encode())
+    return digest.hexdigest()
+
+
+def test_round_trip_bytes_pinned():
+    # recorded when prep built every extractor matrix and reads re-encoded
+    # the decoded message; every faster path must reproduce these bytes
+    fixed = (random_code(15, 3, 900), random_code(15, 3, 901))
+    assert _round_trip_digest(ProtocolParams(n=15, lam=8, k=3), fixed) == (
+        "7f12c797cd164806d17693e7e002ea81f4f342a9d5f7e18709d68be0f5d02435")
+    assert _round_trip_digest(ProtocolParams(n=12, lam=16, k=4), None) == (
+        "ad62446ed83e9c8bc0796b2b85a2ac4f653aa8e628771e51362a6bcf9e64f04e")
+
+
 def test_mc_correctness_refused_past_bit_budget():
     params = ProtocolParams(n=15, lam=8, k=3)
     with pytest.raises(ResourceLimitError, match="sampling budget"):
@@ -205,6 +271,27 @@ def test_extractor_apply_is_linear():
         x = rng.integers(0, 2, 8, dtype=np.uint8)
         y = rng.integers(0, 2, 8, dtype=np.uint8)
         assert np.array_equal(ext.apply(x ^ y), ext.apply(x) ^ ext.apply(y))
+
+
+def test_extractor_apply_matches_matrix():
+    rng = np.random.default_rng(6)
+    shapes = [(1, 0), (4, 0), (1, 1), (7, 7), (15, 1), (300, 3), (300, 300)]
+    shapes += [(int(n), int(rng.integers(0, n + 1))) for n in rng.integers(1, 40, size=12)]
+    for n, out in shapes:
+        ext = make_extractor(n, out, seed=int(rng.integers(2**32)))
+        oracle = ext.matrix.astype(np.int64)
+        xs = [rng.integers(0, 2, n, dtype=np.uint8) for _ in range(3)]
+        xs.append(np.ones(n, dtype=np.uint8))
+        for x in xs:
+            got = ext.apply(x)
+            assert got.dtype == np.uint8 and got.tolist() == ((oracle @ x) % 2).tolist(), (n, out)
+        # inputs are read mod 2
+        wide = rng.integers(0, 256, n).astype(np.uint8)
+        assert ext.apply(wide).tolist() == ((oracle @ (wide % 2)) % 2).tolist(), (n, out)
+    # an all-ones seed and input at n = 300: each uint8 sum wraps past 255
+    ones = Extractor(bits=np.ones(302, dtype=np.uint8), input_len=300, output_len=3)
+    assert ones.apply(np.ones(300, dtype=np.uint8)).tolist() == [0, 0, 0]
+    assert make_extractor(0, 0, seed=1).apply([]).shape == (0,)
 
 
 def test_extractor_zero_output_length():
@@ -516,6 +603,34 @@ def test_leakage_sweep_columns_match_eager_reports():
         figs, names = _eager_figures(strategy)
         want = _eager_reports(len(strategy), [tuple(names)], figs[None, :])
         assert _report_fields(leakage_experiment(len(strategy), strategy=strategy)) == want[0]
+
+
+def test_leakage_computes_each_distinct_entry_once(monkeypatch):
+    calls = []
+
+    def counted(table):
+        calls.append(1)
+        return pair_info(table)
+
+    monkeypatch.setattr(protocol, "pair_info", counted)
+    rep = leakage_experiment(1000, strategy=[0.0] * 1000)
+    assert len(calls) == 1
+    figs, _ = _eager_figures([0.0])
+    want = _eager_reports(1000, [(0.0,) * 1000], np.repeat(figs, 1000, axis=0)[None, :])
+    assert _report_fields(rep) == want[0]
+    calls.clear()
+    leakage_experiment(2, exhaustive=True)
+    assert len(calls) == 9
+    # repeated angles, equal-angle BasisMeasurements and one Povm object
+    # used twice: six distinct entries, reported as the per-entry figures
+    strategy = [0.3, _TRINE, BasisMeasurement(0.3), 0.0, _TRINE, math.pi / 4, 0.3,
+                BasisMeasurement(1.1), 0.0, _ZERO_OUTCOME]
+    calls.clear()
+    rep = leakage_experiment(len(strategy), strategy=strategy)
+    assert len(calls) == 6
+    figs, names = _eager_figures(strategy)
+    want = _eager_reports(len(strategy), [tuple(names)], figs[None, :])
+    assert _report_fields(rep) == want[0]
 
 
 def test_leakage_sweep_reports_and_bounds():
