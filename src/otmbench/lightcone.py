@@ -262,21 +262,19 @@ def _per_qubit_certificate(part: HypercubePartition, outer_shrink: int = 0) -> I
 
 
 def shell_accounting(part: HypercubePartition) -> ShellCounts:
-    """Closed-form cell counts, cross-checked against the interval list.
+    """Closed-form cell counts: cu = q * (2r)**D inner cells, the rest shell.
 
-    The cubes are the product of the per-axis intervals, so the inner and
-    outer volumes summed over all cubes are the D-th powers of the inner
-    and outer extents summed over one axis's intervals (s and s - 2*ell**d
-    each, s the outer side).
+    These equal the box volumes summed over the interval list, so there is
+    nothing left to cross-check.  The partition fixes s = 2r + 2R (s the
+    outer side, R the cone radius) and q = n // s**D with s**D dividing
+    side**D; that implies s divides side (compare the prime exponents),
+    so there are side // s intervals per axis, the outer volumes sum to
+    (side // s * s)**D = n and the inner ones to
+    (side // s * (s - 2R))**D = q * (2r)**D.
     """
     g, s = part.grid, part.outer_side
     inner, outer = (2 * part.r) ** g.D, s**g.D
     cu = part.q * inner
-    per_axis = len(part.interval_lows)
-    inner_sum, outer_sum = (per_axis * (s - 2 * g.cone_radius)) ** g.D, (per_axis * s) ** g.D
-    if cu != inner_sum or g.n != outer_sum:
-        raise InvariantViolationError(f"closed-form counts ({cu}, {g.n}) disagree with summed "
-                                      f"box volumes ({inner_sum}, {outer_sum})")
     return ShellCounts(cu, g.n - cu, part.q, 1.0 - inner / outer)
 
 

@@ -94,20 +94,21 @@ def _lam_extremes(mat: np.ndarray) -> tuple[float, float]:
 class _Family(NamedTuple):
     """One F functional: groups of numerator states over a shared denominator."""
 
-    name: str
     num_mats: tuple      # per group, array (k, 3) of numerator coefficient rows
     den_vecs: tuple      # per group, (3,) denominator coefficient vector
+    groups: tuple        # per group, (numerator rows, denominator row) as float tuples
     crude: float         # sum_j lam_max(V_j)^2 / lam_min(W_group) over all numerators
 
 
-def _make_family(name, groups) -> _Family:
-    num_mats, den_vecs, crude = [], [], 0.0
+def _make_family(groups) -> _Family:
+    num_mats, den_vecs, rows, crude = [], [], [], 0.0
     for nums, den in groups:
         num_mats.append(np.stack([_coeff(v) for v in nums]))
         den_vecs.append(_coeff(den))
+        rows.append((tuple(map(tuple, num_mats[-1].tolist())), tuple(den_vecs[-1].tolist())))
         lmin = _lam_extremes(den)[0]
         crude += sum(_lam_extremes(v)[1] ** 2 for v in nums) / lmin
-    return _Family(name, tuple(num_mats), tuple(den_vecs), crude)
+    return _Family(tuple(num_mats), tuple(den_vecs), tuple(rows), crude)
 
 
 def _ensemble_families():
@@ -115,17 +116,11 @@ def _ensemble_families():
     bar0 = {x: (rho[(x, 0)] + rho[(x, 1)]) / 2 for x in (0, 1)}   # avg over b1
     bar1 = {y: (rho[(0, y)] + rho[(1, y)]) / 2 for y in (0, 1)}   # avg over b0
     eye = np.eye(2)
-    f0 = _make_family("f0", [((bar0[0], bar0[1]), eye)])
-    f1 = _make_family("f1", [((bar1[0], bar1[1]), eye)])
-    f01 = _make_family("f01", [((bar0[0], bar0[1]), eye), ((bar1[0], bar1[1]), eye)])
-    g0 = _make_family(
-        "g0",
-        [((rho[(0, y)], rho[(1, y)]), bar1[y]) for y in (0, 1)],
-    )
-    g1 = _make_family(
-        "g1",
-        [((rho[(x, 0)], rho[(x, 1)]), bar0[x]) for x in (0, 1)],
-    )
+    f0 = _make_family([((bar0[0], bar0[1]), eye)])
+    f1 = _make_family([((bar1[0], bar1[1]), eye)])
+    f01 = _make_family([((bar0[0], bar0[1]), eye), ((bar1[0], bar1[1]), eye)])
+    g0 = _make_family([((rho[(0, y)], rho[(1, y)]), bar1[y]) for y in (0, 1)])
+    g1 = _make_family([((rho[(x, 0)], rho[(x, 1)]), bar0[x]) for x in (0, 1)])
     return f0, f1, f01, g0, g1
 
 
@@ -151,8 +146,8 @@ def _eval_family(fam: _Family, pts: np.ndarray) -> tuple:
         d = pts @ den
         den_min = np.minimum(den_min, d)
         num = np.square(pts @ nums.T).sum(axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            total = total + np.where(d > _DEN_ZERO, num / np.where(d > _DEN_ZERO, d, 1.0), 0.0)
+        keep = d > _DEN_ZERO   # the other terms divide by 1.0 and are dropped
+        total = total + np.where(keep, num / np.where(keep, d, 1.0), 0.0)
     return total, den_min
 
 
@@ -170,9 +165,12 @@ def _box_bound(fam: _Family, corners: np.ndarray, trace_top) -> tuple:
     return np.where(den.min(axis=0) < _DEN_FLOOR, crude, vals.max(axis=0)), vals
 
 
+_CORNERS = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+
+
 def _corner_deltas(eps: float) -> np.ndarray:
     """The 8 upward perturbations (a, b, c) of a cell base, entries in {0, eps}."""
-    return np.array(list(itertools.product((0.0, eps), repeat=3)))
+    return eps * _CORNERS
 
 
 def _finish(quantity: str, la, lb, top):
@@ -191,13 +189,6 @@ def _combine(quantity: str, sum_a, sum_b):
     with np.errstate(divide="ignore"):
         la, lb = np.log2(sum_a), np.log2(sum_b)
     return _finish(quantity, la, lb, np.maximum(la, lb))
-
-
-def _value_at(quantity: str, coords: np.ndarray) -> float:
-    """Quantity value of the POVM with these element coordinates (k, 3)."""
-    fam_a, fam_b = _QUANT_FAMS[quantity]
-    return float(_combine(quantity, _eval_family(fam_a, coords)[0].sum(),
-                          _eval_family(fam_b, coords)[0].sum()))
 
 
 def _eigmin_arr(pts: np.ndarray) -> np.ndarray:
@@ -324,21 +315,12 @@ def value_from_info(info: PovmInfo, quantity: str) -> float:
     raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
 
 
-def _float_groups(fam: _Family) -> tuple:
-    """fam's (numerator rows, denominator row) per group, as float tuples."""
-    return tuple((tuple(map(tuple, nums.tolist())), tuple(den.tolist()))
-                 for nums, den in zip(fam.num_mats, fam.den_vecs))
-
-
-_QUANT_GROUPS = {q: tuple(map(_float_groups, fams)) for q, fams in _QUANT_FAMS.items()}
-
-
-def _family_sum(groups: tuple, rows: tuple) -> float:
-    """sum over the rows of F, in plain floats: _eval_family(...)[0].sum()
+def _family_sum(fam: _Family, rows) -> float:
+    """sum over the rows (a, b, c) of F, in plain floats: _eval_family(...)[0].sum()
     up to rounding, dropping the same terms at or below _DEN_ZERO."""
     total = 0.0
     for a, b, c in rows:
-        for nums, (d0, d1, d2) in groups:
+        for nums, (d0, d1, d2) in fam.groups:
             den = a * d0 + b * d1 + c * d2
             if den > _DEN_ZERO:
                 num = 0.0
@@ -349,23 +331,32 @@ def _family_sum(groups: tuple, rows: tuple) -> float:
     return total
 
 
-def quantity_value(povm: Povm, quantity: str) -> float:
-    """Fast-path value via the family functionals (matches eval_povm_info).
+def _point_value(quantity: str, rows) -> float:
+    """The quantity at the POVM with these element rows (a, b, c).
 
     A family sum over a valid POVM is positive (the elements' denominators
     add up to a positive trace), so its log2 exists.
     """
-    if quantity not in _QUANT_GROUPS:
-        raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
-    groups_a, groups_b = _QUANT_GROUPS[quantity]
-    la = math.log2(_family_sum(groups_a, povm._rows))
-    lb = math.log2(_family_sum(groups_b, povm._rows))
+    fam_a, fam_b = _QUANT_FAMS[quantity]
+    la, lb = math.log2(_family_sum(fam_a, rows)), math.log2(_family_sum(fam_b, rows))
     return _finish(quantity, la, lb, max(la, lb))
 
 
+def quantity_value(povm: Povm, quantity: str) -> float:
+    """Fast-path value via the family functionals (matches eval_povm_info)."""
+    if quantity not in _QUANT_FAMS:
+        raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
+    return _point_value(quantity, povm._rows)
+
+
 def _grid_values(eps: float, lo: float, hi: float) -> np.ndarray:
-    n = int(math.floor((hi - lo) / eps + 1e-9))
-    return lo + eps * np.arange(n + 1)
+    return lo + eps * np.arange(_grid_count(eps, lo, hi))
+
+
+def _grid_count(eps: float, lo: float, hi: float) -> int:
+    # the quotient is clamped so a tiny eps gives a huge count, not an
+    # overflow; every count that large is refused anyway
+    return int(math.floor(min((hi - lo) / eps, 1e18) + 1e-9)) + 1
 
 
 def grid_extremal_povms(eps: float, outcomes: int) -> Iterator[Povm]:
@@ -375,15 +366,19 @@ def grid_extremal_povms(eps: float, outcomes: int) -> Iterator[Povm]:
     [0, 1] and b in [-1/2, 1/2], filtered to PSD; the last element is
     whatever remains of the identity, kept only when PSD.  Enumeration
     order is the nested lexicographic loop, so the stream is
-    deterministic.
+    deterministic.  A grid of more than _MAX_NET_CELLS (a, b, c) points
+    is refused before any is listed.
     """
-    if eps <= 0:
-        raise ValueError("grid step must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"grid step must be positive and finite, got {eps}")
     if not 1 <= outcomes <= 4:
         raise ValueError(f"outcomes must be 1..4, got {outcomes}")
     if outcomes == 1:
         yield Povm((np.eye(2),))
         return
+    points = _grid_count(eps, 0.0, 1.0) ** 2 * _grid_count(eps, -0.5, 0.5)
+    if points > _MAX_NET_CELLS:
+        raise ResourceLimitError(f"grid step {eps} gives {points} points, past {_MAX_NET_CELLS}")
     avals = _grid_values(eps, 0.0, 1.0)
     bvals = _grid_values(eps, -0.5, 0.5)
     single = [
@@ -402,45 +397,6 @@ def grid_extremal_povms(eps: float, outcomes: int) -> Iterator[Povm]:
         if rb * rb > max(ra, 0.0) * max(rc, 0.0) + 1e-12:
             continue
         yield Povm.from_coords(list(combo) + [(max(ra, 0.0), rb, max(rc, 0.0))])
-
-
-def _corrected_terms(fam: _Family, bases: np.ndarray, width: float, sign: float) -> np.ndarray:
-    """Certified per-element upper bound of F over each element's entry box.
-
-    sign +1: box [base, base + width] per entry (corners base + delta).
-    sign -1: box [base - width, base] per entry (corners base - delta);
-    used for the residual element, whose entries can only shrink as the
-    leading elements grow.
-    """
-    if width == 0.0:
-        return _eval_family(fam, bases)[0]
-    corners = bases[None, :, :] + sign * _corner_deltas(width)[:, None, :]   # (8, N, 3)
-    trace_top = bases[:, 0] + bases[:, 2] + (2.0 * width if sign > 0 else 0.0)
-    return _box_bound(fam, corners, trace_top)[0]
-
-
-def corner_corrected_value(povm: Povm, eps: float, quantity: str) -> float:
-    """Upper bound on the quantity over the whole grid cell at this POVM.
-
-    The cell: each leading element's entries may rise by up to eps, and
-    the final element absorbs the difference (entries fall by up to
-    (k-1)*eps).  At eps = 0 this is exactly the point value.
-    """
-    if quantity not in _QUANT_FAMS:
-        raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
-    if not 0.0 <= eps < math.inf:
-        raise ValueError(f"eps must be finite and >= 0, got {eps}")
-    coords = povm.coords()
-    lead, last = coords[:-1], coords[-1:]
-    back_width = eps * max(len(coords) - 1, 0)
-    sums = []
-    for fam in _QUANT_FAMS[quantity]:
-        s = 0.0
-        if len(lead):
-            s += _corrected_terms(fam, lead, eps, +1.0).sum()
-        s += _corrected_terms(fam, last, back_width, -1.0).sum()
-        sums.append(s)
-    return float(_combine(quantity, sums[0], sums[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -556,28 +512,28 @@ def _count_flat_cells(eps: float) -> int:
 
 
 class _Best:
-    """Deterministic max; ties prefer fewer elements, then lexicographic coords."""
+    """Deterministic max over two-element row tuples; ties prefer the
+    lexicographically least rows."""
 
     def __init__(self):
         self.value = -math.inf
-        self.key = None
-        self.coords = None
+        self.rows = None
 
-    def offer(self, value: float, coords: np.ndarray):
-        key = (len(coords), tuple(map(tuple, coords)))
-        if value > self.value or (value == self.value and (self.key is None or key < self.key)):
+    def offer(self, value: float, rows: tuple):
+        if value > self.value or (value == self.value and (self.rows is None or rows < self.rows)):
             self.value = value
-            self.key = key
-            self.coords = np.array(coords)
+            self.rows = rows
 
 
-def _eval_pair_cells(quantity: str, bases: np.ndarray, eps: float, best: _Best) -> np.ndarray:
-    """Corrected bounds per cell; raw values at matched corners feed best.
+def _pair_cells(quantity: str, bases: np.ndarray, eps: float) -> tuple:
+    """Corrected bound of each two-outcome cell, and raw values at its corners.
 
-    Returns the per-cell corrected value array.  Raw evaluation reuses
-    the corner grids: corner delta on the first element pairs with the
-    mirrored point of the second, giving exactly the fine grid points of
-    the cell including its upper faces.
+    The cell at base (a, b, c) holds every POVM {M, I - M} whose M has
+    entries in [base, base + eps].  Returns the certified bound over each
+    cell (N,) and the quantity at the 8 corner pairs {base + delta,
+    I - base - delta} (8, N), -inf where a pair is not PSD.  The corners
+    are exactly the fine grid points of the cell, its upper faces
+    included.
     """
     p1 = bases[None, :, :] + _corner_deltas(eps)[:, None, :]        # (8, N, 3)
     p2 = np.array([1.0, 0.0, 1.0]) - p1
@@ -589,16 +545,30 @@ def _eval_pair_cells(quantity: str, bases: np.ndarray, eps: float, best: _Best) 
         fam_sums_corr.append(t1 + t2)
         fam_sums_raw.append(vals1 + vals2)
     corrected = _combine(quantity, fam_sums_corr[0], fam_sums_corr[1])
-
     valid = (_eigmin_arr(p1) >= -1e-12) & (_eigmin_arr(p2) >= -1e-12)
-    raw = np.where(valid, _combine(quantity, fam_sums_raw[0], fam_sums_raw[1]), -np.inf)
-    rmax = float(raw.max()) if raw.size else -math.inf
-    if rmax > -math.inf and rmax >= best.value:
-        hits = np.argwhere(raw == rmax)
-        for d_i, c_i in hits:
-            m1 = p1[d_i, c_i]
-            best.offer(rmax, np.stack([m1, np.array([1.0, 0.0, 1.0]) - m1]))
-    return corrected
+    return corrected, np.where(valid, _combine(quantity, fam_sums_raw[0], fam_sums_raw[1]), -np.inf)
+
+
+def corner_corrected_value(povm: Povm, eps: float, quantity: str) -> float:
+    """Upper bound on the quantity over the two-outcome grid cell at this POVM.
+
+    The cell is the net's: the first element's entries may each rise by
+    up to eps, and the second element absorbs the difference.  At
+    eps = 0, and for the one-element POVM, which has no free entry, this
+    is quantity_value.  At eps > 0 three- and four-element POVMs are
+    refused: no stage builds such cells, and the arc certificate bounds
+    every element count.
+    """
+    if quantity not in _QUANT_FAMS:
+        raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    rows = povm._rows
+    if eps == 0.0 or len(rows) == 1:
+        return _point_value(quantity, rows)
+    if len(rows) > 2:
+        raise ValueError(f"cell bounds at eps > 0 take two-element POVMs, got {len(rows)} elements")
+    return float(_pair_cells(quantity, np.array(rows[:1]), eps)[0][0])
 
 
 def _refine_steps(eps_coarse: float, eps_fine: float) -> list:
@@ -712,8 +682,8 @@ def search_bounds(
     # ordinary POVMs, so their values are honestly achieved.
     for phi in DISTINGUISHED_ANGLES:
         c, s = math.cos(phi), math.sin(phi)
-        seed = np.array([[c * c, c * s, s * s], [s * s, -c * s, c * c]])
-        best.offer(_value_at(quantity, seed), seed)
+        seed = ((c * c, c * s, s * s), (s * s, -c * s, c * c))
+        best.offer(_point_value(quantity, seed), seed)
 
     slice_bound, slice_cells, flat_cells = math.inf, 0, 0
     visited, level, eps = 0, 0, eps_coarse
@@ -723,7 +693,7 @@ def search_bounds(
             quantity=quantity,
             raw_max=best.value,
             corrected_bound=slice_bound,
-            argmax_povm=Povm.from_coords(best.coords),
+            argmax_povm=Povm.from_coords(best.rows),
             net_epsilon=eps,
             refinement_levels=level,
             slice_bound=slice_bound,
@@ -747,9 +717,15 @@ def search_bounds(
             # a fixed cell order keeps every array, and so every bit of
             # the result, independent of how the cells were produced
             bases = bases[np.lexsort((bases[:, 2], bases[:, 1], bases[:, 0]))]
-            corr = _eval_pair_cells(quantity, bases, eps, best) if bases.size else np.empty(0)
+            corr, raw = _pair_cells(quantity, bases, eps)
+            rmax = float(raw.max(initial=-np.inf))
+            if rmax > -math.inf and rmax >= best.value:
+                deltas = _corner_deltas(eps)
+                for d_i, c_i in np.argwhere(raw == rmax):
+                    a, b, c = (bases[c_i] + deltas[d_i]).tolist()
+                    best.offer(rmax, ((a, b, c), (1.0 - a, 0.0 - b, 1.0 - c)))
             visited += bases.shape[0]
-            frontier = max(best.value, float(corr.max())) if corr.size else best.value
+            frontier = max(best.value, float(corr.max(initial=-np.inf)))
             if level == len(steps):
                 break
             s = steps[level]
@@ -791,10 +767,9 @@ def rank_one_crosscheck(samples: int, seed) -> dict:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     best = {q: -math.inf for q in QUANTITIES}
 
-    def offer(coords):
-        pts = np.asarray(coords)
+    def offer(rows):
         for q in QUANTITIES:
-            v = _value_at(q, pts)
+            v = _point_value(q, rows)
             if v > best[q]:
                 best[q] = v
 
@@ -829,8 +804,7 @@ def rank_one_crosscheck(samples: int, seed) -> dict:
             continue
         w = w * (2.0 / w.sum())
         c, s = np.cos(phi), np.sin(phi)
-        coords = np.stack([w * c * c, w * c * s, w * s * s], axis=-1)
-        offer(coords)
+        offer(np.stack([w * c * c, w * c * s, w * s * s], axis=-1).tolist())
         made += 1
     return best
 

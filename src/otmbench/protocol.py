@@ -32,6 +32,7 @@ from .qrac import (
     ENCODING_ANGLES,
     BasisMeasurement,
     QubitState,
+    _check_alpha,
     measure_prob,
     measurement_for,
     qrac_encode,
@@ -204,8 +205,7 @@ def otrm_read(instance: OtrmInstance, alpha: int, seed) -> ReadResult:
     failure is reported via the success flag (the receiver itself cannot
     detect it).
     """
-    if alpha not in (0, 1):
-        raise ValueError(f"alpha must be 0 or 1, got {alpha}")
+    alpha = _check_alpha(alpha)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     word = sample_measurements(instance.angles, _READOUT[alpha], rng)
     code = (instance.code0, instance.code1)[alpha]
@@ -328,10 +328,9 @@ def otm_read(pkg: OtmPackage, alpha: int, seed) -> OtmReadResult:
     the success flag (ground truth, for scoring) says so.
     """
     inner = otrm_read(pkg.instance, alpha, seed)
-    ext = pkg.ext0 if alpha == 0 else pkg.ext1
-    ct = pkg.ct0 if alpha == 0 else pkg.ct1
+    ext, ct = (pkg.ext0, pkg.ct0) if inner.alpha == 0 else (pkg.ext1, pkg.ct1)
     return OtmReadResult(
-        alpha=alpha,
+        alpha=inner.alpha,
         message=ct ^ ext.apply(inner.codeword),
         success=inner.success,
         inner=inner,
@@ -346,6 +345,7 @@ def mc_correctness(params: ProtocolParams, alpha: int, trials: int, seed: int,
     from the seed unless a pair is supplied.  Refuses trials x n past
     f2codes.MAX_SAMPLED_BITS before drawing anything.
     """
+    alpha = _check_alpha(alpha)
     _check_trials(trials, params.n)
     codes = _code_pair(params, codes, seed, "mc-code")
     cws = tuple(c.codeword_ints for c in codes)      # refuses n past the packed limit

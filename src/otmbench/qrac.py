@@ -70,11 +70,17 @@ class BasisMeasurement:
         )
 
 
+def _check_alpha(alpha) -> int:
+    """alpha as an int: a Python or numpy integer 0 or 1, not a bool."""
+    ok = isinstance(alpha, (int, np.integer)) and not isinstance(alpha, bool)
+    if not ok or alpha not in (0, 1):
+        raise ValueError(f"alpha must be the integer 0 or 1, got {alpha!r}")
+    return int(alpha)
+
+
 def measurement_for(alpha: int) -> BasisMeasurement:
     """Readout basis for bit alpha: Z basis for b0, pi/4 basis for b1."""
-    if alpha not in (0, 1):
-        raise ValueError(f"alpha must be 0 or 1, got {alpha}")
-    return BasisMeasurement(0.0 if alpha == 0 else math.pi / 4)
+    return BasisMeasurement(0.0 if _check_alpha(alpha) == 0 else math.pi / 4)
 
 
 def qrac_encode(b0: int, b1: int) -> QubitState:

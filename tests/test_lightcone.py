@@ -204,6 +204,19 @@ def test_certificate_methods_agree_on_sweep():
         assert counts.cu + counts.cu_bar == grid.n
 
 
+def test_shell_counts_match_listed_inner_cells():
+    """Independent oracle for the closed form: list every inner cube's
+    cells and count them, on small partitions of each dimension."""
+    for D, ell, depth, r, per_axis in itertools.product((1, 2, 3), (2, 3), (0, 1), (1, 2), (1, 2, 3)):
+        side = per_axis * (2 * r + 2 * ell**depth)
+        part = build_partition(GridSpec(D=D, side=side, ell=ell, depth=depth), r=r)
+        cells = [part.inner_cells(j) for j in range(part.q)]
+        listed = np.concatenate(cells)
+        counts = shell_accounting(part)
+        assert counts.cu == len(listed) == len(np.unique(listed)), part
+        assert counts.cu + counts.cu_bar == side**D
+
+
 def _partitions_built_by_tests():
     """Every partition the light-cone tests and acceptance criterion 8 build."""
     specs = [(D, 2 * (2 * r + 2 * ell**depth), ell, depth, r)

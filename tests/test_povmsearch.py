@@ -22,9 +22,14 @@ from otmbench.povmsearch import (
     verify_convexity_fact,
 )
 from otmbench.povmsearch import (
+    _MAX_NET_CELLS,
+    _QUANT_FAMS,
+    _combine,
     _count_flat_cells,
+    _eval_family,
     _outcome_table,
     _pair_cell_bases,
+    _pair_cells,
     _slice_certificate,
 )
 from otmbench.qrac import BasisMeasurement, measure_prob, qrac_encode
@@ -172,7 +177,8 @@ def test_scalar_path_matches_array_kernel():
         assert p.as_lists() == r.as_lists()
         for q in QUANTITIES:
             fast = quantity_value(p, q)
-            assert abs(fast - povmsearch._value_at(q, p.coords())) <= 1e-13
+            sums = [_eval_family(fam, p.coords())[0].sum() for fam in _QUANT_FAMS[q]]
+            assert abs(fast - float(_combine(q, *sums))) <= 1e-13
             assert quantity_value(r, q) == fast
 
 
@@ -219,6 +225,22 @@ def test_grid_stream_deterministic():
     assert len(a) == len(set(a)), "stream must not repeat cells"
 
 
+def test_grid_stream_refuses_bad_steps_before_listing(monkeypatch):
+    def never(*args):
+        raise AssertionError("listed grid values before refusing the step")
+
+    monkeypatch.setattr(povmsearch, "_grid_values", never)
+    for eps in (math.inf, math.nan, -math.inf, 0.0, -0.1):
+        with pytest.raises(ValueError, match="grid step"):
+            next(grid_extremal_povms(eps, 2))
+    # 272**3 grid points, just past the limit, and on down to a step
+    # whose 1/eps overflows
+    assert 271**3 <= _MAX_NET_CELLS < 272**3
+    for eps in (1 / 271, 1e-3, 1e-300, 5e-324):
+        with pytest.raises(ResourceLimitError, match="points"):
+            next(grid_extremal_povms(eps, 2))
+
+
 def test_grid_stream_elements_are_valid_povms():
     for outcomes in (2, 3):
         seen = 0
@@ -256,6 +278,40 @@ def test_corner_correction_refuses_bad_eps(monkeypatch):
     monkeypatch.undo()
     for q in QUANTITIES:
         assert corner_corrected_value(p, 0.0, q) == pytest.approx(point[q], abs=1e-13)
+
+
+def test_corner_correction_is_the_net_cell_bound():
+    """One POVM's cell bound is the net's batched bound for the same base;
+    the one-row and batched matrix products may round differently."""
+    eps = 0.05
+    bases = np.array([p.coords()[0] for p in grid_extremal_povms(eps, 2)])
+    bases = bases[np.random.default_rng(13).choice(len(bases), size=300, replace=False)]
+    for q in QUANTITIES:
+        batched = _pair_cells(q, bases, eps)[0]
+        for base, want in zip(bases, batched):
+            cell = Povm.from_coords([base, (1 - base[0], -base[1], 1 - base[2])])
+            assert abs(corner_corrected_value(cell, eps, q) - want) <= 1e-13
+
+
+def test_corner_correction_refuses_many_elements_before_evaluating(monkeypatch):
+    rng = np.random.default_rng(14)
+    povms = [Povm(tuple(random_povm(rng, k))) for k in (3, 4)]
+    point = {(k, q): quantity_value(p, q) for k, p in enumerate(povms) for q in QUANTITIES}
+    eye = Povm((np.eye(2),))
+
+    def no_eval(*args):
+        raise AssertionError("evaluated before refusing the element count")
+
+    monkeypatch.setattr(povmsearch, "_eval_family", no_eval)
+    for p in povms:
+        for q in QUANTITIES:
+            with pytest.raises(ValueError, match="two-element"):
+                corner_corrected_value(p, 0.05, q)
+    # eps = 0 is the point value, and one element has no free entry
+    for q in QUANTITIES:
+        for k, p in enumerate(povms):
+            assert corner_corrected_value(p, 0.0, q) == point[k, q]
+        assert corner_corrected_value(eye, 0.05, q) == quantity_value(eye, q)
 
 
 def all_corners_valid(base, eps):

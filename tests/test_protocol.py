@@ -145,6 +145,32 @@ def test_otrm_read_decodes_and_reports():
         otrm_read(inst, alpha=2, seed=0)
 
 
+def test_non_integer_alpha_refused_before_drawing():
+    params = ProtocolParams(n=9, lam=16, k=2, seed_root=3)
+    pkg = otm_prep(np.array([1, 0], dtype=np.uint8), np.array([0, 1], dtype=np.uint8),
+                   params, seed=5)
+    codes = (pkg.instance.code0, pkg.instance.code1)
+    rng = np.random.default_rng(21)
+    state = rng.bit_generator.state
+    for alpha in (1.0, 0.0, "1", None, True, False, 2, np.int64(-1)):
+        with pytest.raises(ValueError, match="alpha"):
+            otm_read(pkg, alpha, rng)
+        with pytest.raises(ValueError, match="alpha"):
+            otrm_read(pkg.instance, alpha, rng)
+        with pytest.raises(ValueError, match="alpha"):
+            mc_correctness(params, alpha, 10, seed=0, codes=codes)
+        with pytest.raises(ValueError, match="alpha"):
+            measurement_for(alpha)
+    assert rng.bit_generator.state == state
+    # numpy integers are integers: the same read as the Python int
+    for alpha in (0, 1):
+        a = otm_read(pkg, np.int64(alpha), np.random.default_rng(3))
+        b = otm_read(pkg, alpha, np.random.default_rng(3))
+        assert type(a.alpha) is int and a.alpha == alpha
+        assert np.array_equal(a.inner.word, b.inner.word) and np.array_equal(a.message, b.message)
+        assert measurement_for(np.uint8(alpha)) == measurement_for(alpha)
+
+
 def test_reads_hand_out_fresh_arrays():
     params = ProtocolParams(n=9, lam=8, k=2, seed_root=3)
     inst = otrm_prep(params)
