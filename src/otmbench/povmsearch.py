@@ -16,7 +16,10 @@ here:
 * Cell corner corrections: over a box of matrix entries, a convex F is
   maximized at a vertex, so evaluating the 8 corner perturbations of a
   grid cell upper-bounds every POVM inside the cell.  This drives the
-  progressive coarse-to-fine net search over two-outcome POVMs.
+  progressive coarse-to-fine net search over two-outcome POVMs.  Adjacent
+  cells share corners, about four cells to a distinct corner, so the net
+  bounds each level in blocks of cells and evaluates each block's distinct
+  corner triples once, with the same bits as evaluating every corner.
 * Pure-state arc certificate: sum_i F(M_i) = sum_i Tr[M_i] F(M_i/Tr[M_i])
   <= 2 max{F(P) : P PSD, Tr P = 1}, for any number of elements.  On that
   unit-trace disc a convex F peaks on the boundary circle of pure
@@ -151,26 +154,63 @@ def _eval_family(fam: _Family, pts: np.ndarray) -> tuple:
     return total, den_min
 
 
-def _box_bound(fam: _Family, corners: np.ndarray, trace_top) -> tuple:
-    """Certified bound of F over each box given by its corners (8, N, 3).
+def _box_bound(fam: _Family, vals: np.ndarray, den: np.ndarray, trace_top) -> np.ndarray:
+    """Certified bound of F over each box, from F and the least group
+    denominator at its 8 corners, both (8, N).
 
     Where every corner denominator stays above _DEN_FLOOR, the (linear)
     denominators are positive over the whole box, F is convex there, and
     the corner maximum is a true box bound.  Otherwise fall back to the
     crude bound F(M) <= sum_j lam_max(V_j)^2/lam_min(W_j) * Tr M, with
-    trace_top bounding Tr M over the box.  Also returns the corner values.
+    trace_top >= 0 bounding Tr M over the box.
     """
-    vals, den = _eval_family(fam, corners)
-    crude = fam.crude * np.maximum(trace_top, 0.0)
-    return np.where(den.min(axis=0) < _DEN_FLOOR, crude, vals.max(axis=0)), vals
+    return np.where(den.min(axis=0) < _DEN_FLOOR, fam.crude * trace_top, vals.max(axis=0))
 
 
 _CORNERS = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+_IDENTITY = np.array([1.0, 0.0, 1.0])   # I as a coordinate row (a, b, c)
 
 
 def _corner_deltas(eps: float) -> np.ndarray:
     """The 8 upward perturbations (a, b, c) of a cell base, entries in {0, eps}."""
     return eps * _CORNERS
+
+
+def _corner_points(bases: np.ndarray, eps: float) -> tuple:
+    """The distinct corner triples (M, 3) of these cells, and the (8, N) map
+    that sends corner k of cell n to its row.
+
+    On each axis a corner holds x + 0.0 or x + eps for its base value x.
+    Ranking x (equal to x + 0.0 as a float) and x + eps, the same float add
+    that builds the corner, among the axis's distinct values, found from one
+    sort of the N base values, gives integer keys that are equal exactly
+    when the corner values are equal floats.  A corner value is never -0.0
+    (a zero sum with the addend +0.0 or eps > 0 rounds to +0.0), so equal
+    floats are equal bits: two corners share a key exactly when their
+    triples are bitwise equal, and each row of points is one of its
+    corners, built by the same add.  Each axis has at most 2N distinct
+    values, so the combined key fits in int64 for any block.  Bases in
+    lexicographic order make the 8 key runs nearly sorted, and one stable
+    sort of them groups equal keys.
+    """
+    n = bases.shape[0]
+    keys = np.zeros(n, dtype=np.int64)
+    for j in range(3):
+        vals, inv = np.unique(bases[:, j], return_inverse=True)
+        axis = np.unique(np.concatenate([vals, vals + eps]))
+        ends = np.stack([np.searchsorted(axis, vals), np.searchsorted(axis, vals + eps)])
+        # axis j of the (2, 2, 2, n) key grid is that axis's corner bit,
+        # the order of _CORNERS
+        ends = np.take(ends, inv, axis=1)
+        keys = keys * axis.size + ends.reshape((1,) * j + (2,) + (1,) * (2 - j) + (n,))
+    keys = keys.reshape(-1)
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    index = np.empty(keys.size, dtype=np.intp)
+    index[order] = np.repeat(np.arange(starts.size), np.diff(starts, append=keys.size))
+    rep = order[starts]   # corner rep // n of cell rep % n
+    points = np.take(bases, rep % n, axis=0) + np.take(_corner_deltas(eps), rep // n, axis=0)
+    return points, index.reshape(8, n)
 
 
 def _finish(quantity: str, la, lb, top):
@@ -460,6 +500,11 @@ def _slice_certificate(quantity: str, slice_eps: float) -> tuple:
 # table and each refinement level are refused beyond it before allocating
 _MAX_NET_CELLS = 20_000_000
 
+# cells bounded together: a net level is bounded block by block, so its
+# corner temporaries stay a few MiB at any level size, and the deadline is
+# checked before each block
+_NET_BLOCK = 8192
+
 
 def _axis_counts(eps: float) -> tuple:
     """Cells n_a on the a (and c) axis and 2 n_b on the b axis of the eps-net."""
@@ -525,28 +570,47 @@ class _Best:
             self.rows = rows
 
 
-def _pair_cells(quantity: str, bases: np.ndarray, eps: float) -> tuple:
+def _pair_cells(quantity: str, bases: np.ndarray, eps: float, points: np.ndarray,
+                index: np.ndarray) -> tuple:
     """Corrected bound of each two-outcome cell, and raw values at its corners.
 
     The cell at base (a, b, c) holds every POVM {M, I - M} whose M has
-    entries in [base, base + eps].  Returns the certified bound over each
-    cell (N,) and the quantity at the 8 corner pairs {base + delta,
-    I - base - delta} (8, N), -inf where a pair is not PSD.  The corners
-    are exactly the fine grid points of the cell, its upper faces
-    included.
+    entries in [base, base + eps].  Corner k of cell n is the row
+    points[index[k, n]] (points (M, 3), index (8, N)): the deduplicated
+    corners of _corner_points, or all 8N corners with an identity map.
+    Returns the certified bound over each cell (N,) and the quantity at the
+    8 corner pairs {corner, I - corner} (8, N), -inf where a pair is not
+    PSD.  The corners are exactly the fine grid points of the cell, its
+    upper faces included.
+
+    Evaluating each distinct triple once gives the same bits as evaluating
+    every corner.  Every per-corner figure (F and the least denominator of
+    each family at the corner and at its complement, the PSD test, the raw
+    value) is a function of that corner's exact triple alone: it is built
+    from elementwise float operations and from products of the row with
+    fixed vectors, and numpy computes such a product the same way for every
+    row of an array of two or more rows (points holds at least one cell's
+    8 corners, which are distinct: on the net's axes x + eps != x).
+    Corners with equal triples therefore get equal figures, gathering copies
+    them, and the maxima and minima over each cell's 8 gathered corners are
+    exact.  The row property is numpy's (a one-row product may round
+    differently), so the tests hold both maps to the same bits.
     """
-    p1 = bases[None, :, :] + _corner_deltas(eps)[:, None, :]        # (8, N, 3)
-    p2 = np.array([1.0, 0.0, 1.0]) - p1
+    comp = _IDENTITY - points
+    tops = (np.maximum(bases[:, 0] + bases[:, 2] + 2.0 * eps, 0.0),
+            np.maximum(2.0 - bases[:, 0] - bases[:, 2], 0.0))
     fam_sums_corr = []
     fam_sums_raw = []
     for fam in _QUANT_FAMS[quantity]:
-        t1, vals1 = _box_bound(fam, p1, bases[:, 0] + bases[:, 2] + 2.0 * eps)
-        t2, vals2 = _box_bound(fam, p2, 2.0 - bases[:, 0] - bases[:, 2])
-        fam_sums_corr.append(t1 + t2)
+        vals1, den1 = _eval_family(fam, points)
+        vals2, den2 = _eval_family(fam, comp)
+        fam_sums_corr.append(_box_bound(fam, vals1[index], den1[index], tops[0])
+                             + _box_bound(fam, vals2[index], den2[index], tops[1]))
         fam_sums_raw.append(vals1 + vals2)
     corrected = _combine(quantity, fam_sums_corr[0], fam_sums_corr[1])
-    valid = (_eigmin_arr(p1) >= -1e-12) & (_eigmin_arr(p2) >= -1e-12)
-    return corrected, np.where(valid, _combine(quantity, fam_sums_raw[0], fam_sums_raw[1]), -np.inf)
+    valid = (_eigmin_arr(points) >= -1e-12) & (_eigmin_arr(comp) >= -1e-12)
+    raw = np.where(valid, _combine(quantity, fam_sums_raw[0], fam_sums_raw[1]), -np.inf)
+    return corrected, raw[index]
 
 
 def corner_corrected_value(povm: Povm, eps: float, quantity: str) -> float:
@@ -568,7 +632,9 @@ def corner_corrected_value(povm: Povm, eps: float, quantity: str) -> float:
         return _point_value(quantity, rows)
     if len(rows) > 2:
         raise ValueError(f"cell bounds at eps > 0 take two-element POVMs, got {len(rows)} elements")
-    return float(_pair_cells(quantity, np.array(rows[:1]), eps)[0][0])
+    base = np.array(rows[:1])
+    corners = base + _corner_deltas(eps)
+    return float(_pair_cells(quantity, base, eps, corners, np.arange(8)[:, None])[0][0])
 
 
 def _refine_steps(eps_coarse: float, eps_fine: float) -> list:
@@ -650,7 +716,8 @@ def search_bounds(
 
     Raises ResourceLimitError with a partial report if the time budget
     runs out; the deadline is checked before the arc certificate, before
-    each net level and before the flat-cell count.
+    each block of _NET_BLOCK cells of a net level and before the flat-cell
+    count.  A partial report counts the cells of the blocks bounded.
     """
     if quantity not in _QUANT_FAMS:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
@@ -713,18 +780,24 @@ def search_bounds(
         steps = _refine_steps(eps_coarse, eps_fine)
         bases = _pair_cell_bases(eps)
         while True:
-            check_deadline()
             # a fixed cell order keeps every array, and so every bit of
             # the result, independent of how the cells were produced
             bases = bases[np.lexsort((bases[:, 2], bases[:, 1], bases[:, 0]))]
-            corr, raw = _pair_cells(quantity, bases, eps)
-            rmax = float(raw.max(initial=-np.inf))
-            if rmax > -math.inf and rmax >= best.value:
-                deltas = _corner_deltas(eps)
-                for d_i, c_i in np.argwhere(raw == rmax):
-                    a, b, c = (bases[c_i] + deltas[d_i]).tolist()
-                    best.offer(rmax, ((a, b, c), (1.0 - a, 0.0 - b, 1.0 - c)))
-            visited += bases.shape[0]
+            deltas = _corner_deltas(eps)
+            corr = np.empty(bases.shape[0])
+            for lo in range(0, bases.shape[0], _NET_BLOCK):
+                check_deadline()
+                block = bases[lo:lo + _NET_BLOCK]
+                corr[lo:lo + block.shape[0]], raw = _pair_cells(
+                    quantity, block, eps, *_corner_points(block, eps))
+                # a block below the level's maximum offers only losers, and
+                # _Best keeps the same winner whatever the order of offers
+                rmax = float(raw.max())
+                if rmax > -math.inf and rmax >= best.value:
+                    for d_i, c_i in np.argwhere(raw == rmax):
+                        a, b, c = (block[c_i] + deltas[d_i]).tolist()
+                        best.offer(rmax, ((a, b, c), (1.0 - a, 0.0 - b, 1.0 - c)))
+                visited += block.shape[0]
             frontier = max(best.value, float(corr.max(initial=-np.inf)))
             if level == len(steps):
                 break

@@ -145,7 +145,14 @@ class OtrmInstance:
                                  ("1", self.code1, self.r1, self.c1)):
             if not _equal_bits(encode(code, r), c):
                 raise InvariantViolationError(f"c{name} is not the encoding of r{name}")
-        want = _ANGLES[self.c0, self.c1]
+        try:
+            want = _ANGLES[self.c0, self.c1]
+        except IndexError:
+            # both passed the encoding check, so they hold the right bits;
+            # only a bool or float dtype fails the lookup
+            name = "c0" if np.asarray(self.c0).dtype.kind not in "iu" else "c1"
+            dtype = np.asarray(getattr(self, name)).dtype
+            raise InvariantViolationError(f"{name} must hold integer bits, got dtype {dtype}") from None
         # equal angles pass the 1e-12 test (want is finite), so only
         # unequal ones need the mask; nan fails it
         if angles.tolist() != want.tolist():

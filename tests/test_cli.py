@@ -223,6 +223,27 @@ def test_bounds_readme_payload_is_pinned(quantity, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == _BOUNDS_PAYLOAD_SHA256[quantity]
 
 
+# the same digest for two other nets: a coarser one and a finer last level
+_BOUNDS_NET_PAYLOAD_SHA256 = {
+    ("0.1", "0.01", "greater"): "0a771758c1811efc32f627f31853b4780889d6d549287bb4f6029c12a2c96c9e",
+    ("0.1", "0.01", "total"): "f79cdd58b82a5b8e9c6d86e20c98574c68d6b9dcd6483e0a8441221d8e2f96d1",
+    ("0.1", "0.01", "conditional"): "9114b80b937113f01460650a801d929a8bd9605702d4925a95f8a74600bc7690",
+    ("0.05", "0.002", "greater"): "f359512990c839bacec5324207de31f506a9f67218f7c2a714ee766b8e47d37b",
+    ("0.05", "0.002", "total"): "1541d8318c0fb4a82620e0589ee645dd6de9a805de17c6a00322aeb43365a836",
+    ("0.05", "0.002", "conditional"): "97eabe15b4247b6d1bf1c2f08e46e8447fb0c4fd5487ae013f548d9daa028c3a",
+}
+
+
+@pytest.mark.parametrize("coarse, fine, quantity", sorted(_BOUNDS_NET_PAYLOAD_SHA256))
+def test_bounds_payload_is_pinned_on_other_nets(coarse, fine, quantity, capsys):
+    code, out = run(["bounds", "--quantity", quantity, "--coarse", coarse, "--fine", fine],
+                    capsys)
+    assert code == cli.EXIT_OK
+    text = json.dumps(json.loads(out)["result"], sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == _BOUNDS_NET_PAYLOAD_SHA256[coarse, fine, quantity]
+
+
 def test_bounds_budget_exhaustion_partial_payload(tmp_path, capsys):
     out_file = tmp_path / "partial.json"
     code = cli.main(

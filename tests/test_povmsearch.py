@@ -1,6 +1,7 @@
 """Measurement-leakage search: point values, cell bounds, certificates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,11 @@ from otmbench.povmsearch import (
 )
 from otmbench.povmsearch import (
     _MAX_NET_CELLS,
+    _NET_BLOCK,
     _QUANT_FAMS,
     _combine,
+    _corner_deltas,
+    _corner_points,
     _count_flat_cells,
     _eval_family,
     _outcome_table,
@@ -281,16 +285,16 @@ def test_corner_correction_refuses_bad_eps(monkeypatch):
 
 
 def test_corner_correction_is_the_net_cell_bound():
-    """One POVM's cell bound is the net's batched bound for the same base;
-    the one-row and batched matrix products may round differently."""
+    """One POVM's cell bound, from its 8 corners, is bit for bit the net's
+    bound for the same base, from the deduplicated corners of 300 cells."""
     eps = 0.05
     bases = np.array([p.coords()[0] for p in grid_extremal_povms(eps, 2)])
     bases = bases[np.random.default_rng(13).choice(len(bases), size=300, replace=False)]
     for q in QUANTITIES:
-        batched = _pair_cells(q, bases, eps)[0]
+        batched = _pair_cells(q, bases, eps, *_corner_points(bases, eps))[0]
         for base, want in zip(bases, batched):
             cell = Povm.from_coords([base, (1 - base[0], -base[1], 1 - base[2])])
-            assert abs(corner_corrected_value(cell, eps, q) - want) <= 1e-13
+            assert corner_corrected_value(cell, eps, q) == want
 
 
 def test_corner_correction_refuses_many_elements_before_evaluating(monkeypatch):
@@ -403,6 +407,89 @@ def test_search_time_budget_partial_report():
     assert not partial.complete
     # the deadline is checked before the arc certificate and the flat count
     assert partial.slice_cells == 0 and partial.flat_cells == 0
+
+
+def record_blocks(monkeypatch):
+    """Wrap _pair_cells; returns the list of (quantity, eps, bases, points,
+    index, result) of each block it bounds."""
+    blocks = []
+    real = povmsearch._pair_cells
+
+    def record(quantity, bases, eps, points, index):
+        out = real(quantity, bases, eps, points, index)
+        blocks.append((quantity, eps, bases, points, index, out))
+        return out
+
+    monkeypatch.setattr(povmsearch, "_pair_cells", record)
+    return blocks
+
+
+def test_search_deadline_is_checked_before_each_block(monkeypatch):
+    # total's last level at the README net spans several blocks
+    blocks = record_blocks(monkeypatch)
+    search_bounds(0.05, 0.005, "total", slice_eps=0.01)
+    last_eps = blocks[-1][1]
+    level_blocks = sum(eps == last_eps for _, eps, *_ in blocks)
+    assert level_blocks >= 3 and blocks[-level_blocks][2].shape[0] == _NET_BLOCK
+    # the clock runs out once the first block of that level is bounded
+    stop = len(blocks) - level_blocks + 1
+    blocks.clear()
+
+    class Clock:
+        @staticmethod
+        def monotonic():
+            return 0.0 if len(blocks) < stop else 10.0
+
+    monkeypatch.setattr(povmsearch, "time", Clock)
+    with pytest.raises(ResourceLimitError) as err:
+        search_bounds(0.05, 0.005, "total", time_budget=1.0, slice_eps=0.01)
+    assert len(blocks) == stop, "a block was bounded past the deadline"
+    partial = err.value.partial
+    assert not partial.complete and partial.frontier_bound == math.inf
+    assert partial.net_epsilon == last_eps and partial.refinement_levels == 2
+    assert partial.cells_visited == sum(b[2].shape[0] for b in blocks)
+    assert partial.slice_cells > 0 and partial.flat_cells == 0
+
+
+@pytest.mark.parametrize("coarse, fine", [(0.05, 0.005), (0.1, 0.01)])
+def test_deduplicated_corners_give_the_same_bits(coarse, fine, monkeypatch):
+    """Every level, bounded block by block from each block's distinct corner
+    triples, gives bit for bit what all 8N corners of the level give, -inf
+    entries included; and the distinct triples are exactly the corners'."""
+    blocks = record_blocks(monkeypatch)
+    for q in QUANTITIES:
+        search_bounds(coarse, fine, q, slice_eps=0.01)
+    levels = {}
+    for q, eps, bases, points, index, out in blocks:
+        corners = bases[None, :, :] + _corner_deltas(eps)[:, None, :]
+        assert points.shape[0] == len(np.unique(corners.reshape(-1, 3), axis=0))
+        assert np.array_equal(points[index], corners)
+        levels.setdefault((q, eps), []).append((bases, out))
+    assert max(len(parts) for parts in levels.values()) > 1, "no level spans several blocks"
+    for (q, eps), parts in levels.items():
+        bases = np.concatenate([b for b, _ in parts])
+        corr = np.concatenate([out[0] for _, out in parts])
+        raw = np.concatenate([out[1] for _, out in parts], axis=1)
+        corners = (bases[None, :, :] + _corner_deltas(eps)[:, None, :]).reshape(-1, 3)
+        identity = np.arange(corners.shape[0]).reshape(8, -1)
+        want_corr, want_raw = _pair_cells(q, bases, eps, corners, identity)
+        assert np.array_equal(corr, want_corr)
+        assert np.array_equal(raw, want_raw)
+    assert any(np.isneginf(out[1]).any() for *_, out in blocks)
+
+
+def test_net_memory_is_bounded_by_its_blocks():
+    # one level of 548 196 cells: bounding every corner at once peaked
+    # at about 565 MiB under tracemalloc
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        report = search_bounds(0.01, 0.01, "total", slice_eps=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.cells_visited == 548_196
+    assert peak < 160 * 2**20
 
 
 @pytest.mark.parametrize("coarse, fine", [(0.001, 0.001), (0.05, 1e-4)])

@@ -100,13 +100,15 @@ def test_otrm_instance_rejects_inconsistent_fields():
     with pytest.raises(ValueError, match="expected length 2, got 1"):
         dataclasses.replace(inst, r0=inst.r0[:1])
     # integer arrays and lists of the codeword bits are accepted; bool and
-    # float arrays pass the encoding check and are refused by the angle
-    # lookup, which indexes with them
+    # float arrays pass the encoding check and are refused by name at the
+    # angle lookup, which indexes with them
     for c0 in (inst.c0.astype(np.int64), inst.c0.tolist()):
         assert dataclasses.replace(inst, c0=c0).c0 is c0
-    for dtype, message in ((bool, "boolean index"), (float, "integer")):
-        with pytest.raises(IndexError, match=message):
-            dataclasses.replace(inst, c0=inst.c0.astype(dtype))
+    for name in ("c0", "c1"):
+        for dtype in (bool, float):
+            bits = getattr(inst, name).astype(dtype)
+            with pytest.raises(InvariantViolationError, match=f"{name} must hold integer bits"):
+                dataclasses.replace(inst, **{name: bits})
 
 
 def find_zero_free_codes(n, k):
