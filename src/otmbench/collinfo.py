@@ -165,7 +165,7 @@ class JointDistribution:
 
 def random_joint(names, sizes, seed) -> JointDistribution:
     """Uniformly random point of the probability simplex over the table."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     shape = tuple(int(s) for s in sizes)
     flat = rng.dirichlet(np.ones(int(np.prod(shape))))
     return JointDistribution(tuple(names), flat.reshape(shape))

@@ -167,7 +167,14 @@ def _box_bound(fam: _Family, vals: np.ndarray, den: np.ndarray, trace_top) -> np
     return np.where(den.min(axis=0) < _DEN_FLOOR, fam.crude * trace_top, vals.max(axis=0))
 
 
-_CORNERS = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+def _grid(eps: float, lo: tuple, hi: tuple) -> np.ndarray:
+    """eps * o for every integer triple o in the box [lo, hi), in
+    lexicographic order, as rows (N, 3)."""
+    axes = np.meshgrid(*(np.arange(l, h) for l, h in zip(lo, hi)), indexing="ij")
+    return eps * np.stack(axes, axis=-1).reshape(-1, 3)
+
+
+_CORNERS = _grid(1.0, (0, 0, 0), (2, 2, 2))
 _IDENTITY = np.array([1.0, 0.0, 1.0])   # I as a coordinate row (a, b, c)
 
 
@@ -382,15 +389,18 @@ def _point_value(quantity: str, rows) -> float:
     return _finish(quantity, la, lb, max(la, lb))
 
 
+def _basis_rows(phi: float) -> tuple:
+    """Element rows (a, b, c) of the projective measurement in the basis at
+    angle phi."""
+    c, s = math.cos(phi), math.sin(phi)
+    return ((c * c, c * s, s * s), (s * s, -c * s, c * c))
+
+
 def quantity_value(povm: Povm, quantity: str) -> float:
     """Fast-path value via the family functionals (matches eval_povm_info)."""
     if quantity not in _QUANT_FAMS:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
     return _point_value(quantity, povm._rows)
-
-
-def _grid_values(eps: float, lo: float, hi: float) -> np.ndarray:
-    return lo + eps * np.arange(_grid_count(eps, lo, hi))
 
 
 def _grid_count(eps: float, lo: float, hi: float) -> int:
@@ -400,43 +410,35 @@ def _grid_count(eps: float, lo: float, hi: float) -> int:
 
 
 def grid_extremal_povms(eps: float, outcomes: int) -> Iterator[Povm]:
-    """Stream every grid POVM with the given element count.
+    """Stream every grid POVM with one or two elements.
 
-    The first outcomes-1 elements range over the eps-grid with a, c in
-    [0, 1] and b in [-1/2, 1/2], filtered to PSD; the last element is
-    whatever remains of the identity, kept only when PSD.  Enumeration
-    order is the nested lexicographic loop, so the stream is
-    deterministic.  A grid of more than _MAX_NET_CELLS (a, b, c) points
-    is refused before any is listed.
+    The first element of a two-element POVM ranges over the eps-grid
+    (0, -1/2, 0) + eps * o with a, c in [0, 1] and b in [-1/2, 1/2],
+    filtered to PSD; the second is whatever remains of the identity, kept
+    only when PSD.  The stream is in lexicographic order of o, so it is
+    deterministic.  A grid of more than _MAX_NET_CELLS (a, b, c) points is
+    refused before any is listed.  No stage needs more elements: the arc
+    certificate bounds every element count.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"grid step must be positive and finite, got {eps}")
-    if not 1 <= outcomes <= 4:
-        raise ValueError(f"outcomes must be 1..4, got {outcomes}")
+    if not 1 <= outcomes <= 2:
+        raise ValueError(f"outcomes must be 1 or 2, got {outcomes}")
     if outcomes == 1:
         yield Povm((np.eye(2),))
         return
-    points = _grid_count(eps, 0.0, 1.0) ** 2 * _grid_count(eps, -0.5, 0.5)
+    n_a, n_b = _grid_count(eps, 0.0, 1.0), _grid_count(eps, -0.5, 0.5)
+    points = n_a * n_b * n_a
     if points > _MAX_NET_CELLS:
         raise ResourceLimitError(f"grid step {eps} gives {points} points, past {_MAX_NET_CELLS}")
-    avals = _grid_values(eps, 0.0, 1.0)
-    bvals = _grid_values(eps, -0.5, 0.5)
-    single = [
-        (a, b, c)
-        for a in avals
-        for b in bvals
-        for c in avals
-        if b * b <= a * c + 1e-12
-    ]
-    for combo in itertools.product(single, repeat=outcomes - 1):
-        ra = 1.0 - sum(e[0] for e in combo)
-        rb = -sum(e[1] for e in combo)
-        rc = 1.0 - sum(e[2] for e in combo)
-        if ra < -_PSD_TOL or rc < -_PSD_TOL:
+    grid = np.array([0.0, -0.5, 0.0]) + _grid(eps, (0, 0, 0), (n_a, n_b, n_a))
+    for a, b, c in grid.tolist():
+        ra, rb, rc = 1.0 - a, -b, 1.0 - c
+        if b * b > a * c + 1e-12 or ra < -_PSD_TOL or rc < -_PSD_TOL:
             continue
-        if rb * rb > max(ra, 0.0) * max(rc, 0.0) + 1e-12:
-            continue
-        yield Povm.from_coords(list(combo) + [(max(ra, 0.0), rb, max(rc, 0.0))])
+        ra, rc = max(ra, 0.0), max(rc, 0.0)
+        if rb * rb <= ra * rc + 1e-12:
+            yield Povm.from_coords(((a, b, c), (ra, rb, rc)))
 
 
 # ---------------------------------------------------------------------------
@@ -511,48 +513,56 @@ def _axis_counts(eps: float) -> tuple:
     return int(math.ceil(1.0 / eps - 1e-9)), int(math.ceil(0.5 / eps - 1e-9))
 
 
-def _net_axes(eps: float) -> tuple:
-    """Cell base values of the a (and c) and b axes of the eps-net."""
-    n_a, n_b = _axis_counts(eps)
-    return eps * np.arange(n_a), eps * np.arange(-n_b, n_b)
-
-
 def _bmin(b: np.ndarray, eps: float) -> np.ndarray:
     """Smallest |b| over each cell [b, b + eps]."""
     return np.where((b <= 0.0) & (0.0 <= b + eps), 0.0,
                     np.minimum(np.abs(b), np.abs(b + eps)))
 
 
-def _pair_cell_bases(eps: float) -> np.ndarray:
-    """Cell bases (a, b, c) whose boxes can hold a two-outcome POVM."""
-    a, b = _net_axes(eps)
-    A, B, C = np.meshgrid(a, b, a, indexing="ij")
-    bases = np.stack([A.ravel(), B.ravel(), C.ravel()], axis=-1)
-    return bases[_pair_cell_mask(bases, eps)]
+def _bmin2_limit(a, c, eps: float):
+    """Largest bmin^2 a cell at (a, c) can take and still hold a POVM {M, I - M}:
+    both M's box and the complement's, which mirrors b, need bmin^2 at most
+    the product of their diagonal maxima."""
+    return np.minimum((a + eps) * (c + eps) + 1e-12,
+                      np.maximum(1.0 - a, 0.0) * np.maximum(1.0 - c, 0.0) + 1e-12)
 
 
 def _pair_cell_mask(bases: np.ndarray, eps: float) -> np.ndarray:
     a, b, c = bases[..., 0], bases[..., 1], bases[..., 2]
     bmin = _bmin(b, eps)
-    m1 = bmin * bmin <= (a + eps) * (c + eps) + 1e-12
-    # the complement's box mirrors b, so |b| bounds are unchanged
-    m2 = bmin * bmin <= np.maximum(1.0 - a, 0.0) * np.maximum(1.0 - c, 0.0) + 1e-12
-    return m1 & m2 & (a <= 1.0 + 1e-12) & (c <= 1.0 + 1e-12)
+    return (bmin * bmin <= _bmin2_limit(a, c, eps)) & (a <= 1.0 + 1e-12) & (c <= 1.0 + 1e-12)
+
+
+def _net_level(origins: np.ndarray, eps: float, lo: tuple, hi: tuple) -> np.ndarray:
+    """Bases origin + eps * o, for each origin row and each integer triple o
+    in the box [lo, hi), of the cells that can hold a two-outcome POVM, in
+    lexicographic order.
+
+    A level of more than _MAX_NET_CELLS cells, before the mask, is refused
+    before anything is allocated.  A fixed cell order keeps every array,
+    and so every bit of the search, independent of how the cells were
+    produced.
+    """
+    cells = origins.shape[0] * math.prod(h - l for l, h in zip(lo, hi))
+    if cells > _MAX_NET_CELLS:
+        raise ResourceLimitError(
+            f"net level at step {eps} has {cells} cells, past {_MAX_NET_CELLS}")
+    bases = (origins[:, None, :] + _grid(eps, lo, hi)).reshape(-1, 3)
+    bases = bases[_pair_cell_mask(bases, eps)]
+    return bases[np.lexsort((bases[:, 2], bases[:, 1], bases[:, 0]))]
 
 
 def _count_flat_cells(eps: float) -> int:
-    """_pair_cell_bases(eps).shape[0], counted in O(eps^-2).
+    """The cells of the eps-net's coarse level, counted in O(eps^-2).
 
     For fixed (a, c), _pair_cell_mask keeps the b whose bmin^2 is at most
-    both right-hand sides (a, c < 1 always holds on the net axes).
-    Counting those among the sorted bmin^2 values makes the same float
-    comparisons, so the count is exact.
+    _bmin2_limit (a, c < 1 always holds on the net axes).  Counting those
+    among the sorted bmin^2 values makes the same float comparisons, so the
+    count is exact.
     """
-    a, b = _net_axes(eps)
-    bmin = _bmin(b, eps)
-    A, C = a[:, None], a[None, :]
-    limit = np.minimum((A + eps) * (C + eps) + 1e-12,
-                       np.maximum(1.0 - A, 0.0) * np.maximum(1.0 - C, 0.0) + 1e-12)
+    n_a, n_b = _axis_counts(eps)
+    a, bmin = eps * np.arange(n_a), _bmin(eps * np.arange(-n_b, n_b), eps)
+    limit = _bmin2_limit(a[:, None], a[None, :], eps)
     return int(np.searchsorted(np.sort(bmin * bmin), limit, side="right").sum())
 
 
@@ -694,10 +704,6 @@ def _supports(quantity: str, corrected: float) -> dict:
     }
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def search_bounds(
     eps_coarse: float = 0.05,
     eps_fine: float = 0.005,
@@ -715,9 +721,10 @@ def search_bounds(
     is reported as corrected_bound.
 
     Raises ResourceLimitError with a partial report if the time budget
-    runs out; the deadline is checked before the arc certificate, before
-    each block of _NET_BLOCK cells of a net level and before the flat-cell
-    count.  A partial report counts the cells of the blocks bounded.
+    runs out, or if a net level or the arc count would pass its limit; the
+    deadline is checked before the arc certificate, before each block of
+    _NET_BLOCK cells of a net level and before the flat-cell count.  A
+    partial report counts the cells of the blocks bounded.
     """
     if quantity not in _QUANT_FAMS:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
@@ -728,18 +735,16 @@ def search_bounds(
         raise ValueError(f"slice_eps must be positive and finite, got {slice_eps}")
     if time_budget is not None and math.isnan(time_budget):
         raise ValueError("time_budget must be a number of seconds, not nan")
-    n_a, n_b = _axis_counts(eps_coarse)
     fine_a = _axis_counts(eps_fine)[0]
-    for what, cells in (("coarse net", n_a * n_a * 2 * n_b),
-                        ("flat-cell (a, c) table", fine_a * fine_a)):
-        if cells > _MAX_NET_CELLS:
-            raise ResourceLimitError(f"{what} of {cells} cells exceeds {_MAX_NET_CELLS}")
+    if fine_a * fine_a > _MAX_NET_CELLS:
+        raise ResourceLimitError(
+            f"flat-cell (a, c) table of {fine_a * fine_a} cells exceeds {_MAX_NET_CELLS}")
     start = time.monotonic()
     deadline = math.inf if time_budget is None else start + time_budget
 
     def check_deadline():
         if time.monotonic() > deadline:
-            raise _BudgetExceeded()
+            raise ResourceLimitError(f"time budget {time_budget}s exceeded during {quantity} search")
 
     best = _Best()
     # The incumbent starts from the distinguished exact bases.  The net's
@@ -748,8 +753,7 @@ def search_bounds(
     # few thousandths below the true attained value; the seeds are
     # ordinary POVMs, so their values are honestly achieved.
     for phi in DISTINGUISHED_ANGLES:
-        c, s = math.cos(phi), math.sin(phi)
-        seed = ((c * c, c * s, s * s), (s * s, -c * s, c * c))
+        seed = _basis_rows(phi)
         best.offer(_point_value(quantity, seed), seed)
 
     slice_bound, slice_cells, flat_cells = math.inf, 0, 0
@@ -775,14 +779,12 @@ def search_bounds(
         )
 
     try:
+        n_a, n_b = _axis_counts(eps)
+        bases = _net_level(np.zeros((1, 3)), eps, (0, -n_b, 0), (n_a, n_b, n_a))
         check_deadline()
         slice_bound, _, slice_cells = _slice_certificate(quantity, slice_eps)
         steps = _refine_steps(eps_coarse, eps_fine)
-        bases = _pair_cell_bases(eps)
         while True:
-            # a fixed cell order keeps every array, and so every bit of
-            # the result, independent of how the cells were produced
-            bases = bases[np.lexsort((bases[:, 2], bases[:, 1], bases[:, 0]))]
             deltas = _corner_deltas(eps)
             corr = np.empty(bases.shape[0])
             for lo in range(0, bases.shape[0], _NET_BLOCK):
@@ -803,24 +805,16 @@ def search_bounds(
                 break
             s = steps[level]
             level += 1
-            parents = bases[corr > best.value]
-            if parents.shape[0] * s**3 > _MAX_NET_CELLS:
-                raise _BudgetExceeded()
             eps = eps / s
-            offs = eps * np.array(list(itertools.product(range(s), repeat=3)), dtype=float)
-            children = (parents[:, None, :] + offs[None, :, :]).reshape(-1, 3)
-            bases = children[_pair_cell_mask(children, eps)]
+            bases = _net_level(bases[corr > best.value], eps, (0, 0, 0), (s, s, s))
             if bases.shape[0] == 0:
                 # everything pruned; the incumbent is the exact frontier
                 frontier = best.value
                 break
         check_deadline()
         flat_cells = _count_flat_cells(eps_fine)
-    except _BudgetExceeded:
-        raise ResourceLimitError(
-            f"time budget {time_budget}s exceeded during {quantity} search",
-            partial=make_report(False, math.inf),
-        ) from None
+    except ResourceLimitError as err:
+        raise ResourceLimitError(str(err), partial=make_report(False, math.inf)) from None
     return make_report(True, frontier)
 
 
@@ -837,7 +831,7 @@ def rank_one_crosscheck(samples: int, seed) -> dict:
     POVMs, every value found is a lower bound and can never exceed a
     certified upper bound.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     best = {q: -math.inf for q in QUANTITIES}
 
     def offer(rows):
@@ -846,18 +840,14 @@ def rank_one_crosscheck(samples: int, seed) -> dict:
             if v > best[q]:
                 best[q] = v
 
-    def basis_coords(phi):
-        c, s = math.cos(phi), math.sin(phi)
-        return [(c * c, c * s, s * s), (s * s, -c * s, c * c)]
-
-    # exact anchors first: measurement bases at 0, pi/8, pi/4
-    for phi in (0.0, math.pi / 8, math.pi / 4):
-        offer(basis_coords(phi))
+    # exact anchors first: the distinguished measurement bases
+    for phi in DISTINGUISHED_ANGLES:
+        offer(_basis_rows(phi))
 
     n_two = samples // 2
     phis = rng.uniform(0.0, math.pi / 2, size=n_two)
     for phi in phis:
-        offer(basis_coords(float(phi)))
+        offer(_basis_rows(float(phi)))
 
     remaining = samples - n_two
     made = 0
@@ -895,7 +885,7 @@ def verify_convexity_fact(trials: int, seed) -> ConvexityReport:
     Random PSD M, random density rho, two random PSD perturbations, and a
     random mixing weight per trial; counts violations beyond 1e-10.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     def rand_psd(n):
         x = rng.normal(size=(n, 2, 2))

@@ -145,14 +145,12 @@ class OtrmInstance:
                                  ("1", self.code1, self.r1, self.c1)):
             if not _equal_bits(encode(code, r), c):
                 raise InvariantViolationError(f"c{name} is not the encoding of r{name}")
-        try:
-            want = _ANGLES[self.c0, self.c1]
-        except IndexError:
-            # both passed the encoding check, so they hold the right bits;
-            # only a bool or float dtype fails the lookup
-            name = "c0" if np.asarray(self.c0).dtype.kind not in "iu" else "c1"
-            dtype = np.asarray(getattr(self, name)).dtype
-            raise InvariantViolationError(f"{name} must hold integer bits, got dtype {dtype}") from None
+            # the angle lookup indexes with the bits: a bool array would
+            # act as a mask and a float one fails
+            dtype = np.asarray(c).dtype
+            if dtype.kind not in "iu":
+                raise InvariantViolationError(f"c{name} must hold integer bits, got dtype {dtype}")
+        want = _ANGLES[self.c0, self.c1]
         # equal angles pass the 1e-12 test (want is finite), so only
         # unequal ones need the mask; nan fails it
         if angles.tolist() != want.tolist():
@@ -213,7 +211,7 @@ def otrm_read(instance: OtrmInstance, alpha: int, seed) -> ReadResult:
     detect it).
     """
     alpha = _check_alpha(alpha)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     word = sample_measurements(instance.angles, _READOUT[alpha], rng)
     code = (instance.code0, instance.code1)[alpha]
     u = _nearest(code, word)                  # what ml_decode returns, packed
@@ -279,10 +277,11 @@ def make_extractor(input_len: int, output_len: int, seed) -> Extractor:
     seed is an RNG seed (int or Generator) for a random public seed, or
     an explicit bit array of length input_len + output_len - 1.
     """
+    if not 0 <= output_len <= input_len:
+        raise ValueError(f"need 0 <= output_len <= input_len, got {output_len}, {input_len}")
     want = input_len + output_len - 1 if output_len else 0
     if isinstance(seed, (int, np.integer, np.random.Generator)):
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        bits = rng.integers(0, 2, size=want, dtype=np.uint8)
+        bits = np.random.default_rng(seed).integers(0, 2, size=want, dtype=np.uint8)
     else:
         bits = np.asarray(seed, dtype=np.uint8)
     return Extractor(bits=bits, input_len=input_len, output_len=output_len)

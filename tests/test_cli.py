@@ -308,6 +308,7 @@ def _boundary_cases():
     ["feasibility", "--D", "1", "--ell", "2", "--d", "1", "--eps1=-8^0.5", "--eps2", "0.01"],
     ["feasibility", "--D", "1", "--ell", "2", "--d", "1", "--eps1", "0^-1", "--eps2", "0.01"],
     ["simulate", "--n", "62", "--k", "3", "--trials", "20", "--strategy", "mu0"],
+    ["simulate", "--n", "6", "--k", "2", "--trials", "5", "--lam", "8796093022208"],
 ], ids=" ".join)
 def test_cli_boundary_numbers_exit_cleanly(argv, capsys):
     assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_INVARIANT, cli.EXIT_RESOURCE,

@@ -1,5 +1,7 @@
 """Measurement-leakage search: point values, cell bounds, certificates."""
 
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -26,13 +28,14 @@ from otmbench.povmsearch import (
     _MAX_NET_CELLS,
     _NET_BLOCK,
     _QUANT_FAMS,
+    _axis_counts,
     _combine,
     _corner_deltas,
     _corner_points,
     _count_flat_cells,
     _eval_family,
+    _net_level,
     _outcome_table,
-    _pair_cell_bases,
     _pair_cells,
     _slice_certificate,
 )
@@ -229,11 +232,31 @@ def test_grid_stream_deterministic():
     assert len(a) == len(set(a)), "stream must not repeat cells"
 
 
+# sha256 of repr([p.key() for p in grid_extremal_povms(eps, 2)]), recorded
+# before the stream was built from the shared grid helper
+_GRID_STREAM_SHA256 = {
+    1.0: "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    0.5: "84f151b373fc95fffbffadfb1823412ea194b5ce4946d84f055797336410d53a",
+    0.3: "3a7ea76f0fea845045df1d85d39185bc2dd8c14174d6e680528a6263536a6e0a",
+    0.25: "0d169d8acb4fb729f1ebbe63986126f5b8948524271949e7a462207ea952ed9b",
+    0.13: "177a739c47d56056ad142bd4ce27ab5a37811dfce681981f6084d03914f0819d",
+    0.1: "014f7072113c8d80c4611a4832072d8cbc47a7be1a2a82000c8922fbcc4d5bfd",
+    0.07: "c9b9306fcedbd993e5b746ee2c4355805a98e8c780b47333e7b3cef2ebad2a83",
+    0.05: "d76a64c2003772feb604e0428fc4fa77052bfe3e4e215adabee62f0ddd029052",
+}
+
+
+@pytest.mark.parametrize("eps", sorted(_GRID_STREAM_SHA256))
+def test_grid_stream_rows_are_pinned(eps):
+    rows = repr([p.key() for p in grid_extremal_povms(eps, 2)])
+    assert hashlib.sha256(rows.encode()).hexdigest() == _GRID_STREAM_SHA256[eps]
+
+
 def test_grid_stream_refuses_bad_steps_before_listing(monkeypatch):
     def never(*args):
         raise AssertionError("listed grid values before refusing the step")
 
-    monkeypatch.setattr(povmsearch, "_grid_values", never)
+    monkeypatch.setattr(povmsearch, "_grid", never)
     for eps in (math.inf, math.nan, -math.inf, 0.0, -0.1):
         with pytest.raises(ValueError, match="grid step"):
             next(grid_extremal_povms(eps, 2))
@@ -246,12 +269,16 @@ def test_grid_stream_refuses_bad_steps_before_listing(monkeypatch):
 
 
 def test_grid_stream_elements_are_valid_povms():
-    for outcomes in (2, 3):
+    for outcomes in (1, 2):
         seen = 0
         for p in grid_extremal_povms(0.5, outcomes):
             assert len(p.elements) == outcomes
             seen += 1
         assert seen > 0
+    # the arc certificate bounds every element count, so no stage lists more
+    for outcomes in (0, 3, 4):
+        with pytest.raises(ValueError, match="outcomes"):
+            next(grid_extremal_povms(0.5, outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +519,55 @@ def test_net_memory_is_bounded_by_its_blocks():
     assert peak < 160 * 2**20
 
 
-@pytest.mark.parametrize("coarse, fine", [(0.001, 0.001), (0.05, 1e-4)])
-def test_search_refuses_oversized_nets_before_allocating(coarse, fine, monkeypatch):
-    # about 10^9 coarse cells, then 10^8 (a, c) cells for the flat count
+@pytest.mark.parametrize("coarse, fine, message", [
+    (0.001, 0.001, "net level at step 0.001 has 1000000000 cells"),
+    (0.05, 1e-4, "table of 100000000 cells"),
+])
+def test_search_refuses_oversized_nets_before_allocating(coarse, fine, message, monkeypatch):
+    # 10^9 coarse cells, then 10^8 (a, c) cells for the flat count
     def never(*args):
         raise AssertionError("allocated before the size guard")
 
-    for name in ("_slice_certificate", "_pair_cell_bases", "_count_flat_cells"):
+    for name in ("_slice_certificate", "_grid", "_count_flat_cells"):
         monkeypatch.setattr(povmsearch, name, never)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=message):
         search_bounds(coarse, fine, "greater")
+
+
+def test_search_refuses_an_oversized_refinement_level(monkeypatch):
+    # total's second level at the README net would hold 76 500 cells
+    monkeypatch.setattr(povmsearch, "_MAX_NET_CELLS", 50_000)
+    with pytest.raises(ResourceLimitError) as err:
+        search_bounds(0.05, 0.005, "total")
+    assert str(err.value) == "net level at step 0.005 has 76500 cells, past 50000"
+    partial = err.value.partial
+    assert not partial.complete and partial.frontier_bound == math.inf
+    assert partial.refinement_levels == 2 and partial.cells_visited == 7192
+    assert partial.net_epsilon == 0.05 / 2 / 5 and partial.flat_cells == 0
+
+
+# sha256 of json.dumps(search_bounds(coarse, fine, q).as_dict(), sort_keys=True),
+# recorded before the net was built from the shared grid helper.  Neither
+# step divides 1, so refinement children land past a = 1 and c = 1.
+_NET_PAYLOAD_SHA256 = {
+    (0.3, 0.1, "greater"): "188f84dcfde6d3086fc8f02cd911aa4c77e7be0802c215139fd6b06126b62846",
+    (0.3, 0.1, "total"): "17abe5d102c4634e4a06d873a5ef3bcc8a817db5c847a359870fa8a14d317c15",
+    (0.3, 0.1, "conditional"): "3b6f87036cf77d53a1c6c0cb3450e5b7117605ce69b463f85171c207b24f207c",
+    (0.13, 0.011, "greater"): "2c0c65e7a2a46a641ae38a7d9b8d36e98023cf1cc3234452194793723eb4c14a",
+    (0.13, 0.011, "total"): "bfa8e1fcccf015adae2ce3c4c1cd529f58f8642b01cbf2ebb13bf3d650fb4bfc",
+    (0.13, 0.011, "conditional"):
+        "9a7dcad1aa1ac804a0024c632f30de599eb41277fd656000542d18202968672b",
+    (0.07, 0.01, "greater"): "4721659d180f0a229c86a89ce4d3141a2ac43fac71b9a5baaa69dad24db0509a",
+    (0.07, 0.01, "total"): "40e1d0770df5921279f80cdf91d87809c0ce580525cfbc123253bcc527c1f389",
+    (0.07, 0.01, "conditional"): "3df6339f9bae4784ddecb1c6068f8f13d48d14b1f186c8af8cfa33623cb5f828",
+}
+
+
+@pytest.mark.parametrize("coarse, fine, quantity", list(_NET_PAYLOAD_SHA256))
+def test_search_payload_is_pinned_on_nets_past_one(coarse, fine, quantity):
+    text = json.dumps(search_bounds(coarse, fine, quantity).as_dict(), sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == _NET_PAYLOAD_SHA256[coarse, fine, quantity]
 
 
 def test_slice_certificate_values():
@@ -547,7 +613,9 @@ def test_arc_certificate_against_closed_forms(quantity, closed_form):
 
 @pytest.mark.parametrize("eps", [0.25, 0.1, 0.05, 0.02])
 def test_flat_cell_count_matches_enumeration(eps):
-    assert _count_flat_cells(eps) == _pair_cell_bases(eps).shape[0]
+    n_a, n_b = _axis_counts(eps)
+    coarse = _net_level(np.zeros((1, 3)), eps, (0, -n_b, 0), (n_a, n_b, n_a))
+    assert _count_flat_cells(eps) == coarse.shape[0]
 
 
 def test_reference_set_support_flags():

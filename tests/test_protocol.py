@@ -100,15 +100,19 @@ def test_otrm_instance_rejects_inconsistent_fields():
     with pytest.raises(ValueError, match="expected length 2, got 1"):
         dataclasses.replace(inst, r0=inst.r0[:1])
     # integer arrays and lists of the codeword bits are accepted; bool and
-    # float arrays pass the encoding check and are refused by name at the
-    # angle lookup, which indexes with them
+    # float arrays pass the encoding check and are refused by name before
+    # the angle lookup, which indexes with them
     for c0 in (inst.c0.astype(np.int64), inst.c0.tolist()):
         assert dataclasses.replace(inst, c0=c0).c0 is c0
-    for name in ("c0", "c1"):
-        for dtype in (bool, float):
-            bits = getattr(inst, name).astype(dtype)
-            with pytest.raises(InvariantViolationError, match=f"{name} must hold integer bits"):
-                dataclasses.replace(inst, **{name: bits})
+    # at n = 2 a bool array of two bits would index _ANGLES as a mask
+    small = otrm_prep(ProtocolParams(n=2, lam=8, k=1, seed_root=5))
+    for case in (inst, small):
+        for name in ("c0", "c1"):
+            for dtype in (bool, float):
+                bits = getattr(case, name).astype(dtype)
+                with pytest.raises(InvariantViolationError,
+                                   match=f"{name} must hold integer bits, got dtype"):
+                    dataclasses.replace(case, **{name: bits})
 
 
 def find_zero_free_codes(n, k):
@@ -325,6 +329,16 @@ def test_extractor_apply_matches_matrix():
 def test_extractor_zero_output_length():
     ext = make_extractor(4, 0, seed=0)
     assert ext.apply(np.array([1, 1, 0, 1], dtype=np.uint8)).shape == (0,)
+
+
+def test_make_extractor_refuses_long_outputs_before_drawing():
+    # a huge lam would otherwise draw n + lam/8 - 1 seed bits first
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    for output_len in (7, -1):
+        with pytest.raises(ValueError, match="output_len <= input_len"):
+            make_extractor(6, output_len, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_two_universality_exact():
