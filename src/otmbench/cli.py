@@ -22,12 +22,10 @@ import math
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import collinfo, f2codes, lightcone, povmsearch, protocol
 from .errors import InvariantViolationError, ResourceLimitError
 from .qrac import qrac_success_table
-from .seeds import derive_seed
+from .seeds import _coin_bits, derive_seed
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -229,8 +227,7 @@ def _run_simulate(args):
 
 
 def _derived_message(params, seed, label):
-    rng = np.random.default_rng(derive_seed(seed, label))
-    return rng.integers(0, 2, size=params.msg_len, dtype=np.uint8)
+    return _coin_bits(derive_seed(seed, label), params.msg_len)[0]
 
 
 def _run_feasibility(args):

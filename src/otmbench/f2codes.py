@@ -298,6 +298,11 @@ def _coset_sweep(code: LinearCode) -> tuple:
     return reps, wt, levels
 
 
+def _check_flip_prob(p: float):
+    if not 0.0 <= p <= 1.0:               # nan fails too
+        raise ValueError(f"flip probability must lie in [0, 1], got {p}")
+
+
 def exact_failure_prob(code: LinearCode, p: float) -> float:
     """Exact BSC decode-failure probability, averaged over uniform codewords.
 
@@ -312,8 +317,7 @@ def exact_failure_prob(code: LinearCode, p: float) -> float:
     levels of 2^n cells; each 1 - 2^-t is exact, so nothing cancels.
     Refuses n beyond the block budget.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip probability must lie in [0, 1], got {p}")
+    _check_flip_prob(p)
     if code.n > MAX_BLOCK_BITS:
         raise ResourceLimitError(
             f"n={code.n} exceeds the enumeration budget of {MAX_BLOCK_BITS}"
@@ -343,7 +347,9 @@ def mc_failure_prob(code: LinearCode, p: float, trials: int, seed: int) -> float
     """Monte-Carlo estimate of the decode-failure probability, decoded by
     :func:`ml_decode_packed`; drawn in chunks of max(1024, 2^22 / 2^k) trials,
     cut to at most 2^22 / n so that no chunk draws more than 2^22 error bits.
-    Refuses more than MAX_SAMPLED_BITS error bits in all."""
+    Refuses p outside [0, 1] (nan too) and more than MAX_SAMPLED_BITS error
+    bits in all, before anything is drawn."""
+    _check_flip_prob(p)
     _check_trials(trials, code.n)
     cw = code.codeword_ints
     rng = np.random.default_rng(seed)

@@ -38,7 +38,7 @@ from .qrac import (
     qrac_encode,
     sample_measurements,
 )
-from .seeds import derive_seed
+from .seeds import _coin_bits, derive_seed
 
 __all__ = [
     "PER_PAIR_BOUNDS",
@@ -125,35 +125,38 @@ class ProtocolParams:
 @dataclass(frozen=True)
 class OtrmInstance:
     """Sender view of one random-string memory: secrets included.  Qubit i
-    is the state at angle angles[i], the QRAC encoding of (c0[i], c1[i])."""
+    is the state at angle angles[i], the QRAC encoding of (c0[i], c1[i]).
+    The codewords and angles are derived from the codes and secrets when
+    omitted, and checked against them when given."""
 
     code0: LinearCode
     code1: LinearCode
     r0: np.ndarray
     r1: np.ndarray
-    c0: np.ndarray
-    c1: np.ndarray
-    angles: np.ndarray
+    c0: np.ndarray | None = None
+    c1: np.ndarray | None = None
+    angles: np.ndarray | None = None
 
     def __post_init__(self):
-        angles = np.asarray(self.angles, dtype=float)
-        object.__setattr__(self, "angles", angles)
+        angles = None if self.angles is None else np.asarray(self.angles, dtype=float)
         n = self.code0.n
-        if self.code1.n != n or angles.shape != (n,):
+        if self.code1.n != n or (angles is not None and angles.shape != (n,)):
             raise InvariantViolationError("code lengths and qubit count disagree")
-        for name, code, r, c in (("0", self.code0, self.r0, self.c0),
-                                 ("1", self.code1, self.r1, self.c1)):
-            if not _equal_bits(encode(code, r), c):
-                raise InvariantViolationError(f"c{name} is not the encoding of r{name}")
+        for name, code, r in (("c0", self.code0, self.r0), ("c1", self.code1, self.r1)):
+            want, c = encode(code, r), getattr(self, name)
+            if c is None:
+                object.__setattr__(self, name, want)
+            elif not _equal_bits(want, c):
+                raise InvariantViolationError(f"{name} is not the encoding of r{name[1]}")
             # the angle lookup indexes with the bits: a bool array would
             # act as a mask and a float one fails
-            dtype = np.asarray(c).dtype
-            if dtype.kind not in "iu":
-                raise InvariantViolationError(f"c{name} must hold integer bits, got dtype {dtype}")
+            elif (dtype := np.asarray(c).dtype).kind not in "iu":
+                raise InvariantViolationError(f"{name} must hold integer bits, got dtype {dtype}")
         want = _ANGLES[self.c0, self.c1]
+        object.__setattr__(self, "angles", want if angles is None else angles)
         # equal angles pass the 1e-12 test (want is finite), so only
         # unequal ones need the mask; nan fails it
-        if angles.tolist() != want.tolist():
+        if angles is not None and angles.tolist() != want.tolist():
             bad = np.flatnonzero(~(np.abs(angles - want) <= 1e-12))
             if bad.size:
                 raise InvariantViolationError(f"qubit {bad[0]} does not encode its bit pair")
@@ -180,15 +183,14 @@ def otrm_prep(params: ProtocolParams, seed: int | None = None,
 
     Fresh codes are drawn from the seed unless a fixed public pair is
     supplied.  All randomness derives from labeled sub-streams, so one
-    integer reproduces the instance.
+    integer reproduces the instance.  r0, r1 are the two successive
+    integers(0, 2, size=k, dtype=np.uint8) draws of the "messages" stream,
+    read from its raw PCG64 output (seeds._coin_bits says why they agree).
     """
     root = params.seed_root if seed is None else seed
     code0, code1 = _code_pair(params, codes, root, "code")
-    rng = np.random.default_rng(derive_seed(root, "messages"))
-    r0 = rng.integers(0, 2, size=params.k, dtype=np.uint8)
-    r1 = rng.integers(0, 2, size=params.k, dtype=np.uint8)
-    c0, c1 = (code0.generator @ r0) & 1, (code1.generator @ r1) & 1
-    return OtrmInstance(code0, code1, r0, r1, c0, c1, _ANGLES[c0, c1])
+    r0, r1 = _coin_bits(derive_seed(root, "messages"), params.k, params.k)
+    return OtrmInstance(code0, code1, r0, r1)
 
 
 @dataclass(frozen=True)
@@ -275,13 +277,18 @@ def make_extractor(input_len: int, output_len: int, seed) -> Extractor:
     """Build a Toeplitz extractor from a seed.
 
     seed is an RNG seed (int or Generator) for a random public seed, or
-    an explicit bit array of length input_len + output_len - 1.
+    an explicit bit array of length input_len + output_len - 1.  An int
+    seed gives the bits of default_rng(seed).integers(0, 2, dtype=np.uint8),
+    each the top bit of one raw PCG64 byte (see seeds._coin_bits); a
+    Generator, whose state is the caller's, is drawn from.
     """
     if not 0 <= output_len <= input_len:
         raise ValueError(f"need 0 <= output_len <= input_len, got {output_len}, {input_len}")
     want = input_len + output_len - 1 if output_len else 0
-    if isinstance(seed, (int, np.integer, np.random.Generator)):
-        bits = np.random.default_rng(seed).integers(0, 2, size=want, dtype=np.uint8)
+    if isinstance(seed, (int, np.integer)):
+        (bits,) = _coin_bits(seed, want)
+    elif isinstance(seed, np.random.Generator):
+        bits = seed.integers(0, 2, size=want, dtype=np.uint8)
     else:
         bits = np.asarray(seed, dtype=np.uint8)
     return Extractor(bits=bits, input_len=input_len, output_len=output_len)

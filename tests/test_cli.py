@@ -184,6 +184,21 @@ def test_simulate_reports_and_reproduces(tmp_path, capsys):
     assert res["transcript"]["success"] in (True, False)
 
 
+def test_simulate_readme_payloads_pinned(tmp_path, capsys):
+    # sha256 of each README invocation's result payload, recorded when the
+    # messages m0 and m1 were drawn by Generator.integers
+    out = tmp_path / "run.json"
+    assert cli.main(["--out", str(out), "simulate", "--n", "15", "--rate", "0.2",
+                     "--alpha", "1", "--trials", "2000", "--seed", "7"]) == cli.EXIT_OK
+    code, printed = run(["simulate", "--n", "6", "--k", "2", "--trials", "500",
+                         "--strategy", "mu0"], capsys)
+    assert code == cli.EXIT_OK
+    digests = [hashlib.sha256(json.dumps(strip_meta(payload)["result"], sort_keys=True)
+                              .encode()).hexdigest() for payload in (out.read_text(), printed)]
+    assert digests == ["8498b979f89bcf5d6b7d34cc0599aed9967925e1986be12b2de264e0166697cb",
+                       "9662d289a892f20a9afdf0f4f343496e474ede77f7b670664385fea3d9682a48"]
+
+
 def test_simulate_rejects_bad_rate(capsys):
     assert (
         cli.main(["simulate", "--n", "10", "--rate", "0.17", "--trials", "1"])

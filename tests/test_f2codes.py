@@ -245,6 +245,18 @@ def test_sampling_refused_past_bit_budget():
         mc_failure_prob(code, CHANNEL_P, 0, seed=0)
 
 
+def test_flip_probability_refused_outside_unit_interval():
+    # a nan or out-of-range p would read as a silent 0.0 or 1.0 estimate;
+    # both estimators refuse it alike, before any table or draw
+    for p in (math.nan, 1.5, -0.1, math.inf):
+        code = random_code(15, 3, seed=1)
+        with pytest.raises(ValueError, match="flip probability must lie in"):
+            exact_failure_prob(code, p)
+        with pytest.raises(ValueError, match="flip probability must lie in"):
+            mc_failure_prob(code, p, MAX_SAMPLED_BITS, seed=0)
+        assert "codeword_ints" not in vars(code)
+
+
 def test_exact_failure_monotone_in_p():
     code = repetition_code(3)
     probs = [exact_failure_prob(code, p) for p in (0.01, 0.1, 0.2, 0.4)]

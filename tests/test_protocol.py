@@ -104,6 +104,15 @@ def test_otrm_instance_rejects_inconsistent_fields():
     # the angle lookup, which indexes with them
     for c0 in (inst.c0.astype(np.int64), inst.c0.tolist()):
         assert dataclasses.replace(inst, c0=c0).c0 is c0
+    # omitted codewords and angles are derived; given ones are still checked
+    bare = protocol.OtrmInstance(inst.code0, inst.code1, inst.r0, inst.r1)
+    for name in ("c0", "c1", "angles"):
+        assert getattr(bare, name).tolist() == getattr(inst, name).tolist()
+    with pytest.raises(InvariantViolationError, match="c1 is not the encoding of r1"):
+        protocol.OtrmInstance(inst.code0, inst.code1, inst.r0, inst.r1, c1=inst.c1 ^ flip)
+    with pytest.raises(InvariantViolationError, match="qubit 2 does not encode"):
+        protocol.OtrmInstance(inst.code0, inst.code1, inst.r0, inst.r1,
+                              angles=inst.angles + 0.1 * flip)
     # at n = 2 a bool array of two bits would index _ANGLES as a mask
     small = otrm_prep(ProtocolParams(n=2, lam=8, k=1, seed_root=5))
     for case in (inst, small):
@@ -267,6 +276,16 @@ def test_round_trip_bytes_pinned():
         "ad62446ed83e9c8bc0796b2b85a2ac4f653aa8e628771e51362a6bcf9e64f04e")
 
 
+def test_round_trip_bytes_pinned_at_draw_edges():
+    # recorded when r0, r1 and the extractor seeds came from Generator.integers
+    # calls: at k = 9 r0 spans three uint32 words and r1 starts on the fourth;
+    # at lam = 0 the messages and extractor seeds are empty
+    assert _round_trip_digest(ProtocolParams(n=20, lam=24, k=9), None) == (
+        "a0dc3c5aa2ab4bd6b5763556a966da38d19c8ee952c09f4cd003115703e612a9")
+    assert _round_trip_digest(ProtocolParams(n=12, lam=0, k=4), None) == (
+        "0310fbc5e36b191d668dd09b3af9024aa66164a05ac5c761f888205b7d9c7954")
+
+
 def test_mc_correctness_refused_past_bit_budget():
     params = ProtocolParams(n=15, lam=8, k=3)
     with pytest.raises(ResourceLimitError, match="sampling budget"):
@@ -329,6 +348,18 @@ def test_extractor_apply_matches_matrix():
 def test_extractor_zero_output_length():
     ext = make_extractor(4, 0, seed=0)
     assert ext.apply(np.array([1, 1, 0, 1], dtype=np.uint8)).shape == (0,)
+
+
+def test_make_extractor_seed_bits_are_generator_draws():
+    # an int or numpy integer seed gives the bits of a fresh generator's draw;
+    # a Generator is drawn from, and advanced, as the caller's stream
+    for seed in (0, 7, np.uint64(2**64 - 1), 2**70):
+        want = np.random.default_rng(seed).integers(0, 2, size=17, dtype=np.uint8)
+        assert make_extractor(15, 3, seed).bits.tolist() == want.tolist()
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(2):
+        want = twin.integers(0, 2, size=17, dtype=np.uint8)
+        assert make_extractor(15, 3, rng).bits.tolist() == want.tolist()
 
 
 def test_make_extractor_refuses_long_outputs_before_drawing():
