@@ -186,9 +186,6 @@ def _run_simulate(args):
     if params.n > f2codes.MAX_PACKED_BITS:   # reads pack each word into one int64
         raise ResourceLimitError(f"n={params.n} exceeds the {f2codes.MAX_PACKED_BITS}-bit "
                                  "packed-word limit")
-    if params.msg_len > params.n:   # the extractors compress n codeword bits to msg_len
-        raise _CliError(f"lam={params.lam} gives {params.msg_len} message bits, "
-                        f"more than n={params.n}")
     m0 = _derived_message(params, args.seed, "m0")
     m1 = _derived_message(params, args.seed, "m1")
     pkg = protocol.otm_prep(m0, m1, params, seed=derive_seed(args.seed, "pkg"))

@@ -14,13 +14,13 @@ matter here: only which sites a cone can reach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantViolationError, ResourceLimitError
+from .errors import InvariantViolationError, ResourceLimitError, _check_int
 
 __all__ = [
     "GridSpec",
@@ -53,6 +53,8 @@ class GridSpec:
     depth: int
 
     def __post_init__(self):
+        for name in ("D", "side", "ell", "depth"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
         if self.D < 1:
             raise ValueError(f"dimension must be >= 1, got {self.D}")
         if self.side < 1:
@@ -108,22 +110,30 @@ class HypercubePartition:
     cut into the same intervals, position p spanning [p*s, (p+1)*s - 1];
     cube j is the product of the intervals at its D positions, and its
     cells are listed only on demand, by inner_cells(j).
+
+    Built from the grid and r alone: the outer side s and the cube count
+    q = (side // s)**D are derived.  Refuses r < 1 and a side that s does
+    not divide (ValueError), and more than _MAX_CELLS cubes
+    (ResourceLimitError).
     """
 
     grid: GridSpec
     r: int
-    outer_side: int
-    q: int
+    outer_side: int = field(init=False)
+    q: int = field(init=False)
 
     def __post_init__(self):
         g = self.grid
-        if self.r < 1 or self.outer_side != 2 * self.r + 2 * g.cone_radius:
-            raise InvariantViolationError(
-                f"outer side {self.outer_side} is not 2r + 2*ell**d for r = {self.r}")
-        if g.n % self.outer_side**g.D != 0:
-            raise InvariantViolationError(f"{g.n} cells not a multiple of {self.outer_side}**{g.D}")
-        if self.q != g.n // self.outer_side**g.D:
-            raise InvariantViolationError(f"q = {self.q} disagrees with the tiling")
+        if self.r < 1:
+            raise ValueError(f"inner radius must be >= 1, got {self.r}")
+        outer_side = 2 * self.r + 2 * g.cone_radius
+        if g.side % outer_side != 0:
+            raise ValueError(f"grid side {g.side} not divisible by outer side {outer_side}")
+        q = (g.side // outer_side) ** g.D
+        if q > _MAX_CELLS:
+            raise ResourceLimitError(f"{q} cubes exceeds the partition limit {_MAX_CELLS}")
+        object.__setattr__(self, "outer_side", outer_side)
+        object.__setattr__(self, "q", q)
 
     @property
     def interval_lows(self) -> range:
@@ -167,21 +177,9 @@ def _box_cells(grid: GridSpec, box) -> np.ndarray:
 
 
 def build_partition(grid: GridSpec, r: int) -> HypercubePartition:
-    """Tile the grid into outer cubes of side 2r + 2*ell**d.
-
-    Requires the grid side to be divisible by the outer side.
-    """
-    if r < 1:
-        raise ValueError(f"inner radius must be >= 1, got {r}")
-    outer_side = 2 * r + 2 * grid.cone_radius
-    if grid.side % outer_side != 0:
-        raise ValueError(
-            f"grid side {grid.side} not divisible by outer side {outer_side}"
-        )
-    q = (grid.side // outer_side) ** grid.D
-    if q > _MAX_CELLS:
-        raise ResourceLimitError(f"{q} cubes exceeds the partition limit {_MAX_CELLS}")
-    return HypercubePartition(grid=grid, r=r, outer_side=outer_side, q=q)
+    """Tile the grid into outer cubes of side 2r + 2*ell**d (see
+    HypercubePartition for what is refused)."""
+    return HypercubePartition(grid, r)
 
 
 def reverse_lightcone(grid: GridSpec, qubit: int) -> np.ndarray:
@@ -206,8 +204,7 @@ class IndependenceReport:
 
 
 def _claim_shrink(outer_shrink) -> int:
-    ok = isinstance(outer_shrink, (int, np.integer)) and not isinstance(outer_shrink, bool)
-    if not ok or outer_shrink < 0:
+    if _check_int("outer_shrink", outer_shrink) < 0:
         raise ValueError(f"outer_shrink must be a nonnegative integer, got {outer_shrink!r}")
     return int(outer_shrink)
 
@@ -265,12 +262,11 @@ def shell_accounting(part: HypercubePartition) -> ShellCounts:
     """Closed-form cell counts: cu = q * (2r)**D inner cells, the rest shell.
 
     These equal the box volumes summed over the interval list, so there is
-    nothing left to cross-check.  The partition fixes s = 2r + 2R (s the
-    outer side, R the cone radius) and q = n // s**D with s**D dividing
-    side**D; that implies s divides side (compare the prime exponents),
-    so there are side // s intervals per axis, the outer volumes sum to
-    (side // s * s)**D = n and the inner ones to
-    (side // s * (s - 2R))**D = q * (2r)**D.
+    nothing left to cross-check.  The partition derives s = 2r + 2R (s the
+    outer side, R the cone radius) and q = (side // s)**D, and refuses a
+    side that s does not divide, so there are side // s intervals per
+    axis, the outer volumes sum to (side // s * s)**D = n and the inner
+    ones to (side // s * (s - 2R))**D = q * (2r)**D.
     """
     g, s = part.grid, part.outer_side
     inner, outer = (2 * part.r) ** g.D, s**g.D
@@ -289,10 +285,12 @@ class FeasibilityWitness:
             <= n / 100                                             (1)
         |CU_bar| >= log2(1/eps1)                                   (2)
 
-    with |CU_bar| = n * (1 - (2r)**D / (2r + 2*ell**d)**D).  Construction
-    re-decides both exactly from the integer fields; the four float fields
-    are both sides as evaluated in floats, for reporting, and must equal
-    that evaluation.
+    with |CU_bar| = n * (1 - (2r)**D / (2r + 2*ell**d)**D).  Built from
+    the parameters, r and the grid side: n = side**D, cu_bar and the four
+    float fields (both sides of (1) and of (2) evaluated in floats, for
+    reporting) are derived.  Construction decides the tiling and both
+    inequalities exactly, in integers, and refuses a witness that fails
+    any of them.
     """
 
     D: int
@@ -302,29 +300,29 @@ class FeasibilityWitness:
     eps2: float
     r: int
     side: int
-    n: int
-    cu_bar: int
-    eq1_lhs: float
-    eq1_rhs: float
-    eq2_lhs: float
-    eq2_rhs: float
+    n: int = field(init=False)
+    cu_bar: int = field(init=False)
+    eq1_lhs: float = field(init=False)
+    eq1_rhs: float = field(init=False)
+    eq2_lhs: float = field(init=False)
+    eq2_rhs: float = field(init=False)
 
     def __post_init__(self):
         outer_side = 2 * self.r + 2 * self.ell**self.depth
         t, rem = divmod(self.side, outer_side)
-        inner, outer = (2 * self.r) ** self.D, outer_side**self.D
-        if rem or self.n != self.side**self.D or self.cu_bar != t**self.D * (outer - inner):
+        if rem:
             raise InvariantViolationError(
-                f"side {self.side}, n {self.n} and cu_bar {self.cu_bar} do not tile "
-                f"outer cubes of side {outer_side}"
-            )
-        if not _budget_holds(self.eps1, self.eps2, inner, self.n, self.cu_bar):
+                f"side {self.side} does not tile outer cubes of side {outer_side}")
+        inner, outer = (2 * self.r) ** self.D, outer_side**self.D
+        n, cu_bar = self.side**self.D, t**self.D * (outer - inner)
+        if not _budget_holds(self.eps1, self.eps2, inner, n, cu_bar):
             raise InvariantViolationError("budget inequality (1) fails")
-        if not _shell_holds(self.eps1, self.cu_bar):
+        if not _shell_holds(self.eps1, cu_bar):
             raise InvariantViolationError("shell-size inequality (2) fails")
-        sides = _float_sides(self.eps1, self.eps2, inner, self.n, self.cu_bar)
-        if (self.eq1_lhs, self.eq1_rhs, self.eq2_lhs, self.eq2_rhs) != sides:
-            raise InvariantViolationError(f"float sides disagree with {sides}")
+        sides = _float_sides(self.eps1, self.eps2, inner, n, cu_bar)
+        for name, value in zip(("n", "cu_bar", "eq1_lhs", "eq1_rhs", "eq2_lhs", "eq2_rhs"),
+                               (n, cu_bar, *sides)):
+            object.__setattr__(self, name, value)
 
 
 def _budget_holds(eps1, eps2, inner, n, cu_bar) -> bool:
@@ -390,7 +388,10 @@ def find_feasible_params(
     """
     if not all(0.0 < e < 1.0 and math.isfinite(1.0 / e) for e in (eps1, eps2)):
         raise ValueError("smoothing parameters must lie in (0, 1) with finite log2(1/eps)")
-    GridSpec(D=D, side=1, ell=ell, depth=depth)  # bounds check on ell, d, D
+    # integer and bounds checks on D, ell, d; numpy integers become ints,
+    # so the powers below never wrap
+    grid = GridSpec(D=D, side=1, ell=ell, depth=depth)
+    D, ell, depth = grid.D, grid.ell, grid.depth
     # r <= 402 * D * ell**d, so an outer side is at most (804 * D + 4) * ell**d;
     # a D or d past the limit fails the test anyway and is refused before
     # it reaches a float
@@ -416,8 +417,5 @@ def find_feasible_params(
         return (_budget_holds(eps1, eps2, inner, t**D * outer, cu_bar)
                 and _shell_holds(eps1, cu_bar))
 
-    t = _least(holds, 1)
-    side = t * (2 * r + 2 * width)
-    n, cu_bar = side**D, t**D * (outer - inner)
-    return FeasibilityWitness(D, ell, depth, eps1, eps2, r, side, n, cu_bar,
-                              *_float_sides(eps1, eps2, inner, n, cu_bar))
+    side = _least(holds, 1) * (2 * r + 2 * width)
+    return FeasibilityWitness(D, ell, depth, eps1, eps2, r, side)

@@ -34,7 +34,7 @@ the imaginary part of an element drops out of every trace above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 import itertools
 import math
 import sys
@@ -664,8 +664,12 @@ def _refine_steps(eps_coarse: float, eps_fine: float) -> list:
 @dataclass(frozen=True)
 class BoundReport:
     """Result of search_bounds; a partial report (complete False) leaves
-    the stages it never reached at slice_bound inf, slice_cells 0 and
-    flat_cells 0."""
+    the stages it never reached at corrected_bound inf, slice_cells 0 and
+    flat_cells 0.
+
+    The corrected bound is the arc certificate's bound, so slice_bound is
+    derived as a copy of it, and supports as its verdict against each of
+    REFERENCE_SETS (within 1e-12)."""
 
     quantity: str
     raw_max: float
@@ -673,13 +677,13 @@ class BoundReport:
     argmax_povm: Povm
     net_epsilon: float
     refinement_levels: int
-    slice_bound: float
+    slice_bound: float = field(init=False)
     slice_epsilon: float
     frontier_bound: float
     cells_visited: int
     flat_cells: int
     slice_cells: int
-    supports: dict
+    supports: dict = field(init=False)
     complete: bool
     elapsed_s: float
 
@@ -688,6 +692,11 @@ class BoundReport:
             raise InvariantViolationError(
                 f"corrected bound {self.corrected_bound} below raw max {self.raw_max}"
             )
+        object.__setattr__(self, "slice_bound", self.corrected_bound)
+        object.__setattr__(self, "supports", {
+            label: self.corrected_bound <= thresholds[self.quantity] + 1e-12
+            for label, thresholds in REFERENCE_SETS.items()
+        })
 
     def as_dict(self) -> dict:
         # elapsed_s stays off the dict: serialized reports must be
@@ -695,13 +704,6 @@ class BoundReport:
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "elapsed_s"}
         d["argmax_povm"] = self.argmax_povm.as_lists()
         return d
-
-
-def _supports(quantity: str, corrected: float) -> dict:
-    return {
-        label: corrected <= thresholds[quantity] + 1e-12
-        for label, thresholds in REFERENCE_SETS.items()
-    }
 
 
 def search_bounds(
@@ -767,13 +769,11 @@ def search_bounds(
             argmax_povm=Povm.from_coords(best.rows),
             net_epsilon=eps,
             refinement_levels=level,
-            slice_bound=slice_bound,
             slice_epsilon=slice_eps,
             frontier_bound=frontier,
             cells_visited=visited,
             flat_cells=flat_cells,
             slice_cells=slice_cells,
-            supports=_supports(quantity, slice_bound),
             complete=complete,
             elapsed_s=time.monotonic() - start,
         )

@@ -16,7 +16,7 @@ the unread ciphertext is replaced by fresh uniform bits.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 import itertools
 import math
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .collinfo import JointDistribution, avg_conditional_min_entropy
-from .errors import InvariantViolationError, ResourceLimitError
+from .errors import InvariantViolationError, ResourceLimitError, _check_int
 from .f2codes import (MAX_BLOCK_BITS, LinearCode, _check_trials, _nearest, bits_to_int,
                       encode, exact_failure_prob, ml_decode_packed, random_code)
 from .povmsearch import Povm, _outcome_table, pair_info
@@ -88,8 +88,9 @@ class ProtocolParams:
     """Sizes for one protocol run.
 
     Give k or rate; the other is derived (both are accepted only when
-    consistent).  The message length is lam/8 bits and must come out
-    integral.
+    consistent).  n, lam and a given k must be integers.  The message
+    length is lam/8 bits; it must come out integral and at most n, as the
+    extractors compress the n codeword bits to it.
     """
 
     n: int
@@ -99,6 +100,8 @@ class ProtocolParams:
     seed_root: int = 0
 
     def __post_init__(self):
+        for name in ("n", "lam") if self.k is None else ("n", "lam", "k"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
         if self.k is None and self.rate is None:
@@ -116,6 +119,9 @@ class ProtocolParams:
             raise ValueError(f"rate {self.rate} inconsistent with k={self.k}, n={self.n}")
         if self.lam < 0 or self.lam % 8:
             raise ValueError(f"lam must be a nonnegative multiple of 8, got {self.lam}")
+        if self.msg_len > self.n:
+            raise ValueError(f"lam={self.lam} gives {self.msg_len} message bits, "
+                             f"more than n={self.n}")
 
     @property
     def msg_len(self) -> int:
@@ -124,42 +130,27 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class OtrmInstance:
-    """Sender view of one random-string memory: secrets included.  Qubit i
-    is the state at angle angles[i], the QRAC encoding of (c0[i], c1[i]).
-    The codewords and angles are derived from the codes and secrets when
-    omitted, and checked against them when given."""
+    """Sender view of one random-string memory: secrets included.  Built
+    from the two codes and secrets alone: the codewords c0, c1 (the
+    encodings of r0, r1) and the qubit angles are derived, qubit i being
+    the state at angle angles[i], the QRAC encoding of (c0[i], c1[i])."""
 
     code0: LinearCode
     code1: LinearCode
     r0: np.ndarray
     r1: np.ndarray
-    c0: np.ndarray | None = None
-    c1: np.ndarray | None = None
-    angles: np.ndarray | None = None
+    c0: np.ndarray = field(init=False)
+    c1: np.ndarray = field(init=False)
+    angles: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        angles = None if self.angles is None else np.asarray(self.angles, dtype=float)
-        n = self.code0.n
-        if self.code1.n != n or (angles is not None and angles.shape != (n,)):
-            raise InvariantViolationError("code lengths and qubit count disagree")
-        for name, code, r in (("c0", self.code0, self.r0), ("c1", self.code1, self.r1)):
-            want, c = encode(code, r), getattr(self, name)
-            if c is None:
-                object.__setattr__(self, name, want)
-            elif not _equal_bits(want, c):
-                raise InvariantViolationError(f"{name} is not the encoding of r{name[1]}")
-            # the angle lookup indexes with the bits: a bool array would
-            # act as a mask and a float one fails
-            elif (dtype := np.asarray(c).dtype).kind not in "iu":
-                raise InvariantViolationError(f"{name} must hold integer bits, got dtype {dtype}")
-        want = _ANGLES[self.c0, self.c1]
-        object.__setattr__(self, "angles", want if angles is None else angles)
-        # equal angles pass the 1e-12 test (want is finite), so only
-        # unequal ones need the mask; nan fails it
-        if angles is not None and angles.tolist() != want.tolist():
-            bad = np.flatnonzero(~(np.abs(angles - want) <= 1e-12))
-            if bad.size:
-                raise InvariantViolationError(f"qubit {bad[0]} does not encode its bit pair")
+        if self.code0.n != self.code1.n:
+            raise InvariantViolationError(
+                f"code lengths {self.code0.n} and {self.code1.n} disagree")
+        c0, c1 = encode(self.code0, self.r0), encode(self.code1, self.r1)
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "angles", _ANGLES[c0, c1])
 
     @property
     def qubits(self) -> tuple:

@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .errors import _check_int
+
 __all__ = [
     "QubitState",
     "BasisMeasurement",
@@ -72,8 +74,7 @@ class BasisMeasurement:
 
 def _check_alpha(alpha) -> int:
     """alpha as an int: a Python or numpy integer 0 or 1, not a bool."""
-    ok = isinstance(alpha, (int, np.integer)) and not isinstance(alpha, bool)
-    if not ok or alpha not in (0, 1):
+    if _check_int("alpha", alpha) not in (0, 1):
         raise ValueError(f"alpha must be the integer 0 or 1, got {alpha!r}")
     return int(alpha)
 

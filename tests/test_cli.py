@@ -6,6 +6,7 @@ import io
 import json
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -69,6 +70,16 @@ def test_feasibility_matches_library(capsys):
     assert res["n"] == w.n
     assert res["budget"]["residual"] >= 0.0
     assert res["shell_floor"]["residual"] >= 0.0
+
+
+def test_feasibility_readme_payload_is_pinned(capsys):
+    # sha256 of json.dumps(result, sort_keys=True) for the README call
+    code, out = run(["feasibility", "--D", "2", "--ell", "2", "--d", "2",
+                     "--eps1", "2^-20", "--eps2", "2^-20"], capsys)
+    assert code == cli.EXIT_OK
+    text = json.dumps(json.loads(out)["result"], sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "eb216988c50fed03abd611fb4bc8c0cfc3f5acf1efcadd46f60b51e25d2d1454")
 
 
 def test_entropy_subcommand_matches_library(tmp_path, capsys):
@@ -204,6 +215,20 @@ def test_simulate_rejects_bad_rate(capsys):
         cli.main(["simulate", "--n", "10", "--rate", "0.17", "--trials", "1"])
         == cli.EXIT_INPUT
     )
+
+
+def test_simulate_refuses_more_message_bits_than_qubits(capsys):
+    assert cli.main(["simulate", "--n", "3", "--k", "1", "--lam", "32"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: lam=32 gives 4 message bits, more than n=3\n"
+
+
+def test_simulate_refuses_huge_lam_before_drawing_messages(capsys):
+    with mock.patch.object(cli, "_derived_message", wraps=cli._derived_message) as draw:
+        code = cli.main(["simulate", "--n", "6", "--k", "2", "--trials", "5",
+                         "--lam", "8796093022208"])
+        assert draw.call_count == 0
+    assert code == cli.EXIT_INPUT
+    assert "more than n=6" in capsys.readouterr().err
 
 
 def test_bounds_small_run(tmp_path, capsys):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from otmbench.errors import InvariantViolationError
+from otmbench.errors import InvariantViolationError, ResourceLimitError
 from otmbench.lightcone import (
     FeasibilityWitness,
     GridSpec,
@@ -44,6 +44,17 @@ def test_grid_validation():
         GridSpec(D=2, side=4, ell=1, depth=1)
     with pytest.raises(ValueError):
         GridSpec(D=2, side=4, ell=2, depth=-1)
+
+
+@pytest.mark.parametrize("name", ["D", "side", "ell", "depth"])
+@pytest.mark.parametrize("value", [2.0, True, "2", None])
+def test_grid_fields_must_be_integers(name, value):
+    fields = {"D": 2, "side": 24, "ell": 2, "depth": 1}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        GridSpec(**{**fields, name: value})
+    # numpy integers are integers, stored as Python ints
+    grid = GridSpec(**{**fields, name: np.int64(fields[name])})
+    assert grid == GridSpec(**fields) and type(getattr(grid, name)) is int
 
 
 def test_cone_radius_growth():
@@ -114,13 +125,25 @@ def test_partition_requires_divisible_side():
         build_partition(grid, r=2)  # outer side 8 does not divide 10
 
 
-def test_partition_refuses_outer_side_that_does_not_match_r():
+def test_build_partition_is_the_constructor():
     grid = GridSpec(D=2, side=24, ell=2, depth=1)
-    assert HypercubePartition(grid, r=2, outer_side=8, q=9) == build_partition(grid, r=2)
-    with pytest.raises(InvariantViolationError):
-        HypercubePartition(grid, r=1, outer_side=12, q=4)
-    with pytest.raises(InvariantViolationError):
-        HypercubePartition(grid, r=0, outer_side=4, q=36)
+    part = HypercubePartition(grid, 2)
+    assert build_partition(grid, r=2) == part
+    assert (part.outer_side, part.q) == (8, 9)
+
+
+def test_partition_constructor_refuses_bad_radius_side_and_count():
+    grid = GridSpec(D=2, side=24, ell=2, depth=1)
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="inner radius"):
+            HypercubePartition(grid, r)
+    with pytest.raises(ValueError, match="not divisible by outer side 10"):
+        HypercubePartition(grid, 3)
+    # 2^23 cubes of side 4 on a line: past the partition limit, refused
+    # before any cell is listed
+    line = GridSpec(D=1, side=4 << 23, ell=2, depth=0)
+    with pytest.raises(ResourceLimitError, match="partition limit"):
+        HypercubePartition(line, 1)
 
 
 def _assert_valid_counterexample(part, shrink, report):
@@ -264,42 +287,45 @@ def test_feasibility_witness_small_epsilons():
         assert 400 * (outer - inner) >= outer
 
 
-def test_feasibility_witness_reverifies_on_construction():
+def test_feasibility_witness_derives_its_counts_and_sides():
     w = find_feasible_params(0.25, 0.25, ell=2, depth=1, D=2)
-    with pytest.raises(InvariantViolationError):
-        FeasibilityWitness(
-            D=w.D, ell=w.ell, depth=w.depth, eps1=w.eps1, eps2=w.eps2,
-            r=w.r, side=w.side, n=w.n, cu_bar=w.cu_bar,
-            eq1_lhs=w.eq1_rhs + 1.0, eq1_rhs=w.eq1_rhs,
-            eq2_lhs=w.eq2_lhs, eq2_rhs=w.eq2_rhs,
-        )
+    again = FeasibilityWitness(w.D, w.ell, w.depth, w.eps1, w.eps2, w.r, w.side)
+    assert again == w
+    t = w.side // (2 * w.r + 2 * w.ell**w.depth)
+    assert (w.n, w.cu_bar) == (w.side**2, t**2 * ((2 * w.r + 4) ** 2 - (2 * w.r) ** 2))
+    assert (w.eq1_rhs, w.eq2_lhs, w.eq2_rhs) == (w.n / 100, float(w.cu_bar), 2.0)
     with pytest.raises(ValueError):
         find_feasible_params(0.0, 0.5, ell=2, depth=1, D=1)
 
 
-def _tiled_at(w, t):
-    """Fields of w with t outer cubes per axis, tiling consistently."""
-    outer_side = 2 * w.r + 2 * w.ell**w.depth
-    inner, outer = (2 * w.r) ** w.D, outer_side**w.D
-    side = t * outer_side
-    return {"side": side, "n": side**w.D, "cu_bar": t**w.D * (outer - inner)}
-
-
 @pytest.mark.parametrize("change", [
     lambda w: {"side": w.side + 1},                     # not a multiple of the outer side
-    lambda w: {"n": w.n + 1},                           # n is not side**D
-    lambda w: {"cu_bar": w.cu_bar - 1},                 # shell count off by one
-    lambda w: _tiled_at(w, w.side // (2 * w.r + 2 * w.ell**w.depth) - 1),  # t - 1
-], ids=["side", "n", "cu_bar", "least_t_minus_one"])
+    lambda w: {"side": w.side - (2 * w.r + 2 * w.ell**w.depth)},   # t - 1
+    lambda w: {"eps2": 2.0**-1000},                     # (1) fails at this grid
+], ids=["side", "least_t_minus_one", "eps2"])
 def test_feasibility_witness_rejects_untiled_or_short_fields(change):
-    """Construction re-derives the tiling and re-decides (1) and (2): a field
-    that does not tile, or a consistent tiling one step below the least t,
-    is refused."""
+    """Construction derives the tiling and decides (1) and (2): a side that
+    does not tile, a tiling one step below the least t, or a smoothing
+    parameter the grid cannot afford is refused."""
     w = find_feasible_params(0.25, 0.25, ell=2, depth=1, D=2)
-    t = w.side // (2 * w.r + 2 * w.ell**w.depth)
-    assert dataclasses.replace(w, **_tiled_at(w, t)) == w
+    assert dataclasses.replace(w) == w
     with pytest.raises(InvariantViolationError):
         dataclasses.replace(w, **change(w))
+
+
+def test_feasibility_refuses_non_integer_sizes():
+    for flags in ({"ell": 2.0}, {"depth": 1.0}, {"D": True}):
+        args = {"ell": 2, "depth": 1, "D": 2, **flags}
+        with pytest.raises(ValueError, match="must be an integer"):
+            find_feasible_params(0.25, 0.25, **args)
+
+
+def test_feasibility_numpy_sizes_do_not_wrap():
+    """numpy integer sizes give the witness of the Python ints; used raw,
+    int64 powers would wrap at this size."""
+    want = find_feasible_params(0.01, 0.01, ell=10, depth=15, D=2)
+    got = find_feasible_params(0.01, 0.01, ell=np.int64(10), depth=np.int64(15), D=np.int64(2))
+    assert got == want and want.n > 2**63
 
 
 def test_feasibility_shell_floor_binds():

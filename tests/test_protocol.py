@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,6 +57,42 @@ def test_params_validation():
         ProtocolParams(n=10, lam=8, rate=0.17)  # k not an integer
 
 
+@pytest.mark.parametrize("name", ["n", "lam", "k"])
+@pytest.mark.parametrize("value", [2.0, True, "2"])
+def test_params_sizes_must_be_integers(name, value):
+    fields = {"n": 5, "lam": 8, "k": 2}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        ProtocolParams(**{**fields, name: value})
+    # numpy integers are integers, stored as Python ints
+    params = ProtocolParams(**{**fields, name: np.int64(fields[name])})
+    assert params == ProtocolParams(**fields) and type(getattr(params, name)) is int
+
+
+def test_params_refuse_more_message_bits_than_qubits():
+    assert ProtocolParams(n=4, lam=32, k=2).msg_len == 4
+    with pytest.raises(ValueError, match="lam=40 gives 5 message bits, more than n=4"):
+        ProtocolParams(n=4, lam=40, k=2)
+    # no extractor compresses n = 2 codeword bits to 3 message bits
+    with pytest.raises(ValueError, match="more than n=2"):
+        ProtocolParams(n=2, lam=24, k=1)
+
+
+def test_message_layer_refuses_long_messages_before_drawing_codes():
+    """otm_prep and simulator_transcript see no params with msg_len > n:
+    the params refuse first, so neither otrm_prep nor _code_pair runs."""
+    m = np.zeros(4, dtype=np.uint8)
+    with mock.patch.object(protocol, "otrm_prep", wraps=protocol.otrm_prep) as prep, \
+            mock.patch.object(protocol, "_code_pair", wraps=protocol._code_pair) as pair:
+        with pytest.raises(ValueError, match="more than n=3"):
+            otm_prep(m, m, ProtocolParams(n=3, lam=32, k=2), seed=1)
+        with pytest.raises(ValueError, match="more than n=3"):
+            simulator_transcript(m, m, ProtocolParams(n=3, lam=32, k=2), seed=1)
+        assert (prep.call_count, pair.call_count) == (0, 0)
+        # the spies see the calls of a valid shape
+        otm_prep(m, m, ProtocolParams(n=4, lam=32, k=2), seed=1)
+        assert (prep.call_count, pair.call_count) == (1, 1)
+
+
 def test_otrm_prep_structure_and_determinism():
     params = ProtocolParams(n=8, lam=8, k=3, seed_root=5)
     inst = otrm_prep(params)
@@ -81,47 +118,21 @@ def test_otrm_prep_qubits_encode_codeword_pairs():
         assert abs(q.theta - want.theta) <= 1e-12
 
 
-def test_otrm_instance_rejects_inconsistent_fields():
+def test_otrm_instance_derives_codewords_and_angles():
     inst = otrm_prep(ProtocolParams(n=6, lam=8, k=2, seed_root=1))
     assert inst.angles.tolist() == [q.theta for q in inst.qubits]
-    flip = np.zeros(6, dtype=np.uint8)
-    flip[2] = 1
-    for change, message in (
-        ({"c0": inst.c0 ^ flip}, "c0 is not the encoding of r0"),
-        ({"angles": inst.angles + 0.1 * flip}, "qubit 2 does not encode"),
-        ({"angles": np.where(flip, np.nan, inst.angles)}, "qubit 2 does not encode"),
-        ({"angles": inst.angles[:5]}, "qubit count"),
-        ({"c1": inst.c1 ^ flip}, "c1 is not the encoding of r1"),
-        ({"c0": inst.c0[:5]}, "c0 is not the encoding of r0"),
-        ({"c0": inst.c0[:, None]}, "c0 is not the encoding of r0"),
-    ):
-        with pytest.raises(InvariantViolationError, match=message):
-            dataclasses.replace(inst, **change)
+    # the codes and secrets are the only inputs; the rest follows from them
+    other = np.array([1, 1], dtype=np.uint8) ^ inst.r0
+    moved = dataclasses.replace(inst, r0=other)
+    assert moved.c0.tolist() == encode(inst.code0, other).tolist()
+    assert moved.c1 is not inst.c1 and moved.c1.tolist() == inst.c1.tolist()
+    with pytest.raises(TypeError):
+        protocol.OtrmInstance(inst.code0, inst.code1, inst.r0, inst.r1, inst.c0)
     with pytest.raises(ValueError, match="expected length 2, got 1"):
         dataclasses.replace(inst, r0=inst.r0[:1])
-    # integer arrays and lists of the codeword bits are accepted; bool and
-    # float arrays pass the encoding check and are refused by name before
-    # the angle lookup, which indexes with them
-    for c0 in (inst.c0.astype(np.int64), inst.c0.tolist()):
-        assert dataclasses.replace(inst, c0=c0).c0 is c0
-    # omitted codewords and angles are derived; given ones are still checked
-    bare = protocol.OtrmInstance(inst.code0, inst.code1, inst.r0, inst.r1)
-    for name in ("c0", "c1", "angles"):
-        assert getattr(bare, name).tolist() == getattr(inst, name).tolist()
-    with pytest.raises(InvariantViolationError, match="c1 is not the encoding of r1"):
-        protocol.OtrmInstance(inst.code0, inst.code1, inst.r0, inst.r1, c1=inst.c1 ^ flip)
-    with pytest.raises(InvariantViolationError, match="qubit 2 does not encode"):
-        protocol.OtrmInstance(inst.code0, inst.code1, inst.r0, inst.r1,
-                              angles=inst.angles + 0.1 * flip)
-    # at n = 2 a bool array of two bits would index _ANGLES as a mask
-    small = otrm_prep(ProtocolParams(n=2, lam=8, k=1, seed_root=5))
-    for case in (inst, small):
-        for name in ("c0", "c1"):
-            for dtype in (bool, float):
-                bits = getattr(case, name).astype(dtype)
-                with pytest.raises(InvariantViolationError,
-                                   match=f"{name} must hold integer bits, got dtype"):
-                    dataclasses.replace(case, **{name: bits})
+    wide = random_code(7, 2, seed=0)
+    with pytest.raises(InvariantViolationError, match="code lengths 6 and 7 disagree"):
+        dataclasses.replace(inst, code1=wide)
 
 
 def find_zero_free_codes(n, k):
@@ -860,9 +871,9 @@ def test_simulator_refuses_wide_seeds_before_allocating():
 
 
 def test_simulator_refuses_wide_pad_product_before_allocating():
-    # 2^17 seeds of 12 message bits each, times 64 codewords, is the
+    # 2^23 seeds of 12 message bits each, times 64 codewords, is the
     # Toeplitz product's size; it is refused before either side is built
-    params = ProtocolParams(n=6, lam=96, k=6, seed_root=0)
+    params = ProtocolParams(n=12, lam=96, k=6, seed_root=0)
     assert params.msg_len == 12
     m = np.zeros(12, dtype=np.uint8)
     tracemalloc.start()
