@@ -2,13 +2,14 @@
 
 Everything here is exhaustive on purpose.  One sweep over the cosets of
 the code visits each of the 2^n words once, as one coset representative
-plus a codeword offset, and yields both the exact failure probability and
-a decode table holding the ML decoding of every word; sampled decoding
-gathers from that table when it is cheaper than scoring each word against
-all 2^k codewords, and scans the codewords otherwise (and for n past the
-table budget).  That is the regime where exact numbers are available to
-pin down the behaviour of the wrapping protocol; guards refuse inputs past
-the enumeration budget instead of silently degrading.
+plus a codeword offset; each coset's least weight gives the exact failure
+probability, and the words at it give a decode table holding the ML
+decoding of every word.  Sampled decoding gathers from that table when it
+is cheaper than scoring each word against all 2^k codewords, and scans the
+codewords otherwise (and for n past the table budget).  That is the regime
+where exact numbers are available to pin down the behaviour of the wrapping
+protocol; guards refuse inputs past the enumeration budget instead of
+silently degrading.
 
 Bit vectors are numpy uint8 arrays.  A message ``m`` of length k maps to the
 codeword ``G @ m mod 2`` with ``G`` an n-by-k full-column-rank generator.
@@ -19,12 +20,13 @@ internally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _check_int
 
 __all__ = [
     "LinearCode",
@@ -191,18 +193,23 @@ class LinearCode:
         :func:`ml_decode` returns for the packed word y.
 
         In the names of :func:`_coset_sweep`, the word y = rep_s ^ cw_a is
-        nearest to the codewords cw_(a ^ b) with b in M_s, so ML decoding
-        returns min over b in M_s of a ^ b.  One greedy pass over the prefix
-        levels, top bit first, finds it: keep the result's bit j at 0 (b's
-        bit j equal to a's) whenever that prefix of b is in M_s >> j, and
-        flip it otherwise.  Refuses n past the block budget before
+        nearest to the codewords cw_(a ^ b) with b in M_s, the offsets that
+        reach the least weight min_b wt[s, b], so ML decoding returns min
+        over b in M_s of a ^ b.  levels[j][s, q] says whether q is among the
+        prefixes M_s >> j; levels[0] marks M_s itself.  One greedy pass over
+        them, top bit first, finds the min: keep the result's bit j at 0
+        (b's bit j equal to a's) whenever that prefix of b is in M_s >> j,
+        and flip it otherwise.  Refuses n past the block budget before
         allocating.
         """
         if self.n > MAX_BLOCK_BITS:
             raise ResourceLimitError(f"a decode table of 2^{self.n} cells exceeds the "
                                      f"budget of 2^{MAX_BLOCK_BITS} cells")
-        reps, _, levels = _coset_sweep(self)
+        reps, wt = _coset_sweep(self)
         k = self.k
+        levels = [wt == wt.min(axis=1, keepdims=True)]
+        for _ in range(k - 1):                         # prefix q survives if 2q or 2q+1 does
+            levels.append(levels[-1][:, 0::2] | levels[-1][:, 1::2])
         a = np.arange(1 << k, dtype=np.int32)
         # at = s * 2^(k-j) + (prefix of b chosen so far) indexes levels[j].ravel()
         at = np.repeat(np.arange(len(reps), dtype=np.int32), 1 << k).reshape(len(reps), -1)
@@ -280,22 +287,16 @@ def ml_decode_packed(code: LinearCode, words) -> np.ndarray:
 
 
 def _coset_sweep(code: LinearCode) -> tuple:
-    """The standard array of the code, as (reps, wt, levels).
+    """The standard array of the code, as (reps, wt).
 
     The 2^(n-k) words zero on the pivots of a reduced echelon basis are one
     representative reps[s] per coset, so e = rep_s ^ cw_a lists every word
-    once, with weight wt[s, a].  levels[j][s, q] says whether q is among
-    the prefixes M_s >> j, for j < k, where M_s holds the offsets b that
-    reach the least weight min_b wt[s, b]; levels[0] marks M_s itself.
+    once, with weight wt[s, a].
     """
     _, pivots = _echelon(bits_to_int(col) for col in code.generator.T)
     free = [1 << b for b in range(code.n) if not (1 << b) & sum(pivots)]
     reps = _span(np.array(free, dtype=np.int64))
-    wt = _popcount(reps[:, None] ^ code.codeword_ints[None, :])     # 2^n cells
-    levels = [wt == wt.min(axis=1, keepdims=True)]
-    for _ in range(code.k - 1):                    # prefix q survives if 2q or 2q+1 does
-        levels.append(levels[-1][:, 0::2] | levels[-1][:, 1::2])
-    return reps, wt, levels
+    return reps, _popcount(reps[:, None] ^ code.codeword_ints[None, :])     # 2^n cells
 
 
 def _check_flip_prob(p: float):
@@ -304,17 +305,16 @@ def _check_flip_prob(p: float):
 
 
 def exact_failure_prob(code: LinearCode, p: float) -> float:
-    """Exact BSC decode-failure probability, averaged over uniform codewords.
+    """Exact BSC decode-failure probability, averaged over uniform messages,
+    correctly rounded for the double p.
 
-    Decoding depends only on the coset of the error (the standard array,
-    see :func:`_coset_sweep`).  By linearity cw_m ^ e is at distance
-    wt[s, a ^ u] from cw_(m ^ u), so the nearest offsets u are a ^ M_s.
-    With ties broken toward the smaller message, m is decoded exactly when
-    a is in M_s and m has a 0 at the leading bit of a ^ b for every other b
-    in M_s: probability 2^-|S(a)| over uniform m, where bit j is in S(a)
-    when (a >> j) ^ 1 is among the prefixes M_s >> j.  The sum of
-    P(e) (1 - 2^-|S(a)| [a in M_s]) over the 2^n cells takes k prefix
-    levels of 2^n cells; each 1 - 2^-t is exact, so nothing cancels.
+    Substitute y = cw_m ^ e: success = 2^-k sum_m sum_e P(e) [m decoded]
+    = 2^-k sum_y P(y ^ cw_decoded(y)).  ML decoding leaves y ^ cw_decoded(y)
+    at the least weight w_s of y's coset (see :func:`_coset_sweep`), whatever
+    the tie rule, and each coset holds 2^k words y, so success = sum over
+    cosets of p^w_s (1 - p)^(n - w_s).  With L_w cosets of least weight w,
+    failure = sum_w (C(n, w) - L_w) p^w (1 - p)^(n - w), a sum of
+    nonnegative terms, taken in integers from p = a / b and divided once.
     Refuses n beyond the block budget.
     """
     _check_flip_prob(p)
@@ -323,19 +323,17 @@ def exact_failure_prob(code: LinearCode, p: float) -> float:
             f"n={code.n} exceeds the enumeration budget of {MAX_BLOCK_BITS}"
         )
     n = code.n
-    reps, wt, levels = _coset_sweep(code)
-    ties = np.zeros(wt.shape, dtype=np.uint8)                        # |S(a)|
-    for j, prefixes in enumerate(levels):
-        pairs = prefixes.reshape(len(reps), -1, 2)
-        ties += np.repeat(pairs[:, :, ::-1].reshape(len(reps), -1), 1 << j, axis=1)
-    by_weight = p ** np.arange(n + 1) * (1.0 - p) ** (n - np.arange(n + 1))
-    fail = np.where(levels[0], 1.0 - 0.5 ** ties, 1.0)
-    return float(np.sum(by_weight[wt] * fail))
+    _, wt = _coset_sweep(code)
+    leaders = np.bincount(wt.min(axis=1), minlength=n + 1).tolist()     # L_w
+    a, b = float(p).as_integer_ratio()
+    return sum((math.comb(n, w) - leaders[w]) * a**w * (b - a) ** (n - w)
+               for w in range(n + 1)) / b**n
 
 
 def _check_trials(trials: int, n: int):
-    """Refuse a sampling call before it draws anything: trials must be
-    positive and the trials x n sampled bits within MAX_SAMPLED_BITS."""
+    """Refuse a sampling call before it draws anything: trials must be a
+    positive integer and the trials x n sampled bits within MAX_SAMPLED_BITS."""
+    trials = _check_int("trials", trials)
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     if trials * n > MAX_SAMPLED_BITS:

@@ -112,9 +112,9 @@ class HypercubePartition:
     cells are listed only on demand, by inner_cells(j).
 
     Built from the grid and r alone: the outer side s and the cube count
-    q = (side // s)**D are derived.  Refuses r < 1 and a side that s does
-    not divide (ValueError), and more than _MAX_CELLS cubes
-    (ResourceLimitError).
+    q = (side // s)**D are derived.  Refuses an r that is not an integer,
+    r < 1 and a side that s does not divide (ValueError), and more than
+    _MAX_CELLS cubes (ResourceLimitError).
     """
 
     grid: GridSpec
@@ -124,14 +124,16 @@ class HypercubePartition:
 
     def __post_init__(self):
         g = self.grid
-        if self.r < 1:
-            raise ValueError(f"inner radius must be >= 1, got {self.r}")
-        outer_side = 2 * self.r + 2 * g.cone_radius
+        r = _check_int("r", self.r)
+        if r < 1:
+            raise ValueError(f"inner radius must be >= 1, got {r}")
+        outer_side = 2 * r + 2 * g.cone_radius
         if g.side % outer_side != 0:
             raise ValueError(f"grid side {g.side} not divisible by outer side {outer_side}")
         q = (g.side // outer_side) ** g.D
         if q > _MAX_CELLS:
             raise ResourceLimitError(f"{q} cubes exceeds the partition limit {_MAX_CELLS}")
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "outer_side", outer_side)
         object.__setattr__(self, "q", q)
 

@@ -492,6 +492,7 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
     add up over the pairs (see _product_figures).  The sweep's worst case
     and all_ok are read from the figure columns.
     """
+    m = _check_int("m", m)
     if m < 1:
         raise ValueError(f"need m >= 1 pairs, got {m}")
     if exhaustive:

@@ -196,8 +196,8 @@ def test_simulate_reports_and_reproduces(tmp_path, capsys):
 
 
 def test_simulate_readme_payloads_pinned(tmp_path, capsys):
-    # sha256 of each README invocation's result payload, recorded when the
-    # messages m0 and m1 were drawn by Generator.integers
+    # sha256 of each README invocation's result payload, recorded when
+    # statistics.exact_failure became the correctly rounded coset-leader sum
     out = tmp_path / "run.json"
     assert cli.main(["--out", str(out), "simulate", "--n", "15", "--rate", "0.2",
                      "--alpha", "1", "--trials", "2000", "--seed", "7"]) == cli.EXIT_OK
@@ -206,8 +206,8 @@ def test_simulate_readme_payloads_pinned(tmp_path, capsys):
     assert code == cli.EXIT_OK
     digests = [hashlib.sha256(json.dumps(strip_meta(payload)["result"], sort_keys=True)
                               .encode()).hexdigest() for payload in (out.read_text(), printed)]
-    assert digests == ["8498b979f89bcf5d6b7d34cc0599aed9967925e1986be12b2de264e0166697cb",
-                       "9662d289a892f20a9afdf0f4f343496e474ede77f7b670664385fea3d9682a48"]
+    assert digests == ["337e87dd00e85eaa774885378f6514af4358a8be4e48c9f9bbe713dd99938443",
+                       "4ee260193df68eb2fce7e8f380469a78f8b0978a450835b2151953730b4c2fdd"]
 
 
 def test_simulate_rejects_bad_rate(capsys):

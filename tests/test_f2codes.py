@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -166,6 +167,42 @@ def test_exact_failure_matches_brute_force_oracle():
             ), (code.n, code.k, p)
 
 
+def rational_failure(code, p, pick):
+    # every (message, error) pair decoded by the nearest-codeword rule,
+    # pick choosing among the tied messages, summed as a Fraction
+    n, k = code.n, code.k
+    cws = [bits_to_int(encode(code, int_to_bits(m, k))) for m in range(2**k)]
+    fails = [0] * (n + 1)                  # failing pairs by error weight
+    for m in range(2**k):
+        for e in range(2**n):
+            dists = [bin(cws[m] ^ e ^ cw).count("1") for cw in cws]
+            nearest = [u for u, d in enumerate(dists) if d == min(dists)]
+            fails[bin(e).count("1")] += pick(nearest) != m
+    q = Fraction(p)
+    return sum(f * q**w * (1 - q) ** (n - w) for w, f in enumerate(fails)) / 2**k
+
+
+def test_exact_failure_is_the_rounded_rational_whatever_the_tie_rule():
+    for code in tie_heavy_codes():
+        for p in (CHANNEL_P, 0.3, 0.5, 0.0, 1.0):
+            for pick in (min, max):
+                want = float(rational_failure(code, p, pick))
+                assert exact_failure_prob(code, p) == want, (code.n, code.k, p, pick)
+
+
+def test_exact_failure_bounded_in_memory():
+    # 2^20 words: a uint8 weight each plus the int64 XOR it is counted from
+    code = random_code(20, 12, seed=4)
+    code.codeword_ints
+    tracemalloc.start()
+    try:
+        exact_failure_prob(code, CHANNEL_P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 def scan_decode(code, words):
     # the block scan: argmin over the distances to all 2^k codewords, so
     # ties go to the smallest message; 256 words at a time
@@ -243,6 +280,15 @@ def test_sampling_refused_past_bit_budget():
     assert peak < 2**20
     with pytest.raises(ValueError, match="positive"):
         mc_failure_prob(code, CHANNEL_P, 0, seed=0)
+
+
+def test_trials_must_be_an_integer():
+    code = random_code(7, 2, seed=9)
+    for trials in (10.0, True):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            mc_failure_prob(code, CHANNEL_P, trials, seed=0)
+    assert mc_failure_prob(code, CHANNEL_P, np.int64(100), seed=0) == mc_failure_prob(
+        code, CHANNEL_P, 100, seed=0)
 
 
 def test_flip_probability_refused_outside_unit_interval():

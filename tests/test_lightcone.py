@@ -146,6 +146,18 @@ def test_partition_constructor_refuses_bad_radius_side_and_count():
         HypercubePartition(line, 1)
 
 
+def test_partition_radius_must_be_an_integer():
+    # a float r would make outer_side and q floats, which inner_cells
+    # cannot index with; a bool is not a radius
+    grid = GridSpec(D=2, side=24, ell=2, depth=1)
+    for r in (2.0, True):
+        with pytest.raises(ValueError, match="r must be an integer"):
+            build_partition(grid, r)
+    part = HypercubePartition(grid, np.int64(2))
+    assert type(part.r) is int and part == HypercubePartition(grid, 2)
+    assert len(part.inner_cells(0)) == 16
+
+
 def _assert_valid_counterexample(part, shrink, report):
     """The witness is an inner qubit of cube j whose cone reaches the cell,
     and the cell lies outside cube j's claim shrunk by ``shrink``."""

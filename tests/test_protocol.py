@@ -305,6 +305,16 @@ def test_mc_correctness_refused_past_bit_budget():
         mc_correctness(params, 0, 0, seed=0)
 
 
+def test_mc_correctness_trials_must_be_an_integer_before_drawing_codes():
+    params = ProtocolParams(n=5, lam=8, k=2)
+    with mock.patch.object(protocol, "_code_pair", wraps=protocol._code_pair) as draw:
+        for trials in (10.0, True):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                mc_correctness(params, 0, trials, seed=1)
+        assert draw.call_count == 0
+    assert mc_correctness(params, 0, np.int64(10), seed=1) == mc_correctness(params, 0, 10, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # extractor
 
@@ -607,6 +617,13 @@ def test_leakage_argument_errors():
         leakage_experiment(1, strategy=[0.0], exhaustive=True)
     with pytest.raises(ResourceLimitError):
         leakage_experiment(5, exhaustive=True, angles=[j * 0.1 for j in range(9)])
+
+
+def test_leakage_pair_count_must_be_an_integer():
+    for m, strategy in ((2.0, [0.0, 0.0]), (True, [0.0])):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            leakage_experiment(m, strategy=strategy)
+    assert leakage_experiment(np.int64(1), strategy=[0.0]) == leakage_experiment(1, strategy=[0.0])
 
 
 def test_leakage_sweep_guard_is_checked_before_listing():
