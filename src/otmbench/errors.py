@@ -25,7 +25,10 @@ class ResourceLimitError(RuntimeError):
 
 def _check_int(name: str, value) -> int:
     """value as an int: a Python or numpy integer, not a bool (a float of
-    integral value is refused too); ValueError naming the field otherwise."""
+    integral value is refused too); ValueError naming the field otherwise.
+    A plain int, the common case, skips the slower abstract-class check."""
+    if type(value) is int:
+        return value
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)

@@ -39,7 +39,7 @@ import itertools
 import math
 import sys
 import time
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,6 @@ __all__ = [
     "rank_one_crosscheck",
     "verify_convexity_fact",
 ]
-
-QUANTITIES = ("greater", "total", "conditional")
 
 # measurement bases every search evaluates exactly: computational,
 # intermediate (halfway), and conjugate
@@ -129,12 +127,46 @@ def _ensemble_families():
 
 _FAM_F0, _FAM_F1, _FAM_F01, _FAM_G0, _FAM_G1 = _ensemble_families()
 
-# families whose per-POVM sums feed each quantity's value
-_QUANT_FAMS = {
-    "greater": (_FAM_F0, _FAM_F1),
-    "total": (_FAM_F0, _FAM_F1),
-    "conditional": (_FAM_G0, _FAM_G1),
+
+class _Quantity(NamedTuple):
+    """How one leakage quantity is read from each figure that gives it.
+
+    from_logs takes the log2 sums la, lb of the two families over one
+    POVM and their larger one; from_slice takes the arc certificate's
+    certified slice maximum K, and every family sum is at most 2K;
+    from_figures takes the exact figures ic_b0, ic_b1, cond_b0, cond_b1.
+    Each works on floats and on numpy columns alike.
+    """
+
+    fams: tuple           # the two families whose per-POVM sums give the value
+    from_logs: Callable
+    slice_fams: tuple     # the families the arc certificate maximizes
+    from_slice: Callable
+    from_figures: Callable
+
+
+_QUANTITY = {
+    "greater": _Quantity((_FAM_F0, _FAM_F1), lambda la, lb, top: top,
+                         (_FAM_F0, _FAM_F1), lambda k: 1.0 + math.log2(k),
+                         lambda ic0, ic1, c0, c1: np.maximum(ic0, ic1)),
+    "total": _Quantity((_FAM_F0, _FAM_F1), lambda la, lb, top: la + lb,
+                       (_FAM_F01,), lambda k: 2.0 * math.log2(k),
+                       lambda ic0, ic1, c0, c1: ic0 + ic1),
+    "conditional": _Quantity((_FAM_G0, _FAM_G1), lambda la, lb, top: top - 2.0,
+                             (_FAM_G0, _FAM_G1), lambda k: -1.0 + math.log2(k),
+                             lambda ic0, ic1, c0, c1: np.maximum(c0, c1)),
 }
+
+QUANTITIES = tuple(_QUANTITY)
+
+
+def _quantity(name) -> _Quantity:
+    """The record of the quantity called name; ValueError for any other
+    name, an unhashable one included."""
+    try:
+        return _QUANTITY[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown quantity {name!r}; expected one of {QUANTITIES}") from None
 
 
 def _eval_family(fam: _Family, pts: np.ndarray) -> tuple:
@@ -220,22 +252,11 @@ def _corner_points(bases: np.ndarray, eps: float) -> tuple:
     return points, index.reshape(8, n)
 
 
-def _finish(quantity: str, la, lb, top):
-    """Quantity value from the two families' log2 sums and their larger one."""
-    if quantity == "greater":
-        return top
-    if quantity == "total":
-        return la + lb
-    if quantity == "conditional":
-        return top - 2.0
-    raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
-
-
 def _combine(quantity: str, sum_a, sum_b):
     """Quantity value from the two family sums (arrays or numpy scalars)."""
     with np.errstate(divide="ignore"):
         la, lb = np.log2(sum_a), np.log2(sum_b)
-    return _finish(quantity, la, lb, np.maximum(la, lb))
+    return _quantity(quantity).from_logs(la, lb, np.maximum(la, lb))
 
 
 def _eigmin_arr(pts: np.ndarray) -> np.ndarray:
@@ -353,13 +374,7 @@ def pair_info(table) -> PovmInfo:
 
 
 def value_from_info(info: PovmInfo, quantity: str) -> float:
-    if quantity == "greater":
-        return max(info.ic_b0, info.ic_b1)
-    if quantity == "total":
-        return info.ic_b0 + info.ic_b1
-    if quantity == "conditional":
-        return max(info.ic_b0_given_b1, info.ic_b1_given_b0)
-    raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
+    return float(_quantity(quantity).from_figures(*info))
 
 
 def _family_sum(fam: _Family, rows) -> float:
@@ -384,9 +399,10 @@ def _point_value(quantity: str, rows) -> float:
     A family sum over a valid POVM is positive (the elements' denominators
     add up to a positive trace), so its log2 exists.
     """
-    fam_a, fam_b = _QUANT_FAMS[quantity]
+    quant = _quantity(quantity)
+    fam_a, fam_b = quant.fams
     la, lb = math.log2(_family_sum(fam_a, rows)), math.log2(_family_sum(fam_b, rows))
-    return _finish(quantity, la, lb, max(la, lb))
+    return quant.from_logs(la, lb, max(la, lb))
 
 
 def _basis_rows(phi: float) -> tuple:
@@ -398,8 +414,6 @@ def _basis_rows(phi: float) -> tuple:
 
 def quantity_value(povm: Povm, quantity: str) -> float:
     """Fast-path value via the family functionals (matches eval_povm_info)."""
-    if quantity not in _QUANT_FAMS:
-        raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
     return _point_value(quantity, povm._rows)
 
 
@@ -444,14 +458,6 @@ def grid_extremal_povms(eps: float, outcomes: int) -> Iterator[Povm]:
 # ---------------------------------------------------------------------------
 # pure-state arc certificate
 
-# slice families per quantity, and how their certified slice maximum K
-# becomes a bound on the quantity (every family sum is at most 2K)
-_SLICE_FAMS = {
-    "greater": ((_FAM_F0, _FAM_F1), lambda k: 1.0 + math.log2(k)),
-    "total": ((_FAM_F01,), lambda k: 2.0 * math.log2(k)),
-    "conditional": ((_FAM_G0, _FAM_G1), lambda k: -1.0 + math.log2(k)),
-}
-
 _MAX_ARCS = 1 << 24   # refused before anything is allocated
 
 
@@ -475,7 +481,7 @@ def _slice_certificate(quantity: str, slice_eps: float) -> tuple:
     Bloch axis points u = 0, pi/2, pi, 3 pi/2 are arc endpoints and the
     "greater" bound, attained there, stays exact.
     """
-    fams, finish = _SLICE_FAMS[quantity]
+    quant = _quantity(quantity)
     quarter_arcs = math.pi / (2.0 * slice_eps)
     if quarter_arcs > _MAX_ARCS // 4:
         raise ResourceLimitError(f"slice_eps {slice_eps} needs more than {_MAX_ARCS} arcs")
@@ -487,12 +493,12 @@ def _slice_certificate(quantity: str, slice_eps: float) -> tuple:
     a = 0.5 + r * np.cos(u)
     pts = np.stack([a, r * np.sin(u), 1.0 - a], axis=-1)
     k = 0.0
-    for fam in fams:
+    for fam in quant.slice_fams:
         vals, den = _eval_family(fam, pts)
         if den.min() < 1e-6:
             raise InvariantViolationError("slice denominator lost its positive floor")
         k = max(k, float(vals.max()))
-    return finish(k), k, n_arcs
+    return quant.from_slice(k), k, n_arcs
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +617,7 @@ def _pair_cells(quantity: str, bases: np.ndarray, eps: float, points: np.ndarray
             np.maximum(2.0 - bases[:, 0] - bases[:, 2], 0.0))
     fam_sums_corr = []
     fam_sums_raw = []
-    for fam in _QUANT_FAMS[quantity]:
+    for fam in _quantity(quantity).fams:
         vals1, den1 = _eval_family(fam, points)
         vals2, den2 = _eval_family(fam, comp)
         fam_sums_corr.append(_box_bound(fam, vals1[index], den1[index], tops[0])
@@ -633,8 +639,7 @@ def corner_corrected_value(povm: Povm, eps: float, quantity: str) -> float:
     refused: no stage builds such cells, and the arc certificate bounds
     every element count.
     """
-    if quantity not in _QUANT_FAMS:
-        raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
+    _quantity(quantity)                  # a bad name is refused before eps
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     rows = povm._rows
@@ -728,8 +733,7 @@ def search_bounds(
     _NET_BLOCK cells of a net level and before the flat-cell count.  A
     partial report counts the cells of the blocks bounded.
     """
-    if quantity not in _QUANT_FAMS:
-        raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
+    _quantity(quantity)                  # a bad name is refused before the sizes
     # a normal float keeps 1/eps finite, so the cell counts below exist
     if not sys.float_info.min <= eps_fine <= eps_coarse + 1e-15 < math.inf:
         raise ValueError(f"need {sys.float_info.min} <= eps_fine <= eps_coarse < inf")

@@ -25,9 +25,9 @@ import numpy as np
 
 from .collinfo import JointDistribution, avg_conditional_min_entropy
 from .errors import InvariantViolationError, ResourceLimitError, _check_int
-from .f2codes import (MAX_BLOCK_BITS, LinearCode, _check_trials, _nearest, bits_to_int,
-                      encode, exact_failure_prob, ml_decode_packed, random_code)
-from .povmsearch import Povm, _outcome_table, pair_info
+from .f2codes import (MAX_BLOCK_BITS, LinearCode, _as_vector, _check_trials, _nearest,
+                      bits_to_int, encode, exact_failure_prob, ml_decode_packed, random_code)
+from .povmsearch import REFERENCE_SETS, Povm, _outcome_table, _QUANTITY, pair_info
 from .qrac import (
     ENCODING_ANGLES,
     BasisMeasurement,
@@ -63,24 +63,12 @@ __all__ = [
 
 # Certified per-pair leakage constants; a product strategy on m pairs is
 # held to m times each.
-PER_PAIR_BOUNDS = {"greater": 0.59, "total": 0.65, "conditional": 0.59}
+PER_PAIR_BOUNDS = REFERENCE_SETS["0.59/0.59/0.65"]
 
 _CHANNEL_P = math.sin(math.pi / 8) ** 2   # bit-flip rate seen by the matched basis
 # qubit angle of the bit pair (b0, b1) as _ANGLES[b0, b1]
 _ANGLES = np.array([[ENCODING_ANGLES[(b0, b1)] for b1 in (0, 1)] for b0 in (0, 1)])
 _READOUT = {alpha: measurement_for(alpha) for alpha in (0, 1)}
-
-
-def _equal_bits(bits: np.ndarray, other) -> bool:
-    """np.array_equal(bits, other) for a 1-d array bits, as one comparison
-    of Python lists: equal shapes give equal-length flat lists, any other
-    shape a nested list or a scalar, and 0/1 compares with True/False and
-    1.0/0.0 as it does in numpy."""
-    try:
-        other = np.asarray(other)
-    except (TypeError, ValueError):     # ragged: array_equal says unequal
-        return False
-    return bits.tolist() == other.tolist()
 
 
 @dataclass(frozen=True)
@@ -97,7 +85,6 @@ class ProtocolParams:
     lam: int
     k: int | None = None
     rate: float | None = None
-    seed_root: int = 0
 
     def __post_init__(self):
         for name in ("n", "lam") if self.k is None else ("n", "lam", "k"):
@@ -131,9 +118,11 @@ class ProtocolParams:
 @dataclass(frozen=True)
 class OtrmInstance:
     """Sender view of one random-string memory: secrets included.  Built
-    from the two codes and secrets alone: the codewords c0, c1 (the
-    encodings of r0, r1) and the qubit angles are derived, qubit i being
-    the state at angle angles[i], the QRAC encoding of (c0[i], c1[i])."""
+    from the two codes and secrets alone: the secrets are kept as k-bit
+    uint8 vectors, reduced mod 2 as they are encoded, and the codewords
+    c0, c1 (the encodings of r0, r1) and the qubit angles are derived,
+    qubit i being the state at angle angles[i], the QRAC encoding of
+    (c0[i], c1[i])."""
 
     code0: LinearCode
     code1: LinearCode
@@ -147,7 +136,11 @@ class OtrmInstance:
         if self.code0.n != self.code1.n:
             raise InvariantViolationError(
                 f"code lengths {self.code0.n} and {self.code1.n} disagree")
-        c0, c1 = encode(self.code0, self.r0), encode(self.code1, self.r1)
+        r0 = _as_vector(self.r0, self.code0.k) & 1
+        r1 = _as_vector(self.r1, self.code1.k) & 1
+        c0, c1 = encode(self.code0, r0), encode(self.code1, r1)
+        object.__setattr__(self, "r0", r0)
+        object.__setattr__(self, "r1", r1)
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "angles", _ANGLES[c0, c1])
@@ -168,7 +161,7 @@ def _code_pair(params: ProtocolParams, codes, root: int, label: str) -> tuple:
     return tuple(codes)
 
 
-def otrm_prep(params: ProtocolParams, seed: int | None = None,
+def otrm_prep(params: ProtocolParams, seed: int = 0,
               codes: tuple | None = None) -> OtrmInstance:
     """Sample messages, encode, and prepare the qubit list.
 
@@ -178,9 +171,8 @@ def otrm_prep(params: ProtocolParams, seed: int | None = None,
     integers(0, 2, size=k, dtype=np.uint8) draws of the "messages" stream,
     read from its raw PCG64 output (seeds._coin_bits says why they agree).
     """
-    root = params.seed_root if seed is None else seed
-    code0, code1 = _code_pair(params, codes, root, "code")
-    r0, r1 = _coin_bits(derive_seed(root, "messages"), params.k, params.k)
+    code0, code1 = _code_pair(params, codes, seed, "code")
+    r0, r1 = _coin_bits(derive_seed(seed, "messages"), params.k, params.k)
     return OtrmInstance(code0, code1, r0, r1)
 
 
@@ -214,7 +206,7 @@ def otrm_read(instance: OtrmInstance, alpha: int, seed) -> ReadResult:
         word=word,
         message=msg,
         codeword=code.codewords[u].copy(),
-        success=_equal_bits(msg, (instance.r0, instance.r1)[alpha]),
+        success=msg.tolist() == (instance.r0, instance.r1)[alpha].tolist(),
     )
 
 
@@ -226,6 +218,16 @@ def _toeplitz_index(output_len: int, input_len: int) -> np.ndarray:
     return i - j + input_len - 1
 
 
+def _seed_len(input_len: int, output_len: int) -> int:
+    """Seed bits of the Toeplitz extractor from input_len to output_len bits:
+    input_len + output_len - 1, and 0 at output_len 0.  Both sizes must be
+    integers with 0 <= output_len <= input_len."""
+    n, msg = _check_int("input_len", input_len), _check_int("output_len", output_len)
+    if not 0 <= msg <= n:
+        raise ValueError(f"need 0 <= output_len <= input_len, got {msg}, {n}")
+    return n + msg - 1 if msg else 0
+
+
 @dataclass(frozen=True)
 class Extractor:
     """Toeplitz two-universal hash over F2, fixed by its public seed bits."""
@@ -235,14 +237,12 @@ class Extractor:
     output_len: int
 
     def __post_init__(self):
+        want = _seed_len(self.input_len, self.output_len)
+        object.__setattr__(self, "input_len", int(self.input_len))
+        object.__setattr__(self, "output_len", int(self.output_len))
         bits = np.asarray(self.bits, dtype=np.uint8) & 1
         object.__setattr__(self, "bits", bits)
-        if not 0 <= self.output_len <= self.input_len:
-            raise ValueError(
-                f"need 0 <= output_len <= input_len, got {self.output_len}, {self.input_len}"
-            )
-        want = self.input_len + self.output_len - 1 if self.output_len else 0
-        if bits.shape != (max(want, 0),):
+        if bits.shape != (want,):
             raise ValueError(f"seed must hold {want} bits, got shape {bits.shape}")
 
     @cached_property
@@ -273,9 +273,7 @@ def make_extractor(input_len: int, output_len: int, seed) -> Extractor:
     each the top bit of one raw PCG64 byte (see seeds._coin_bits); a
     Generator, whose state is the caller's, is drawn from.
     """
-    if not 0 <= output_len <= input_len:
-        raise ValueError(f"need 0 <= output_len <= input_len, got {output_len}, {input_len}")
-    want = input_len + output_len - 1 if output_len else 0
+    want = _seed_len(input_len, output_len)
     if isinstance(seed, (int, np.integer)):
         (bits,) = _coin_bits(seed, want)
     elif isinstance(seed, np.random.Generator):
@@ -296,17 +294,16 @@ class OtmPackage:
     ext1: Extractor
 
 
-def otm_prep(m0, m1, params: ProtocolParams, seed: int | None = None,
+def otm_prep(m0, m1, params: ProtocolParams, seed: int = 0,
              codes: tuple | None = None) -> OtmPackage:
     """Pad each message with its codeword's extractor output."""
     m0 = np.asarray(m0, dtype=np.uint8) & 1
     m1 = np.asarray(m1, dtype=np.uint8) & 1
     if m0.shape != (params.msg_len,) or m1.shape != (params.msg_len,):
         raise ValueError(f"messages must hold lam/8 = {params.msg_len} bits")
-    root = params.seed_root if seed is None else seed
-    instance = otrm_prep(params, derive_seed(root, "otrm"), codes=codes)
-    ext0 = make_extractor(params.n, params.msg_len, derive_seed(root, "ext0"))
-    ext1 = make_extractor(params.n, params.msg_len, derive_seed(root, "ext1"))
+    instance = otrm_prep(params, derive_seed(seed, "otrm"), codes=codes)
+    ext0 = make_extractor(params.n, params.msg_len, derive_seed(seed, "ext0"))
+    ext1 = make_extractor(params.n, params.msg_len, derive_seed(seed, "ext1"))
     return OtmPackage(
         instance=instance,
         ct0=m0 ^ ext0.apply(instance.c0),
@@ -409,10 +406,9 @@ class LeakageReport:
     def bounds(self) -> dict:
         """Per quantity: its value, its limit m times the pair bound, and
         whether the value is within the limit (to 1e-9)."""
-        values = {"greater": max(self.ic_b0, self.ic_b1), "total": self.total,
-                  "conditional": max(self.cond_b0, self.cond_b1)}
         out = {}
-        for q, value in values.items():
+        for q, quant in _QUANTITY.items():
+            value = float(quant.from_figures(self.ic_b0, self.ic_b1, self.cond_b0, self.cond_b1))
             limit = self.m * PER_PAIR_BOUNDS[q]
             out[q] = {"value": value, "limit": limit, "ok": value <= limit + 1e-9}
         return out
@@ -511,15 +507,14 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
         idx = np.arange(m)[None, :]
     names = [e if isinstance(e, Povm) else
              (e.theta if isinstance(e, BasisMeasurement) else float(e)) for e in entries]
-    # one pair_info per distinct entry, scattered back to every entry: an
-    # angle or basis is keyed by its float angle, since equal angles measure
-    # alike, and a Povm, which defines no equality, by identity
-    keys = [e if isinstance(e, Povm) else float(name) for e, name in zip(entries, names)]
-    first = {}
-    for key, entry in zip(keys, entries):
-        first.setdefault(key, entry)
-    slot = {key: s for s, key in enumerate(first)}
-    figs = np.array([pair_info(t) for t in _strategy_tables(list(first.values()))])
+    # one pair_info per distinct outcome table, all that pair_info reads,
+    # scattered back to every entry; tables are (2, 2, outcomes), so equal
+    # bytes are equal tables
+    tables = _strategy_tables(entries)
+    keys = [t.tobytes() for t in tables]
+    distinct = dict(zip(keys, tables))
+    slot = {key: s for s, key in enumerate(distinct)}
+    figs = np.array([pair_info(t) for t in distinct.values()])
     figs = figs.reshape(-1, 4)[[slot[key] for key in keys]]
     ic0, ic1, c0, c1 = _product_figures(figs[idx])
     total = ic0 + ic1
@@ -529,8 +524,7 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
     reports = tuple(itertools.starmap(LeakageReport, zip(itertools.repeat(m), labels, *cols)))
     if not exhaustive:
         return reports[0]
-    values = {"greater": np.maximum(ic0, ic1), "total": total,
-              "conditional": np.maximum(c0, c1)}
+    values = {q: quant.from_figures(ic0, ic1, c0, c1) for q, quant in _QUANTITY.items()}
     return LeakageSweep(
         m=m,
         reports=reports,
@@ -543,7 +537,7 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
 # exact simulator comparison
 
 # cells any one simulator stage may hold: the pad tables, the outcome table,
-# the seed-class tables held at once, or a per-seed view gathered on demand
+# or the seed-class tables held at once
 _MAX_SIM_CELLS = 1 << 24
 
 
@@ -559,7 +553,7 @@ def _pad_table(cws: np.ndarray, msg: int) -> np.ndarray:
     (n + msg - 1)-bit integer, index 0 most significant) and codeword row r:
     one stacked Toeplitz product over all seeds."""
     n = cws.shape[1]
-    seed_len = n + msg - 1 if msg else 0
+    seed_len = _seed_len(n, msg)
     shifts = np.arange(seed_len - 1, -1, -1)
     seeds = (np.arange(2 ** seed_len)[:, None] >> shifts) & 1          # (w, seed bit)
     bits = (seeds[:, _toeplitz_index(msg, n)] @ cws.T) % 2              # (w, i, r)
@@ -568,44 +562,18 @@ def _pad_table(cws: np.ndarray, msg: int) -> np.ndarray:
 
 def _seed_classes(m: np.ndarray, cws: np.ndarray, msg: int) -> tuple:
     """Seeds grouped by their ciphertext row ct[w, :] = m ^ pad(w, :), as
-    (rows, inverse, counts): class c has row rows[c] and counts[c] seeds,
-    and seed w lies in class inverse[w]."""
+    (rows, counts): class c has row rows[c] and counts[c] seeds."""
     ct = bits_to_int(m) ^ _pad_table(cws, msg)
-    rows, inverse, counts = np.unique(ct, axis=0, return_inverse=True, return_counts=True)
-    return rows, inverse.reshape(-1), counts
+    return np.unique(ct, axis=0, return_counts=True)
 
 
+@dataclass(frozen=True)
 class SimulatorReport:
-    """Exact figures of one simulator comparison.
+    """Exact figures of one simulator comparison."""
 
-    real_view and sim_view, the joints over (w0, w1, out, ct0, ct1), are
-    gathered from the seed-class tables on first access: a view entry is
-    its class entry divided by the seed counts of its two classes.  A view
-    past the simulator's cell budget is refused when it is read.
-    """
-
-    def __init__(self, exact_sd: float, min_entropy_c1: float, lhl_bound: float,
-                 classes: tuple):
-        self.exact_sd = exact_sd
-        self.min_entropy_c1 = min_entropy_c1
-        self.lhl_bound = lhl_bound
-        self._classes = classes        # real class table, inverse0, counts0, inverse1, counts1
-
-    def _gather(self, table: np.ndarray) -> JointDistribution:
-        _, inv0, cnt0, inv1, cnt1 = self._classes
-        _check_sim_cells("view", len(inv0) * len(inv1) * math.prod(table.shape[2:]))
-        per_seed = table / (cnt0[:, None] * cnt1[None, :])[:, :, None, None, None]
-        return JointDistribution(("w0", "w1", "out", "ct0", "ct1"), per_seed[np.ix_(inv0, inv1)])
-
-    @cached_property
-    def real_view(self) -> JointDistribution:
-        return self._gather(self._classes[0])
-
-    @cached_property
-    def sim_view(self) -> JointDistribution:
-        real = self._classes[0]
-        return self._gather(np.broadcast_to(real.sum(axis=-1, keepdims=True) / real.shape[-1],
-                                            real.shape))
+    exact_sd: float
+    min_entropy_c1: float
+    lhl_bound: float
 
 
 def simulator_transcript(m0, m1, params: ProtocolParams, adversary_strategy=None,
@@ -653,7 +621,7 @@ def simulator_transcript(m0, m1, params: ProtocolParams, adversary_strategy=None
     allocated: the pad tables (the W x msg x n seed bits and their
     W x msg x 2^k Toeplitz product with the codewords), the outcome
     table pout (4^k x outcomes), and the class-sized tables held at once
-    (the view, its |real - sim| temporary, the side table and the
+    (the class table, its |real - sim| temporary, the side table and the
     contraction's intermediate).
     """
     m0 = np.asarray(m0, dtype=np.uint8) & 1
@@ -669,7 +637,7 @@ def simulator_transcript(m0, m1, params: ProtocolParams, adversary_strategy=None
     if len(tables) > n:
         raise ValueError("strategy lists more qubits than the instance holds")
     n_out = math.prod(t.shape[2] for t in tables)
-    w_count = 2 ** (n + msg - 1) if msg else 1
+    w_count = 2 ** _seed_len(n, msg)
     r_count, nc = 2 ** k, 2 ** msg
     _check_sim_cells("pad table", w_count * msg * max(r_count, n))
     _check_sim_cells("outcome table", r_count * r_count * n_out)
@@ -683,8 +651,8 @@ def simulator_transcript(m0, m1, params: ProtocolParams, adversary_strategy=None
         qubit = t[cws0[:, i][:, None], cws1[:, i][None, :]]          # (r0, r1, o)
         pout = (pout[..., None] * qubit[:, :, None, :]).reshape(r_count, r_count, -1)
 
-    rows0, inv0, cnt0 = _seed_classes(m0, cws0, msg)
-    rows1, inv1, cnt1 = _seed_classes(m1, cws1, msg)
+    rows0, cnt0 = _seed_classes(m0, cws0, msg)
+    rows1, cnt1 = _seed_classes(m1, cws1, msg)
     c0, c1 = len(cnt0), len(cnt1)
     _check_sim_cells("class tables",
                      2 * c0 * c1 * n_out * nc * nc + r_count * (c0 + c1) * n_out * nc)
@@ -711,9 +679,4 @@ def simulator_transcript(m0, m1, params: ProtocolParams, adversary_strategy=None
         raise InvariantViolationError(
             f"exact SD {exact_sd} exceeds the leftover-hash bound {lhl}"
         )
-    return SimulatorReport(
-        exact_sd=exact_sd,
-        min_entropy_c1=hmin,
-        lhl_bound=lhl,
-        classes=(real, inv0, cnt0, inv1, cnt1),
-    )
+    return SimulatorReport(exact_sd=exact_sd, min_entropy_c1=hmin, lhl_bound=lhl)

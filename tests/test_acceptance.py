@@ -361,7 +361,7 @@ def test_criterion_11_otm_round_trip():
 
 
 def test_criterion_12_simulator_distance():
-    params = ProtocolParams(n=6, lam=8, k=2, seed_root=0)
+    params = ProtocolParams(n=6, lam=8, k=2)
     rep = simulator_transcript(
         np.array([1], dtype=np.uint8),
         np.array([0], dtype=np.uint8),

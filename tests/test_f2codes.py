@@ -129,22 +129,6 @@ def test_repetition3_exact_failure_closed_form():
     assert exact_failure_prob(code, 0.0) == 0.0
 
 
-def oracle_failure(code, p):
-    # every (message, error) pair, decoded by the nearest-codeword oracle
-    n, k = code.n, code.k
-    cws = [encode(code, int_to_bits(m, k)) for m in range(2**k)]
-    total = 0.0
-    for m in range(2**k):
-        for e in range(2**n):
-            err = int_to_bits(e, n)
-            word = cws[m] ^ err
-            dists = [int((cw ^ word).sum()) for cw in cws]
-            if dists.index(min(dists)) != m:
-                wt = int(err.sum())
-                total += p**wt * (1 - p) ** (n - wt) / 2**k
-    return total
-
-
 def tie_heavy_codes():
     repeated_row = np.array([[1, 0], [1, 0], [0, 1], [1, 1], [0, 1]], dtype=np.uint8)
     return [
@@ -157,14 +141,6 @@ def tie_heavy_codes():
         random_code(7, 2, seed=9),
         random_code(6, 4, seed=2),
     ]
-
-
-def test_exact_failure_matches_brute_force_oracle():
-    for code in tie_heavy_codes():
-        for p in (CHANNEL_P, 0.3, 0.5):
-            assert exact_failure_prob(code, p) == pytest.approx(
-                oracle_failure(code, p), abs=1e-12
-            ), (code.n, code.k, p)
 
 
 def rational_failure(code, p, pick):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from otmbench.povmsearch import (
     QUANTITIES,
     REFERENCE_SETS,
     Povm,
+    PovmInfo,
     corner_corrected_value,
     eval_povm_info,
     grid_extremal_povms,
@@ -27,7 +29,6 @@ from otmbench.povmsearch import (
 from otmbench.povmsearch import (
     _MAX_NET_CELLS,
     _NET_BLOCK,
-    _QUANT_FAMS,
     _axis_counts,
     _combine,
     _corner_deltas,
@@ -37,6 +38,7 @@ from otmbench.povmsearch import (
     _net_level,
     _outcome_table,
     _pair_cells,
+    _quantity,
     _slice_certificate,
 )
 from otmbench.qrac import BasisMeasurement, measure_prob, qrac_encode
@@ -87,6 +89,29 @@ def test_quantity_value_dispatch():
         assert quantity_value(p, q) == pytest.approx(value_from_info(info, q), abs=1e-12)
     with pytest.raises(ValueError):
         quantity_value(p, "sharpest")
+
+
+_ENTRY_POINTS = {
+    # each call is otherwise malformed too where it can be (eps below 0,
+    # eps_fine above eps_coarse), so the name must be refused first
+    "quantity_value": lambda q: quantity_value(basis_povm(0.0), q),
+    "corner_corrected_value": lambda q: corner_corrected_value(basis_povm(0.0), -1.0, q),
+    "search_bounds": lambda q: search_bounds(0.005, 0.05, q),
+    "value_from_info": lambda q: value_from_info(PovmInfo(0.0, 0.0, 0.0, 0.0), q),
+}
+
+
+@pytest.mark.parametrize("name", ["bogus", ["total"]], ids=["unknown", "unhashable"])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_unknown_quantity_refused_alike_before_any_work(entry, name, monkeypatch):
+    def no_eval(*args):
+        raise AssertionError("evaluated before refusing the quantity")
+
+    monkeypatch.setattr(povmsearch, "_eval_family", no_eval)
+    monkeypatch.setattr(povmsearch, "_family_sum", no_eval)
+    want = f"unknown quantity {name!r}; expected one of {QUANTITIES}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        _ENTRY_POINTS[entry](name)
 
 
 def test_fast_path_matches_joint_distribution_route():
@@ -184,7 +209,7 @@ def test_scalar_path_matches_array_kernel():
         assert p.as_lists() == r.as_lists()
         for q in QUANTITIES:
             fast = quantity_value(p, q)
-            sums = [_eval_family(fam, p.coords())[0].sum() for fam in _QUANT_FAMS[q]]
+            sums = [_eval_family(fam, p.coords())[0].sum() for fam in _quantity(q).fams]
             assert abs(fast - float(_combine(q, *sums))) <= 1e-13
             assert quantity_value(r, q) == fast
 

@@ -94,9 +94,9 @@ def test_message_layer_refuses_long_messages_before_drawing_codes():
 
 
 def test_otrm_prep_structure_and_determinism():
-    params = ProtocolParams(n=8, lam=8, k=3, seed_root=5)
-    inst = otrm_prep(params)
-    again = otrm_prep(params)
+    params = ProtocolParams(n=8, lam=8, k=3)
+    inst = otrm_prep(params, seed=5)
+    again = otrm_prep(params, seed=5)
     assert np.array_equal(inst.r0, again.r0)
     assert np.array_equal(inst.c1, again.c1)
     assert len(inst.qubits) == 8
@@ -111,15 +111,15 @@ def test_otrm_prep_structure_and_determinism():
 
 
 def test_otrm_prep_qubits_encode_codeword_pairs():
-    params = ProtocolParams(n=6, lam=8, k=2, seed_root=1)
-    inst = otrm_prep(params)
+    params = ProtocolParams(n=6, lam=8, k=2)
+    inst = otrm_prep(params, seed=1)
     for i, q in enumerate(inst.qubits):
         want = qrac_encode(int(inst.c0[i]), int(inst.c1[i]))
         assert abs(q.theta - want.theta) <= 1e-12
 
 
 def test_otrm_instance_derives_codewords_and_angles():
-    inst = otrm_prep(ProtocolParams(n=6, lam=8, k=2, seed_root=1))
+    inst = otrm_prep(ProtocolParams(n=6, lam=8, k=2), seed=1)
     assert inst.angles.tolist() == [q.theta for q in inst.qubits]
     # the codes and secrets are the only inputs; the rest follows from them
     other = np.array([1, 1], dtype=np.uint8) ^ inst.r0
@@ -133,6 +133,20 @@ def test_otrm_instance_derives_codewords_and_angles():
     wide = random_code(7, 2, seed=0)
     with pytest.raises(InvariantViolationError, match="code lengths 6 and 7 disagree"):
         dataclasses.replace(inst, code1=wide)
+
+
+def test_reads_are_scored_against_the_encoded_bits():
+    # the secrets are encoded mod 2, so [2, 1] and [1, 3] are kept as the
+    # bits [0, 1] and [1, 1] that the reads decode to
+    code0, code1 = random_code(9, 2, seed=0), random_code(9, 2, seed=1)
+    inst = protocol.OtrmInstance(code0, code1, [2, 1], [1, 3])
+    assert inst.r0.dtype == np.uint8 and inst.r1.dtype == np.uint8
+    assert (inst.r0.tolist(), inst.r1.tolist()) == ([0, 1], [1, 1])
+    assert inst.c0.tolist() == encode(code0, [0, 1]).tolist()
+    for alpha, want in ((0, [0, 1]), (1, [1, 1])):
+        reads = [otrm_read(inst, alpha, seed) for seed in range(200)]
+        assert all(r.success == (r.message.tolist() == want) for r in reads)
+        assert sum(r.success for r in reads) >= 150
 
 
 def find_zero_free_codes(n, k):
@@ -160,8 +174,8 @@ def test_codeword_bit_pairs_uniform_over_messages():
 
 
 def test_otrm_read_decodes_and_reports():
-    params = ProtocolParams(n=9, lam=8, k=2, seed_root=3)
-    inst = otrm_prep(params)
+    params = ProtocolParams(n=9, lam=8, k=2)
+    inst = otrm_prep(params, seed=3)
     res = otrm_read(inst, alpha=1, seed=11)
     assert res.alpha == 1
     assert res.word.shape == (9,)
@@ -172,7 +186,7 @@ def test_otrm_read_decodes_and_reports():
 
 
 def test_non_integer_alpha_refused_before_drawing():
-    params = ProtocolParams(n=9, lam=16, k=2, seed_root=3)
+    params = ProtocolParams(n=9, lam=16, k=2)
     pkg = otm_prep(np.array([1, 0], dtype=np.uint8), np.array([0, 1], dtype=np.uint8),
                    params, seed=5)
     codes = (pkg.instance.code0, pkg.instance.code1)
@@ -198,8 +212,8 @@ def test_non_integer_alpha_refused_before_drawing():
 
 
 def test_reads_hand_out_fresh_arrays():
-    params = ProtocolParams(n=9, lam=8, k=2, seed_root=3)
-    inst = otrm_prep(params)
+    params = ProtocolParams(n=9, lam=8, k=2)
+    inst = otrm_prep(params, seed=3)
     code = inst.code1
     first = otrm_read(inst, 1, seed=11)
     tables = code.codewords.copy(), code.messages.copy()
@@ -215,8 +229,8 @@ def test_reads_hand_out_fresh_arrays():
 
 
 def test_otrm_read_word_matches_per_qubit_sampling():
-    params = ProtocolParams(n=12, lam=8, k=3, seed_root=8)
-    inst = otrm_prep(params)
+    params = ProtocolParams(n=12, lam=8, k=3)
+    inst = otrm_prep(params, seed=8)
     for alpha in (0, 1):
         meas = measurement_for(alpha)
         for seed in range(20):
@@ -227,7 +241,7 @@ def test_otrm_read_word_matches_per_qubit_sampling():
 
 
 def test_otrm_read_failure_rate_tracks_exact_benchmark():
-    params = ProtocolParams(n=7, lam=8, k=2, seed_root=0)
+    params = ProtocolParams(n=7, lam=8, k=2)
     codes = (random_code(7, 2, 100), random_code(7, 2, 101))
     for alpha in (0, 1):
         out = mc_correctness(params, alpha=alpha, trials=2000, seed=42, codes=codes)
@@ -393,6 +407,21 @@ def test_make_extractor_refuses_long_outputs_before_drawing():
     assert rng.bit_generator.state == state
 
 
+def test_extractor_sizes_must_be_integers():
+    # refused by one rule in both constructors, before any seed bit is drawn
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    for sizes in ((4.0, 1), (4, 1.0), (True, 1), (4, True), ("4", 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_extractor(*sizes, rng)
+        with pytest.raises(ValueError, match="must be an integer"):
+            Extractor(np.zeros(4, dtype=np.uint8), *sizes)
+    assert rng.bit_generator.state == state
+    ext = Extractor(np.zeros(4, dtype=np.uint8), np.int64(4), np.int64(1))
+    assert (type(ext.input_len), type(ext.output_len)) == (int, int)
+    assert ext.apply([1, 0, 1, 1]).tolist() == [0]
+
+
 def test_two_universality_exact():
     """Every distinct input pair collides on exactly 2^-out of the seeds."""
     input_len, output_len = 4, 2
@@ -440,7 +469,7 @@ def test_extraction_distance_for_flat_source():
 
 
 def test_otm_round_trip_exhaustive_small():
-    params = ProtocolParams(n=5, lam=8, k=2, seed_root=7)
+    params = ProtocolParams(n=5, lam=8, k=2)
     for m0_bit, m1_bit, alpha in itertools.product((0, 1), (0, 1), (0, 1)):
         m0 = np.array([m0_bit], dtype=np.uint8)
         m1 = np.array([m1_bit], dtype=np.uint8)
@@ -454,7 +483,7 @@ def test_otm_round_trip_exhaustive_small():
 
 
 def test_otm_ciphertext_masks_message():
-    params = ProtocolParams(n=5, lam=16, k=2, seed_root=7)
+    params = ProtocolParams(n=5, lam=16, k=2)
     m0 = np.array([1, 0], dtype=np.uint8)
     m1 = np.array([0, 1], dtype=np.uint8)
     pkg = otm_prep(m0, m1, params, seed=3)
@@ -463,7 +492,7 @@ def test_otm_ciphertext_masks_message():
 
 
 def test_otm_tampered_ciphertext_flips_output_bit():
-    params = ProtocolParams(n=5, lam=16, k=2, seed_root=7)
+    params = ProtocolParams(n=5, lam=16, k=2)
     m0 = np.array([1, 1], dtype=np.uint8)
     m1 = np.array([0, 0], dtype=np.uint8)
     pkg = otm_prep(m0, m1, params, seed=4)
@@ -780,7 +809,7 @@ def test_honest_receiver_leaves_other_string_bounded():
 
 
 def test_simulator_empty_messages_no_distance():
-    params = ProtocolParams(n=4, lam=0, k=2, seed_root=0)
+    params = ProtocolParams(n=4, lam=0, k=2)
     rep = simulator_transcript(
         np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.uint8), params
     )
@@ -794,7 +823,7 @@ def test_simulator_measures_nothing_closed_form():
     perfectly uniform bit unless the row is zero (one seed in 2^n), where
     the real ciphertext is constant and contributes SD 1/2.
     """
-    params = ProtocolParams(n=4, lam=8, k=4, seed_root=0)
+    params = ProtocolParams(n=4, lam=8, k=4)
     rep = simulator_transcript(
         np.array([0], dtype=np.uint8), np.array([1], dtype=np.uint8), params, seed=5
     )
@@ -803,7 +832,7 @@ def test_simulator_measures_nothing_closed_form():
 
 
 def test_simulator_all_matched_basis_adversary():
-    params = ProtocolParams(n=6, lam=8, k=2, seed_root=0)
+    params = ProtocolParams(n=6, lam=8, k=2)
     rep = simulator_transcript(
         np.array([1], dtype=np.uint8),
         np.array([0], dtype=np.uint8),
@@ -813,13 +842,12 @@ def test_simulator_all_matched_basis_adversary():
     )
     assert rep.exact_sd <= rep.lhl_bound + 1e-12
     assert rep.min_entropy_c1 >= 0.0
-    assert rep.real_view.names == rep.sim_view.names
 
 
 def test_simulator_within_lhl_over_adversary_table():
     # every basis-choice adversary in {0, pi/4}^6 and each uniform angle of
     # the 9-angle leakage grid: 64 + 9 strategies
-    params = ProtocolParams(n=6, lam=8, k=2, seed_root=0)
+    params = ProtocolParams(n=6, lam=8, k=2)
     table = [list(s) for s in itertools.product((0.0, math.pi / 4), repeat=6)]
     table += [[j * math.pi / 16] * 6 for j in range(9)]
     assert len(table) == 73
@@ -829,20 +857,10 @@ def test_simulator_within_lhl_over_adversary_table():
         assert rep.exact_sd <= rep.lhl_bound + 1e-12, strategy
 
 
-def test_simulator_distance_equals_gathered_views():
-    params = ProtocolParams(n=6, lam=8, k=3, seed_root=0)
-    rep = simulator_transcript(np.array([0], dtype=np.uint8), np.array([1], dtype=np.uint8),
-                               params, adversary_strategy=[0.0, math.pi / 8] * 3, seed=3)
-    assert rep.real_view.table.shape == (64, 64, 64, 2, 2)
-    dense = 0.5 * np.abs(rep.real_view.table - rep.sim_view.table).sum()
-    assert rep.exact_sd == pytest.approx(dense, abs=1e-15)
-    assert rep.real_view is rep.real_view          # gathered once
-
-
 def test_simulator_figures_skip_the_dense_view():
     # the dense (w0, w1, out, ct0, ct1) view at n = 7, k = 3 holds 2^23
     # float64 cells (64 MiB); the 8 seed classes per side need 32 768
-    params = ProtocolParams(n=7, lam=8, k=3, seed_root=0)
+    params = ProtocolParams(n=7, lam=8, k=3)
     m0, m1 = np.array([1], dtype=np.uint8), np.array([0], dtype=np.uint8)
     tracemalloc.start()
     try:
@@ -860,22 +878,11 @@ def test_simulator_distance_past_lhl_is_refused(monkeypatch):
     monkeypatch.setattr(protocol, "avg_conditional_min_entropy", lambda *a: 60.0)
     with pytest.raises(InvariantViolationError, match="leftover-hash"):
         simulator_transcript(np.array([0], dtype=np.uint8), np.array([1], dtype=np.uint8),
-                             ProtocolParams(n=4, lam=8, k=4, seed_root=0), seed=5)
-
-
-def test_simulator_view_refused_on_access():
-    # 4 seed classes per side give the figures; the 2^12-seed view has 2^26 cells
-    params = ProtocolParams(n=12, lam=8, k=2, seed_root=0)
-    rep = simulator_transcript(np.array([1], dtype=np.uint8), np.array([0], dtype=np.uint8),
-                               params, seed=1)
-    assert rep.exact_sd <= rep.lhl_bound + 1e-12
-    for read in (lambda: rep.real_view, lambda: rep.sim_view):
-        with pytest.raises(ResourceLimitError, match="view"):
-            read()
+                             ProtocolParams(n=4, lam=8, k=4), seed=5)
 
 
 def test_simulator_refuses_wide_seeds_before_allocating():
-    params = ProtocolParams(n=62, lam=8, k=3, seed_root=0)
+    params = ProtocolParams(n=62, lam=8, k=3)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="pad table"):
@@ -890,7 +897,7 @@ def test_simulator_refuses_wide_seeds_before_allocating():
 def test_simulator_refuses_wide_pad_product_before_allocating():
     # 2^23 seeds of 12 message bits each, times 64 codewords, is the
     # Toeplitz product's size; it is refused before either side is built
-    params = ProtocolParams(n=12, lam=96, k=6, seed_root=0)
+    params = ProtocolParams(n=12, lam=96, k=6)
     assert params.msg_len == 12
     m = np.zeros(12, dtype=np.uint8)
     tracemalloc.start()
@@ -907,13 +914,13 @@ def test_simulator_distance_shrinks_with_shorter_messages():
     m2 = simulator_transcript(
         np.array([1, 0], dtype=np.uint8),
         np.array([0, 1], dtype=np.uint8),
-        ProtocolParams(n=5, lam=16, k=2, seed_root=0),
+        ProtocolParams(n=5, lam=16, k=2),
         seed=2,
     )
     m1 = simulator_transcript(
         np.array([1], dtype=np.uint8),
         np.array([0], dtype=np.uint8),
-        ProtocolParams(n=5, lam=8, k=2, seed_root=0),
+        ProtocolParams(n=5, lam=8, k=2),
         seed=2,
     )
     assert m1.exact_sd <= m2.exact_sd + 1e-12
@@ -979,14 +986,12 @@ def test_simulator_matches_brute_force(n, lam, k, strategy, seed):
     m1 = rng.integers(0, 2, size=params.msg_len, dtype=np.uint8)
     rep = simulator_transcript(m0, m1, params, adversary_strategy=strategy, seed=seed)
     real, sim, hmin = _brute_force_views(m0, m1, params, strategy, seed)
-    assert np.abs(rep.real_view.table - real).max() <= 1e-15
-    assert np.abs(rep.sim_view.table - sim).max() <= 1e-15
     assert rep.exact_sd == pytest.approx(0.5 * np.abs(real - sim).sum(), abs=1e-12)
     assert rep.min_entropy_c1 == pytest.approx(hmin, abs=1e-12)
 
 
 def test_simulator_resource_limit():
-    params = ProtocolParams(n=10, lam=32, k=2, seed_root=0)
+    params = ProtocolParams(n=10, lam=32, k=2)
     with pytest.raises(ResourceLimitError):
         simulator_transcript(
             np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=np.uint8), params
