@@ -55,20 +55,16 @@ _BLOCK_CELLS = 1 << 22
 # fresh code, rounded up: measured 1.4-5 for n = 14..20, and up to 10 for
 # n <= 12, where a build is about 0.1 ms in all (2-core Xeon, numpy 2.4)
 _TABLE_CELL_COST = 8
-
-_POP16 = np.zeros(1, dtype=np.uint8)
-for _ in range(16):        # the upper half of each doubling has one more set bit
-    _POP16 = np.concatenate([_POP16, _POP16 + 1])
+# XOR cells the coset sweep holds at once, as int64, before counting them
+_SWEEP_CELLS = 1 << 16
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each int64, all 64 of them, as uint8 from four 16-bit lookups."""
-    x = np.ascontiguousarray(x, dtype=np.int64)
-    words = x.view(np.uint16).reshape(x.shape + (4,))
-    out = _POP16[words[..., 0]]
-    for i in (1, 2, 3):
-        out += _POP16[words[..., i]]   # uint8 holds any count up to 64
-    return out
+def _popcount(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Set bits of each int64, all 64 of them, as uint8.  Counted on the
+    uint64 view: on int64 itself np.bitwise_count counts the bits of |x|,
+    and the scan relies on a word's bits above n adding the same count to
+    every distance, sign bit included."""
+    return np.bitwise_count(np.asarray(x, dtype=np.int64).view(np.uint64), out=out)
 
 
 def bits_to_int(bits: np.ndarray) -> int:
@@ -291,12 +287,20 @@ def _coset_sweep(code: LinearCode) -> tuple:
 
     The 2^(n-k) words zero on the pivots of a reduced echelon basis are one
     representative reps[s] per coset, so e = rep_s ^ cw_a lists every word
-    once, with weight wt[s, a].
+    once, with weight wt[s, a].  The 2^n uint8 weights are filled in place,
+    from XOR blocks of at most _SWEEP_CELLS int64 cells.
     """
     _, pivots = _echelon(bits_to_int(col) for col in code.generator.T)
     free = [1 << b for b in range(code.n) if not (1 << b) & sum(pivots)]
     reps = _span(np.array(free, dtype=np.int64))
-    return reps, _popcount(reps[:, None] ^ code.codeword_ints[None, :])     # 2^n cells
+    cw = code.codeword_ints
+    wt = np.empty((len(reps), len(cw)), dtype=np.uint8)
+    rows, cols = max(1, _SWEEP_CELLS >> code.k), min(len(cw), _SWEEP_CELLS)
+    for s in range(0, len(reps), rows):
+        for a in range(0, len(cw), cols):
+            _popcount(reps[s : s + rows, None] ^ cw[None, a : a + cols],
+                      out=wt[s : s + rows, a : a + cols])
+    return reps, wt
 
 
 def _check_flip_prob(p: float):

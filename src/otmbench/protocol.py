@@ -389,7 +389,7 @@ def _strategy_tables(strategy) -> list:
     return tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LeakageReport:
     """Exact per-strategy leakage figures against the m-fold pair bounds."""
 
@@ -401,6 +401,13 @@ class LeakageReport:
     cond_b0: float            # I_c(b0-string : outcomes | b1-string)
     cond_b1: float
     lesser: int               # index of the string with the smaller leakage; 0 on a tie
+
+    def __init__(self, m, strategy, ic_b0, ic_b1, total, cond_b0, cond_b1, lesser):
+        # one write of the instance dict, where the generated frozen __init__
+        # makes one object.__setattr__ call per field; a sweep builds one
+        # report per product strategy
+        vars(self).update(m=m, strategy=strategy, ic_b0=ic_b0, ic_b1=ic_b1, total=total,
+                          cond_b0=cond_b0, cond_b1=cond_b1, lesser=lesser)
 
     @cached_property
     def bounds(self) -> dict:
@@ -519,7 +526,8 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
     ic0, ic1, c0, c1 = _product_figures(figs[idx])
     total = ic0 + ic1
     lesser = (ic0 - ic1 > _TIE).astype(np.int64)
-    labels = (tuple(map(names.__getitem__, row)) for row in idx.tolist())
+    # the rows of idx as labels, in the same order (see _sweep_index)
+    labels = itertools.product(names, repeat=m) if exhaustive else (tuple(names),)
     cols = (c.tolist() for c in (ic0, ic1, total, c0, c1, lesser))
     reports = tuple(itertools.starmap(LeakageReport, zip(itertools.repeat(m), labels, *cols)))
     if not exhaustive:

@@ -9,7 +9,6 @@ import pytest
 
 from otmbench.errors import ResourceLimitError
 from otmbench.f2codes import (
-    _POP16,
     MAX_SAMPLED_BITS,
     LinearCode,
     _popcount,
@@ -167,7 +166,8 @@ def test_exact_failure_is_the_rounded_rational_whatever_the_tie_rule():
 
 
 def test_exact_failure_bounded_in_memory():
-    # 2^20 words: a uint8 weight each plus the int64 XOR it is counted from
+    # 2^20 words: a uint8 weight each, counted from int64 XOR blocks of
+    # 2^16 cells
     code = random_code(20, 12, seed=4)
     code.codeword_ints
     tracemalloc.start()
@@ -176,7 +176,7 @@ def test_exact_failure_bounded_in_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 3 * 2**20
 
 
 def scan_decode(code, words):
@@ -352,8 +352,27 @@ def test_codeword_table_refused_before_allocating():
     assert peak < 2**20
 
 
-def test_popcount_table_matches_bin_count():
-    assert _POP16.tolist() == [bin(i).count("1") for i in range(1 << 16)]
+def test_popcount_counts_all_64_bits():
+    rng = np.random.default_rng(12)
+    words = np.concatenate([rng.integers(-2**63, 2**63 - 1, size=2000, dtype=np.int64),
+                            np.array([-1, -2**63, 2**63 - 1, 0], dtype=np.int64)])
+    got = _popcount(words)
+    assert got.dtype == np.uint8
+    assert got.tolist() == [bin(v % 2**64).count("1") for v in words.tolist()]
+    assert got[-4:].tolist() == [64, 1, 63, 0]
+
+
+def test_scan_ignores_bits_above_n_sign_bit_included():
+    # few words on a fresh code take the codeword scan, where each word's
+    # bits above n add the same count to every distance
+    rng = np.random.default_rng(13)
+    words = rng.integers(0, 2**18, size=200, dtype=np.int64)
+    want = ml_decode_packed(random_code(18, 10, seed=5), words)
+    for high in (np.int64(-2**63), np.int64(-1) << 18, np.int64(1) << 40):
+        code = random_code(18, 10, seed=5)
+        assert (ml_decode_packed(code, words | high) == want).all()
+        assert "decode_table" not in vars(code)
+    assert (want == scan_decode(random_code(18, 10, seed=5), words)).all()
 
 
 def test_code_validation():

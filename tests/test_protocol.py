@@ -1,5 +1,6 @@
 """Protocol round trips, extractor guarantees, leakage and simulator checks."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -777,6 +778,32 @@ def test_leakage_sweep_reports_and_bounds():
     edge = LeakageReport(1, (0.0,), 0.59 + 5e-10, 0.0, 0.59 + 5e-10, 0.59 + 2e-9, 0.0, 1)
     assert [v["ok"] for v in edge.bounds.values()] == [True, True, False]
     assert not edge.all_ok
+
+
+def test_leakage_report_is_a_frozen_dataclass():
+    args = (2, (0.0, 0.5), 0.25, 0.125, 0.375, 0.5, 0.0625, 1)
+    names = ["m", "strategy", "ic_b0", "ic_b1", "total", "cond_b0", "cond_b1", "lesser"]
+    rep = LeakageReport(*args)
+    assert [f.name for f in dataclasses.fields(LeakageReport)] == names
+    assert repr(rep) == ("LeakageReport(m=2, strategy=(0.0, 0.5), ic_b0=0.25, ic_b1=0.125, "
+                         "total=0.375, cond_b0=0.5, cond_b1=0.0625, lesser=1)")
+    by_name = LeakageReport(**dict(zip(names, args)))
+    assert by_name == rep and hash(by_name) == hash(rep)
+    assert rep != LeakageReport(*args[:-1], 0)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, name, 0)
+    # bounds is cached on the instance, and neither it nor its cache takes
+    # part in equality or hashing
+    bounds = rep.bounds
+    assert rep.bounds is bounds and bounds["total"]["value"] == 0.375
+    assert rep == by_name and hash(rep) == hash(by_name)
+    changed = dataclasses.replace(rep, lesser=0)
+    assert changed == LeakageReport(*args[:-1], 0) and changed.bounds == bounds
+    assert dataclasses.replace(rep) == rep
+    dup = copy.copy(rep)
+    assert dup == rep and hash(dup) == hash(rep) and dup is not rep
+    assert dataclasses.astuple(dup) == args
 
 
 def test_honest_receiver_leaves_other_string_bounded():
