@@ -16,7 +16,6 @@ are base 2 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import io
 import json
 import math
 
@@ -102,15 +101,7 @@ class JointDistribution:
             shape.append(int(np.prod(marg.sizes_of(g), dtype=int)))
         return marg.table.reshape(shape)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(self.names) + ",prob\n")
-        for idx in np.ndindex(*self.table.shape):
-            buf.write(",".join(str(i) for i in idx))
-            buf.write(f",{float(self.table[idx])!r}\n")
-        return buf.getvalue()
+    # -- reading files ------------------------------------------------------
 
     @classmethod
     def from_csv(cls, text: str) -> "JointDistribution":
@@ -140,16 +131,6 @@ class JointDistribution:
         for idx, prob in rows.items():
             table[idx] = prob
         return cls(names, table)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "variables": [
-                    {"name": n, "size": int(s)} for n, s in zip(self.names, self.table.shape)
-                ],
-                "table": self.table.ravel().tolist(),
-            }
-        )
 
     @classmethod
     def from_json(cls, text: str) -> "JointDistribution":

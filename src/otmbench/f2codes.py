@@ -191,35 +191,41 @@ class LinearCode:
         In the names of :func:`_coset_sweep`, the word y = rep_s ^ cw_a is
         nearest to the codewords cw_(a ^ b) with b in M_s, the offsets that
         reach the least weight min_b wt[s, b], so ML decoding returns min
-        over b in M_s of a ^ b.  levels[j][s, q] says whether q is among the
-        prefixes M_s >> j; levels[0] marks M_s itself.  One greedy pass over
-        them, top bit first, finds the min: keep the result's bit j at 0
-        (b's bit j equal to a's) whenever that prefix of b is in M_s >> j,
-        and flip it otherwise.  Refuses n past the block budget before
+        over b in M_s of a ^ b.  dead[j][s, q] says that q is not among the
+        prefixes M_s >> j; dead[0] marks the offsets outside M_s.  One
+        greedy pass over them, top bit first, finds the min: keep the
+        result's bit j at 0 (b's bit j equal to a's) whenever that prefix of
+        b is in M_s >> j, and flip it otherwise.  The pass and the scatter
+        into the table run in blocks of coset rows of at most _SWEEP_CELLS
+        cells, so beside the table they hold the levels (under two bytes a
+        word) and one block.  Refuses n past the block budget before
         allocating.
         """
         if self.n > MAX_BLOCK_BITS:
             raise ResourceLimitError(f"a decode table of 2^{self.n} cells exceeds the "
                                      f"budget of 2^{MAX_BLOCK_BITS} cells")
         reps, wt = _coset_sweep(self)
-        k = self.k
-        levels = [wt == wt.min(axis=1, keepdims=True)]
-        for _ in range(k - 1):                         # prefix q survives if 2q or 2q+1 does
-            levels.append(levels[-1][:, 0::2] | levels[-1][:, 1::2])
+        k, cw = self.k, self.codeword_ints
+        dead = [wt != wt.min(axis=1, keepdims=True)]
+        del wt
+        for _ in range(k - 1):                         # dead if 2q and 2q+1 both are
+            dead.append(dead[-1][:, 0::2] & dead[-1][:, 1::2])
         a = np.arange(1 << k, dtype=np.int32)
-        # at = s * 2^(k-j) + (prefix of b chosen so far) indexes levels[j].ravel()
-        at = np.repeat(np.arange(len(reps), dtype=np.int32), 1 << k).reshape(len(reps), -1)
-        for j in range(k - 1, -1, -1):
-            at <<= 1
-            at |= (a >> j) & 1
-            at ^= np.take(~levels[j].ravel(), at)
         table = np.empty(1 << self.n, dtype=np.int32)
-        table[reps[:, None] ^ self.codeword_ints[None, :]] = a ^ (at & ((1 << k) - 1))
+        rows = max(1, _SWEEP_CELLS >> k)
+        for s in range(0, len(reps), rows):
+            block = reps[s : s + rows]
+            # at = s * 2^(k-j) + (prefix of b chosen so far) indexes dead[j].ravel()
+            at = np.repeat(np.arange(s, s + len(block), dtype=np.int32), 1 << k)
+            at = at.reshape(len(block), -1)
+            for j in range(k - 1, -1, -1):
+                at <<= 1
+                at |= (a >> j) & 1
+                at ^= np.take(dead[j], at)
+            at &= (1 << k) - 1
+            at ^= a
+            table[block[:, None] ^ cw[None, :]] = at
         return table
-
-    def min_distance(self) -> int:
-        w = self.codewords[1:].sum(axis=1)
-        return int(w.min())
 
 
 def random_code(n: int, k: int, seed: int) -> LinearCode:

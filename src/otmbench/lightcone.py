@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import InvariantViolationError, ResourceLimitError, _check_int
 
 __all__ = [
@@ -29,14 +27,13 @@ __all__ = [
     "ShellCounts",
     "FeasibilityWitness",
     "build_partition",
-    "reverse_lightcone",
     "certify_independence",
     "shell_accounting",
     "find_feasible_params",
 ]
 
-# cells listed at once, and cubes a partition loops over, stay at desk scale
-_MAX_CELLS = 1 << 22
+# cubes a partition may hold stay at desk scale
+_MAX_CUBES = 1 << 22
 # log2 of the most cells a feasibility witness's outer cube may hold
 _MAX_OUTER_LOG2 = 400
 # log2(1/eps) < 1075 for every positive double (the least is 2^-1074)
@@ -84,15 +81,6 @@ class GridSpec:
             idx = idx * self.side + c
         return idx
 
-    def coords(self, index: int) -> tuple:
-        if not 0 <= index < self.n:
-            raise ValueError(f"qubit index {index} outside grid of {self.n}")
-        out = []
-        for _ in range(self.D):
-            out.append(index % self.side)
-            index //= self.side
-        return tuple(reversed(out))
-
 
 class ShellCounts(NamedTuple):
     cu: int
@@ -107,14 +95,13 @@ class HypercubePartition:
 
     Outer cubes have side s = 2r + 2*ell**d; the centered inner cube has
     side 2r, leaving a shell of width ell**d on every face.  Every axis is
-    cut into the same intervals, position p spanning [p*s, (p+1)*s - 1];
-    cube j is the product of the intervals at its D positions, and its
-    cells are listed only on demand, by inner_cells(j).
+    cut into the same intervals, position p spanning [p*s, (p+1)*s - 1],
+    and each cube is the product of the intervals at its D positions.
 
     Built from the grid and r alone: the outer side s and the cube count
     q = (side // s)**D are derived.  Refuses an r that is not an integer,
     r < 1 and a side that s does not divide (ValueError), and more than
-    _MAX_CELLS cubes (ResourceLimitError).
+    _MAX_CUBES cubes (ResourceLimitError).
     """
 
     grid: GridSpec
@@ -131,51 +118,11 @@ class HypercubePartition:
         if g.side % outer_side != 0:
             raise ValueError(f"grid side {g.side} not divisible by outer side {outer_side}")
         q = (g.side // outer_side) ** g.D
-        if q > _MAX_CELLS:
-            raise ResourceLimitError(f"{q} cubes exceeds the partition limit {_MAX_CELLS}")
+        if q > _MAX_CUBES:
+            raise ResourceLimitError(f"{q} cubes exceeds the partition limit {_MAX_CUBES}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "outer_side", outer_side)
         object.__setattr__(self, "q", q)
-
-    @property
-    def interval_lows(self) -> range:
-        """Low ends of the per-axis intervals: position p spans
-        [lows[p], lows[p] + outer_side - 1] on every axis.  A range, so it
-        is exact and takes no memory at any side."""
-        return range(0, self.grid.side, self.outer_side)
-
-    def cube_position(self, j: int) -> tuple:
-        """Position of outer cube j on the cube grid, C order."""
-        per_axis = self.grid.side // self.outer_side
-        out = []
-        for _ in range(self.grid.D):
-            out.append(j % per_axis)
-            j //= per_axis
-        return tuple(reversed(out))
-
-    def outer_box(self, j: int) -> list:
-        """Per-axis (lo, hi) inclusive bounds of outer cube j."""
-        lows, s = self.interval_lows, self.outer_side
-        return [(lows[p], lows[p] + s - 1) for p in self.cube_position(j)]
-
-    def inner_box(self, j: int) -> list:
-        w = self.grid.cone_radius
-        return [(lo + w, hi - w) for lo, hi in self.outer_box(j)]
-
-    def inner_cells(self, j: int) -> np.ndarray:
-        """Sorted grid indices of inner cube j."""
-        return _box_cells(self.grid, self.inner_box(j))
-
-
-def _box_cells(grid: GridSpec, box) -> np.ndarray:
-    """Sorted grid indices of an inclusive per-axis box (empty if any lo > hi)."""
-    cells = math.prod(max(0, hi - lo + 1) for lo, hi in box)
-    if cells > _MAX_CELLS:
-        raise ResourceLimitError(
-            f"a box of {cells} cells exceeds the listing limit {_MAX_CELLS}"
-        )
-    axes = np.ix_(*(np.arange(lo, hi + 1) for lo, hi in box))
-    return np.ravel_multi_index(axes, (grid.side,) * grid.D).ravel()
 
 
 def build_partition(grid: GridSpec, r: int) -> HypercubePartition:
@@ -184,31 +131,12 @@ def build_partition(grid: GridSpec, r: int) -> HypercubePartition:
     return HypercubePartition(grid, r)
 
 
-def reverse_lightcone(grid: GridSpec, qubit: int) -> np.ndarray:
-    """All sites a depth-d circuit could have fed into this qubit, sorted.
-
-    L-infinity ball of radius ell**d, clipped at the grid boundary.  This
-    is a superset of the true reverse cone of any concrete circuit, which
-    is the safe direction for independence certification.
-    """
-    center = grid.coords(qubit)
-    R = grid.cone_radius
-    box = [(max(0, c - R), min(grid.side - 1, c + R)) for c in center]
-    return _box_cells(grid, box)
-
-
 @dataclass(frozen=True)
 class IndependenceReport:
     passed: bool
     cubes_checked: int
     # (cube index, inner qubit, cell its cone reaches outside the claim)
     counterexample: tuple | None = None
-
-
-def _claim_shrink(outer_shrink) -> int:
-    if _check_int("outer_shrink", outer_shrink) < 0:
-        raise ValueError(f"outer_shrink must be a nonnegative integer, got {outer_shrink!r}")
-    return int(outer_shrink)
 
 
 def certify_independence(part: HypercubePartition, outer_shrink: int = 0) -> IndependenceReport:
@@ -229,35 +157,14 @@ def certify_independence(part: HypercubePartition, outer_shrink: int = 0) -> Ind
     Hence an accepted partition passes at shrink 0, and otherwise fails at
     cube 0, whose inner low corner's cone reaches cell 0 on axis 0.
     """
-    shrink = _claim_shrink(outer_shrink)
-    if shrink == 0:
+    if _check_int("outer_shrink", outer_shrink) < 0:
+        raise ValueError(f"outer_shrink must be a nonnegative integer, got {outer_shrink!r}")
+    if outer_shrink == 0:
         return IndependenceReport(True, part.q)
     grid, R = part.grid, part.grid.cone_radius
     witness = [R] * grid.D  # inner low corner of cube 0
     cell = [0] + [R] * (grid.D - 1)
     return IndependenceReport(False, 1, (0, grid.index(witness), grid.index(cell)))
-
-
-def _per_qubit_certificate(part: HypercubePartition, outer_shrink: int = 0) -> IndependenceReport:
-    """Reference oracle for certify_independence, reached only by tests:
-    lists every inner qubit's reverse cone and marks each cell against its
-    cube's claim."""
-    outer_shrink = _claim_shrink(outer_shrink)
-    grid = part.grid
-    if grid.n > _MAX_CELLS:
-        raise ResourceLimitError(f"{grid.n} cells exceeds the listing limit {_MAX_CELLS}")
-    in_claim = np.zeros(grid.n, dtype=bool)
-    for j in range(part.q):
-        claim = [(lo + outer_shrink, hi - outer_shrink) for lo, hi in part.outer_box(j)]
-        claim_cells = _box_cells(grid, claim)
-        in_claim[claim_cells] = True
-        for qubit in part.inner_cells(j).tolist():
-            cone = reverse_lightcone(grid, qubit)
-            escaped = cone[~in_claim[cone]]
-            if escaped.size:
-                return IndependenceReport(False, j + 1, (j, qubit, int(escaped[0])))
-        in_claim[claim_cells] = False
-    return IndependenceReport(True, part.q)
 
 
 def shell_accounting(part: HypercubePartition) -> ShellCounts:

@@ -61,7 +61,6 @@ __all__ = [
     "grid_extremal_povms",
     "corner_corrected_value",
     "search_bounds",
-    "rank_one_crosscheck",
     "verify_convexity_fact",
 ]
 
@@ -766,9 +765,12 @@ def search_bounds(
     visited, level, eps = 0, 0, eps_coarse
 
     def make_report(complete, frontier):
+        # the net ranks corners by the batched kernel, whose last bits may
+        # differ from the point evaluator's; raw_max is what argmax_povm
+        # attains by quantity_value, and pruning keeps best.value
         return BoundReport(
             quantity=quantity,
-            raw_max=best.value,
+            raw_max=_point_value(quantity, best.rows),
             corrected_bound=slice_bound,
             argmax_povm=Povm.from_coords(best.rows),
             net_epsilon=eps,
@@ -820,60 +822,6 @@ def search_bounds(
     except ResourceLimitError as err:
         raise ResourceLimitError(str(err), partial=make_report(False, math.inf)) from None
     return make_report(True, frontier)
-
-
-# ---------------------------------------------------------------------------
-# independent cross-checks
-
-def rank_one_crosscheck(samples: int, seed) -> dict:
-    """Randomized lower bounds from rank-one POVMs, all three quantities.
-
-    Rank-one elements w * (projector at angle phi) satisfy the identity
-    constraint exactly when the weighted Bloch vectors cancel and the
-    weights sum to 2; the last two weights are solved from the other
-    choices and the sample is kept when they land positive.  Being true
-    POVMs, every value found is a lower bound and can never exceed a
-    certified upper bound.
-    """
-    rng = np.random.default_rng(seed)
-    best = {q: -math.inf for q in QUANTITIES}
-
-    def offer(rows):
-        for q in QUANTITIES:
-            v = _point_value(q, rows)
-            if v > best[q]:
-                best[q] = v
-
-    # exact anchors first: the distinguished measurement bases
-    for phi in DISTINGUISHED_ANGLES:
-        offer(_basis_rows(phi))
-
-    n_two = samples // 2
-    phis = rng.uniform(0.0, math.pi / 2, size=n_two)
-    for phi in phis:
-        offer(_basis_rows(float(phi)))
-
-    remaining = samples - n_two
-    made = 0
-    while made < remaining:
-        k = int(rng.integers(3, 5))
-        phi = rng.uniform(0.0, math.pi, size=k)
-        u = np.stack([np.cos(2 * phi), np.sin(2 * phi)], axis=-1)
-        w_free = rng.uniform(0.1, 1.0, size=k - 2)
-        rhs = -(w_free[:, None] * u[: k - 2]).sum(axis=0)
-        mat = u[k - 2 :].T
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        if abs(det) < 1e-6:
-            continue
-        w_last = np.linalg.solve(mat, rhs)
-        w = np.concatenate([w_free, w_last])
-        if (w <= 1e-9).any():
-            continue
-        w = w * (2.0 / w.sum())
-        c, s = np.cos(phi), np.sin(phi)
-        offer(np.stack([w * c * c, w * c * s, w * s * s], axis=-1).tolist())
-        made += 1
-    return best
 
 
 @dataclass(frozen=True)

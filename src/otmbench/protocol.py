@@ -31,7 +31,6 @@ from .povmsearch import REFERENCE_SETS, Povm, _outcome_table, _QUANTITY, pair_in
 from .qrac import (
     ENCODING_ANGLES,
     BasisMeasurement,
-    QubitState,
     _check_alpha,
     measure_prob,
     measurement_for,
@@ -145,10 +144,6 @@ class OtrmInstance:
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "angles", _ANGLES[c0, c1])
 
-    @property
-    def qubits(self) -> tuple:
-        return tuple(QubitState(float(t)) for t in self.angles)
-
 
 def _code_pair(params: ProtocolParams, codes, root: int, label: str) -> tuple:
     """The supplied pair checked against params, or fresh codes drawn from
@@ -210,14 +205,6 @@ def otrm_read(instance: OtrmInstance, alpha: int, seed) -> ReadResult:
     )
 
 
-def _toeplitz_index(output_len: int, input_len: int) -> np.ndarray:
-    """Seed position read by each entry of an output_len x input_len
-    Toeplitz matrix: constant diagonals, (i, j) reads i - j + input_len - 1."""
-    i = np.arange(output_len)[:, None]
-    j = np.arange(input_len)[None, :]
-    return i - j + input_len - 1
-
-
 def _seed_len(input_len: int, output_len: int) -> int:
     """Seed bits of the Toeplitz extractor from input_len to output_len bits:
     input_len + output_len - 1, and 0 at output_len 0.  Both sizes must be
@@ -245,14 +232,11 @@ class Extractor:
         if bits.shape != (want,):
             raise ValueError(f"seed must hold {want} bits, got shape {bits.shape}")
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return self.bits[_toeplitz_index(self.output_len, self.input_len)]
-
     def apply(self, x) -> np.ndarray:
-        """matrix @ (x mod 2) mod 2, without building the matrix: entry i
-        is sum_j bits[i - j + n - 1] x_j = sum_j bits[i + j] x[n - 1 - j]
-        with n = input_len, the i-th window of bits against x reversed.
+        """T @ (x mod 2) mod 2 for the Toeplitz matrix T[i, j] =
+        bits[i - j + n - 1], n = input_len, without building T: entry i is
+        sum_j bits[i - j + n - 1] x_j = sum_j bits[i + j] x[n - 1 - j],
+        the i-th window of bits against x reversed.
         uint8 sums wrap mod 256, which keeps their parity, so x needs no
         reduction first."""
         x = np.asarray(x, dtype=np.uint8)
@@ -559,12 +543,14 @@ def _check_sim_cells(what: str, cells: int):
 def _pad_table(cws: np.ndarray, msg: int) -> np.ndarray:
     """Packed extractor output pad[w, r] for every seed value w (as an
     (n + msg - 1)-bit integer, index 0 most significant) and codeword row r:
-    one stacked Toeplitz product over all seeds."""
+    one stacked Toeplitz product over all seeds, entry (i, j) of seed w's
+    matrix reading its bit i - j + n - 1."""
     n = cws.shape[1]
     seed_len = _seed_len(n, msg)
     shifts = np.arange(seed_len - 1, -1, -1)
     seeds = (np.arange(2 ** seed_len)[:, None] >> shifts) & 1          # (w, seed bit)
-    bits = (seeds[:, _toeplitz_index(msg, n)] @ cws.T) % 2              # (w, i, r)
+    toeplitz = np.arange(msg)[:, None] - np.arange(n)[None, :] + n - 1  # (i, j)
+    bits = (seeds[:, toeplitz] @ cws.T) % 2                             # (w, i, r)
     return np.einsum("wir,i->wr", bits, 1 << np.arange(msg - 1, -1, -1))
 
 

@@ -26,7 +26,6 @@ from .errors import _check_int
 __all__ = [
     "QubitState",
     "BasisMeasurement",
-    "SUCCESS_PROB",
     "ENCODING_ANGLES",
     "qrac_encode",
     "measurement_for",
@@ -34,8 +33,6 @@ __all__ = [
     "sample_measurements",
     "qrac_success_table",
 ]
-
-SUCCESS_PROB = math.cos(math.pi / 8) ** 2
 
 ENCODING_ANGLES = {
     (0, 0): math.pi / 8,

@@ -1,0 +1,194 @@
+"""Reference implementations the tests hold the library to.
+
+Each oracle is written from the definition of what it checks and calls
+no function of that module: the light-cone oracles read only a grid's
+(D, side, ell, depth) and a partition's r, the Toeplitz matrix only an
+extractor's seed bits and sizes, the rank-one lower bounds score every
+POVM through collinfo on its exact outcome table, and the distribution
+writers only a joint's names and table.
+"""
+
+import itertools
+import json
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from otmbench.collinfo import JointDistribution, collision_mi, conditional_collision_mi
+from otmbench.qrac import qrac_encode
+
+# ---------------------------------------------------------------------------
+# light cones on a D-dimensional grid, cells indexed in C order
+
+
+def coords(grid, index: int) -> tuple:
+    """Coordinates of grid cell index, the first axis most significant."""
+    out = []
+    for _ in range(grid.D):
+        index, c = divmod(index, grid.side)
+        out.append(c)
+    return tuple(reversed(out))
+
+
+def box_cells(grid, box) -> np.ndarray:
+    """Sorted grid indices of an inclusive per-axis box (empty if any lo > hi)."""
+    cells = np.zeros(1, dtype=np.int64)
+    for lo, hi in box:
+        cells = (cells[:, None] * grid.side + np.arange(lo, hi + 1)).ravel()
+    return cells
+
+
+def outer_box(part, j: int) -> list:
+    """Per-axis (lo, hi) inclusive bounds of outer cube j: the cubes have side
+    2r + 2 ell^d, tile every axis from 0, and are numbered in C order."""
+    grid = part.grid
+    s = 2 * part.r + 2 * grid.ell**grid.depth
+    per_axis = grid.side // s
+    box = []
+    for _ in range(grid.D):
+        j, p = divmod(j, per_axis)
+        box.append((p * s, p * s + s - 1))
+    return box[::-1]
+
+
+def inner_box(part, j: int) -> list:
+    """Outer cube j less a shell of width ell^d on every face."""
+    w = part.grid.ell**part.grid.depth
+    return [(lo + w, hi - w) for lo, hi in outer_box(part, j)]
+
+
+def inner_cells(part, j: int) -> np.ndarray:
+    return box_cells(part.grid, inner_box(part, j))
+
+
+def reverse_lightcone(grid, qubit: int) -> np.ndarray:
+    """Every cell within L-infinity distance ell^d of the qubit, clipped at
+    the grid boundary, sorted."""
+    R = grid.ell**grid.depth
+    box = [(max(0, c - R), min(grid.side - 1, c + R)) for c in coords(grid, qubit)]
+    return box_cells(grid, box)
+
+
+class Certificate(NamedTuple):
+    passed: bool
+    cubes_checked: int
+    # (cube index, inner qubit, cell its cone reaches outside the claim)
+    counterexample: tuple | None = None
+
+
+def _per_qubit_certificate(part, outer_shrink: int = 0) -> Certificate:
+    """Lists every inner qubit's reverse cone and marks each cell against its
+    cube's claim, the outer cube shrunk by outer_shrink on every face."""
+    grid = part.grid
+    cubes = (grid.side // (2 * part.r + 2 * grid.ell**grid.depth)) ** grid.D
+    in_claim = np.zeros(grid.side**grid.D, dtype=bool)
+    for j in range(cubes):
+        claim = [(lo + outer_shrink, hi - outer_shrink) for lo, hi in outer_box(part, j)]
+        claim_cells = box_cells(grid, claim)
+        in_claim[claim_cells] = True
+        for qubit in inner_cells(part, j).tolist():
+            cone = reverse_lightcone(grid, qubit)
+            escaped = cone[~in_claim[cone]]
+            if escaped.size:
+                return Certificate(False, j + 1, (j, qubit, int(escaped[0])))
+        in_claim[claim_cells] = False
+    return Certificate(True, cubes)
+
+
+# ---------------------------------------------------------------------------
+# Toeplitz extractor
+
+
+def toeplitz_matrix(ext) -> np.ndarray:
+    """The output_len x input_len matrix with constant diagonals whose entry
+    (i, j) is seed bit i - j + input_len - 1."""
+    t = np.zeros((ext.output_len, ext.input_len), dtype=np.uint8)
+    for i in range(ext.output_len):
+        for j in range(ext.input_len):
+            t[i, j] = ext.bits[i - j + ext.input_len - 1]
+    return t
+
+
+# ---------------------------------------------------------------------------
+# leakage lower bounds from rank-one POVMs
+
+
+def leakage_values(elements) -> dict:
+    """The three leakage quantities of a POVM on the four-state encoding,
+    from its exact joint of (b0, b1, outcome) under uniform bits."""
+    table = np.array([[[float(np.sum(m * qrac_encode(x, y).density_matrix())) for m in elements]
+                       for y in (0, 1)] for x in (0, 1)])
+    d = JointDistribution(("b0", "b1", "out"), 0.25 * table)
+    ic0, ic1 = collision_mi(d, "b0", "out"), collision_mi(d, "b1", "out")
+    c0 = conditional_collision_mi(d, "b0", "out", "b1")
+    c1 = conditional_collision_mi(d, "b1", "out", "b0")
+    return {"greater": max(ic0, ic1), "total": ic0 + ic1, "conditional": max(c0, c1)}
+
+
+def _rank_one(weights, phis) -> list:
+    """Elements w * (projector onto the real state at angle phi)."""
+    return [w * np.array([[c * c, c * s], [c * s, s * s]])
+            for w, c, s in zip(weights, np.cos(phis), np.sin(phis))]
+
+
+def rank_one_lower_bounds(samples: int, seed) -> dict:
+    """Largest value of each leakage quantity over sampled rank-one POVMs.
+
+    The three distinguished bases (angles 0, pi/8, pi/4) come first, then
+    samples // 2 bases at uniform angles in [0, pi/2), then three- and
+    four-element POVMs: rank-one elements w * (projector at angle phi) sum
+    to the identity exactly when the weights sum to 2 and the weighted
+    Bloch vectors (cos 2phi, sin 2phi) cancel, so the last two weights are
+    solved from the other draws and the sample is kept when they land
+    positive.  Every sample is a true POVM, so each value is a lower bound.
+    """
+    rng = np.random.default_rng(seed)
+    best = {}
+
+    def offer(elements):
+        for q, v in leakage_values(elements).items():
+            best[q] = max(best.get(q, -math.inf), v)
+
+    for phi in (0.0, math.pi / 8, math.pi / 4):
+        offer(_rank_one((1.0, 1.0), (phi, phi + math.pi / 2)))
+    n_two = samples // 2
+    for phi in rng.uniform(0.0, math.pi / 2, size=n_two):
+        offer(_rank_one((1.0, 1.0), (phi, phi + math.pi / 2)))
+    made = 0
+    while made < samples - n_two:
+        k = int(rng.integers(3, 5))
+        phi = rng.uniform(0.0, math.pi, size=k)
+        u = np.stack([np.cos(2 * phi), np.sin(2 * phi)], axis=-1)
+        w_free = rng.uniform(0.1, 1.0, size=k - 2)
+        rhs = -(w_free[:, None] * u[: k - 2]).sum(axis=0)
+        mat = u[k - 2 :].T
+        if abs(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]) < 1e-6:
+            continue
+        w = np.concatenate([w_free, np.linalg.solve(mat, rhs)])
+        if (w <= 1e-9).any():
+            continue
+        offer(_rank_one(w * (2.0 / w.sum()), phi))
+        made += 1
+    return best
+
+
+# ---------------------------------------------------------------------------
+# distribution files
+
+
+def csv_text(d) -> str:
+    """A header naming the variables and a final prob column, then one row
+    per table cell: its indices and its probability."""
+    lines = [",".join(d.names) + ",prob"]
+    for idx in itertools.product(*(range(s) for s in d.table.shape)):
+        lines.append(",".join(map(str, idx)) + f",{float(d.table[idx])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def json_text(d) -> str:
+    """A variables list of names and sizes, and the flat table in C order."""
+    return json.dumps({
+        "variables": [{"name": n, "size": s} for n, s in zip(d.names, d.table.shape)],
+        "table": d.table.ravel().tolist(),
+    })

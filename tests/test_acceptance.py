@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
+from oracles import _per_qubit_certificate
 
 from otmbench.collinfo import (
     JointDistribution,
@@ -30,7 +31,6 @@ from otmbench.f2codes import (
 )
 from otmbench.lightcone import (
     GridSpec,
-    _per_qubit_certificate,
     build_partition,
     certify_independence,
     find_feasible_params,

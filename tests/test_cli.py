@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from oracles import csv_text, json_text
 from otmbench import cli
 from otmbench.collinfo import JointDistribution, collision_mi, random_joint
 from otmbench.lightcone import find_feasible_params
@@ -85,7 +86,7 @@ def test_feasibility_readme_payload_is_pinned(capsys):
 def test_entropy_subcommand_matches_library(tmp_path, capsys):
     d = random_joint(("X", "Y"), (3, 2), seed=8)
     path = tmp_path / "dist.csv"
-    path.write_text(d.to_csv())
+    path.write_text(csv_text(d))
     code, out = run(["entropy", "--in", str(path), "--mi", "X", "Y"], capsys)
     assert code == cli.EXIT_OK
     payload = json.loads(out)
@@ -97,7 +98,7 @@ def test_entropy_subcommand_matches_library(tmp_path, capsys):
 def test_entropy_json_input(tmp_path, capsys):
     d = random_joint(("A", "B"), (2, 2), seed=3)
     path = tmp_path / "dist.json"
-    path.write_text(d.to_json())
+    path.write_text(json_text(d))
     code, out = run(["entropy", "--in", str(path), "--entropy", "A"], capsys)
     assert code == cli.EXIT_OK
     assert "collision_entropy" in json.loads(out)["result"]
@@ -421,7 +422,7 @@ def test_simulate_refuses_trials_past_sampling_budget(capsys):
 ])
 def test_bad_input_names_the_input(argv, message, tmp_path, capsys):
     path = tmp_path / "dist.csv"
-    path.write_text(random_joint(("X", "Y"), (2, 2), seed=1).to_csv())
+    path.write_text(csv_text(random_joint(("X", "Y"), (2, 2), seed=1)))
     assert cli.main([a.format(csv=path) for a in argv]) == cli.EXIT_INPUT
     assert message in capsys.readouterr().err
 

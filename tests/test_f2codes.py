@@ -80,19 +80,6 @@ def test_codewords_ordered_by_message_integer():
         assert np.array_equal(code.codewords[idx], encode(code, m))
 
 
-def test_min_distance_brute_force():
-    assert repetition_code(5).min_distance() == 5
-    code = random_code(7, 3, seed=1)
-    cws = code.codewords
-    want = min(
-        int((cws[i] ^ cws[j]).sum())
-        for i in range(len(cws))
-        for j in range(len(cws))
-        if i != j
-    )
-    assert code.min_distance() == want
-
-
 def oracle_decode(code, word):
     # independent nearest-codeword rule; ties -> smallest message integer
     dists = [int((cw ^ word).sum()) for cw in code.codewords]
@@ -177,6 +164,20 @@ def test_exact_failure_bounded_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def test_decode_table_bounded_in_memory():
+    # the 4 MiB int32 table of 2^20 words, the dead-prefix levels (under
+    # two bytes a word) and one block of at most 2^16 coset cells
+    code = random_code(20, 12, seed=3)
+    code.codeword_ints
+    tracemalloc.start()
+    try:
+        code.decode_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def scan_decode(code, words):

@@ -1,8 +1,14 @@
-"""The package surface: every exported name resolves."""
+"""The package surface: every exported name resolves and has a caller."""
 
+import ast
 import importlib
+from pathlib import Path
+import re
 
 import otmbench
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "otmbench"
 
 
 def test_every_all_entry_resolves():
@@ -11,3 +17,43 @@ def test_every_all_entry_resolves():
         mod = importlib.import_module(f"otmbench.{module}")
         missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
         assert not missing, f"otmbench.{module}.__all__ lists missing {missing}"
+
+
+def _words(text: str) -> set:
+    return set(re.findall(r"\w+", text))
+
+
+def _definition_words(text: str) -> dict:
+    """Words of each top-level def, class and assignment, by name."""
+    out, lines = {}, text.splitlines()
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            out[name] = _words("\n".join(lines[node.lineno - 1 : node.end_lineno]))
+    return out
+
+
+def test_every_all_entry_has_a_caller_outside_the_tests():
+    """Each exported name occurs as a word in the CLI, the acceptance gate,
+    the benchmark, another module of the package, or the definition of
+    another exported name of its own module; a name only module tests
+    reach belongs in the tests."""
+    callers = set().union(*(_words(p.read_text()) for p in [
+        SRC / "cli.py", ROOT / "tests" / "test_acceptance.py",
+        *(ROOT / "perfbench").glob("*.py")]))
+    unused = []
+    for module in otmbench.__all__:
+        path = SRC / f"{module}.py"
+        exported = set(getattr(importlib.import_module(f"otmbench.{module}"), "__all__", ()))
+        others = set().union(*(_words(p.read_text()) for p in SRC.glob("*.py") if p != path))
+        own = {n: w for n, w in _definition_words(path.read_text()).items() if n in exported}
+        for name in sorted(exported):
+            if not (name in callers or name in others
+                    or any(name in w for n, w in own.items() if n != name)):
+                unused.append(f"{module}.{name}")
+    assert not unused, f"exported but reached only by module tests: {unused}"

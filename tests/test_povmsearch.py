@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import rank_one_lower_bounds
 from otmbench import povmsearch
 from otmbench.errors import InvariantViolationError, ResourceLimitError
 from otmbench.povmsearch import (
@@ -21,7 +22,6 @@ from otmbench.povmsearch import (
     eval_povm_info,
     grid_extremal_povms,
     quantity_value,
-    rank_one_crosscheck,
     search_bounds,
     value_from_info,
     verify_convexity_fact,
@@ -444,6 +444,18 @@ def test_search_report_invariants():
     assert d["quantity"] == "total"
 
 
+@pytest.mark.parametrize("coarse, fine", [
+    (0.2, 0.2), (0.2, 0.1), (0.2, 0.05), (0.1, 0.1),
+    (0.1, 0.05), (0.1, 0.025), (0.05, 0.05), (0.05, 0.0125),
+])
+def test_raw_max_is_attained_by_argmax_povm(coarse, fine):
+    """raw_max is the value its own argmax_povm attains, bit for bit: the
+    net's batched corner kernel may round differently in the last bits."""
+    for quantity in QUANTITIES:
+        report = search_bounds(coarse, fine, quantity, slice_eps=0.01)
+        assert report.raw_max == quantity_value(report.argmax_povm, quantity), quantity
+
+
 def test_search_argument_validation():
     with pytest.raises(ValueError):
         search_bounds(0.05, 0.1, "greater")
@@ -656,11 +668,13 @@ def test_reference_set_support_flags():
 
 
 def test_rank_one_crosscheck_anchors_and_ordering():
-    best = rank_one_crosscheck(samples=2000, seed=1)
+    """Sampled rank-one POVMs of two to four elements, scored through
+    collinfo on their exact outcome tables: each value is attained, so none
+    may pass the certified bound."""
+    best = rank_one_lower_bounds(samples=2000, seed=1)
     assert set(best) == set(QUANTITIES)
     assert best["greater"] >= LOG2_3_2 - 1e-9
     assert best["total"] >= LOG2_5_4_X2 - 1e-9
-    # lower bounds can never exceed the certified upper bounds
     for q in QUANTITIES:
         upper = search_bounds(0.2, 0.2, q, slice_eps=0.002)
         assert best[q] <= upper.corrected_bound + 1e-9

@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from oracles import toeplitz_matrix
 from otmbench import protocol
 from otmbench.collinfo import JointDistribution, conditional_collision_mi, collision_mi
 from otmbench.errors import InvariantViolationError, ResourceLimitError
@@ -34,6 +35,7 @@ from otmbench.protocol import (
 )
 from otmbench.qrac import (
     BasisMeasurement,
+    QubitState,
     measure_prob,
     measurement_for,
     qrac_encode,
@@ -100,7 +102,7 @@ def test_otrm_prep_structure_and_determinism():
     again = otrm_prep(params, seed=5)
     assert np.array_equal(inst.r0, again.r0)
     assert np.array_equal(inst.c1, again.c1)
-    assert len(inst.qubits) == 8
+    assert inst.angles.shape == (8,)
     # codewords really encode the drawn messages
     assert np.array_equal(inst.c0, (inst.code0.generator @ inst.r0) % 2)
     assert np.array_equal(inst.c1, (inst.code1.generator @ inst.r1) % 2)
@@ -114,14 +116,13 @@ def test_otrm_prep_structure_and_determinism():
 def test_otrm_prep_qubits_encode_codeword_pairs():
     params = ProtocolParams(n=6, lam=8, k=2)
     inst = otrm_prep(params, seed=1)
-    for i, q in enumerate(inst.qubits):
+    for i, theta in enumerate(inst.angles):
         want = qrac_encode(int(inst.c0[i]), int(inst.c1[i]))
-        assert abs(q.theta - want.theta) <= 1e-12
+        assert abs(theta - want.theta) <= 1e-12
 
 
 def test_otrm_instance_derives_codewords_and_angles():
     inst = otrm_prep(ProtocolParams(n=6, lam=8, k=2), seed=1)
-    assert inst.angles.tolist() == [q.theta for q in inst.qubits]
     # the codes and secrets are the only inputs; the rest follows from them
     other = np.array([1, 1], dtype=np.uint8) ^ inst.r0
     moved = dataclasses.replace(inst, r0=other)
@@ -237,7 +238,8 @@ def test_otrm_read_word_matches_per_qubit_sampling():
         for seed in range(20):
             # one scalar draw per qubit, outcome 1 when it reaches P(outcome 0)
             rng = np.random.default_rng(seed)
-            want = [int(rng.random() >= measure_prob(q, meas)[0]) for q in inst.qubits]
+            want = [int(rng.random() >= measure_prob(QubitState(t), meas)[0])
+                    for t in inst.angles.tolist()]
             assert otrm_read(inst, alpha, seed).word.tolist() == want
 
 
@@ -336,7 +338,7 @@ def test_mc_correctness_trials_must_be_an_integer_before_drawing_codes():
 
 def test_extractor_matrix_is_toeplitz():
     ext = make_extractor(6, 3, seed=2)
-    t = ext.matrix
+    t = toeplitz_matrix(ext)
     assert t.shape == (3, 6)
     for i in range(1, 3):
         for j in range(1, 6):
@@ -366,7 +368,7 @@ def test_extractor_apply_matches_matrix():
     shapes += [(int(n), int(rng.integers(0, n + 1))) for n in rng.integers(1, 40, size=12)]
     for n, out in shapes:
         ext = make_extractor(n, out, seed=int(rng.integers(2**32)))
-        oracle = ext.matrix.astype(np.int64)
+        oracle = toeplitz_matrix(ext).astype(np.int64)
         xs = [rng.integers(0, 2, n, dtype=np.uint8) for _ in range(3)]
         xs.append(np.ones(n, dtype=np.uint8))
         for x in xs:

@@ -8,7 +8,6 @@ import pytest
 
 from otmbench.qrac import (
     ENCODING_ANGLES,
-    SUCCESS_PROB,
     BasisMeasurement,
     QubitState,
     measure_prob,
@@ -19,11 +18,6 @@ from otmbench.qrac import (
 )
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
-
-
-def test_success_probability_constant():
-    assert SUCCESS_PROB == pytest.approx(COS2_PI8, abs=1e-15)
-    assert SUCCESS_PROB == pytest.approx(0.5 + 0.5 / math.sqrt(2), abs=1e-15)
 
 
 def test_success_table_all_eight_entries():
