@@ -134,11 +134,6 @@ def build_parser() -> _Parser:
     return p
 
 
-def _config_dict(args) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "out"}
-    return cfg
-
-
 def _emit(args, payload: str):
     if args.out:
         with open(args.out, "w") as fh:
@@ -153,7 +148,8 @@ def _json_report(args, result, error=None, meta_extra=None) -> str:
     meta = {"timestamp": datetime.now(timezone.utc).isoformat()}
     if meta_extra:
         meta.update(meta_extra)
-    doc = {"config": _config_dict(args), "result": result, "meta": meta}
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "out"}
+    doc = {"config": config, "result": result, "meta": meta}
     if error is not None:
         doc["error"] = error
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

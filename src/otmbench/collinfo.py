@@ -72,7 +72,7 @@ class JointDistribution:
     # -- structure helpers -------------------------------------------------
 
     def axes_of(self, group) -> tuple[int, ...]:
-        names = (group,) if isinstance(group, str) else tuple(group)
+        names = _norm_group(group)
         missing = [n for n in names if n not in self.names]
         if missing:
             raise ValueError(f"unknown variable(s) {missing}; have {self.names}")
@@ -81,25 +81,19 @@ class JointDistribution:
     def sizes_of(self, group) -> tuple[int, ...]:
         return tuple(self.table.shape[a] for a in self.axes_of(group))
 
-    def marginal(self, group) -> "JointDistribution":
-        axes = self.axes_of(group)
-        keep = [self.names[a] for a in axes]
+    def grouped(self, *groups) -> np.ndarray:
+        """The joint of the groups as a table with one flat axis per group,
+        in order, renormalized as the constructor renormalizes a table:
+        summed over the other axes, put in group order, clipped at 0 and
+        divided by its own sum.  No intermediate distribution is built."""
+        groups = [_norm_group(g) for g in groups]
+        axes = self.axes_of([name for g in groups for name in g])
         drop = tuple(i for i in range(self.table.ndim) if i not in axes)
         summed = self.table.sum(axis=drop) if drop else self.table
-        current = [self.names[a] for a in sorted(axes)]
-        perm = [current.index(n) for n in keep]
-        return JointDistribution(tuple(keep), np.transpose(summed, perm))
-
-    def grouped(self, *groups) -> np.ndarray:
-        """Marginal table reshaped to one flat axis per group, in order."""
-        flat_names = []
-        for g in groups:
-            flat_names.extend((g,) if isinstance(g, str) else g)
-        marg = self.marginal(flat_names)
-        shape = []
-        for g in groups:
-            shape.append(int(np.prod(marg.sizes_of(g), dtype=int)))
-        return marg.table.reshape(shape)
+        order = sorted(axes)
+        marg = np.transpose(summed, [order.index(a) for a in axes])
+        marg = np.clip(marg, 0.0, None) / float(marg.sum())
+        return marg.reshape([math.prod(self.sizes_of(g)) for g in groups])
 
     # -- reading files ------------------------------------------------------
 
@@ -156,21 +150,17 @@ def random_joint(names, sizes, seed) -> JointDistribution:
 
 
 def _norm_group(group) -> tuple:
-    if group is None:
-        return ()
     return (group,) if isinstance(group, str) else tuple(group)
 
 
 def collision_entropy(d: JointDistribution, target) -> float:
-    p = d.grouped(_norm_group(target)).ravel()
+    p = d.grouped(target).ravel()
     return -math.log2(float(np.dot(p, p)))
 
 
-def conditional_collision_entropy(d: JointDistribution, target, given=None) -> float:
-    given = _norm_group(given)
-    if not given:
-        return collision_entropy(d, target)
-    joint = d.grouped(_norm_group(target), given)  # (T, G)
+def conditional_collision_entropy(d: JointDistribution, target, given) -> float:
+    """H_c(target | given); an unconditional figure is collision_entropy."""
+    joint = d.grouped(target, given)  # (T, G)
     pg = joint.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(pg > 0.0, (joint * joint) / pg, 0.0)
@@ -181,16 +171,14 @@ def collision_mi(d: JointDistribution, x, y) -> float:
     return collision_entropy(d, x) - conditional_collision_entropy(d, x, y)
 
 
-def conditional_collision_mi(d: JointDistribution, x, y, z=None) -> float:
-    x, y, z = _norm_group(x), _norm_group(y), _norm_group(z)
-    if not z:
-        return collision_mi(d, x, y)
+def conditional_collision_mi(d: JointDistribution, x, y, z) -> float:
+    """I_c(x : y | z); an unconditional figure is collision_mi."""
     return conditional_collision_entropy(d, x, z) - conditional_collision_entropy(
-        d, x, y + z
+        d, x, _norm_group(y) + _norm_group(z)
     )
 
 
 def avg_conditional_min_entropy(d: JointDistribution, target, given) -> float:
     """-log2 E_g[max_t p(t|g)], the average-case conditional min-entropy."""
-    joint = d.grouped(_norm_group(target), _norm_group(given))
+    joint = d.grouped(target, given)
     return -math.log2(float(joint.max(axis=0).sum()))

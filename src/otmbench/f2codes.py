@@ -167,13 +167,6 @@ class LinearCode:
         return _span(self.generator.T)
 
     @cached_property
-    def messages(self) -> np.ndarray:
-        """All 2^k messages as a (2^k, k) uint8 array, row u = the bits of
-        u, index 0 most significant: the message of codeword row u."""
-        self._check_table()
-        return _span(np.eye(self.k, dtype=np.uint8))
-
-    @cached_property
     def codeword_ints(self) -> np.ndarray:
         """The codeword table packed into int64, index 0 most significant."""
         if self.n > MAX_PACKED_BITS:
@@ -259,9 +252,9 @@ def _nearest(code: LinearCode, word: np.ndarray) -> int:
 
 
 def ml_decode(code: LinearCode, word: np.ndarray) -> np.ndarray:
-    """Nearest-codeword decoding (see :func:`_nearest`), as a fresh copy of
-    the decoded row of ``code.messages``."""
-    return code.messages[_nearest(code, _as_vector(word, code.n) & 1)].copy()
+    """Nearest-codeword decoding (see :func:`_nearest`): the k bits of the
+    decoded message, index 0 most significant, as a fresh uint8 array."""
+    return int_to_bits(_nearest(code, _as_vector(word, code.n) & 1), code.k)
 
 
 def ml_decode_packed(code: LinearCode, words) -> np.ndarray:

@@ -26,7 +26,8 @@ import numpy as np
 from .collinfo import JointDistribution, avg_conditional_min_entropy
 from .errors import InvariantViolationError, ResourceLimitError, _check_int
 from .f2codes import (MAX_BLOCK_BITS, LinearCode, _as_vector, _check_trials, _nearest,
-                      bits_to_int, encode, exact_failure_prob, ml_decode_packed, random_code)
+                      bits_to_int, encode, exact_failure_prob, int_to_bits,
+                      ml_decode_packed, random_code)
 from .povmsearch import REFERENCE_SETS, Povm, _outcome_table, _QUANTITY, pair_info
 from .qrac import (
     ENCODING_ANGLES,
@@ -195,7 +196,7 @@ def otrm_read(instance: OtrmInstance, alpha: int, seed) -> ReadResult:
     word = sample_measurements(instance.angles, _READOUT[alpha], rng)
     code = (instance.code0, instance.code1)[alpha]
     u = _nearest(code, word)                  # what ml_decode returns, packed
-    msg = code.messages[u].copy()
+    msg = int_to_bits(u, code.k)
     return ReadResult(
         alpha=alpha,
         word=word,
@@ -248,22 +249,13 @@ class Extractor:
         return np.correlate(self.bits, x[::-1]) & 1      # "valid": one sum per window
 
 
-def make_extractor(input_len: int, output_len: int, seed) -> Extractor:
-    """Build a Toeplitz extractor from a seed.
-
-    seed is an RNG seed (int or Generator) for a random public seed, or
-    an explicit bit array of length input_len + output_len - 1.  An int
-    seed gives the bits of default_rng(seed).integers(0, 2, dtype=np.uint8),
-    each the top bit of one raw PCG64 byte (see seeds._coin_bits); a
-    Generator, whose state is the caller's, is drawn from.
-    """
+def make_extractor(input_len: int, output_len: int, seed: int) -> Extractor:
+    """Toeplitz extractor seeded by default_rng(seed).integers(0, 2,
+    dtype=np.uint8) draws (see seeds._coin_bits).  seed must be an integer;
+    it and both sizes are checked before anything is drawn.  Explicit bits
+    build Extractor(bits=...) directly."""
     want = _seed_len(input_len, output_len)
-    if isinstance(seed, (int, np.integer)):
-        (bits,) = _coin_bits(seed, want)
-    elif isinstance(seed, np.random.Generator):
-        bits = seed.integers(0, 2, size=want, dtype=np.uint8)
-    else:
-        bits = np.asarray(seed, dtype=np.uint8)
+    (bits,) = _coin_bits(_check_int("seed", seed), want)
     return Extractor(bits=bits, input_len=input_len, output_len=output_len)
 
 

@@ -14,6 +14,7 @@ import pytest
 from oracles import csv_text, json_text
 from otmbench import cli
 from otmbench.collinfo import JointDistribution, collision_mi, random_joint
+from otmbench.errors import InvariantViolationError
 from otmbench.lightcone import find_feasible_params
 from otmbench.protocol import leakage_experiment
 
@@ -432,3 +433,32 @@ def test_entropy_rejects_bad_probabilities(prob, tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text(f"X,Y,prob\n0,0,{prob}\n1,1,0.5\n")
     assert cli.main(["entropy", "--in", str(path), "--mi", "X", "Y"]) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["leakage", "--m", "2", "--strategy", "mu0,x"], "bad angle 'x'"),
+    (["leakage", "--m", "2", "--strategy", ","], "strategy lists no angles"),
+    (["entropy", "--in", "{csv}"], "give --mi or --entropy"),
+    (["leakage", "--m", "2"], "give --strategy or --exhaustive"),
+    (["leakage", "--m", "3", "--strategy", "mu0,mu1"], "strategy lists 2 angles, need 3"),
+])
+def test_refusals_name_their_cause(argv, fragment, tmp_path, capsys):
+    path = tmp_path / "joint.csv"
+    path.write_text(csv_text(random_joint(("X", "Y"), (2, 2), seed=0)))
+    argv = [a.format(csv=path) for a in argv]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(cli._CliError) as info:
+        cli._RUNNERS[args.command](args)
+    assert fragment in str(info.value)
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+def test_invariant_violation_exits_2(monkeypatch, capsys):
+    def broken(*args):
+        raise InvariantViolationError("planted failure")
+    monkeypatch.setattr(cli.lightcone, "find_feasible_params", broken)
+    argv = ["feasibility", "--D", "1", "--ell", "2", "--d", "1", "--eps1", "0.1", "--eps2", "0.1"]
+    assert cli.main(argv) == cli.EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "invariant violation: planted failure\n")

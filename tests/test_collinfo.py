@@ -30,13 +30,29 @@ def test_constructor_validation():
         JointDistribution(("X",), np.array([np.nan, 1.0]))
 
 
-def test_marginal_and_grouped_consistency():
-    d = random_joint(("X", "Y", "Z"), (2, 3, 2), seed=0)
-    mx = d.marginal(("X",))
-    assert mx.table == pytest.approx(d.table.sum(axis=(1, 2)), abs=1e-15)
-    g = d.grouped(("X", "Z"), ("Y",))
-    assert g.shape == (4, 3)
-    assert g.sum() == pytest.approx(1.0, abs=1e-12)
+def _grouped_oracle(d, groups):
+    """The joint of the groups by moving their axes to the front and summing
+    the rest away, renormalized: one flat axis per group."""
+    keep = [d.names.index(n) for g in groups for n in g]
+    t = np.moveaxis(d.table, keep, range(len(keep)))
+    t = t.sum(axis=tuple(range(len(keep), t.ndim)))
+    t = np.maximum(t, 0.0) / t.sum()
+    sizes = [math.prod(d.table.shape[d.names.index(n)] for n in g) for g in groups]
+    return t.reshape(sizes)
+
+
+def test_grouped_matches_oracle_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        ndim = int(rng.integers(1, 5))
+        names = tuple("ABCD"[:ndim])
+        d = random_joint(names, rng.integers(1, 9, ndim), seed=int(rng.integers(2**32)))
+        order = [str(n) for n in rng.permutation(names)][: int(rng.integers(1, ndim + 1))]
+        cuts = np.sort(rng.integers(0, len(order) + 1, size=2))
+        groups = [g for g in (order[:cuts[0]], order[cuts[0]:cuts[1]], order[cuts[1]:]) if g]
+        want = _grouped_oracle(d, groups)
+        got = d.grouped(*[g[0] if len(g) == 1 else tuple(g) for g in groups])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (d.table.shape, groups)
 
 
 def test_csv_and_json_roundtrip():
@@ -46,6 +62,22 @@ def test_csv_and_json_roundtrip():
     assert np.allclose(back.table, d.table, atol=1e-15)
     back = JointDistribution.from_json(json_text(d))
     assert np.allclose(back.table, d.table, atol=1e-15)
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: JointDistribution(("X", "Y"), np.ones(2) / 2), "2 names for a 1-axis table"),
+    (lambda: JointDistribution(("X",), np.zeros(0)), "empty table"),
+    (lambda: random_joint(("X", "Y"), (2, 2), seed=0).grouped(("X",), ("W",)),
+     "unknown variable(s) ['W']"),
+    (lambda: JointDistribution.from_csv("X,prob\n"), "needs a header and at least one row"),
+    (lambda: JointDistribution.from_csv("X,p\n0,1.0\n"), "last CSV column must be 'prob'"),
+    (lambda: JointDistribution.from_csv("X,prob\n0,0,1.0\n"), "row has 3 cells, expected 2"),
+    (lambda: JointDistribution.from_json('{"variables": [}'), "malformed distribution description"),
+])
+def test_refusals_name_their_cause(build, fragment):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert fragment in str(info.value)
 
 
 @pytest.mark.parametrize("rows", [

@@ -382,3 +382,19 @@ def test_code_validation():
     rank_deficient = np.array([[1, 1], [1, 1], [0, 0]], dtype=np.uint8)
     with pytest.raises(Exception):
         LinearCode(n=3, k=2, generator=rank_deficient, seed=0)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: exact_failure_prob(repetition_code(21), 0.1), ResourceLimitError,
+     "n=21 exceeds the enumeration budget of 20"),
+    (lambda: LinearCode(n=3, k=1, generator=np.ones((3, 2))), ValueError,
+     "generator shape (3, 2) != (3, 1)"),
+    (lambda: LinearCode(n=2, k=3, generator=np.ones((2, 3))), ValueError,
+     "need 1 <= k <= n, got k=3, n=2"),
+    (lambda: encode(repetition_code(3), np.ones((1, 1))), ValueError,
+     "expected a 1-d bit vector, got shape (1, 1)"),
+])
+def test_refusals_name_their_cause(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)

@@ -2,6 +2,7 @@
 
 import dataclasses
 from decimal import Decimal, localcontext
+from fractions import Fraction
 import itertools
 import math
 
@@ -41,13 +42,16 @@ def test_grid_index_roundtrip():
             grid.index(wrong_length)
 
 
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        GridSpec(D=0, side=4, ell=2, depth=1)
-    with pytest.raises(ValueError):
-        GridSpec(D=2, side=4, ell=1, depth=1)
-    with pytest.raises(ValueError):
-        GridSpec(D=2, side=4, ell=2, depth=-1)
+@pytest.mark.parametrize("fields, fragment", [
+    ({"D": 0}, "dimension must be >= 1, got 0"),
+    ({"side": 0}, "side must be >= 1, got 0"),
+    ({"ell": 1}, "gate locality must be >= 2, got 1"),
+    ({"depth": -1}, "depth must be >= 0, got -1"),
+])
+def test_refusals_name_their_cause(fields, fragment):
+    with pytest.raises(ValueError) as info:
+        GridSpec(**{"D": 2, "side": 4, "ell": 2, "depth": 1, **fields})
+    assert fragment in str(info.value)
 
 
 @pytest.mark.parametrize("name", ["D", "side", "ell", "depth"])
@@ -361,3 +365,17 @@ def test_feasibility_least_grid_is_exact(D, ell, d, eps1, eps2, least_t):
     assert rem == 0 and t == least_t
     assert _constraints_hold_decimal(w, t)
     assert not _constraints_hold_decimal(w, t - 1)
+
+
+@pytest.mark.parametrize("eps1, holds", [(2.0**-700, True), (2.0**-1000, False)])
+def test_shell_inequality_decided_exactly_below_the_log_cap(eps1, holds):
+    """cu_bar = 400 * 2 = 800 lies below the 1075 above which (2) holds for
+    every double eps1, so the integer comparison decides it; the budget
+    (1) holds with room to spare either way."""
+    fields = dict(D=1, ell=2, depth=0, eps1=eps1, eps2=0.5, r=100000, side=80000800)
+    assert (2**800 * Fraction(eps1) >= 1) is holds      # cu_bar >= log2(1/eps1)
+    if holds:
+        assert FeasibilityWitness(**fields).cu_bar == 800
+    else:
+        with pytest.raises(InvariantViolationError, match=r"shell-size inequality \(2\) fails"):
+            FeasibilityWitness(**fields)

@@ -707,3 +707,13 @@ def test_outcome_table_is_born_rule():
         assert t.shape == (2, 2, len(povm.elements))
         assert t.min() >= -1e-12
         assert np.abs(t.sum(axis=2) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("elements", [
+    (np.array([[1.0, 0.5], [0.0, 0.0]]), np.array([[0.0, -0.5], [0.0, 1.0]])),   # not symmetric
+    (np.eye(3),),                                                                 # not 2x2
+])
+def test_refusals_name_their_cause(elements):
+    with pytest.raises(InvariantViolationError) as info:
+        Povm(elements)
+    assert "elements must be symmetric 2x2" in str(info.value)

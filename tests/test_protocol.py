@@ -218,13 +218,13 @@ def test_reads_hand_out_fresh_arrays():
     inst = otrm_prep(params, seed=3)
     code = inst.code1
     first = otrm_read(inst, 1, seed=11)
-    tables = code.codewords.copy(), code.messages.copy()
+    codewords = code.codewords.copy()
     message, codeword = first.message.copy(), first.codeword.copy()
     first.message[:] ^= 1
     first.codeword[:] ^= 1
     decoded = ml_decode(code, first.word)
     decoded ^= 1
-    assert np.array_equal(code.codewords, tables[0]) and np.array_equal(code.messages, tables[1])
+    assert np.array_equal(code.codewords, codewords)
     again = otrm_read(inst, 1, seed=11)
     assert np.array_equal(again.message, message) and np.array_equal(again.codeword, codeword)
     assert np.array_equal(ml_decode(code, first.word), message)
@@ -348,7 +348,7 @@ def test_extractor_matrix_is_toeplitz():
 def test_extractor_identity_seed():
     bits = np.zeros(9, dtype=np.uint8)
     bits[4] = 1  # the diagonal of a 5x5 Toeplitz map
-    ext = make_extractor(5, 5, bits)
+    ext = Extractor(bits=bits, input_len=5, output_len=5)
     x = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
     assert np.array_equal(ext.apply(x), x)
 
@@ -389,37 +389,41 @@ def test_extractor_zero_output_length():
 
 
 def test_make_extractor_seed_bits_are_generator_draws():
-    # an int or numpy integer seed gives the bits of a fresh generator's draw;
-    # a Generator is drawn from, and advanced, as the caller's stream
+    # an int or numpy integer seed gives the bits of a fresh generator's draw
     for seed in (0, 7, np.uint64(2**64 - 1), 2**70):
         want = np.random.default_rng(seed).integers(0, 2, size=17, dtype=np.uint8)
         assert make_extractor(15, 3, seed).bits.tolist() == want.tolist()
-    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
-    for _ in range(2):
-        want = twin.integers(0, 2, size=17, dtype=np.uint8)
-        assert make_extractor(15, 3, rng).bits.tolist() == want.tolist()
 
 
-def test_make_extractor_refuses_long_outputs_before_drawing():
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail any draw of extractor seed bits."""
+    def draw(*args):
+        raise AssertionError("seed bits drawn before the arguments were checked")
+    monkeypatch.setattr(protocol, "_coin_bits", draw)
+
+
+def test_make_extractor_refuses_long_outputs_before_drawing(no_draws):
     # a huge lam would otherwise draw n + lam/8 - 1 seed bits first
-    rng = np.random.default_rng(4)
-    state = rng.bit_generator.state
     for output_len in (7, -1):
         with pytest.raises(ValueError, match="output_len <= input_len"):
-            make_extractor(6, output_len, rng)
-    assert rng.bit_generator.state == state
+            make_extractor(6, output_len, 4)
 
 
-def test_extractor_sizes_must_be_integers():
+def test_make_extractor_refuses_non_integer_seeds_before_drawing(no_draws):
+    # an array would otherwise seed PCG64 silently
+    for seed in (np.zeros(5, dtype=np.uint8), np.random.default_rng(4), True, 1.0, None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            make_extractor(4, 2, seed)
+
+
+def test_extractor_sizes_must_be_integers(no_draws):
     # refused by one rule in both constructors, before any seed bit is drawn
-    rng = np.random.default_rng(4)
-    state = rng.bit_generator.state
     for sizes in ((4.0, 1), (4, 1.0), (True, 1), (4, True), ("4", 1)):
         with pytest.raises(ValueError, match="must be an integer"):
-            make_extractor(*sizes, rng)
+            make_extractor(*sizes, 4)
         with pytest.raises(ValueError, match="must be an integer"):
             Extractor(np.zeros(4, dtype=np.uint8), *sizes)
-    assert rng.bit_generator.state == state
     ext = Extractor(np.zeros(4, dtype=np.uint8), np.int64(4), np.int64(1))
     assert (type(ext.input_len), type(ext.output_len)) == (int, int)
     assert ext.apply([1, 0, 1, 1]).tolist() == [0]
@@ -982,7 +986,8 @@ def _brute_force_views(m0, m1, params, strategy, seed):
     outs = list(itertools.product(*alphabets))
     cws0 = [encode(code0, int_to_bits(r, k)) for r in range(2 ** k)]
     cws1 = [encode(code1, int_to_bits(r, k)) for r in range(2 ** k)]
-    exts = [make_extractor(n, msg, int_to_bits(w, seed_len)) for w in range(w_count)]
+    exts = [Extractor(bits=int_to_bits(w, seed_len), input_len=n, output_len=msg)
+            for w in range(w_count)]
     real = np.zeros((w_count, w_count, len(outs), nc, nc))
     side = {}
     for w0, w1, r0, r1 in itertools.product(range(w_count), range(w_count),
@@ -1030,3 +1035,22 @@ def test_simulator_resource_limit():
     with pytest.raises(ResourceLimitError):
         simulator_transcript(empty, empty, ProtocolParams(n=10, lam=0, k=10),
                              adversary_strategy=[0.0] * 10)
+
+
+_PARAMS = ProtocolParams(n=3, lam=8, k=1)      # one message bit
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: Extractor(np.zeros(3, dtype=np.uint8), 4, 1), "seed must hold 4 bits, got shape (3,)"),
+    (lambda: Extractor(np.zeros(4, dtype=np.uint8), 4, 1).apply(np.zeros(3)),
+     "input must hold 4 bits"),
+    (lambda: otm_prep(np.zeros(2), np.zeros(1), _PARAMS), "messages must hold lam/8 = 1 bits"),
+    (lambda: simulator_transcript(np.zeros(1), np.zeros(2), _PARAMS),
+     "messages must hold lam/8 = 1 bits"),
+    (lambda: simulator_transcript(np.zeros(1), np.zeros(1), _PARAMS, [0.0] * 4),
+     "strategy lists more qubits than the instance holds"),
+])
+def test_refusals_name_their_cause(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert fragment in str(info.value)

@@ -101,3 +101,10 @@ def test_sample_measurements_deterministic_for_seed():
     b = sample_measurements(thetas, meas, np.random.default_rng(99))
     assert a.dtype == np.uint8 and a.shape == (10,)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bits", [(2, 0), (0, -1), (0.5, 1)])
+def test_refusals_name_their_cause(bits):
+    with pytest.raises(ValueError) as info:
+        qrac_encode(*bits)
+    assert f"bits must be 0/1, got {bits}" in str(info.value)
