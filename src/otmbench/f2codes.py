@@ -188,36 +188,30 @@ class LinearCode:
         prefixes M_s >> j; dead[0] marks the offsets outside M_s.  One
         greedy pass over them, top bit first, finds the min: keep the
         result's bit j at 0 (b's bit j equal to a's) whenever that prefix of
-        b is in M_s >> j, and flip it otherwise.  The pass and the scatter
-        into the table run in blocks of coset rows of at most _SWEEP_CELLS
-        cells, so beside the table they hold the levels (under two bytes a
-        word) and one block.  Refuses n past the block budget before
-        allocating.
+        b is in M_s >> j, and flip it otherwise.  The levels, the pass and
+        the scatter into the table run on each block the sweep yields, so
+        beside the table they hold one block and that block's levels.
+        Refuses n past the block budget before allocating.
         """
         if self.n > MAX_BLOCK_BITS:
             raise ResourceLimitError(f"a decode table of 2^{self.n} cells exceeds the "
                                      f"budget of 2^{MAX_BLOCK_BITS} cells")
-        reps, wt = _coset_sweep(self)
         k, cw = self.k, self.codeword_ints
-        dead = [wt != wt.min(axis=1, keepdims=True)]
-        del wt
-        for _ in range(k - 1):                         # dead if 2q and 2q+1 both are
-            dead.append(dead[-1][:, 0::2] & dead[-1][:, 1::2])
         a = np.arange(1 << k, dtype=np.int32)
         table = np.empty(1 << self.n, dtype=np.int32)
-        rows = max(1, _SWEEP_CELLS >> k)
-        for s in range(0, len(reps), rows):
-            block = reps[s : s + rows]
-            # at = s * 2^(k-j) + (prefix of b chosen so far) indexes dead[j].ravel()
-            at = np.repeat(np.arange(s, s + len(block), dtype=np.int32), 1 << k)
-            at = at.reshape(len(block), -1)
+        for reps, wt in _coset_sweep(self):
+            dead = [wt != wt.min(axis=1, keepdims=True)]
+            for _ in range(k - 1):                     # dead if 2q and 2q+1 both are
+                dead.append(dead[-1][:, 0::2] & dead[-1][:, 1::2])
+            # at = row * 2^(k-j) + (prefix of b chosen so far) indexes dead[j].ravel()
+            at = np.repeat(np.arange(len(reps), dtype=np.int32), 1 << k).reshape(len(reps), -1)
             for j in range(k - 1, -1, -1):
                 at <<= 1
                 at |= (a >> j) & 1
                 at ^= np.take(dead[j], at)
             at &= (1 << k) - 1
             at ^= a
-            table[block[:, None] ^ cw[None, :]] = at
+            table[reps[:, None] ^ cw[None, :]] = at
         return table
 
 
@@ -281,25 +275,26 @@ def ml_decode_packed(code: LinearCode, words) -> np.ndarray:
     return out
 
 
-def _coset_sweep(code: LinearCode) -> tuple:
-    """The standard array of the code, as (reps, wt).
+def _coset_sweep(code: LinearCode):
+    """The standard array of the code, yielded as blocks (reps, wt) of rows.
 
     The 2^(n-k) words zero on the pivots of a reduced echelon basis are one
-    representative reps[s] per coset, so e = rep_s ^ cw_a lists every word
-    once, with weight wt[s, a].  The 2^n uint8 weights are filled in place,
-    from XOR blocks of at most _SWEEP_CELLS int64 cells.
+    representative per coset, so e = reps[s] ^ cw_a lists every word once,
+    with uint8 weight wt[s, a].  A block holds max(1, _SWEEP_CELLS / 2^k)
+    rows, weighed from XOR blocks of at most _SWEEP_CELLS int64 cells; no
+    2^n table is built.
     """
     _, pivots = _echelon(bits_to_int(col) for col in code.generator.T)
     free = [1 << b for b in range(code.n) if not (1 << b) & sum(pivots)]
     reps = _span(np.array(free, dtype=np.int64))
     cw = code.codeword_ints
-    wt = np.empty((len(reps), len(cw)), dtype=np.uint8)
     rows, cols = max(1, _SWEEP_CELLS >> code.k), min(len(cw), _SWEEP_CELLS)
     for s in range(0, len(reps), rows):
+        block = reps[s : s + rows]
+        wt = np.empty((len(block), len(cw)), dtype=np.uint8)
         for a in range(0, len(cw), cols):
-            _popcount(reps[s : s + rows, None] ^ cw[None, a : a + cols],
-                      out=wt[s : s + rows, a : a + cols])
-    return reps, wt
+            _popcount(block[:, None] ^ cw[None, a : a + cols], out=wt[:, a : a + cols])
+        yield block, wt
 
 
 def _check_flip_prob(p: float):
@@ -318,7 +313,8 @@ def exact_failure_prob(code: LinearCode, p: float) -> float:
     cosets of p^w_s (1 - p)^(n - w_s).  With L_w cosets of least weight w,
     failure = sum_w (C(n, w) - L_w) p^w (1 - p)^(n - w), a sum of
     nonnegative terms, taken in integers from p = a / b and divided once.
-    Refuses n beyond the block budget.
+    L_w is summed over the sweep's blocks from their row minima, so no
+    2^n table is held.  Refuses n beyond the block budget.
     """
     _check_flip_prob(p)
     if code.n > MAX_BLOCK_BITS:
@@ -326,8 +322,8 @@ def exact_failure_prob(code: LinearCode, p: float) -> float:
             f"n={code.n} exceeds the enumeration budget of {MAX_BLOCK_BITS}"
         )
     n = code.n
-    _, wt = _coset_sweep(code)
-    leaders = np.bincount(wt.min(axis=1), minlength=n + 1).tolist()     # L_w
+    leaders = sum(np.bincount(wt.min(axis=1), minlength=n + 1)            # L_w
+                  for _, wt in _coset_sweep(code)).tolist()
     a, b = float(p).as_integer_ratio()
     return sum((math.comb(n, w) - leaders[w]) * a**w * (b - a) ** (n - w)
                for w in range(n + 1)) / b**n

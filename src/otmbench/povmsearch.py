@@ -289,8 +289,8 @@ class Povm:
     """Up to four real symmetric 2x2 elements summing to the identity.
 
     Holds element [[a, b], [b, c]] as its coordinate row (a, b, c) in
-    plain floats; elements, coords(), key() and as_lists() are built
-    from those rows.
+    plain floats; elements, coords() and as_lists() are built from those
+    rows.
     """
 
     __slots__ = ("_rows",)
@@ -321,9 +321,6 @@ class Povm:
 
     def coords(self) -> np.ndarray:
         return np.array(self._rows)
-
-    def key(self) -> tuple:
-        return self._rows
 
     def as_lists(self) -> list:
         return [[[a, b], [b, c]] for a, b, c in self._rows]
@@ -722,9 +719,11 @@ def search_bounds(
     The coarse two-outcome pass corner-corrects every cell, discards
     cells that provably cannot beat the raw incumbent, and refines the
     survivors down to eps_fine (frontier_bound certifies the two-outcome
-    family).  The arc certificate, with arcs at most slice_eps wide in
-    Bloch angle, independently bounds POVMs of every element count and
-    is reported as corrected_bound.
+    family).  Every refinement level runs, even one left with no cell: it
+    bounds nothing, so the incumbent is then the frontier.  The arc
+    certificate, with arcs at most slice_eps wide in Bloch angle,
+    independently bounds POVMs of every element count and is reported as
+    corrected_bound.
 
     Raises ResourceLimitError with a partial report if the time budget
     runs out, or if a net level or the arc count would pass its limit; the
@@ -813,10 +812,6 @@ def search_bounds(
             level += 1
             eps = eps / s
             bases = _net_level(bases[corr > best.value], eps, (0, 0, 0), (s, s, s))
-            if bases.shape[0] == 0:
-                # everything pruned; the incumbent is the exact frontier
-                frontier = best.value
-                break
         check_deadline()
         flat_cells = _count_flat_cells(eps_fine)
     except ResourceLimitError as err:

@@ -25,9 +25,8 @@ import numpy as np
 
 from .collinfo import JointDistribution, avg_conditional_min_entropy
 from .errors import InvariantViolationError, ResourceLimitError, _check_int
-from .f2codes import (MAX_BLOCK_BITS, LinearCode, _as_vector, _check_trials, _nearest,
-                      bits_to_int, encode, exact_failure_prob, int_to_bits,
-                      ml_decode_packed, random_code)
+from .f2codes import (LinearCode, _as_vector, _check_trials, _nearest, bits_to_int, encode,
+                      exact_failure_prob, int_to_bits, ml_decode_packed, random_code)
 from .povmsearch import REFERENCE_SETS, Povm, _outcome_table, _QUANTITY, pair_info
 from .qrac import (
     ENCODING_ANGLES,
@@ -318,15 +317,15 @@ def mc_correctness(params: ProtocolParams, alpha: int, trials: int, seed: int,
                    codes: tuple | None = None) -> dict:
     """Monte-Carlo read failures over fresh message pairs, sampled and
     decoded in blocks from one generator, with the exact failure probability
-    of the code read (None past the exact budget of n).  Codes are drawn
-    from the seed unless a pair is supplied.  Refuses trials x n past
+    of the code read (None where exact_failure_prob refuses it).  Codes are
+    drawn from the seed unless a pair is supplied.  Refuses trials x n past
     f2codes.MAX_SAMPLED_BITS before drawing anything.
     """
     alpha = _check_alpha(alpha)
     _check_trials(trials, params.n)
     codes = _code_pair(params, codes, seed, "mc-code")
     cws = tuple(c.codeword_ints for c in codes)      # refuses n past the packed limit
-    code, meas = codes[alpha], measurement_for(alpha)
+    code, meas = codes[alpha], _READOUT[alpha]
     shifts = np.arange(params.n - 1, -1, -1, dtype=np.int64)
     rng = np.random.default_rng(derive_seed(seed, "mc-reads"))
     block = max(1, (1 << 20) // params.n)             # trials per block: 2^20 qubits
@@ -338,31 +337,34 @@ def mc_correctness(params: ProtocolParams, alpha: int, trials: int, seed: int,
         word = sample_measurements(_ANGLES[bits0, bits1], meas, rng)
         decoded = ml_decode_packed(code, word.astype(np.int64) @ (1 << shifts))
         failures += int(np.sum(decoded != msgs[alpha]))
+    try:
+        exact = exact_failure_prob(code, _CHANNEL_P)
+    except ResourceLimitError:                        # n past f2codes' exact budget
+        exact = None
     return {
         "alpha": alpha,
         "trials": trials,
         "failures": failures,
         "empirical_failure": failures / trials,
-        "exact_failure": exact_failure_prob(code, _CHANNEL_P) if code.n <= MAX_BLOCK_BITS else None,
+        "exact_failure": exact,
     }
 
 
 # ---------------------------------------------------------------------------
 # exact leakage experiments
 
-def _strategy_tables(strategy) -> list:
-    """Per-qubit outcome tables t[x, y, o] = P(outcome o | bits (x, y))."""
-    tables = []
-    for entry in strategy:
-        if isinstance(entry, Povm):
-            tables.append(_outcome_table(entry))
-            continue
-        meas = entry if isinstance(entry, BasisMeasurement) else BasisMeasurement(float(entry))
-        t = np.empty((2, 2, 2))
-        for x, y in itertools.product((0, 1), repeat=2):
-            t[x, y] = measure_prob(qrac_encode(x, y), meas)
-        tables.append(t)
-    return tables
+def _entry(entry) -> tuple:
+    """One strategy entry, a Povm, a BasisMeasurement or a basis angle, as
+    (label, t) with t[x, y, o] = P(outcome o | bits (x, y)).  A Povm is its
+    own label, a BasisMeasurement is labelled by its theta, an angle by
+    itself as a float."""
+    if isinstance(entry, Povm):
+        return entry, _outcome_table(entry)
+    meas = entry if isinstance(entry, BasisMeasurement) else BasisMeasurement(float(entry))
+    t = np.empty((2, 2, 2))
+    for x, y in itertools.product((0, 1), repeat=2):
+        t[x, y] = measure_prob(qrac_encode(x, y), meas)
+    return meas.theta, t
 
 
 @dataclass(frozen=True, init=False)
@@ -395,10 +397,6 @@ class LeakageReport:
             limit = self.m * PER_PAIR_BOUNDS[q]
             out[q] = {"value": value, "limit": limit, "ok": value <= limit + 1e-9}
         return out
-
-    @property
-    def all_ok(self) -> bool:
-        return all(v["ok"] for v in self.bounds.values())
 
 
 @dataclass(frozen=True)
@@ -488,12 +486,10 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
             raise ValueError(f"strategy must list {m} per-qubit measurements")
         entries = list(strategy)
         idx = np.arange(m)[None, :]
-    names = [e if isinstance(e, Povm) else
-             (e.theta if isinstance(e, BasisMeasurement) else float(e)) for e in entries]
+    names, tables = zip(*map(_entry, entries))
     # one pair_info per distinct outcome table, all that pair_info reads,
     # scattered back to every entry; tables are (2, 2, outcomes), so equal
     # bytes are equal tables
-    tables = _strategy_tables(entries)
     keys = [t.tobytes() for t in tables]
     distinct = dict(zip(keys, tables))
     slot = {key: s for s, key in enumerate(distinct)}
@@ -503,7 +499,7 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
     total = ic0 + ic1
     lesser = (ic0 - ic1 > _TIE).astype(np.int64)
     # the rows of idx as labels, in the same order (see _sweep_index)
-    labels = itertools.product(names, repeat=m) if exhaustive else (tuple(names),)
+    labels = itertools.product(names, repeat=m) if exhaustive else (names,)
     cols = (c.tolist() for c in (ic0, ic1, total, c0, c1, lesser))
     reports = tuple(itertools.starmap(LeakageReport, zip(itertools.repeat(m), labels, *cols)))
     if not exhaustive:
@@ -619,7 +615,7 @@ def simulator_transcript(m0, m1, params: ProtocolParams, adversary_strategy=None
     strategy = adversary_strategy
     if strategy is None:
         strategy = []          # measures nothing: trivial outcome alphabet
-    tables = _strategy_tables(strategy)
+    tables = [t for _, t in map(_entry, strategy)]
     if len(tables) > n:
         raise ValueError("strategy lists more qubits than the instance holds")
     n_out = math.prod(t.shape[2] for t in tables)

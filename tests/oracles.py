@@ -5,7 +5,8 @@ no function of that module: the light-cone oracles read only a grid's
 (D, side, ell, depth) and a partition's r, the Toeplitz matrix only an
 extractor's seed bits and sizes, the rank-one lower bounds score every
 POVM through collinfo on its exact outcome table, and the distribution
-writers only a joint's names and table.
+writers and the conditional collision entropy only a joint's names and
+table.
 """
 
 import itertools
@@ -184,6 +185,17 @@ def csv_text(d) -> str:
     for idx in itertools.product(*(range(s) for s in d.table.shape)):
         lines.append(",".join(map(str, idx)) + f",{float(d.table[idx])!r}")
     return "\n".join(lines) + "\n"
+
+
+def collision_entropy_given(d, x: str, given) -> float:
+    """H_c(X|G) = -log2 sum_{x,g} p(x,g)^2 / p(g) over the g of positive
+    mass, from numpy sums over the axes of a joint's table."""
+    axes = [d.names.index(v) for v in (x, *given)]
+    rest = tuple(i for i in range(d.table.ndim) if i not in axes)
+    pxg = d.table.sum(axis=rest, keepdims=True)
+    pg = pxg.sum(axis=axes[0], keepdims=True)
+    terms = np.divide(pxg * pxg, pg, out=np.zeros(pxg.shape), where=pg > 0)
+    return -math.log2(float(terms.sum()))
 
 
 def json_text(d) -> str:

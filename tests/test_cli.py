@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import csv_text, json_text
+from oracles import collision_entropy_given, csv_text, json_text
 from otmbench import cli
 from otmbench.collinfo import JointDistribution, collision_mi, random_joint
 from otmbench.errors import InvariantViolationError
@@ -94,6 +94,32 @@ def test_entropy_subcommand_matches_library(tmp_path, capsys):
     assert payload["result"]["collision_mi"] == pytest.approx(
         collision_mi(d, ("X",), ("Y",)), abs=1e-12
     )
+
+
+def _conditional_joint():
+    # the slice Z = 3 has no mass, so the conditional figures drop its terms
+    table = np.random.default_rng(5).dirichlet(np.ones(24)).reshape(2, 3, 4)
+    table[:, :, 3] = 0.0
+    return JointDistribution(("X", "Y", "Z"), table / table.sum())
+
+
+@pytest.mark.parametrize("args, key, want", [
+    (["--mi", "X", "Y", "--given", "Z"], "conditional_collision_mi",
+     lambda d: collision_entropy_given(d, "X", ("Z",))
+     - collision_entropy_given(d, "X", ("Y", "Z"))),
+    (["--entropy", "X", "--given", "Y", "Z"], "conditional_collision_entropy",
+     lambda d: collision_entropy_given(d, "X", ("Y", "Z"))),
+], ids=["mi-given", "entropy-given"])
+def test_entropy_conditional_figures(args, key, want, tmp_path, capsys):
+    d = _conditional_joint()
+    path = tmp_path / "dist.csv"
+    path.write_text(csv_text(d))
+    code, out = run(["entropy", "--in", str(path), *args], capsys)
+    assert code == cli.EXIT_OK
+    result = json.loads(out)["result"]
+    assert set(result) == {"variables", key}
+    assert result["variables"] == ["X", "Y", "Z"]
+    assert abs(result[key] - want(d)) <= 1e-12
 
 
 def test_entropy_json_input(tmp_path, capsys):

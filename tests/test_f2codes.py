@@ -153,8 +153,9 @@ def test_exact_failure_is_the_rounded_rational_whatever_the_tie_rule():
 
 
 def test_exact_failure_bounded_in_memory():
-    # 2^20 words: a uint8 weight each, counted from int64 XOR blocks of
-    # 2^16 cells
+    # 2^20 words, swept in blocks of 2^16 uint8 weights counted from int64
+    # XOR cells of the same size: about 0.63 MiB, where a 2^20 weight table
+    # held at once peaked at 1.50 MiB
     code = random_code(20, 12, seed=4)
     code.codeword_ints
     tracemalloc.start()
@@ -163,12 +164,13 @@ def test_exact_failure_bounded_in_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**20
+    assert peak < 1 * 2**20
 
 
 def test_decode_table_bounded_in_memory():
-    # the 4 MiB int32 table of 2^20 words, the dead-prefix levels (under
-    # two bytes a word) and one block of at most 2^16 coset cells
+    # the 4 MiB int32 table of 2^20 words, then one block of 2^16 coset
+    # cells and that block's dead-prefix levels: about 5.0 MiB, where levels
+    # for all 2^20 words peaked at 6.8 MiB
     code = random_code(20, 12, seed=3)
     code.codeword_ints
     tracemalloc.start()
@@ -177,7 +179,7 @@ def test_decode_table_bounded_in_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20
+    assert peak < 6 * 2**20
 
 
 def scan_decode(code, words):

@@ -57,3 +57,41 @@ def test_every_all_entry_has_a_caller_outside_the_tests():
                     or any(name in w for n, w in own.items() if n != name)):
                 unused.append(f"{module}.{name}")
     assert not unused, f"exported but reached only by module tests: {unused}"
+
+
+def _attributes(node, skip=None) -> set:
+    """Names read as x.name anywhere in node outside the subtree skip."""
+    if node is skip:
+        return set()
+    out = {node.attr} if isinstance(node, ast.Attribute) else set()
+    for child in ast.iter_child_nodes(node):
+        out |= _attributes(child, skip)
+    return out
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    """Each public method or property of an exported class is read as an
+    attribute in the CLI, the acceptance gate, the benchmark, another
+    module of the package, or its own module outside its own definition.
+    Dataclass and NamedTuple fields are declarations, not defs, and are
+    exempt.  Attributes are matched by name alone, so a name that two
+    classes share (all_ok, say) passes when either is read."""
+    callers = set().union(*(_attributes(ast.parse(p.read_text())) for p in [
+        SRC / "cli.py", ROOT / "tests" / "test_acceptance.py",
+        *(ROOT / "perfbench").glob("*.py")]))
+    unused = []
+    for module in otmbench.__all__:
+        path = SRC / f"{module}.py"
+        mod = importlib.import_module(f"otmbench.{module}")
+        others = set().union(*(_attributes(ast.parse(p.read_text()))
+                               for p in SRC.glob("*.py") if p != path))
+        tree = ast.parse(path.read_text())
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in getattr(mod, "__all__", ())):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and node.name not in callers | others
+                        and node.name not in _attributes(tree, skip=node)):
+                    unused.append(f"{module}.{cls.name}.{node.name}")
+    assert not unused, f"public methods reached only by module tests: {unused}"

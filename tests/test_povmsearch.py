@@ -39,6 +39,7 @@ from otmbench.povmsearch import (
     _outcome_table,
     _pair_cells,
     _quantity,
+    _refine_steps,
     _slice_certificate,
 )
 from otmbench.qrac import BasisMeasurement, measure_prob, qrac_encode
@@ -205,7 +206,7 @@ def test_scalar_path_matches_array_kernel():
         p = Povm(tuple(els))
         coords = [(m[0, 0], m[0, 1], m[1, 1]) for m in els]
         r = Povm.from_coords(coords)
-        assert p.key() == r.key()
+        assert p.coords().tolist() == r.coords().tolist()
         assert p.as_lists() == r.as_lists()
         for q in QUANTITIES:
             fast = quantity_value(p, q)
@@ -250,15 +251,20 @@ def test_grid_stream_matches_brute_force_enumeration():
     assert got == want
 
 
+def coord_rows(povm) -> tuple:
+    """A POVM's coordinate rows as a tuple of (a, b, c) float tuples."""
+    return tuple(map(tuple, povm.coords().tolist()))
+
+
 def test_grid_stream_deterministic():
-    a = [p.key() for p in grid_extremal_povms(0.5, 2)]
-    b = [p.key() for p in grid_extremal_povms(0.5, 2)]
+    a = [coord_rows(p) for p in grid_extremal_povms(0.5, 2)]
+    b = [coord_rows(p) for p in grid_extremal_povms(0.5, 2)]
     assert a == b
     assert len(a) == len(set(a)), "stream must not repeat cells"
 
 
-# sha256 of repr([p.key() for p in grid_extremal_povms(eps, 2)]), recorded
-# before the stream was built from the shared grid helper
+# sha256 of repr([coord_rows(p) for p in grid_extremal_povms(eps, 2)]),
+# recorded before the stream was built from the shared grid helper
 _GRID_STREAM_SHA256 = {
     1.0: "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     0.5: "84f151b373fc95fffbffadfb1823412ea194b5ce4946d84f055797336410d53a",
@@ -273,7 +279,7 @@ _GRID_STREAM_SHA256 = {
 
 @pytest.mark.parametrize("eps", sorted(_GRID_STREAM_SHA256))
 def test_grid_stream_rows_are_pinned(eps):
-    rows = repr([p.key() for p in grid_extremal_povms(eps, 2)])
+    rows = repr([coord_rows(p) for p in grid_extremal_povms(eps, 2)])
     assert hashlib.sha256(rows.encode()).hexdigest() == _GRID_STREAM_SHA256[eps]
 
 
@@ -581,6 +587,29 @@ def test_search_refuses_an_oversized_refinement_level(monkeypatch):
     assert not partial.complete and partial.frontier_bound == math.inf
     assert partial.refinement_levels == 2 and partial.cells_visited == 7192
     assert partial.net_epsilon == 0.05 / 2 / 5 and partial.flat_cells == 0
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_search_runs_through_empty_refinement_levels(quantity, monkeypatch):
+    """A level whose origins were all pruned bounds nothing and leaves the
+    incumbent as the frontier; the schedule still runs to eps_fine."""
+    coarse, fine = 0.1, 0.01
+    want = search_bounds(coarse, fine, quantity, slice_eps=0.01)
+    real, levels = povmsearch._net_level, []
+
+    def pruned(origins, eps, lo, hi):
+        # the coarse level as it is, every later one with no origin left
+        levels.append(eps)
+        return real(origins if len(levels) == 1 else origins[:0], eps, lo, hi)
+
+    monkeypatch.setattr(povmsearch, "_net_level", pruned)
+    report = search_bounds(coarse, fine, quantity, slice_eps=0.01)
+    steps = _refine_steps(coarse, fine)
+    assert len(levels) == 1 + len(steps) > 1
+    assert report.complete
+    assert abs(report.frontier_bound - report.raw_max) <= 1e-12
+    assert report.refinement_levels == len(steps)
+    assert report.net_epsilon == want.net_epsilon
 
 
 # sha256 of json.dumps(search_bounds(coarse, fine, q).as_dict(), sort_keys=True),
