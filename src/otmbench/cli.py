@@ -22,7 +22,7 @@ import math
 import sys
 from datetime import datetime, timezone
 
-from . import collinfo, f2codes, lightcone, povmsearch, protocol
+from . import collinfo, lightcone, povmsearch, protocol
 from .errors import InvariantViolationError, ResourceLimitError
 from .qrac import qrac_success_table
 from .seeds import _coin_bits, derive_seed
@@ -136,8 +136,11 @@ def build_parser() -> _Parser:
 
 def _emit(args, payload: str):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as e:
+            raise _CliError(f"cannot write {args.out}: {e}") from e
     else:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
@@ -179,9 +182,6 @@ def _run_bounds(args):
 
 def _run_simulate(args):
     params = protocol.ProtocolParams(n=args.n, k=args.k, rate=args.rate, lam=args.lam)
-    if params.n > f2codes.MAX_PACKED_BITS:   # reads pack each word into one int64
-        raise ResourceLimitError(f"n={params.n} exceeds the {f2codes.MAX_PACKED_BITS}-bit "
-                                 "packed-word limit")
     m0 = _derived_message(params, args.seed, "m0")
     m1 = _derived_message(params, args.seed, "m1")
     pkg = protocol.otm_prep(m0, m1, params, seed=derive_seed(args.seed, "pkg"))
@@ -287,6 +287,10 @@ def _run_entropy(args):
 
 
 def _run_leakage(args):
+    if args.exhaustive and args.strategy is not None:
+        raise _CliError("give --strategy or --exhaustive, not both")
+    if args.angles is not None and not args.exhaustive:
+        raise _CliError("--angles is the grid of --exhaustive; give it with --exhaustive")
     if args.exhaustive:
         angles = _parse_angles(args.angles) if args.angles else None
         sweep = protocol.leakage_experiment(args.m, exhaustive=True, angles=angles)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _check_int
 
 __all__ = [
     "JointDistribution",
@@ -131,7 +131,9 @@ class JointDistribution:
         try:
             obj = json.loads(text)
             names = tuple(v["name"] for v in obj["variables"])
-            shape = tuple(int(v["size"]) for v in obj["variables"])
+            shape = tuple(_check_int("size", v["size"]) for v in obj["variables"])
+            if min(shape, default=1) < 1:         # reshape would infer a -1 size
+                raise ValueError(f"sizes must be positive, got {list(shape)}")
             table = np.asarray(obj["table"], dtype=float).reshape(shape)
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ValueError(f"malformed distribution description: {exc}") from exc

@@ -70,7 +70,7 @@ def _popcount(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def bits_to_int(bits: np.ndarray) -> int:
     """Pack a bit vector into an int, index 0 most significant."""
     out = 0
-    for b in np.asarray(bits).ravel():
+    for b in np.asarray(bits).ravel().tolist():
         out = (out << 1) | int(b)
     return out
 
@@ -234,21 +234,17 @@ def encode(code: LinearCode, message: np.ndarray) -> np.ndarray:
     return (code.generator @ _as_vector(message, code.k)) % 2
 
 
-def _nearest(code: LinearCode, word: np.ndarray) -> int:
-    """Packed message whose codeword is nearest the n-bit 0/1 uint8 word,
-    exhaustive over all 2^k codewords.
+def ml_decode(code: LinearCode, word: np.ndarray) -> np.ndarray:
+    """Nearest-codeword decoding, exhaustive over all 2^k codewords: the k
+    bits of the decoded message, index 0 most significant, as a fresh uint8
+    array.
 
     Ties resolve to the lexicographically smallest message, i.e. the
     smallest packed message integer; argmin on the numerically ordered
     codeword table gives exactly that.
     """
-    return int((code.codewords ^ word).sum(axis=1).argmin())
-
-
-def ml_decode(code: LinearCode, word: np.ndarray) -> np.ndarray:
-    """Nearest-codeword decoding (see :func:`_nearest`): the k bits of the
-    decoded message, index 0 most significant, as a fresh uint8 array."""
-    return int_to_bits(_nearest(code, _as_vector(word, code.n) & 1), code.k)
+    word = _as_vector(word, code.n) & 1
+    return int_to_bits(int((code.codewords ^ word).sum(axis=1).argmin()), code.k)
 
 
 def ml_decode_packed(code: LinearCode, words) -> np.ndarray:

@@ -45,7 +45,7 @@ import numpy as np
 
 from .collinfo import JointDistribution, collision_mi, conditional_collision_mi
 from .errors import InvariantViolationError, ResourceLimitError
-from .qrac import qrac_encode
+from .qrac import BasisMeasurement, measure_prob, qrac_encode
 
 __all__ = [
     "QUANTITIES",
@@ -341,19 +341,30 @@ def eval_povm_info(povm: Povm) -> PovmInfo:
     path has closed-form shortcuts, and tests hold the two routes to each
     other.
     """
-    return pair_info(_outcome_table(povm))
+    return pair_info(_outcome_table(povm)[1])
 
 
-def _outcome_table(povm: Povm) -> np.ndarray:
-    """t[x, y, o] = Tr[M_o rho_xy], the probability of outcome o on the
-    encoding of bits (x, y)."""
-    els = povm.elements
-    t = np.empty((2, 2, len(els)))
+def _outcome_table(entry) -> tuple:
+    """One measurement, a Povm, a BasisMeasurement or a basis angle, as
+    (label, t) with t[x, y, o] = P(outcome o | bits (x, y)).  A Povm is its
+    own label and gives Tr[M_o rho_xy]; a BasisMeasurement is labelled by
+    its theta, an angle by itself as a float, and both give measure_prob's
+    cos^2.  The formulas agree up to rounding; a basis keeps its own so its
+    figures keep their last bits (through element rows the m = 4 sweep's
+    worst greater would move by 1e-15)."""
+    if isinstance(entry, Povm):
+        els = entry.elements
+        t = np.empty((2, 2, len(els)))
+        for x, y in itertools.product((0, 1), repeat=2):
+            rho = qrac_encode(x, y).density_matrix()
+            for o, m in enumerate(els):
+                t[x, y, o] = float(np.trace(m @ rho))
+        return entry, t
+    meas = entry if isinstance(entry, BasisMeasurement) else BasisMeasurement(float(entry))
+    t = np.empty((2, 2, 2))
     for x, y in itertools.product((0, 1), repeat=2):
-        rho = qrac_encode(x, y).density_matrix()
-        for o, m in enumerate(els):
-            t[x, y, o] = float(np.trace(m @ rho))
-    return t
+        t[x, y] = measure_prob(qrac_encode(x, y), meas)
+    return meas.theta, t
 
 
 def pair_info(table) -> PovmInfo:
@@ -568,20 +579,6 @@ def _count_flat_cells(eps: float) -> int:
     return int(np.searchsorted(np.sort(bmin * bmin), limit, side="right").sum())
 
 
-class _Best:
-    """Deterministic max over two-element row tuples; ties prefer the
-    lexicographically least rows."""
-
-    def __init__(self):
-        self.value = -math.inf
-        self.rows = None
-
-    def offer(self, value: float, rows: tuple):
-        if value > self.value or (value == self.value and (self.rows is None or rows < self.rows)):
-            self.value = value
-            self.rows = rows
-
-
 def _pair_cells(quantity: str, bases: np.ndarray, eps: float, points: np.ndarray,
                 index: np.ndarray) -> tuple:
     """Corrected bound of each two-outcome cell, and raw values at its corners.
@@ -750,15 +747,15 @@ def search_bounds(
         if time.monotonic() > deadline:
             raise ResourceLimitError(f"time budget {time_budget}s exceeded during {quantity} search")
 
-    best = _Best()
-    # The incumbent starts from the distinguished exact bases.  The net's
-    # corners quantize the intermediate basis away (its off-diagonal is
-    # irrational), so without these seeds raw_max for "total" would sit a
-    # few thousandths below the true attained value; the seeds are
-    # ordinary POVMs, so their values are honestly achieved.
-    for phi in DISTINGUISHED_ANGLES:
-        seed = _basis_rows(phi)
-        best.offer(_point_value(quantity, seed), seed)
+    # The incumbent is best = (-value, rows): min over such pairs keeps the
+    # larger value and, on a tie, the lexicographically least rows, whatever
+    # the order of offers.  It starts from the distinguished exact bases.
+    # The net's corners quantize the intermediate basis away (its
+    # off-diagonal is irrational), so without these seeds raw_max for
+    # "total" would sit a few thousandths below the true attained value;
+    # the seeds are ordinary POVMs, so their values are honestly achieved.
+    best = min((-_point_value(quantity, rows), rows)
+               for rows in map(_basis_rows, DISTINGUISHED_ANGLES))
 
     slice_bound, slice_cells, flat_cells = math.inf, 0, 0
     visited, level, eps = 0, 0, eps_coarse
@@ -766,12 +763,12 @@ def search_bounds(
     def make_report(complete, frontier):
         # the net ranks corners by the batched kernel, whose last bits may
         # differ from the point evaluator's; raw_max is what argmax_povm
-        # attains by quantity_value, and pruning keeps best.value
+        # attains by quantity_value, and pruning keeps -best[0]
         return BoundReport(
             quantity=quantity,
-            raw_max=_point_value(quantity, best.rows),
+            raw_max=_point_value(quantity, best[1]),
             corrected_bound=slice_bound,
-            argmax_povm=Povm.from_coords(best.rows),
+            argmax_povm=Povm.from_coords(best[1]),
             net_epsilon=eps,
             refinement_levels=level,
             slice_epsilon=slice_eps,
@@ -798,20 +795,20 @@ def search_bounds(
                 corr[lo:lo + block.shape[0]], raw = _pair_cells(
                     quantity, block, eps, *_corner_points(block, eps))
                 # a block below the level's maximum offers only losers, and
-                # _Best keeps the same winner whatever the order of offers
+                # min keeps the same winner whatever the order of offers
                 rmax = float(raw.max())
-                if rmax > -math.inf and rmax >= best.value:
+                if rmax > -math.inf and rmax >= -best[0]:
                     for d_i, c_i in np.argwhere(raw == rmax):
                         a, b, c = (block[c_i] + deltas[d_i]).tolist()
-                        best.offer(rmax, ((a, b, c), (1.0 - a, 0.0 - b, 1.0 - c)))
+                        best = min(best, (-rmax, ((a, b, c), (1.0 - a, 0.0 - b, 1.0 - c))))
                 visited += block.shape[0]
-            frontier = max(best.value, float(corr.max(initial=-np.inf)))
+            frontier = max(-best[0], float(corr.max(initial=-np.inf)))
             if level == len(steps):
                 break
             s = steps[level]
             level += 1
             eps = eps / s
-            bases = _net_level(bases[corr > best.value], eps, (0, 0, 0), (s, s, s))
+            bases = _net_level(bases[corr > -best[0]], eps, (0, 0, 0), (s, s, s))
         check_deadline()
         flat_cells = _count_flat_cells(eps_fine)
     except ResourceLimitError as err:

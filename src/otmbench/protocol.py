@@ -25,18 +25,10 @@ import numpy as np
 
 from .collinfo import JointDistribution, avg_conditional_min_entropy
 from .errors import InvariantViolationError, ResourceLimitError, _check_int
-from .f2codes import (LinearCode, _as_vector, _check_trials, _nearest, bits_to_int, encode,
-                      exact_failure_prob, int_to_bits, ml_decode_packed, random_code)
-from .povmsearch import REFERENCE_SETS, Povm, _outcome_table, _QUANTITY, pair_info
-from .qrac import (
-    ENCODING_ANGLES,
-    BasisMeasurement,
-    _check_alpha,
-    measure_prob,
-    measurement_for,
-    qrac_encode,
-    sample_measurements,
-)
+from .f2codes import (MAX_PACKED_BITS, LinearCode, _check_trials, bits_to_int, encode,
+                      exact_failure_prob, ml_decode, ml_decode_packed, random_code)
+from .povmsearch import REFERENCE_SETS, _outcome_table, _QUANTITY, pair_info
+from .qrac import ENCODING_ANGLES, _check_alpha, measurement_for, sample_measurements
 from .seeds import _coin_bits, derive_seed
 
 __all__ = [
@@ -77,7 +69,9 @@ class ProtocolParams:
     Give k or rate; the other is derived (both are accepted only when
     consistent).  n, lam and a given k must be integers.  The message
     length is lam/8 bits; it must come out integral and at most n, as the
-    extractors compress the n codeword bits to it.
+    extractors compress the n codeword bits to it.  Past those checks, n
+    above f2codes.MAX_PACKED_BITS is refused as a ResourceLimitError:
+    sampled reads pack each word into one int64.
     """
 
     n: int
@@ -108,6 +102,9 @@ class ProtocolParams:
         if self.msg_len > self.n:
             raise ValueError(f"lam={self.lam} gives {self.msg_len} message bits, "
                              f"more than n={self.n}")
+        if self.n > MAX_PACKED_BITS:
+            raise ResourceLimitError(f"n={self.n} exceeds the {MAX_PACKED_BITS}-bit "
+                                     "packed-word limit")
 
     @property
     def msg_len(self) -> int:
@@ -118,10 +115,10 @@ class ProtocolParams:
 class OtrmInstance:
     """Sender view of one random-string memory: secrets included.  Built
     from the two codes and secrets alone: the secrets are kept as k-bit
-    uint8 vectors, reduced mod 2 as they are encoded, and the codewords
-    c0, c1 (the encodings of r0, r1) and the qubit angles are derived,
-    qubit i being the state at angle angles[i], the QRAC encoding of
-    (c0[i], c1[i])."""
+    uint8 vectors reduced mod 2 (encode checks their shapes), and the
+    codewords c0, c1 (the encodings of r0, r1) and the qubit angles are
+    derived, qubit i being the state at angle angles[i], the QRAC encoding
+    of (c0[i], c1[i])."""
 
     code0: LinearCode
     code1: LinearCode
@@ -135,8 +132,8 @@ class OtrmInstance:
         if self.code0.n != self.code1.n:
             raise InvariantViolationError(
                 f"code lengths {self.code0.n} and {self.code1.n} disagree")
-        r0 = _as_vector(self.r0, self.code0.k) & 1
-        r1 = _as_vector(self.r1, self.code1.k) & 1
+        r0 = np.asarray(self.r0, dtype=np.uint8) & 1
+        r1 = np.asarray(self.r1, dtype=np.uint8) & 1
         c0, c1 = encode(self.code0, r0), encode(self.code1, r1)
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "r1", r1)
@@ -194,13 +191,12 @@ def otrm_read(instance: OtrmInstance, alpha: int, seed) -> ReadResult:
     rng = np.random.default_rng(seed)
     word = sample_measurements(instance.angles, _READOUT[alpha], rng)
     code = (instance.code0, instance.code1)[alpha]
-    u = _nearest(code, word)                  # what ml_decode returns, packed
-    msg = int_to_bits(u, code.k)
+    msg = ml_decode(code, word)
     return ReadResult(
         alpha=alpha,
         word=word,
         message=msg,
-        codeword=code.codewords[u].copy(),
+        codeword=code.codewords[bits_to_int(msg)].copy(),
         success=msg.tolist() == (instance.r0, instance.r1)[alpha].tolist(),
     )
 
@@ -269,13 +265,19 @@ class OtmPackage:
     ext1: Extractor
 
 
-def otm_prep(m0, m1, params: ProtocolParams, seed: int = 0,
-             codes: tuple | None = None) -> OtmPackage:
-    """Pad each message with its codeword's extractor output."""
+def _messages(params: ProtocolParams, m0, m1) -> tuple:
+    """The two messages as uint8 vectors reduced mod 2, each of lam/8 bits."""
     m0 = np.asarray(m0, dtype=np.uint8) & 1
     m1 = np.asarray(m1, dtype=np.uint8) & 1
     if m0.shape != (params.msg_len,) or m1.shape != (params.msg_len,):
         raise ValueError(f"messages must hold lam/8 = {params.msg_len} bits")
+    return m0, m1
+
+
+def otm_prep(m0, m1, params: ProtocolParams, seed: int = 0,
+             codes: tuple | None = None) -> OtmPackage:
+    """Pad each message with its codeword's extractor output."""
+    m0, m1 = _messages(params, m0, m1)
     instance = otrm_prep(params, derive_seed(seed, "otrm"), codes=codes)
     ext0 = make_extractor(params.n, params.msg_len, derive_seed(seed, "ext0"))
     ext1 = make_extractor(params.n, params.msg_len, derive_seed(seed, "ext1"))
@@ -352,20 +354,6 @@ def mc_correctness(params: ProtocolParams, alpha: int, trials: int, seed: int,
 
 # ---------------------------------------------------------------------------
 # exact leakage experiments
-
-def _entry(entry) -> tuple:
-    """One strategy entry, a Povm, a BasisMeasurement or a basis angle, as
-    (label, t) with t[x, y, o] = P(outcome o | bits (x, y)).  A Povm is its
-    own label, a BasisMeasurement is labelled by its theta, an angle by
-    itself as a float."""
-    if isinstance(entry, Povm):
-        return entry, _outcome_table(entry)
-    meas = entry if isinstance(entry, BasisMeasurement) else BasisMeasurement(float(entry))
-    t = np.empty((2, 2, 2))
-    for x, y in itertools.product((0, 1), repeat=2):
-        t[x, y] = measure_prob(qrac_encode(x, y), meas)
-    return meas.theta, t
-
 
 @dataclass(frozen=True, init=False)
 class LeakageReport:
@@ -465,7 +453,8 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
     entry) gives one LeakageReport.  With exhaustive=True the grid of
     per-qubit angles (default: 9 angles, multiples of pi/16 up to pi/2)
     is swept over all product assignments and the worst case per figure
-    is reported.  Figures come from the one-pair joint of each entry and
+    is reported; a strategy with exhaustive=True, or angles without it, is
+    refused.  Figures come from the one-pair joint of each entry and
     add up over the pairs (see _product_figures).  The sweep's worst case
     and all_ok are read from the figure columns.
     """
@@ -482,11 +471,14 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
             raise ValueError("the sweep grid angles lists no entries")
         idx = _sweep_index(len(entries), m)
     else:
+        if angles is not None:
+            raise ValueError("angles are the exhaustive sweep's grid; "
+                             "give them with exhaustive=True")
         if strategy is None or len(strategy) != m:
             raise ValueError(f"strategy must list {m} per-qubit measurements")
         entries = list(strategy)
         idx = np.arange(m)[None, :]
-    names, tables = zip(*map(_entry, entries))
+    names, tables = zip(*map(_outcome_table, entries))
     # one pair_info per distinct outcome table, all that pair_info reads,
     # scattered back to every entry; tables are (2, 2, outcomes), so equal
     # bytes are equal tables
@@ -606,16 +598,12 @@ def simulator_transcript(m0, m1, params: ProtocolParams, adversary_strategy=None
     (the class table, its |real - sim| temporary, the side table and the
     contraction's intermediate).
     """
-    m0 = np.asarray(m0, dtype=np.uint8) & 1
-    m1 = np.asarray(m1, dtype=np.uint8) & 1
-    msg = params.msg_len
-    if m0.shape != (msg,) or m1.shape != (msg,):
-        raise ValueError(f"messages must hold lam/8 = {msg} bits")
-    n, k = params.n, params.k
+    m0, m1 = _messages(params, m0, m1)
+    n, k, msg = params.n, params.k, params.msg_len
     strategy = adversary_strategy
     if strategy is None:
         strategy = []          # measures nothing: trivial outcome alphabet
-    tables = [t for _, t in map(_entry, strategy)]
+    tables = [t for _, t in map(_outcome_table, strategy)]
     if len(tables) > n:
         raise ValueError("strategy lists more qubits than the instance holds")
     n_out = math.prod(t.shape[2] for t in tables)

@@ -467,6 +467,10 @@ def test_entropy_rejects_bad_probabilities(prob, tmp_path, capsys):
     (["entropy", "--in", "{csv}"], "give --mi or --entropy"),
     (["leakage", "--m", "2"], "give --strategy or --exhaustive"),
     (["leakage", "--m", "3", "--strategy", "mu0,mu1"], "strategy lists 2 angles, need 3"),
+    (["leakage", "--m", "2", "--exhaustive", "--strategy", "0,0"],
+     "give --strategy or --exhaustive, not both"),
+    (["leakage", "--m", "2", "--strategy", "0,0", "--angles", "0,0.3"],
+     "--angles is the grid of --exhaustive"),
 ])
 def test_refusals_name_their_cause(argv, fragment, tmp_path, capsys):
     path = tmp_path / "joint.csv"
@@ -488,3 +492,27 @@ def test_invariant_violation_exits_2(monkeypatch, capsys):
     assert cli.main(argv) == cli.EXIT_INVARIANT
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "invariant violation: planted failure\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["qrac-table"],
+    # the partial report of a run out of time goes through the same write
+    ["bounds", "--coarse", "0.25", "--fine", "0.25", "--slice-eps", "0.01",
+     "--time-budget", "0"],
+], ids=" ".join)
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_out_is_bad_input(argv, target, tmp_path, capsys):
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+    assert cli.main(["--out", str(path), *argv]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
+
+
+def test_entropy_refuses_a_non_integer_json_size(tmp_path, capsys):
+    # int() would read 2.7 as 2 and reshape the table to it
+    path = tmp_path / "joint.json"
+    path.write_text(json.dumps({"variables": [{"name": "X", "size": 2.7},
+                                              {"name": "Y", "size": 1}],
+                                "table": [0.5, 0.5]}))
+    assert cli.main(["entropy", "--in", str(path), "--mi", "X", "Y"]) == cli.EXIT_INPUT
+    assert "size must be an integer, got 2.7" in capsys.readouterr().err

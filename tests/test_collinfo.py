@@ -1,5 +1,6 @@
 """Collision-entropy identities and distribution plumbing."""
 
+import json
 import math
 import tracemalloc
 
@@ -78,6 +79,19 @@ def test_refusals_name_their_cause(build, fragment):
     with pytest.raises(ValueError) as info:
         build()
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("size, table, fragment", [
+    (2.7, [0.5, 0.5], "size must be an integer"),
+    (True, [1.0], "size must be an integer"),
+    ("4", [0.25] * 4, "size must be an integer"),
+    (-1, [0.5, 0.5], "sizes must be positive"),
+])
+def test_from_json_refuses_malformed_sizes(size, table, fragment):
+    # each would pass int() and reshape the table without complaint
+    text = json.dumps({"variables": [{"name": "X", "size": size}], "table": table})
+    with pytest.raises(ValueError, match=fragment):
+        JointDistribution.from_json(text)
 
 
 @pytest.mark.parametrize("rows", [

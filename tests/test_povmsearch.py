@@ -720,7 +720,7 @@ def test_outcome_table_is_born_rule():
     """t[x, y, o] = Tr[M_o rho_xy]: on basis POVMs it equals measure_prob on
     the encoded state, and on any POVM each (x, y) row is a distribution."""
     for theta in (0.0, math.pi / 8, 0.3, math.pi / 4, 1.2):
-        t = _outcome_table(basis_povm(theta))
+        t = _outcome_table(basis_povm(theta))[1]
         meas = BasisMeasurement(theta)
         for x in (0, 1):
             for y in (0, 1):
@@ -732,7 +732,7 @@ def test_outcome_table_is_born_rule():
         for v in ([math.cos(a), math.sin(a)] for a in (0.0, math.pi / 3, 2 * math.pi / 3))
     ))
     for povm in [trine] + [random_two_outcome(rng) for _ in range(20)]:
-        t = _outcome_table(povm)
+        t = _outcome_table(povm)[1]
         assert t.shape == (2, 2, len(povm.elements))
         assert t.min() >= -1e-12
         assert np.abs(t.sum(axis=2) - 1.0).max() <= 1e-12

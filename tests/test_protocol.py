@@ -17,7 +17,7 @@ from otmbench.collinfo import JointDistribution, conditional_collision_mi, colli
 from otmbench.errors import InvariantViolationError, ResourceLimitError
 from otmbench.f2codes import (MAX_SAMPLED_BITS, bits_to_int, encode, int_to_bits, ml_decode,
                               random_code)
-from otmbench.povmsearch import Povm, pair_info
+from otmbench.povmsearch import Povm, _outcome_table, pair_info
 from otmbench.protocol import (
     PER_PAIR_BOUNDS,
     Extractor,
@@ -69,6 +69,15 @@ def test_params_sizes_must_be_integers(name, value):
     # numpy integers are integers, stored as Python ints
     params = ProtocolParams(**{**fields, name: np.int64(fields[name])})
     assert params == ProtocolParams(**fields) and type(getattr(params, name)) is int
+
+
+def test_params_refuse_n_past_the_packed_word_limit():
+    assert ProtocolParams(n=62, lam=8, k=3).n == 62
+    with pytest.raises(ResourceLimitError, match="n=63 exceeds the 62-bit packed-word limit"):
+        ProtocolParams(n=63, lam=8, k=3)
+    # every earlier check runs first, so bad sizes stay bad input
+    with pytest.raises(ValueError, match="lam=800 gives 100 message bits, more than n=70"):
+        ProtocolParams(n=70, lam=800, k=3)
 
 
 def test_params_refuse_more_message_bits_than_qubits():
@@ -655,6 +664,11 @@ def test_leakage_argument_errors():
         leakage_experiment(5, exhaustive=True, angles=[j * 0.1 for j in range(9)])
 
 
+def test_leakage_refuses_angles_without_the_sweep():
+    with pytest.raises(ValueError, match="angles are the exhaustive sweep's grid"):
+        leakage_experiment(1, strategy=[0.0], angles=[0.1])
+
+
 def test_leakage_pair_count_must_be_an_integer():
     for m, strategy in ((2.0, [0.0, 0.0]), (True, [0.0])):
         with pytest.raises(ValueError, match="m must be an integer"):
@@ -699,7 +713,7 @@ def _eager_reports(m: int, labels: list, figs: np.ndarray) -> list:
 
 def _eager_figures(entries: list) -> tuple:
     """Per-entry pair figures and strategy labels of a list of entries."""
-    figs = np.array([pair_info(protocol._entry(e)[1]) for e in entries])
+    figs = np.array([pair_info(_outcome_table(e)[1]) for e in entries])
     names = [e if isinstance(e, Povm) else
              (e.theta if isinstance(e, BasisMeasurement) else float(e)) for e in entries]
     return figs, names
