@@ -55,8 +55,9 @@ def parse_eps(text: str) -> float:
     return value
 
 
-def _parse_angles(text: str) -> list:
-    """Comma-separated radians; mu0/mu1/mid name the standard bases."""
+def _parse_angles(text: str, what: str = "strategy") -> list:
+    """Comma-separated radians; mu0/mu1/mid name the standard bases.  A
+    text that lists none is refused, naming what it was given as."""
     named = {"mu0": 0.0, "mid": math.pi / 8, "mu1": math.pi / 4}
     out = []
     for part in text.split(","):
@@ -74,7 +75,7 @@ def _parse_angles(text: str) -> list:
             raise _CliError(f"bad angle {part!r}")
         out.append(value)
     if not out:
-        raise _CliError("strategy lists no angles")
+        raise _CliError(f"{what} lists no angles")
     return out
 
 
@@ -292,11 +293,11 @@ def _run_leakage(args):
     if args.angles is not None and not args.exhaustive:
         raise _CliError("--angles is the grid of --exhaustive; give it with --exhaustive")
     if args.exhaustive:
-        angles = _parse_angles(args.angles) if args.angles else None
+        angles = None if args.angles is None else _parse_angles(args.angles, "grid")
         sweep = protocol.leakage_experiment(args.m, exhaustive=True, angles=angles)
         reports = sweep.reports
     else:
-        if not args.strategy:
+        if args.strategy is None:
             raise _CliError("give --strategy or --exhaustive")
         angles = _parse_angles(args.strategy)
         if len(angles) != args.m:

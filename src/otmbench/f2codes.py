@@ -243,8 +243,13 @@ def ml_decode(code: LinearCode, word: np.ndarray) -> np.ndarray:
     smallest packed message integer; argmin on the numerically ordered
     codeword table gives exactly that.
     """
-    word = _as_vector(word, code.n) & 1
-    return int_to_bits(int((code.codewords ^ word).sum(axis=1).argmin()), code.k)
+    return int_to_bits(_decode_index(code, _as_vector(word, code.n) & 1), code.k)
+
+
+def _decode_index(code: LinearCode, word: np.ndarray) -> int:
+    """The packed message :func:`ml_decode` returns, for a 0/1 uint8 word
+    of length n (unchecked: callers pass a word they made)."""
+    return int((code.codewords ^ word).sum(axis=1).argmin())
 
 
 def ml_decode_packed(code: LinearCode, words) -> np.ndarray:

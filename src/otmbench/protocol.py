@@ -25,8 +25,8 @@ import numpy as np
 
 from .collinfo import JointDistribution, avg_conditional_min_entropy
 from .errors import InvariantViolationError, ResourceLimitError, _check_int
-from .f2codes import (MAX_PACKED_BITS, LinearCode, _check_trials, bits_to_int, encode,
-                      exact_failure_prob, ml_decode, ml_decode_packed, random_code)
+from .f2codes import (MAX_PACKED_BITS, LinearCode, _check_trials, _decode_index, bits_to_int,
+                      encode, exact_failure_prob, int_to_bits, ml_decode_packed, random_code)
 from .povmsearch import REFERENCE_SETS, _outcome_table, _QUANTITY, pair_info
 from .qrac import ENCODING_ANGLES, _check_alpha, measurement_for, sample_measurements
 from .seeds import _coin_bits, derive_seed
@@ -60,6 +60,15 @@ _CHANNEL_P = math.sin(math.pi / 8) ** 2   # bit-flip rate seen by the matched ba
 # qubit angle of the bit pair (b0, b1) as _ANGLES[b0, b1]
 _ANGLES = np.array([[ENCODING_ANGLES[(b0, b1)] for b1 in (0, 1)] for b0 in (0, 1)])
 _READOUT = {alpha: measurement_for(alpha) for alpha in (0, 1)}
+
+
+def _record(cls, **fields):
+    """A cls record holding fields, set in one write of its instance dict
+    and not through __init__: for values the caller has just built and
+    checked, which __post_init__ would only check again."""
+    rec = object.__new__(cls)
+    vars(rec).update(fields)
+    return rec
 
 
 @dataclass(frozen=True)
@@ -113,12 +122,13 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class OtrmInstance:
-    """Sender view of one random-string memory: secrets included.  Built
-    from the two codes and secrets alone: the secrets are kept as k-bit
-    uint8 vectors reduced mod 2 (encode checks their shapes), and the
-    codewords c0, c1 (the encodings of r0, r1) and the qubit angles are
-    derived, qubit i being the state at angle angles[i], the QRAC encoding
-    of (c0[i], c1[i])."""
+    """Sender view of one random-string memory: secrets included.  The
+    public constructor takes the two codes and secrets alone and checks
+    them: the secrets are kept as k-bit uint8 vectors reduced mod 2 (encode
+    checks their shapes), and the codewords c0, c1 (the encodings of r0, r1)
+    and the qubit angles are derived, qubit i being the state at angle
+    angles[i], the QRAC encoding of (c0[i], c1[i]).  otrm_prep fills the
+    same fields from the values it has drawn and checked."""
 
     code0: LinearCode
     code1: LinearCode
@@ -165,7 +175,10 @@ def otrm_prep(params: ProtocolParams, seed: int = 0,
     """
     code0, code1 = _code_pair(params, codes, seed, "code")
     r0, r1 = _coin_bits(derive_seed(seed, "messages"), params.k, params.k)
-    return OtrmInstance(code0, code1, r0, r1)
+    # encode's arithmetic on secrets that are already 0/1 vectors of length k
+    c0, c1 = (code0.generator @ r0) % 2, (code1.generator @ r1) % 2
+    return _record(OtrmInstance, code0=code0, code1=code1, r0=r0, r1=r1, c0=c0, c1=c1,
+                   angles=_ANGLES[c0, c1])
 
 
 @dataclass(frozen=True)
@@ -191,14 +204,11 @@ def otrm_read(instance: OtrmInstance, alpha: int, seed) -> ReadResult:
     rng = np.random.default_rng(seed)
     word = sample_measurements(instance.angles, _READOUT[alpha], rng)
     code = (instance.code0, instance.code1)[alpha]
-    msg = ml_decode(code, word)
-    return ReadResult(
-        alpha=alpha,
-        word=word,
-        message=msg,
-        codeword=code.codewords[bits_to_int(msg)].copy(),
-        success=msg.tolist() == (instance.r0, instance.r1)[alpha].tolist(),
-    )
+    u = _decode_index(code, word)          # ml_decode's scan, on the sampler's 0/1 word
+    msg = int_to_bits(u, code.k)
+    return _record(ReadResult, alpha=alpha, word=word, message=msg,
+                   codeword=code.codewords[u].copy(),
+                   success=msg.tolist() == (instance.r0, instance.r1)[alpha].tolist())
 
 
 def _seed_len(input_len: int, output_len: int) -> int:
@@ -213,7 +223,10 @@ def _seed_len(input_len: int, output_len: int) -> int:
 
 @dataclass(frozen=True)
 class Extractor:
-    """Toeplitz two-universal hash over F2, fixed by its public seed bits."""
+    """Toeplitz two-universal hash over F2, fixed by its public seed bits.
+    The public constructor checks the sizes and reduces the bits mod 2;
+    make_extractor fills the record from sizes it has checked and 0/1
+    bits it has drawn."""
 
     bits: np.ndarray
     input_len: int
@@ -251,7 +264,7 @@ def make_extractor(input_len: int, output_len: int, seed: int) -> Extractor:
     build Extractor(bits=...) directly."""
     want = _seed_len(input_len, output_len)
     (bits,) = _coin_bits(_check_int("seed", seed), want)
-    return Extractor(bits=bits, input_len=input_len, output_len=output_len)
+    return _record(Extractor, bits=bits, input_len=int(input_len), output_len=int(output_len))
 
 
 @dataclass(frozen=True)
@@ -281,13 +294,8 @@ def otm_prep(m0, m1, params: ProtocolParams, seed: int = 0,
     instance = otrm_prep(params, derive_seed(seed, "otrm"), codes=codes)
     ext0 = make_extractor(params.n, params.msg_len, derive_seed(seed, "ext0"))
     ext1 = make_extractor(params.n, params.msg_len, derive_seed(seed, "ext1"))
-    return OtmPackage(
-        instance=instance,
-        ct0=m0 ^ ext0.apply(instance.c0),
-        ct1=m1 ^ ext1.apply(instance.c1),
-        ext0=ext0,
-        ext1=ext1,
-    )
+    return _record(OtmPackage, instance=instance, ct0=m0 ^ ext0.apply(instance.c0),
+                   ct1=m1 ^ ext1.apply(instance.c1), ext0=ext0, ext1=ext1)
 
 
 @dataclass(frozen=True)
@@ -307,12 +315,8 @@ def otm_read(pkg: OtmPackage, alpha: int, seed) -> OtmReadResult:
     """
     inner = otrm_read(pkg.instance, alpha, seed)
     ext, ct = (pkg.ext0, pkg.ct0) if inner.alpha == 0 else (pkg.ext1, pkg.ct1)
-    return OtmReadResult(
-        alpha=inner.alpha,
-        message=ct ^ ext.apply(inner.codeword),
-        success=inner.success,
-        inner=inner,
-    )
+    return _record(OtmReadResult, alpha=inner.alpha, message=ct ^ ext.apply(inner.codeword),
+                   success=inner.success, inner=inner)
 
 
 def mc_correctness(params: ProtocolParams, alpha: int, trials: int, seed: int,

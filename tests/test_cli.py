@@ -464,6 +464,9 @@ def test_entropy_rejects_bad_probabilities(prob, tmp_path, capsys):
 @pytest.mark.parametrize("argv, fragment", [
     (["leakage", "--m", "2", "--strategy", "mu0,x"], "bad angle 'x'"),
     (["leakage", "--m", "2", "--strategy", ","], "strategy lists no angles"),
+    (["leakage", "--m", "2", "--strategy", ""], "strategy lists no angles"),
+    (["leakage", "--m", "2", "--exhaustive", "--angles", ""], "grid lists no angles"),
+    (["leakage", "--m", "2", "--exhaustive", "--angles", " , "], "grid lists no angles"),
     (["entropy", "--in", "{csv}"], "give --mi or --entropy"),
     (["leakage", "--m", "2"], "give --strategy or --exhaustive"),
     (["leakage", "--m", "3", "--strategy", "mu0,mu1"], "strategy lists 2 angles, need 3"),

@@ -98,10 +98,11 @@ def test_every_public_method_has_a_caller_outside_the_tests():
 
 
 # private names one module of the package imports from another, each shared
-# on purpose: an input check, a sampling guard, the outcome-table builder,
-# the quantity table, the coin-bit reader
+# on purpose: an input check, a sampling guard, the single-word decode core,
+# the outcome-table builder, the quantity table, the coin-bit reader
 _SHARED_PRIVATE_NAMES = {
-    "errors._check_int", "f2codes._check_trials", "povmsearch._outcome_table",
+    "errors._check_int", "f2codes._check_trials", "f2codes._decode_index",
+    "povmsearch._outcome_table",
     "povmsearch._QUANTITY", "qrac._check_alpha", "seeds._coin_bits",
 }
 

@@ -323,6 +323,80 @@ def test_round_trip_bytes_pinned_at_draw_edges():
         "0310fbc5e36b191d668dd09b3af9024aa66164a05ac5c761f888205b7d9c7954")
 
 
+def _assert_same_record(got, want, tables):
+    """Field by field: each array of equal dtype, shape and bytes and sharing
+    no memory with a codeword table; every other value of the same Python
+    type and equal (a shared sub-record is the same object)."""
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+            assert not any(np.shares_memory(a, t) for t in tables), f.name
+        else:
+            assert type(a) is type(b) and (a is b or a == b), f.name
+
+
+def test_round_trip_records_match_their_constructors():
+    # the builders fill their records without __post_init__; each must hold
+    # what the public constructor makes of the same init fields
+    fixed = (random_code(15, 3, 900), random_code(15, 3, 901))
+    for params, codes in [(ProtocolParams(n=15, lam=8, k=3), fixed),
+                          (ProtocolParams(n=12, lam=16, k=4), None),
+                          (ProtocolParams(n=20, lam=24, k=9), None),
+                          (ProtocolParams(n=12, lam=0, k=4), None)]:
+        msg = params.msg_len
+        for seed in range(100):
+            m0 = np.array([(seed >> i) & 1 for i in range(msg)], dtype=np.uint8)
+            m1 = np.array([(seed >> (msg + i)) & 1 for i in range(msg)], dtype=np.uint8)
+            pkg = otm_prep(m0, m1, params, seed=seed, codes=codes)
+            records = [pkg, pkg.instance, pkg.ext0, pkg.ext1]
+            for alpha in (0, 1):
+                res = otm_read(pkg, alpha, seed=seed + 1000)
+                records += [res, res.inner]
+            tables = [c.codewords for c in (pkg.instance.code0, pkg.instance.code1)]
+            for rec in records:
+                _assert_same_record(rec, dataclasses.replace(rec), tables)
+
+
+def test_round_trip_draw_counts_and_refusal_order(monkeypatch):
+    params = ProtocolParams(n=15, lam=8, k=3)
+    codes = (random_code(15, 3, 900), random_code(15, 3, 901))
+    short, narrow = random_code(14, 3, 902), random_code(15, 4, 903)
+    m = np.array([1], dtype=np.uint8)
+    pkg = otm_prep(m, m, params, seed=5, codes=codes)
+    calls = {}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(protocol, "_coin_bits", spy("_coin_bits", protocol._coin_bits))
+    monkeypatch.setattr(protocol, "derive_seed", spy("derive_seed", protocol.derive_seed))
+    monkeypatch.setattr(np.random, "default_rng", spy("default_rng", np.random.default_rng))
+    otm_prep(m, m, params, seed=5, codes=codes)
+    assert calls == {"_coin_bits": 3, "derive_seed": 4}
+    calls.clear()
+    otm_read(pkg, 1, seed=6)
+    assert calls == {"default_rng": 1}
+    calls.clear()
+    refusals = [
+        (lambda: otm_prep(np.zeros(2, dtype=np.uint8), m, params, seed=5, codes=codes),
+         "messages must hold"),
+        (lambda: otm_prep(m, np.zeros((1, 1)), params, seed=5, codes=codes), "messages must hold"),
+        (lambda: otm_prep(m, m, params, seed=5, codes=(short, codes[1])), "code shapes disagree"),
+        (lambda: otm_prep(m, m, params, seed=5, codes=(codes[0], narrow)), "code shapes disagree"),
+        (lambda: otrm_prep(params, seed=5, codes=(codes[0], narrow)), "code shapes disagree"),
+        (lambda: otm_read(pkg, 1.0, seed=6), "alpha must be an integer"),
+        (lambda: otrm_read(pkg.instance, np.float64(0), seed=6), "alpha must be an integer"),
+    ]
+    for refuse, match in refusals:
+        with pytest.raises(ValueError, match=match):
+            refuse()
+    assert "_coin_bits" not in calls and "default_rng" not in calls
+
+
 def test_mc_correctness_refused_past_bit_budget():
     params = ProtocolParams(n=15, lam=8, k=3)
     with pytest.raises(ResourceLimitError, match="sampling budget"):
@@ -402,6 +476,9 @@ def test_make_extractor_seed_bits_are_generator_draws():
     for seed in (0, 7, np.uint64(2**64 - 1), 2**70):
         want = np.random.default_rng(seed).integers(0, 2, size=17, dtype=np.uint8)
         assert make_extractor(15, 3, seed).bits.tolist() == want.tolist()
+    # numpy sizes are kept as the Python ints the constructor makes of them
+    ext = make_extractor(np.int64(15), np.uint8(3), 0)
+    _assert_same_record(ext, dataclasses.replace(ext), [])
 
 
 @pytest.fixture
