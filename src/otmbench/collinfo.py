@@ -25,7 +25,6 @@ from .errors import ResourceLimitError, _check_int
 
 __all__ = [
     "JointDistribution",
-    "random_joint",
     "collision_entropy",
     "conditional_collision_entropy",
     "collision_mi",
@@ -138,14 +137,6 @@ class JointDistribution:
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ValueError(f"malformed distribution description: {exc}") from exc
         return cls(names, table)
-
-
-def random_joint(names, sizes, seed) -> JointDistribution:
-    """Uniformly random point of the probability simplex over the table."""
-    rng = np.random.default_rng(seed)
-    shape = tuple(int(s) for s in sizes)
-    flat = rng.dirichlet(np.ones(int(np.prod(shape))))
-    return JointDistribution(tuple(names), flat.reshape(shape))
 
 
 # -- entropies ------------------------------------------------------------

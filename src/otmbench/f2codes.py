@@ -131,28 +131,27 @@ class LinearCode:
 
     Parameters
     ----------
-    n, k : int
-        Block and message lengths, 1 <= k <= n.
     generator : ndarray of shape (n, k)
-        Codeword = generator @ message mod 2.
-    seed : int or None
-        Seed the generator was sampled from, if any (for provenance only).
+        Codeword = generator @ message mod 2; its shape gives the block
+        and message lengths n and k, 1 <= k <= n.
     """
 
-    n: int
-    k: int
     generator: np.ndarray = field(repr=False)
-    seed: int | None = None
+    n: int = field(init=False)
+    k: int = field(init=False)
 
     def __post_init__(self):
         gen = np.asarray(self.generator, dtype=np.uint8) % 2
-        if gen.shape != (self.n, self.k):
-            raise ValueError(f"generator shape {gen.shape} != ({self.n}, {self.k})")
-        if not (1 <= self.k <= self.n):
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if f2_rank(gen) != self.k:
+        if gen.ndim != 2:
+            raise ValueError(f"generator must be a 2-d array, got shape {gen.shape}")
+        n, k = gen.shape
+        if not (1 <= k <= n):
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        if f2_rank(gen) != k:
             raise ValueError("generator does not have full column rank")
         object.__setattr__(self, "generator", gen)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
 
     def _check_table(self):
         if (1 << self.k) * self.n > MAX_TABLE_CELLS:
@@ -226,7 +225,7 @@ def random_code(n: int, k: int, seed: int) -> LinearCode:
     while True:
         gen = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
         if f2_rank(gen) == k:
-            return LinearCode(n=n, k=k, generator=gen, seed=seed)
+            return LinearCode(gen)
 
 
 def encode(code: LinearCode, message: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ import itertools
 import math
 import sys
 import time
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,15 +53,12 @@ __all__ = [
     "Povm",
     "PovmInfo",
     "BoundReport",
-    "ConvexityReport",
     "eval_povm_info",
     "pair_info",
     "quantity_value",
     "value_from_info",
-    "grid_extremal_povms",
     "corner_corrected_value",
     "search_bounds",
-    "verify_convexity_fact",
 ]
 
 # measurement bases every search evaluates exactly: computational,
@@ -289,8 +286,7 @@ class Povm:
     """Up to four real symmetric 2x2 elements summing to the identity.
 
     Holds element [[a, b], [b, c]] as its coordinate row (a, b, c) in
-    plain floats; elements, coords() and as_lists() are built from those
-    rows.
+    plain floats; elements and as_lists() are built from those rows.
     """
 
     __slots__ = ("_rows",)
@@ -318,9 +314,6 @@ class Povm:
     @property
     def elements(self) -> tuple:
         return tuple(np.array([[a, b], [b, c]]) for a, b, c in self._rows)
-
-    def coords(self) -> np.ndarray:
-        return np.array(self._rows)
 
     def as_lists(self) -> list:
         return [[[a, b], [b, c]] for a, b, c in self._rows]
@@ -424,44 +417,6 @@ def quantity_value(povm: Povm, quantity: str) -> float:
     return _point_value(quantity, povm._rows)
 
 
-def _grid_count(eps: float, lo: float, hi: float) -> int:
-    # the quotient is clamped so a tiny eps gives a huge count, not an
-    # overflow; every count that large is refused anyway
-    return int(math.floor(min((hi - lo) / eps, 1e18) + 1e-9)) + 1
-
-
-def grid_extremal_povms(eps: float, outcomes: int) -> Iterator[Povm]:
-    """Stream every grid POVM with one or two elements.
-
-    The first element of a two-element POVM ranges over the eps-grid
-    (0, -1/2, 0) + eps * o with a, c in [0, 1] and b in [-1/2, 1/2],
-    filtered to PSD; the second is whatever remains of the identity, kept
-    only when PSD.  The stream is in lexicographic order of o, so it is
-    deterministic.  A grid of more than _MAX_NET_CELLS (a, b, c) points is
-    refused before any is listed.  No stage needs more elements: the arc
-    certificate bounds every element count.
-    """
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"grid step must be positive and finite, got {eps}")
-    if not 1 <= outcomes <= 2:
-        raise ValueError(f"outcomes must be 1 or 2, got {outcomes}")
-    if outcomes == 1:
-        yield Povm((np.eye(2),))
-        return
-    n_a, n_b = _grid_count(eps, 0.0, 1.0), _grid_count(eps, -0.5, 0.5)
-    points = n_a * n_b * n_a
-    if points > _MAX_NET_CELLS:
-        raise ResourceLimitError(f"grid step {eps} gives {points} points, past {_MAX_NET_CELLS}")
-    grid = np.array([0.0, -0.5, 0.0]) + _grid(eps, (0, 0, 0), (n_a, n_b, n_a))
-    for a, b, c in grid.tolist():
-        ra, rb, rc = 1.0 - a, -b, 1.0 - c
-        if b * b > a * c + 1e-12 or ra < -_PSD_TOL or rc < -_PSD_TOL:
-            continue
-        ra, rc = max(ra, 0.0), max(rc, 0.0)
-        if rb * rb <= ra * rc + 1e-12:
-            yield Povm.from_coords(((a, b, c), (ra, rb, rc)))
-
-
 # ---------------------------------------------------------------------------
 # pure-state arc certificate
 
@@ -489,7 +444,7 @@ def _slice_certificate(quantity: str, slice_eps: float) -> tuple:
     "greater" bound, attained there, stays exact.
     """
     quant = _quantity(quantity)
-    quarter_arcs = math.pi / (2.0 * slice_eps)
+    quarter_arcs = math.pi / 2.0 / slice_eps   # 2 * slice_eps could overflow
     if quarter_arcs > _MAX_ARCS // 4:
         raise ResourceLimitError(f"slice_eps {slice_eps} needs more than {_MAX_ARCS} arcs")
     n_arcs = 4 * math.ceil(quarter_arcs)
@@ -814,43 +769,3 @@ def search_bounds(
     except ResourceLimitError as err:
         raise ResourceLimitError(str(err), partial=make_report(False, math.inf)) from None
     return make_report(True, frontier)
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    trials: int
-    violations: int
-    max_excess: float
-
-
-def verify_convexity_fact(trials: int, seed) -> ConvexityReport:
-    """Sample check that delta -> Tr[(M+delta) rho]^2 / Tr[M+delta] is convex.
-
-    Random PSD M, random density rho, two random PSD perturbations, and a
-    random mixing weight per trial; counts violations beyond 1e-10.
-    """
-    rng = np.random.default_rng(seed)
-
-    def rand_psd(n):
-        x = rng.normal(size=(n, 2, 2))
-        m = x @ x.transpose(0, 2, 1)
-        return np.stack([m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]], axis=-1)
-
-    M = rand_psd(trials)
-    rho = rand_psd(trials)
-    rho = rho / (rho[:, 0] + rho[:, 2])[:, None]
-    d1 = rand_psd(trials)
-    d2 = rand_psd(trials)
-    lam = rng.uniform(size=trials)
-
-    def f(delta):
-        m = M + delta
-        tr = m[:, 0] + m[:, 2]
-        r = m[:, 0] * rho[:, 0] + 2 * m[:, 1] * rho[:, 1] + m[:, 2] * rho[:, 2]
-        return np.where(tr > _DEN_ZERO, r * r / np.where(tr > _DEN_ZERO, tr, 1.0), 0.0)
-
-    mix = lam[:, None] * d1 + (1 - lam)[:, None] * d2
-    excess = f(mix) - (lam * f(d1) + (1 - lam) * f(d2))
-    violations = int((excess > 1e-10).sum())
-    return ConvexityReport(trials=trials, violations=violations,
-                           max_excess=float(excess.max()))

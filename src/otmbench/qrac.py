@@ -62,12 +62,6 @@ class BasisMeasurement:
 
     theta: float
 
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            QubitState(self.theta).density_matrix(),
-            QubitState(self.theta + math.pi / 2).density_matrix(),
-        )
-
 
 def _check_alpha(alpha) -> int:
     """alpha as an int: a Python or numpy integer 0 or 1, not a bool."""

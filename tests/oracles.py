@@ -1,4 +1,5 @@
-"""Reference implementations the tests hold the library to.
+"""Reference implementations the tests hold the library to, and the
+inputs the tests feed it.
 
 Each oracle is written from the definition of what it checks and calls
 no function of that module: the light-cone oracles read only a grid's
@@ -7,6 +8,10 @@ extractor's seed bits and sizes, the rank-one lower bounds score every
 POVM through collinfo on its exact outcome table, and the distribution
 writers and the conditional collision entropy only a joint's names and
 table.
+
+The test inputs are seeded random joints, basis projectors, the listing
+of two-outcome grid POVMs the corner-bound checks sample cells from, and
+malformed distribution files.
 """
 
 import itertools
@@ -17,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from otmbench.collinfo import JointDistribution, collision_mi, conditional_collision_mi
-from otmbench.qrac import qrac_encode
+from otmbench.qrac import QubitState, qrac_encode
 
 # ---------------------------------------------------------------------------
 # light cones on a D-dimensional grid, cells indexed in C order
@@ -204,3 +209,58 @@ def json_text(d) -> str:
         "variables": [{"name": n, "size": s} for n, s in zip(d.names, d.table.shape)],
         "table": d.table.ravel().tolist(),
     })
+
+
+# ---------------------------------------------------------------------------
+# test inputs
+
+
+def random_joint(names, sizes, seed) -> JointDistribution:
+    """Uniformly random point of the probability simplex over the table."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(s) for s in sizes)
+    flat = rng.dirichlet(np.ones(int(np.prod(shape))))
+    return JointDistribution(tuple(names), flat.reshape(shape))
+
+
+def basis_projectors(theta: float) -> tuple:
+    """The projectors onto the real states at angles theta and theta + pi/2."""
+    return (QubitState(theta).density_matrix(),
+            QubitState(theta + math.pi / 2).density_matrix())
+
+
+def grid_pairs(eps: float) -> list:
+    """Rows ((a, b, c), (1 - a, -b, 1 - c)) of each two-outcome POVM whose
+    first element is on the grid (0, -1/2, 0) + eps * o, a, c in [0, 1] and
+    b in [-1/2, 1/2], both elements PSD, in lexicographic order of o."""
+    n = int(1.0 / eps + 1e-9) + 1
+    o = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    pairs = []
+    for a, b, c in (np.array([0.0, -0.5, 0.0]) + eps * o).tolist():
+        ra, rb, rc = 1.0 - a, -b, 1.0 - c
+        if b * b > a * c + 1e-12 or ra < -1e-10 or rc < -1e-10:
+            continue
+        ra, rc = max(ra, 0.0), max(rc, 0.0)
+        if rb * rb <= ra * rc + 1e-12:
+            pairs.append(((a, b, c), (ra, rb, rc)))
+    return pairs
+
+
+# distribution files every reader must refuse, by file name
+MALFORMED_DISTRIBUTIONS = {
+    "empty.csv": "",
+    "header-only.csv": "X,prob\n",
+    "no-prob-column.csv": "X,p\n0,1.0\n",
+    "short-row.csv": "X,Y,prob\n0,0.5\n",
+    "word-index.csv": "X,prob\nzero,1.0\n",
+    "negative-index.csv": "X,prob\n0,0.5\n-1,0.5\n",
+    "duplicate-row.csv": "X,prob\n0,0.5\n0,0.5\n",
+    "nan-mass.csv": "X,Y,prob\n0,0,nan\n1,1,0.5\n",
+    "short-mass.csv": "X,prob\n0,0.3\n1,0.3\n",
+    "huge-axis.csv": "X,prob\n1000000000000000,1.0\n",
+    "truncated.json": '{"variables": [',
+    "list.json": "[1, 2]",
+    "fractional-size.json": '{"variables": [{"name": "X", "size": 2.7}], "table": [0.5, 0.5]}',
+    "zero-size.json": '{"variables": [{"name": "X", "size": 0}], "table": []}',
+    "short-table.json": '{"variables": [{"name": "X", "size": 3}], "table": [0.5, 0.5]}',
+}

@@ -5,15 +5,16 @@ import hashlib
 import io
 import json
 import math
+import sys
 import time
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from oracles import collision_entropy_given, csv_text, json_text
+from oracles import collision_entropy_given, csv_text, json_text, random_joint
 from otmbench import cli
-from otmbench.collinfo import JointDistribution, collision_mi, random_joint
+from otmbench.collinfo import JointDistribution, collision_mi
 from otmbench.errors import InvariantViolationError
 from otmbench.lightcone import find_feasible_params
 from otmbench.protocol import leakage_experiment
@@ -337,6 +338,15 @@ def test_bounds_bad_numbers_exit_cleanly(flags, code, capsys):
     argv = ["bounds", "--coarse", "0.25", "--fine", "0.25"] + flags
     assert cli.main(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slice_eps", ["9e307", "1e308", repr(sys.float_info.max)])
+def test_bounds_widest_slice_is_four_arcs(slice_eps, capsys):
+    # pi / (2 * slice_eps) overflowed the doubled width to inf past 8.99e307
+    argv = ["bounds", "--coarse", "0.25", "--fine", "0.25", "--slice-eps", slice_eps]
+    code, out = run(argv, capsys)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["result"]["slice_cells"] == 4
 
 
 # each subcommand's numeric flags, each set in turn to 0, -3, nan and inf;

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import csv_text, json_text
+from oracles import csv_text, json_text, random_joint
 from otmbench.collinfo import (
     JointDistribution,
     avg_conditional_min_entropy,
@@ -15,7 +15,6 @@ from otmbench.collinfo import (
     collision_mi,
     conditional_collision_entropy,
     conditional_collision_mi,
-    random_joint,
 )
 from otmbench.errors import ResourceLimitError
 

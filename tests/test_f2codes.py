@@ -27,7 +27,7 @@ CHANNEL_P = math.sin(math.pi / 8) ** 2
 
 
 def repetition_code(n):
-    return LinearCode(n=n, k=1, generator=np.ones((n, 1), dtype=np.uint8), seed=0)
+    return LinearCode(np.ones((n, 1), dtype=np.uint8))
 
 
 def test_bits_int_roundtrip():
@@ -120,9 +120,9 @@ def tie_heavy_codes():
     return [
         repetition_code(2),                                  # every error a tie
         repetition_code(4),                                  # ties at weight 2
-        LinearCode(n=4, k=4, generator=np.eye(4, dtype=np.uint8)),
+        LinearCode(np.eye(4, dtype=np.uint8)),
         random_code(5, 5, seed=3),                           # k = n
-        LinearCode(n=5, k=2, generator=repeated_row),
+        LinearCode(repeated_row),
         random_code(6, 3, seed=1),
         random_code(7, 2, seed=9),
         random_code(6, 4, seed=2),
@@ -303,9 +303,9 @@ def test_mc_failure_counts_high_bits():
     gen = np.zeros((52, 2), dtype=np.uint8)
     gen[1, 0] = 1
     gen[0, 1] = 1
-    code = LinearCode(n=52, k=2, generator=gen)
+    code = LinearCode(gen)
     assert mc_failure_prob(code, 0.0, trials=2000, seed=3) == 0.0
-    wide = LinearCode(n=63, k=1, generator=np.ones((63, 1), dtype=np.uint8))
+    wide = LinearCode(np.ones((63, 1), dtype=np.uint8))
     with pytest.raises(ResourceLimitError):
         mc_failure_prob(wide, 0.0, trials=10, seed=0)
 
@@ -341,7 +341,7 @@ def test_mc_chunk_bounded_in_cells():
 
 
 def test_codeword_table_refused_before_allocating():
-    code = LinearCode(n=22, k=22, generator=np.eye(22, dtype=np.uint8))
+    code = LinearCode(np.eye(22, dtype=np.uint8))
     tracemalloc.start()
     try:
         for read in (lambda: code.codewords, lambda: code.codeword_ints,
@@ -383,16 +383,17 @@ def test_code_validation():
         random_code(4, 5, seed=0)
     rank_deficient = np.array([[1, 1], [1, 1], [0, 0]], dtype=np.uint8)
     with pytest.raises(Exception):
-        LinearCode(n=3, k=2, generator=rank_deficient, seed=0)
+        LinearCode(rank_deficient)
+    code = LinearCode(np.eye(3, 2, dtype=np.uint8))    # n and k are read from the shape
+    assert (code.n, code.k) == (3, 2)
 
 
 @pytest.mark.parametrize("call, error, fragment", [
     (lambda: exact_failure_prob(repetition_code(21), 0.1), ResourceLimitError,
      "n=21 exceeds the enumeration budget of 20"),
-    (lambda: LinearCode(n=3, k=1, generator=np.ones((3, 2))), ValueError,
-     "generator shape (3, 2) != (3, 1)"),
-    (lambda: LinearCode(n=2, k=3, generator=np.ones((2, 3))), ValueError,
-     "need 1 <= k <= n, got k=3, n=2"),
+    (lambda: LinearCode(np.ones((2, 3))), ValueError, "need 1 <= k <= n, got k=3, n=2"),
+    (lambda: LinearCode(np.ones((3, 0))), ValueError, "need 1 <= k <= n, got k=0, n=3"),
+    (lambda: LinearCode(np.ones(3)), ValueError, "generator must be a 2-d array, got shape (3,)"),
     (lambda: encode(repetition_code(3), np.ones((1, 1))), ValueError,
      "expected a 1-d bit vector, got shape (1, 1)"),
 ])

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import rank_one_lower_bounds
+from oracles import basis_projectors, grid_pairs, rank_one_lower_bounds
 from otmbench import povmsearch
 from otmbench.errors import InvariantViolationError, ResourceLimitError
 from otmbench.povmsearch import (
@@ -20,14 +20,11 @@ from otmbench.povmsearch import (
     PovmInfo,
     corner_corrected_value,
     eval_povm_info,
-    grid_extremal_povms,
     quantity_value,
     search_bounds,
     value_from_info,
-    verify_convexity_fact,
 )
 from otmbench.povmsearch import (
-    _MAX_NET_CELLS,
     _NET_BLOCK,
     _axis_counts,
     _combine,
@@ -49,7 +46,7 @@ LOG2_5_4_X2 = 2 * math.log2(1.25)
 
 
 def basis_povm(theta):
-    return Povm(BasisMeasurement(theta).projectors())
+    return Povm(basis_projectors(theta))
 
 
 def random_two_outcome(rng):
@@ -167,7 +164,7 @@ def test_povm_validation():
 def test_coords_roundtrip():
     rng = np.random.default_rng(4)
     p = random_two_outcome(rng)
-    q = Povm.from_coords(p.coords())
+    q = Povm.from_coords(p._rows)
     for a, b in zip(p.elements, q.elements):
         assert np.allclose(a, b, atol=1e-15)
 
@@ -206,11 +203,11 @@ def test_scalar_path_matches_array_kernel():
         p = Povm(tuple(els))
         coords = [(m[0, 0], m[0, 1], m[1, 1]) for m in els]
         r = Povm.from_coords(coords)
-        assert p.coords().tolist() == r.coords().tolist()
+        assert p._rows == r._rows
         assert p.as_lists() == r.as_lists()
         for q in QUANTITIES:
             fast = quantity_value(p, q)
-            sums = [_eval_family(fam, p.coords())[0].sum() for fam in _quantity(q).fams]
+            sums = [_eval_family(fam, np.array(p._rows))[0].sum() for fam in _quantity(q).fams]
             assert abs(fast - float(_combine(q, *sums))) <= 1e-13
             assert quantity_value(r, q) == fast
 
@@ -244,27 +241,13 @@ def brute_grid_two_outcome(eps):
 
 def test_grid_stream_matches_brute_force_enumeration():
     eps = 0.25
-    got = {
-        tuple(round(v, 9) for v in p.coords()[0]) for p in grid_extremal_povms(eps, 2)
-    }
+    got = {tuple(round(v, 9) for v in rows[0]) for rows in grid_pairs(eps)}
     want = brute_grid_two_outcome(eps)
     assert got == want
 
 
-def coord_rows(povm) -> tuple:
-    """A POVM's coordinate rows as a tuple of (a, b, c) float tuples."""
-    return tuple(map(tuple, povm.coords().tolist()))
-
-
-def test_grid_stream_deterministic():
-    a = [coord_rows(p) for p in grid_extremal_povms(0.5, 2)]
-    b = [coord_rows(p) for p in grid_extremal_povms(0.5, 2)]
-    assert a == b
-    assert len(a) == len(set(a)), "stream must not repeat cells"
-
-
-# sha256 of repr([coord_rows(p) for p in grid_extremal_povms(eps, 2)]),
-# recorded before the stream was built from the shared grid helper
+# sha256 of repr(grid_pairs(eps)), recorded when the library streamed
+# these POVMs, before the stream was built from the shared grid helper
 _GRID_STREAM_SHA256 = {
     1.0: "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     0.5: "84f151b373fc95fffbffadfb1823412ea194b5ce4946d84f055797336410d53a",
@@ -279,37 +262,8 @@ _GRID_STREAM_SHA256 = {
 
 @pytest.mark.parametrize("eps", sorted(_GRID_STREAM_SHA256))
 def test_grid_stream_rows_are_pinned(eps):
-    rows = repr([coord_rows(p) for p in grid_extremal_povms(eps, 2)])
+    rows = repr(grid_pairs(eps))
     assert hashlib.sha256(rows.encode()).hexdigest() == _GRID_STREAM_SHA256[eps]
-
-
-def test_grid_stream_refuses_bad_steps_before_listing(monkeypatch):
-    def never(*args):
-        raise AssertionError("listed grid values before refusing the step")
-
-    monkeypatch.setattr(povmsearch, "_grid", never)
-    for eps in (math.inf, math.nan, -math.inf, 0.0, -0.1):
-        with pytest.raises(ValueError, match="grid step"):
-            next(grid_extremal_povms(eps, 2))
-    # 272**3 grid points, just past the limit, and on down to a step
-    # whose 1/eps overflows
-    assert 271**3 <= _MAX_NET_CELLS < 272**3
-    for eps in (1 / 271, 1e-3, 1e-300, 5e-324):
-        with pytest.raises(ResourceLimitError, match="points"):
-            next(grid_extremal_povms(eps, 2))
-
-
-def test_grid_stream_elements_are_valid_povms():
-    for outcomes in (1, 2):
-        seen = 0
-        for p in grid_extremal_povms(0.5, outcomes):
-            assert len(p.elements) == outcomes
-            seen += 1
-        assert seen > 0
-    # the arc certificate bounds every element count, so no stage lists more
-    for outcomes in (0, 3, 4):
-        with pytest.raises(ValueError, match="outcomes"):
-            next(grid_extremal_povms(0.5, outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +300,7 @@ def test_corner_correction_is_the_net_cell_bound():
     """One POVM's cell bound, from its 8 corners, is bit for bit the net's
     bound for the same base, from the deduplicated corners of 300 cells."""
     eps = 0.05
-    bases = np.array([p.coords()[0] for p in grid_extremal_povms(eps, 2)])
+    bases = np.array([rows[0] for rows in grid_pairs(eps)])
     bases = bases[np.random.default_rng(13).choice(len(bases), size=300, replace=False)]
     for q in QUANTITIES:
         batched = _pair_cells(q, bases, eps, *_corner_points(bases, eps))[0]
@@ -394,7 +348,7 @@ def test_corner_correction_dominates_cell_interior():
     """Cell bound >= value anywhere inside the cell (spot check)."""
     eps = 0.05
     rng = np.random.default_rng(100)
-    bases = [p.coords()[0] for p in grid_extremal_povms(eps, 2)]
+    bases = [rows[0] for rows in grid_pairs(eps)]
     bases = [b for b in bases if all_corners_valid(b, eps)]
     idx = rng.choice(len(bases), size=100, replace=False)
     for i, bi in enumerate(idx):
@@ -420,8 +374,8 @@ def test_corner_correction_monotone_in_eps():
 
 def flat_net_max(eps, quantity):
     best = -math.inf
-    for p in grid_extremal_povms(eps, 2):
-        best = max(best, quantity_value(p, quantity))
+    for rows in grid_pairs(eps):
+        best = max(best, quantity_value(Povm.from_coords(rows), quantity))
     for theta in DISTINGUISHED_ANGLES:
         best = max(best, quantity_value(basis_povm(theta), quantity))
     return best
@@ -707,13 +661,6 @@ def test_rank_one_crosscheck_anchors_and_ordering():
     for q in QUANTITIES:
         upper = search_bounds(0.2, 0.2, q, slice_eps=0.002)
         assert best[q] <= upper.corrected_bound + 1e-9
-
-
-def test_convexity_fact_zero_violations():
-    report = verify_convexity_fact(trials=5000, seed=3)
-    assert report.trials == 5000
-    assert report.violations == 0
-    assert report.max_excess <= 1e-10
 
 
 def test_outcome_table_is_born_rule():

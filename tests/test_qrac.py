@@ -58,14 +58,6 @@ def test_density_matrix_properties():
         assert np.allclose(rho @ rho, rho, atol=1e-14)
 
 
-def test_measurement_projectors_complete_and_orthogonal():
-    for theta in (0.0, math.pi / 4, 0.3, 1.2):
-        p0, p1 = BasisMeasurement(theta).projectors()
-        assert np.allclose(p0 + p1, np.eye(2), atol=1e-14)
-        assert np.allclose(p0 @ p1, 0.0, atol=1e-14)
-        assert np.allclose(p0 @ p0, p0, atol=1e-14)
-
-
 def test_measurement_for_bases():
     assert measurement_for(0).theta == 0.0
     assert measurement_for(1).theta == pytest.approx(math.pi / 4)
