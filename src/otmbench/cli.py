@@ -9,13 +9,16 @@ experiments, CSV), and qrac-table (the encoding success table).
 Structured reports are JSON objects {"config", "result", "meta"}; the
 meta block holds the timestamp so that re-running a config reproduces
 the config and result bytes exactly.  Exit codes: 0 success, 2 invariant
-violation, 3 resource budget exceeded, 4 bad input.
+violation, 3 resource budget exceeded, 4 bad input.  On every exit 3
+bounds writes its partial report; every other subcommand writes only its
+stderr line.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -160,6 +163,7 @@ def _json_report(args, result, error=None, meta_extra=None) -> str:
 
 
 def _run_bounds(args):
+    code, error = EXIT_OK, None
     try:
         rep = povmsearch.search_bounds(
             eps_coarse=args.coarse,
@@ -168,17 +172,11 @@ def _run_bounds(args):
             time_budget=args.time_budget,
             slice_eps=args.slice_eps,
         )
-    except ResourceLimitError as e:
-        partial = e.partial.as_dict() if e.partial is not None else None
-        meta = {}
-        if e.partial is not None:
-            meta["elapsed_s"] = e.partial.elapsed_s
-        _emit(args, _json_report(args, partial, meta_extra=meta,
-                                 error={"type": "resource", "message": str(e)}))
-        return EXIT_RESOURCE
-    _emit(args, _json_report(args, rep.as_dict(),
+    except ResourceLimitError as e:                  # every one carries a partial report
+        rep, code, error = e.partial, EXIT_RESOURCE, {"type": "resource", "message": str(e)}
+    _emit(args, _json_report(args, rep.as_dict(), error=error,
                              meta_extra={"elapsed_s": rep.elapsed_s}))
-    return EXIT_OK
+    return code
 
 
 def _run_simulate(args):
@@ -211,11 +209,7 @@ def _run_simulate(args):
             m0, m1, params, adversary_strategy=angles,
             seed=derive_seed(args.seed, "sim"),
         )
-        result["simulator"] = {
-            "exact_sd": sim.exact_sd,
-            "min_entropy_c1": sim.min_entropy_c1,
-            "lhl_bound": sim.lhl_bound,
-        }
+        result["simulator"] = dataclasses.asdict(sim)
     _emit(args, _json_report(args, result))
     return EXIT_OK
 
@@ -344,16 +338,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _RUNNERS[args.command](args)
-    except _CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except InvariantViolationError as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ValueError as e:
+    except (_CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -33,7 +33,6 @@ __all__ = [
     "random_code",
     "f2_rank",
     "encode",
-    "ml_decode",
     "ml_decode_packed",
     "exact_failure_prob",
     "mc_failure_prob",
@@ -125,9 +124,10 @@ def _span(basis: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
-    """An [n, k] binary linear code given by a full-column-rank generator.
+    """An [n, k] binary linear code given by a full-column-rank generator;
+    codes compare and hash by identity, as an ndarray field cannot.
 
     Parameters
     ----------
@@ -177,8 +177,8 @@ class LinearCode:
 
     @cached_property
     def decode_table(self) -> np.ndarray:
-        """Entry y of this 2^n int32 table is the packed message that
-        :func:`ml_decode` returns for the packed word y.
+        """Entry y of this 2^n int32 table is the ML decoding of the packed
+        word y: the least message among those whose codewords are nearest.
 
         In the names of :func:`_coset_sweep`, the word y = rep_s ^ cw_a is
         nearest to the codewords cw_(a ^ b) with b in M_s, the offsets that
@@ -233,38 +233,29 @@ def encode(code: LinearCode, message: np.ndarray) -> np.ndarray:
     return (code.generator @ _as_vector(message, code.k)) % 2
 
 
-def ml_decode(code: LinearCode, word: np.ndarray) -> np.ndarray:
-    """Nearest-codeword decoding, exhaustive over all 2^k codewords: the k
-    bits of the decoded message, index 0 most significant, as a fresh uint8
-    array.
-
-    Ties resolve to the lexicographically smallest message, i.e. the
-    smallest packed message integer; argmin on the numerically ordered
-    codeword table gives exactly that.
-    """
-    return int_to_bits(_decode_index(code, _as_vector(word, code.n) & 1), code.k)
-
-
 def _decode_index(code: LinearCode, word: np.ndarray) -> int:
-    """The packed message :func:`ml_decode` returns, for a 0/1 uint8 word
-    of length n (unchecked: callers pass a word they made)."""
+    """ML decoding of a 0/1 uint8 word of length n that the caller made: the
+    least packed message at least distance, by argmin over all 2^k codewords."""
     return int((code.codewords ^ word).sum(axis=1).argmin())
 
 
-def ml_decode_packed(code: LinearCode, words) -> np.ndarray:
-    """:func:`ml_decode` for packed received words (int64, index 0 most
-    significant), returning message integers; bits above n are ignored.
+def _table_pays(code: LinearCode, words: int) -> bool:
+    """Whether building the decode table costs less than scoring the words:
+    words x 2^k distance cells against 2^n cells at _TABLE_CELL_COST each."""
+    return code.n <= MAX_BLOCK_BITS and words << code.k >= _TABLE_CELL_COST << code.n
 
-    Gathers from the decode table when it is cached or when scoring the
-    words would take longer than building it (words x 2^k distance cells
-    against 2^n table cells at _TABLE_CELL_COST each, for n within the
-    table budget).  Otherwise it takes the argmin over the codeword table,
-    in blocks of at most 2^22 distance cells whatever k is.
+
+def ml_decode_packed(code: LinearCode, words) -> np.ndarray:
+    """ML decoding of packed words (int64, index 0 most significant) to
+    message integers, ties to the least message; bits above n are ignored.
+
+    Gathers from the decode table when it is cached or when it pays to
+    build it (:func:`_table_pays`).  Otherwise it takes the argmin over the
+    codeword table, in blocks of at most 2^22 distance cells whatever k is.
     """
     words = np.asarray(words, dtype=np.int64)
     cached = "decode_table" in vars(code)          # where cached_property keeps it
-    if cached or (code.n <= MAX_BLOCK_BITS
-                  and words.shape[0] << code.k >= _TABLE_CELL_COST << code.n):
+    if cached or _table_pays(code, words.shape[0]):
         return code.decode_table[words & ((1 << code.n) - 1)].astype(np.int64)
     cw = code.codeword_ints
     rows = max(1, _BLOCK_CELLS >> code.k)
@@ -343,12 +334,15 @@ def _check_trials(trials: int, n: int):
 def mc_failure_prob(code: LinearCode, p: float, trials: int, seed: int) -> float:
     """Monte-Carlo estimate of the decode-failure probability, decoded by
     :func:`ml_decode_packed`; drawn in chunks of max(1024, 2^22 / 2^k) trials,
-    cut to at most 2^22 / n so that no chunk draws more than 2^22 error bits.
-    Refuses p outside [0, 1] (nan too) and more than MAX_SAMPLED_BITS error
-    bits in all, before anything is drawn."""
+    cut to at most 2^22 / n so that no chunk draws more than 2^22 error bits,
+    after building the decode table if all the trials pay for it.  Refuses p
+    outside [0, 1] (nan too) and more than MAX_SAMPLED_BITS error bits in
+    all, before anything is drawn."""
     _check_flip_prob(p)
     _check_trials(trials, code.n)
     cw = code.codeword_ints
+    if _table_pays(code, trials):
+        code.decode_table
     rng = np.random.default_rng(seed)
     weights = 1 << np.arange(code.n - 1, -1, -1, dtype=np.int64)
     failures = 0

@@ -678,10 +678,10 @@ def search_bounds(
     corrected_bound.
 
     Raises ResourceLimitError with a partial report if the time budget
-    runs out, or if a net level or the arc count would pass its limit; the
-    deadline is checked before the arc certificate, before each block of
-    _NET_BLOCK cells of a net level and before the flat-cell count.  A
-    partial report counts the cells of the blocks bounded.
+    runs out or a net level, the arc count or the flat-cell table would
+    pass its limit; the deadline is checked before the arc certificate,
+    each block of _NET_BLOCK cells of a net level and the flat-cell count.
+    A partial report counts the cells of the blocks bounded.
     """
     _quantity(quantity)                  # a bad name is refused before the sizes
     # a normal float keeps 1/eps finite, so the cell counts below exist
@@ -691,10 +691,6 @@ def search_bounds(
         raise ValueError(f"slice_eps must be positive and finite, got {slice_eps}")
     if time_budget is not None and math.isnan(time_budget):
         raise ValueError("time_budget must be a number of seconds, not nan")
-    fine_a = _axis_counts(eps_fine)[0]
-    if fine_a * fine_a > _MAX_NET_CELLS:
-        raise ResourceLimitError(
-            f"flat-cell (a, c) table of {fine_a * fine_a} cells exceeds {_MAX_NET_CELLS}")
     start = time.monotonic()
     deadline = math.inf if time_budget is None else start + time_budget
 
@@ -736,6 +732,10 @@ def search_bounds(
         )
 
     try:
+        fine_a = _axis_counts(eps_fine)[0]
+        if fine_a * fine_a > _MAX_NET_CELLS:
+            raise ResourceLimitError(
+                f"flat-cell (a, c) table of {fine_a * fine_a} cells exceeds {_MAX_NET_CELLS}")
         n_a, n_b = _axis_counts(eps)
         bases = _net_level(np.zeros((1, 3)), eps, (0, -n_b, 0), (n_a, n_b, n_a))
         check_deadline()

@@ -204,7 +204,7 @@ def otrm_read(instance: OtrmInstance, alpha: int, seed) -> ReadResult:
     rng = np.random.default_rng(seed)
     word = sample_measurements(instance.angles, _READOUT[alpha], rng)
     code = (instance.code0, instance.code1)[alpha]
-    u = _decode_index(code, word)          # ml_decode's scan, on the sampler's 0/1 word
+    u = _decode_index(code, word)          # the sampler's word is 0/1 already
     msg = int_to_bits(u, code.k)
     return _record(ReadResult, alpha=alpha, word=word, message=msg,
                    codeword=code.codewords[u].copy(),

@@ -4,10 +4,10 @@ inputs the tests feed it.
 Each oracle is written from the definition of what it checks and calls
 no function of that module: the light-cone oracles read only a grid's
 (D, side, ell, depth) and a partition's r, the Toeplitz matrix only an
-extractor's seed bits and sizes, the rank-one lower bounds score every
-POVM through collinfo on its exact outcome table, and the distribution
-writers and the conditional collision entropy only a joint's names and
-table.
+extractor's seed bits and sizes, the nearest message only a code's
+generator, the rank-one lower bounds score every POVM through collinfo
+on its exact outcome table, and the distribution writers and the
+conditional collision entropy only a joint's names and table.
 
 The test inputs are seeded random joints, basis projectors, the listing
 of two-outcome grid POVMs the corner-bound checks sample cells from, and
@@ -114,6 +114,20 @@ def toeplitz_matrix(ext) -> np.ndarray:
         for j in range(ext.input_len):
             t[i, j] = ext.bits[i - j + ext.input_len - 1]
     return t
+
+
+# ---------------------------------------------------------------------------
+# maximum-likelihood decoding
+
+
+def nearest_message(code, word) -> int:
+    """The least message, as an integer whose bit k-1-i is message bit i,
+    among those whose codeword generator @ m mod 2 lies at least Hamming
+    distance from the 0/1 word."""
+    k = code.generator.shape[1]
+    messages = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1   # row m is m's bits
+    dists = ((messages @ code.generator.T.astype(np.int64)) % 2 != np.asarray(word)).sum(axis=1)
+    return int(np.flatnonzero(dists == dists.min())[0])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from oracles import _per_qubit_certificate, basis_projectors, grid_pairs, random_joint
+from oracles import (_per_qubit_certificate, basis_projectors, grid_pairs, nearest_message,
+                     random_joint)
 
 from otmbench.collinfo import (
     JointDistribution,
@@ -25,7 +26,7 @@ from otmbench.f2codes import (
     exact_failure_prob,
     int_to_bits,
     mc_failure_prob,
-    ml_decode,
+    ml_decode_packed,
     random_code,
 )
 from otmbench.lightcone import (
@@ -239,12 +240,6 @@ def test_criterion_06_corner_correction_soundness():
     assert ok
 
 
-def _oracle_decode(code, word):
-    dists = (code.codewords != word[None, :]).sum(axis=1)
-    best = int(np.flatnonzero(dists == dists.min())[0])
-    return int_to_bits(best, code.k)
-
-
 def test_criterion_07_code_and_channel_correctness():
     rep3 = LinearCode(np.ones((3, 1), dtype=np.uint8))
     exact = exact_failure_prob(rep3, CHANNEL_P)
@@ -256,13 +251,16 @@ def test_criterion_07_code_and_channel_correctness():
     ok &= abs(exact - 0.0580584) <= 1e-6
     ok &= abs(emp - exact) <= 3 * sigma
 
+    # the decode table, and the codeword scan that one word at a time on a
+    # code without a table takes, against the oracle on every word
     mismatches = 0
     for n, k, seed in ((5, 2, 0), (6, 3, 1), (8, 4, 2), (9, 3, 3), (10, 5, 4)):
-        code = random_code(n, k, seed)
+        code, scanned = random_code(n, k, seed), random_code(n, k, seed)
         for w in range(2**n):
-            word = int_to_bits(w, n)
-            if not np.array_equal(ml_decode(code, word), _oracle_decode(code, word)):
-                mismatches += 1
+            want = nearest_message(code, int_to_bits(w, n))
+            mismatches += int(code.decode_table[w] != want)
+            mismatches += int(ml_decode_packed(scanned, [w])[0] != want)
+        ok &= "decode_table" not in vars(scanned)
     ok &= mismatches == 0
     record_criterion(
         7,

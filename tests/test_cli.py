@@ -314,15 +314,17 @@ def test_bounds_payload_is_pinned_on_other_nets(coarse, fine, quantity, capsys):
 
 
 def test_bounds_budget_exhaustion_partial_payload(tmp_path, capsys):
+    # out of time, and refused at the flat-cell table before the net runs
     out_file = tmp_path / "partial.json"
-    code = cli.main(
-        ["--out", str(out_file), "bounds", "--coarse", "0.02", "--fine", "0.0025",
-         "--slice-eps", "0.01", "--time-budget", "1e-6"]
-    )
-    assert code == cli.EXIT_RESOURCE
-    payload = json.loads(out_file.read_text())
-    assert payload["error"]["type"] == "resource"
-    assert payload["result"]["complete"] is False
+    for flags in (["--coarse", "0.02", "--fine", "0.0025", "--slice-eps", "0.01",
+                   "--time-budget", "1e-6"],
+                  ["--coarse", "0.25", "--fine", "1e-5"]):
+        code = cli.main(["--out", str(out_file), "bounds", *flags])
+        assert code == cli.EXIT_RESOURCE
+        payload = json.loads(out_file.read_text())
+        assert payload["error"]["type"] == "resource"
+        assert payload["result"]["complete"] is False
+        assert payload["meta"]["elapsed_s"] >= 0
 
 
 

@@ -108,8 +108,11 @@ def test_fuzzed_argv_exit_cleanly(tmp_path, monkeypatch, capsys):
         assert elapsed < _CALL_S, (argv, elapsed)
         if code == cli.EXIT_OK and command == "leakage":
             assert out.startswith("strategy,"), argv
-        elif code == cli.EXIT_OK or (code == cli.EXIT_RESOURCE and command == "bounds"):
+        elif code == cli.EXIT_OK:
             assert isinstance(json.loads(out), dict), argv
+        elif code == cli.EXIT_RESOURCE and command == "bounds":
+            result = json.loads(out)["result"]
+            assert isinstance(result, dict) and result["complete"] is False, argv
         else:
             # the other budget refusals, and every exit 2 and 4, report on
             # stderr alone

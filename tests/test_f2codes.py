@@ -7,10 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import nearest_message
 from otmbench.errors import ResourceLimitError
 from otmbench.f2codes import (
     MAX_SAMPLED_BITS,
     LinearCode,
+    _decode_index,
     _popcount,
     bits_to_int,
     encode,
@@ -18,7 +20,6 @@ from otmbench.f2codes import (
     f2_rank,
     int_to_bits,
     mc_failure_prob,
-    ml_decode,
     ml_decode_packed,
     random_code,
 )
@@ -80,30 +81,29 @@ def test_codewords_ordered_by_message_integer():
         assert np.array_equal(code.codewords[idx], encode(code, m))
 
 
-def oracle_decode(code, word):
-    # independent nearest-codeword rule; ties -> smallest message integer
-    dists = [int((cw ^ word).sum()) for cw in code.codewords]
-    best = dists.index(min(dists))
-    return int_to_bits(best, code.k)
-
-
 def test_ml_decode_matches_oracle_small_codes():
+    # the single-word decode of reads and the packed decode of sampling
     for n, k, seed in ((5, 2, 0), (6, 3, 1), (8, 4, 2)):
         code = random_code(n, k, seed)
         packed = ml_decode_packed(code, np.arange(2**n))
         for w in range(2**n):
             word = int_to_bits(w, n)
-            want = oracle_decode(code, word)
-            assert np.array_equal(ml_decode(code, word), want)
-            assert packed[w] == bits_to_int(want)
+            want = nearest_message(code, word)
+            assert _decode_index(code, word) == want
+            assert packed[w] == want
 
 
 def test_ml_decode_tie_break_prefers_smaller_message():
     # word 01 sits at distance 1 from both codewords of the 2-bit
-    # repetition code; the tie must resolve to message 0
+    # repetition code; the tie must resolve to message 0, by the oracle,
+    # the single-word decode, the scan and the table
     code = repetition_code(2)
-    out = ml_decode(code, np.array([0, 1], dtype=np.uint8))
-    assert bits_to_int(out) == 0
+    word = np.array([0, 1], dtype=np.uint8)
+    assert nearest_message(code, word) == 0
+    assert _decode_index(code, word) == 0
+    assert ml_decode_packed(code, [0b01]).tolist() == [0]
+    assert "decode_table" not in vars(code)
+    assert code.decode_table[0b01] == 0
 
 
 def test_repetition3_exact_failure_closed_form():
@@ -209,7 +209,7 @@ def test_decode_table_built_when_cheaper_than_scan():
     code = random_code(12, 4, seed=2)
     words = np.arange(2048)
     scanned = ml_decode_packed(code, words[:2047])
-    ml_decode(code, np.zeros(12, dtype=np.uint8))
+    _decode_index(code, np.zeros(12, dtype=np.uint8))
     assert "decode_table" not in vars(code)
     assert np.array_equal(ml_decode_packed(code, words)[:2047], scanned)
     assert "decode_table" in vars(code)
@@ -245,6 +245,14 @@ def test_sampled_decoding_bytes_per_seed():
         got = [mc_failure_prob(random_code(n, k, code_seed), CHANNEL_P, trials, seed)
                for seed in (0, 1)]
         assert got == rates, (n, k, trials)
+
+
+def test_mc_failure_builds_the_table_when_the_run_pays_for_it():
+    # no 1024-trial chunk of a [20,12] run pays for the 2^20-cell table, but
+    # 5000 trials do; the rate is the one each chunk's scan gave
+    code = random_code(20, 12, seed=4)
+    assert mc_failure_prob(code, CHANNEL_P, 5000, seed=3) == 0.6824
+    assert "decode_table" in vars(code)
 
 
 def test_sampling_refused_past_bit_budget():
@@ -346,7 +354,7 @@ def test_codeword_table_refused_before_allocating():
     try:
         for read in (lambda: code.codewords, lambda: code.codeword_ints,
                      lambda: code.decode_table,
-                     lambda: ml_decode(code, np.zeros(22, dtype=np.uint8))):
+                     lambda: ml_decode_packed(code, np.zeros(1, dtype=np.int64))):
             with pytest.raises(ResourceLimitError, match="cells"):
                 read()
         peak = tracemalloc.get_traced_memory()[1]
@@ -376,6 +384,13 @@ def test_scan_ignores_bits_above_n_sign_bit_included():
         assert (ml_decode_packed(code, words | high) == want).all()
         assert "decode_table" not in vars(code)
     assert (want == scan_decode(random_code(18, 10, seed=5), words)).all()
+
+
+def test_codes_compare_and_hash_by_identity():
+    code = random_code(5, 2, seed=0)
+    assert code == code and hash(code) == hash(code)
+    assert code != LinearCode(code.generator.copy())
+    assert random_code(5, 2, seed=0) != random_code(5, 2, seed=0)
 
 
 def test_code_validation():

@@ -516,6 +516,20 @@ def test_net_memory_is_bounded_by_its_blocks():
     assert peak < 160 * 2**20
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(eps_coarse=0.02, eps_fine=0.0025, time_budget=1e-6),
+    dict(eps_coarse=0.25, eps_fine=0.25, slice_eps=1e-12),
+    dict(eps_coarse=0.001, eps_fine=0.001),
+    dict(eps_coarse=0.25, eps_fine=1e-5),
+], ids=["time-budget", "arc-count", "net-level", "flat-cell-table"])
+def test_every_search_limit_carries_a_partial_report(kwargs):
+    with pytest.raises(ResourceLimitError) as err:
+        search_bounds(**kwargs)
+    partial = err.value.partial
+    assert not partial.complete and partial.frontier_bound == math.inf
+    assert partial.net_epsilon == kwargs["eps_coarse"]
+
+
 @pytest.mark.parametrize("coarse, fine, message", [
     (0.001, 0.001, "net level at step 0.001 has 1000000000 cells"),
     (0.05, 1e-4, "table of 100000000 cells"),
