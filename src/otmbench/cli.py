@@ -10,8 +10,8 @@ Structured reports are JSON objects {"config", "result", "meta"}; the
 meta block holds the timestamp so that re-running a config reproduces
 the config and result bytes exactly.  Exit codes: 0 success, 2 invariant
 violation, 3 resource budget exceeded, 4 bad input.  On every exit 3
-bounds writes its partial report; every other subcommand writes only its
-stderr line.
+bounds writes its partial report, with null for each bound of a stage it
+never reached; every other subcommand writes only its stderr line.
 """
 
 from __future__ import annotations
@@ -155,11 +155,13 @@ def _json_report(args, result, error=None, meta_extra=None) -> str:
     meta = {"timestamp": datetime.now(timezone.utc).isoformat()}
     if meta_extra:
         meta.update(meta_extra)
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "out"}
+    # a non-finite flag (--time-budget inf) is echoed as text: JSON has no number for it
+    config = {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+              for k, v in sorted(vars(args).items()) if k != "out"}
     doc = {"config": config, "result": result, "meta": meta}
     if error is not None:
         doc["error"] = error
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _run_bounds(args):

@@ -206,11 +206,6 @@ _CORNERS = _grid(1.0, (0, 0, 0), (2, 2, 2))
 _IDENTITY = np.array([1.0, 0.0, 1.0])   # I as a coordinate row (a, b, c)
 
 
-def _corner_deltas(eps: float) -> np.ndarray:
-    """The 8 upward perturbations (a, b, c) of a cell base, entries in {0, eps}."""
-    return eps * _CORNERS
-
-
 def _corner_points(bases: np.ndarray, eps: float) -> tuple:
     """The distinct corner triples (M, 3) of these cells, and the (8, N) map
     that sends corner k of cell n to its row.
@@ -224,9 +219,8 @@ def _corner_points(bases: np.ndarray, eps: float) -> tuple:
     floats are equal bits: two corners share a key exactly when their
     triples are bitwise equal, and each row of points is one of its
     corners, built by the same add.  Each axis has at most 2N distinct
-    values, so the combined key fits in int64 for any block.  Bases in
-    lexicographic order make the 8 key runs nearly sorted, and one stable
-    sort of them groups equal keys.
+    values, so the combined key fits in int64 for any block; one stable sort,
+    quick on the sorted key runs of each origin's cells, groups equal keys.
     """
     n = bases.shape[0]
     keys = np.zeros(n, dtype=np.int64)
@@ -244,7 +238,7 @@ def _corner_points(bases: np.ndarray, eps: float) -> tuple:
     index = np.empty(keys.size, dtype=np.intp)
     index[order] = np.repeat(np.arange(starts.size), np.diff(starts, append=keys.size))
     rep = order[starts]   # corner rep // n of cell rep % n
-    points = np.take(bases, rep % n, axis=0) + np.take(_corner_deltas(eps), rep // n, axis=0)
+    points = np.take(bases, rep % n, axis=0) + np.take(eps * _CORNERS, rep // n, axis=0)
     return points, index.reshape(8, n)
 
 
@@ -467,7 +461,9 @@ def _slice_certificate(quantity: str, slice_eps: float) -> tuple:
 # two-outcome progressive net
 
 # cells one net array may hold: the coarse net, the flat count's (a, c)
-# table and each refinement level are refused beyond it before allocating
+# table and each refinement level are refused beyond it before allocating.
+# Under tracemalloc a level peaks at 72 bytes a cell before its mask (coarse
+# cell or refinement child) and the (a, c) table at 24: at most 1.44 GB
 _MAX_NET_CELLS = 20_000_000
 
 # cells bounded together: a net level is bounded block by block, so its
@@ -504,20 +500,19 @@ def _pair_cell_mask(bases: np.ndarray, eps: float) -> np.ndarray:
 def _net_level(origins: np.ndarray, eps: float, lo: tuple, hi: tuple) -> np.ndarray:
     """Bases origin + eps * o, for each origin row and each integer triple o
     in the box [lo, hi), of the cells that can hold a two-outcome POVM, in
-    lexicographic order.
+    the order they are built.  No order can reach a report: each figure is
+    a function of its cell's own corner triples (_pair_cells), cells_visited
+    is a count, and the incumbent's min ignores the order of its offers.
 
     A level of more than _MAX_NET_CELLS cells, before the mask, is refused
-    before anything is allocated.  A fixed cell order keeps every array,
-    and so every bit of the search, independent of how the cells were
-    produced.
+    before anything is allocated.
     """
     cells = origins.shape[0] * math.prod(h - l for l, h in zip(lo, hi))
     if cells > _MAX_NET_CELLS:
         raise ResourceLimitError(
             f"net level at step {eps} has {cells} cells, past {_MAX_NET_CELLS}")
     bases = (origins[:, None, :] + _grid(eps, lo, hi)).reshape(-1, 3)
-    bases = bases[_pair_cell_mask(bases, eps)]
-    return bases[np.lexsort((bases[:, 2], bases[:, 1], bases[:, 0]))]
+    return bases[_pair_cell_mask(bases, eps)]
 
 
 def _count_flat_cells(eps: float) -> int:
@@ -536,14 +531,14 @@ def _count_flat_cells(eps: float) -> int:
 
 def _pair_cells(quantity: str, bases: np.ndarray, eps: float, points: np.ndarray,
                 index: np.ndarray) -> tuple:
-    """Corrected bound of each two-outcome cell, and raw values at its corners.
+    """Corrected bound of each two-outcome cell, and raw values at the points.
 
     The cell at base (a, b, c) holds every POVM {M, I - M} whose M has
     entries in [base, base + eps].  Corner k of cell n is the row
     points[index[k, n]] (points (M, 3), index (8, N)): the deduplicated
     corners of _corner_points, or all 8N corners with an identity map.
-    Returns the certified bound over each cell (N,) and the quantity at the
-    8 corner pairs {corner, I - corner} (8, N), -inf where a pair is not
+    Returns the certified bound over each cell (N,) and the quantity at
+    each point's pair {point, I - point} (M,), -inf where a pair is not
     PSD.  The corners are exactly the fine grid points of the cell, its
     upper faces included.
 
@@ -574,7 +569,7 @@ def _pair_cells(quantity: str, bases: np.ndarray, eps: float, points: np.ndarray
     corrected = _combine(quantity, fam_sums_corr[0], fam_sums_corr[1])
     valid = (_eigmin_arr(points) >= -1e-12) & (_eigmin_arr(comp) >= -1e-12)
     raw = np.where(valid, _combine(quantity, fam_sums_raw[0], fam_sums_raw[1]), -np.inf)
-    return corrected, raw[index]
+    return corrected, raw
 
 
 def corner_corrected_value(povm: Povm, eps: float, quantity: str) -> float:
@@ -596,7 +591,7 @@ def corner_corrected_value(povm: Povm, eps: float, quantity: str) -> float:
     if len(rows) > 2:
         raise ValueError(f"cell bounds at eps > 0 take two-element POVMs, got {len(rows)} elements")
     base = np.array(rows[:1])
-    corners = base + _corner_deltas(eps)
+    corners = base + eps * _CORNERS
     return float(_pair_cells(quantity, base, eps, corners, np.arange(8)[:, None])[0][0])
 
 
@@ -617,8 +612,8 @@ def _refine_steps(eps_coarse: float, eps_fine: float) -> list:
 @dataclass(frozen=True)
 class BoundReport:
     """Result of search_bounds; a partial report (complete False) leaves
-    the stages it never reached at corrected_bound inf, slice_cells 0 and
-    flat_cells 0.
+    the stages it never reached at corrected_bound and frontier_bound inf
+    (None in as_dict, so null in JSON), slice_cells 0 and flat_cells 0.
 
     The corrected bound is the arc certificate's bound, so slice_bound is
     derived as a copy of it, and supports as its verdict against each of
@@ -655,6 +650,8 @@ class BoundReport:
         # elapsed_s stays off the dict: serialized reports must be
         # byte-reproducible across runs, and wall time is not
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "elapsed_s"}
+        for name in ("corrected_bound", "slice_bound", "frontier_bound"):
+            d[name] = d[name] if math.isfinite(d[name]) else None
         d["argmax_povm"] = self.argmax_povm.as_lists()
         return d
 
@@ -742,19 +739,17 @@ def search_bounds(
         slice_bound, _, slice_cells = _slice_certificate(quantity, slice_eps)
         steps = _refine_steps(eps_coarse, eps_fine)
         while True:
-            deltas = _corner_deltas(eps)
             corr = np.empty(bases.shape[0])
             for lo in range(0, bases.shape[0], _NET_BLOCK):
                 check_deadline()
                 block = bases[lo:lo + _NET_BLOCK]
-                corr[lo:lo + block.shape[0]], raw = _pair_cells(
-                    quantity, block, eps, *_corner_points(block, eps))
+                points, index = _corner_points(block, eps)
+                corr[lo:lo + block.shape[0]], raw = _pair_cells(quantity, block, eps, points, index)
                 # a block below the level's maximum offers only losers, and
                 # min keeps the same winner whatever the order of offers
                 rmax = float(raw.max())
                 if rmax > -math.inf and rmax >= -best[0]:
-                    for d_i, c_i in np.argwhere(raw == rmax):
-                        a, b, c = (block[c_i] + deltas[d_i]).tolist()
+                    for a, b, c in points[raw == rmax].tolist():
                         best = min(best, (-rmax, ((a, b, c), (1.0 - a, 0.0 - b, 1.0 - c))))
                 visited += block.shape[0]
             frontier = max(-best[0], float(corr.max(initial=-np.inf)))

@@ -6,8 +6,9 @@ no function of that module: the light-cone oracles read only a grid's
 (D, side, ell, depth) and a partition's r, the Toeplitz matrix only an
 extractor's seed bits and sizes, the nearest message only a code's
 generator, the rank-one lower bounds score every POVM through collinfo
-on its exact outcome table, and the distribution writers and the
-conditional collision entropy only a joint's names and table.
+on its exact outcome table, the distribution writers and the
+conditional collision entropy only a joint's names and table, and the
+report reader only the json module.
 
 The test inputs are seeded random joints, basis projectors, the listing
 of two-outcome grid POVMs the corner-bound checks sample cells from, and
@@ -223,6 +224,15 @@ def json_text(d) -> str:
         "variables": [{"name": n, "size": s} for n, s in zip(d.names, d.table.shape)],
         "table": d.table.ravel().tolist(),
     })
+
+
+def strict_json(text: str):
+    """The one JSON document in text, read as standard JSON: the Infinity,
+    -Infinity and NaN that Python's json would accept are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import math
+from pathlib import Path
+import re
+import shlex
 import sys
 import time
 from unittest import mock
@@ -12,7 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import collision_entropy_given, csv_text, json_text, random_joint
+from oracles import collision_entropy_given, csv_text, json_text, random_joint, strict_json
 from otmbench import cli
 from otmbench.collinfo import JointDistribution, collision_mi
 from otmbench.errors import InvariantViolationError
@@ -327,6 +330,33 @@ def test_bounds_budget_exhaustion_partial_payload(tmp_path, capsys):
         assert payload["meta"]["elapsed_s"] >= 0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--coarse", "0.25", "--fine", "1e-5"],
+    ["--time-budget", "0"],
+    ["--slice-eps", "1e-9"],
+    ["--coarse", "0.001", "--fine", "0.001"],
+], ids=" ".join)
+def test_partial_bounds_report_is_standard_json(flags, capsys):
+    # flat-cell table, time budget, arc count, net level: each stops before
+    # a bound exists, and a stage not reached is null, not Infinity
+    code, out = run(["bounds", *flags], capsys)
+    assert code == cli.EXIT_RESOURCE
+    result = strict_json(out)["result"]
+    assert result["complete"] is False
+    assert result["corrected_bound"] is result["slice_bound"] is result["frontier_bound"] is None
+
+
+@pytest.mark.parametrize("budget, code", [("inf", cli.EXIT_OK), ("-inf", cli.EXIT_RESOURCE)])
+def test_non_finite_flag_is_echoed_as_text(budget, code, capsys):
+    argv = ["bounds", "--coarse", "0.25", "--fine", "0.25", "--slice-eps", "0.01",
+            f"--time-budget={budget}"]
+    got, out = run(argv, capsys)
+    assert got == code
+    report = strict_json(out)
+    assert report["config"]["time_budget"] == budget
+    assert report["result"]["complete"] is (code == cli.EXIT_OK)
+
+
 
 @pytest.mark.parametrize("flags, code", [
     (["--slice-eps", "0"], cli.EXIT_INPUT),
@@ -531,3 +561,32 @@ def test_entropy_refuses_a_non_integer_json_size(tmp_path, capsys):
                                 "table": [0.5, 0.5]}))
     assert cli.main(["entropy", "--in", str(path), "--mi", "X", "Y"]) == cli.EXIT_INPUT
     assert "size must be an integer, got 2.7" in capsys.readouterr().err
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    """Every otmbench line of README's CLI block exits 0 and writes one
+    standard-JSON report, or for leakage a CSV under the header README
+    documents; the block shows every subcommand."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    header = re.search(r"`(strategy,[\w,]+)`", text).group(1)
+    monkeypatch.chdir(tmp_path)
+    joint = random_joint(("X", "Y", "Z"), (2, 3, 2), seed=0)
+    (tmp_path / "joint.csv").write_text(csv_text(joint))
+    commands = set()
+    for line in block.splitlines():
+        if not line.startswith("otmbench "):
+            continue
+        argv = shlex.split(line)[1:]
+        args = cli.build_parser().parse_args(argv)
+        commands.add(args.command)
+        assert cli.main(argv) == cli.EXIT_OK, line
+        out = capsys.readouterr().out
+        if args.out:
+            assert out == "", line
+            out = Path(args.out).read_text()
+        if args.command == "leakage":
+            assert out.splitlines()[0] == header, line
+        else:
+            assert isinstance(strict_json(out), dict), line
+    assert commands == set(cli._RUNNERS)

@@ -4,17 +4,17 @@ The argv are built from cli.build_parser()'s own actions, so a new flag is
 fuzzed without editing this file (a flag of a new argparse type needs a
 row in _PLAIN and _EDGE).  Each value comes from a table for its type;
 distribution files come from the malformed ones in oracles, beside one
-well-formed CSV and JSON file and one missing path.
+well-formed CSV and JSON file and one missing path.  Every report is read
+as standard JSON, which has no Infinity or NaN.
 """
 
 import argparse
-import json
 import random
 import time
 
 import pytest
 
-from oracles import MALFORMED_DISTRIBUTIONS, csv_text, json_text, random_joint
+from oracles import MALFORMED_DISTRIBUTIONS, csv_text, json_text, random_joint, strict_json
 from otmbench import cli
 
 _SEED = 2026
@@ -109,9 +109,9 @@ def test_fuzzed_argv_exit_cleanly(tmp_path, monkeypatch, capsys):
         if code == cli.EXIT_OK and command == "leakage":
             assert out.startswith("strategy,"), argv
         elif code == cli.EXIT_OK:
-            assert isinstance(json.loads(out), dict), argv
+            assert isinstance(strict_json(out), dict), argv
         elif code == cli.EXIT_RESOURCE and command == "bounds":
-            result = json.loads(out)["result"]
+            result = strict_json(out)["result"]
             assert isinstance(result, dict) and result["complete"] is False, argv
         else:
             # the other budget refusals, and every exit 2 and 4, report on

@@ -25,10 +25,10 @@ from otmbench.povmsearch import (
     value_from_info,
 )
 from otmbench.povmsearch import (
+    _CORNERS,
     _NET_BLOCK,
     _axis_counts,
     _combine,
-    _corner_deltas,
     _corner_points,
     _count_flat_cells,
     _eval_family,
@@ -485,26 +485,48 @@ def test_deduplicated_corners_give_the_same_bits(coarse, fine, monkeypatch):
         search_bounds(coarse, fine, q, slice_eps=0.01)
     levels = {}
     for q, eps, bases, points, index, out in blocks:
-        corners = bases[None, :, :] + _corner_deltas(eps)[:, None, :]
+        corners = bases[None, :, :] + eps * _CORNERS[:, None, :]
         assert points.shape[0] == len(np.unique(corners.reshape(-1, 3), axis=0))
         assert np.array_equal(points[index], corners)
-        levels.setdefault((q, eps), []).append((bases, out))
+        levels.setdefault((q, eps), []).append((bases, out[0], out[1][index]))
     assert max(len(parts) for parts in levels.values()) > 1, "no level spans several blocks"
     for (q, eps), parts in levels.items():
-        bases = np.concatenate([b for b, _ in parts])
-        corr = np.concatenate([out[0] for _, out in parts])
-        raw = np.concatenate([out[1] for _, out in parts], axis=1)
-        corners = (bases[None, :, :] + _corner_deltas(eps)[:, None, :]).reshape(-1, 3)
+        bases = np.concatenate([b for b, _, _ in parts])
+        corr = np.concatenate([c for _, c, _ in parts])
+        raw = np.concatenate([r for _, _, r in parts], axis=1)
+        corners = (bases[None, :, :] + eps * _CORNERS[:, None, :]).reshape(-1, 3)
         identity = np.arange(corners.shape[0]).reshape(8, -1)
         want_corr, want_raw = _pair_cells(q, bases, eps, corners, identity)
         assert np.array_equal(corr, want_corr)
-        assert np.array_equal(raw, want_raw)
+        assert np.array_equal(raw, want_raw[identity])
     assert any(np.isneginf(out[1]).any() for *_, out in blocks)
+
+
+@pytest.mark.parametrize("coarse, fine", [(0.05, 0.005), (0.07, 0.01), (0.1, 0.002)])
+def test_net_level_order_never_reaches_the_report(coarse, fine, monkeypatch):
+    """Every level dealt out in a seeded random order gives the report bytes
+    of the order its cells are built in."""
+    def payload(q):
+        return json.dumps(search_bounds(coarse, fine, q, slice_eps=0.01).as_dict(), sort_keys=True)
+
+    want = {q: payload(q) for q in QUANTITIES}
+    real, rng = povmsearch._net_level, np.random.default_rng(28)
+
+    def shuffled(*args):
+        bases = real(*args)
+        return bases[rng.permutation(bases.shape[0])]
+
+    monkeypatch.setattr(povmsearch, "_net_level", shuffled)
+    for q in QUANTITIES:
+        assert payload(q) == want[q], q
 
 
 def test_net_memory_is_bounded_by_its_blocks():
     # one level of 548 196 cells: bounding every corner at once peaked
-    # at about 565 MiB under tracemalloc
+    # at about 565 MiB under tracemalloc.  Bounded in blocks, the peak is
+    # building the coarse level, 10^6 grid cells at the 72 bytes each that
+    # _MAX_NET_CELLS states (68.7 MiB); a block's corner temporaries are
+    # a few MiB, and the ceiling leaves 4 MiB over the level
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
@@ -513,7 +535,7 @@ def test_net_memory_is_bounded_by_its_blocks():
     finally:
         tracemalloc.stop()
     assert report.cells_visited == 548_196
-    assert peak < 160 * 2**20
+    assert peak < 10**6 * 72 + 4 * 2**20
 
 
 @pytest.mark.parametrize("kwargs", [
