@@ -217,7 +217,8 @@ def _run_simulate(args):
 
 
 def _derived_message(params, seed, label):
-    return _coin_bits(derive_seed(seed, label), params.msg_len)[0]
+    ((message,),) = _coin_bits((derive_seed(seed, label), (params.msg_len,)))
+    return message
 
 
 def _run_feasibility(args):

@@ -42,9 +42,7 @@ __all__ = [
     "LeakageReport",
     "LeakageSweep",
     "SimulatorReport",
-    "otrm_prep",
     "otrm_read",
-    "make_extractor",
     "otm_prep",
     "otm_read",
     "mc_correctness",
@@ -127,8 +125,7 @@ class OtrmInstance:
     them: the secrets are kept as k-bit uint8 vectors reduced mod 2 (encode
     checks their shapes), and the codewords c0, c1 (the encodings of r0, r1)
     and the qubit angles are derived, qubit i being the state at angle
-    angles[i], the QRAC encoding of (c0[i], c1[i]).  otrm_prep fills the
-    same fields from the values it has drawn and checked."""
+    angles[i], the QRAC encoding of (c0[i], c1[i])."""
 
     code0: LinearCode
     code1: LinearCode
@@ -161,24 +158,6 @@ def _code_pair(params: ProtocolParams, codes, root: int, label: str) -> tuple:
     if any(c.n != params.n or c.k != params.k for c in codes):
         raise ValueError("code shapes disagree with params")
     return tuple(codes)
-
-
-def otrm_prep(params: ProtocolParams, seed: int = 0,
-              codes: tuple | None = None) -> OtrmInstance:
-    """Sample messages, encode, and prepare the qubit list.
-
-    Fresh codes are drawn from the seed unless a fixed public pair is
-    supplied.  All randomness derives from labeled sub-streams, so one
-    integer reproduces the instance.  r0, r1 are the two successive
-    integers(0, 2, size=k, dtype=np.uint8) draws of the "messages" stream,
-    read from its raw PCG64 output (seeds._coin_bits says why they agree).
-    """
-    code0, code1 = _code_pair(params, codes, seed, "code")
-    r0, r1 = _coin_bits(derive_seed(seed, "messages"), params.k, params.k)
-    # encode's arithmetic on secrets that are already 0/1 vectors of length k
-    c0, c1 = (code0.generator @ r0) % 2, (code1.generator @ r1) % 2
-    return _record(OtrmInstance, code0=code0, code1=code1, r0=r0, r1=r1, c0=c0, c1=c1,
-                   angles=_ANGLES[c0, c1])
 
 
 @dataclass(frozen=True)
@@ -224,9 +203,7 @@ def _seed_len(input_len: int, output_len: int) -> int:
 @dataclass(frozen=True)
 class Extractor:
     """Toeplitz two-universal hash over F2, fixed by its public seed bits.
-    The public constructor checks the sizes and reduces the bits mod 2;
-    make_extractor fills the record from sizes it has checked and 0/1
-    bits it has drawn."""
+    The public constructor checks the sizes and reduces the bits mod 2."""
 
     bits: np.ndarray
     input_len: int
@@ -257,16 +234,6 @@ class Extractor:
         return np.correlate(self.bits, x[::-1]) & 1      # "valid": one sum per window
 
 
-def make_extractor(input_len: int, output_len: int, seed: int) -> Extractor:
-    """Toeplitz extractor seeded by default_rng(seed).integers(0, 2,
-    dtype=np.uint8) draws (see seeds._coin_bits).  seed must be an integer;
-    it and both sizes are checked before anything is drawn.  Explicit bits
-    build Extractor(bits=...) directly."""
-    want = _seed_len(input_len, output_len)
-    (bits,) = _coin_bits(_check_int("seed", seed), want)
-    return _record(Extractor, bits=bits, input_len=int(input_len), output_len=int(output_len))
-
-
 @dataclass(frozen=True)
 class OtmPackage:
     """Message-layer package: instance, ciphertexts, public extractors."""
@@ -289,13 +256,35 @@ def _messages(params: ProtocolParams, m0, m1) -> tuple:
 
 def otm_prep(m0, m1, params: ProtocolParams, seed: int = 0,
              codes: tuple | None = None) -> OtmPackage:
-    """Pad each message with its codeword's extractor output."""
+    """Sample the random-string instance and both extractors, and pad each
+    message with its codeword's extractor output.
+
+    All randomness derives from labeled sub-streams of seed, so one integer
+    reproduces the package.  Under root = derive_seed(seed, "otrm"), fresh
+    codes come from its "code0" and "code1" streams unless a fixed public
+    pair is supplied, and the secrets r0, r1 are two successive k-bit
+    integers(0, 2, dtype=np.uint8) draws of its "messages" stream; each
+    extractor's seed bits (n + lam/8 - 1 of them, none at lam = 0) are one
+    such draw of the "ext0" or "ext1" stream of seed.  The three draws are
+    one seeds._coin_bits call, and the records are filled from the values
+    drawn, not through their constructors.
+    """
     m0, m1 = _messages(params, m0, m1)
-    instance = otrm_prep(params, derive_seed(seed, "otrm"), codes=codes)
-    ext0 = make_extractor(params.n, params.msg_len, derive_seed(seed, "ext0"))
-    ext1 = make_extractor(params.n, params.msg_len, derive_seed(seed, "ext1"))
-    return _record(OtmPackage, instance=instance, ct0=m0 ^ ext0.apply(instance.c0),
-                   ct1=m1 ^ ext1.apply(instance.c1), ext0=ext0, ext1=ext1)
+    root = derive_seed(seed, "otrm")
+    code0, code1 = _code_pair(params, codes, root, "code")
+    n, k, msg = params.n, params.k, params.msg_len
+    want = _seed_len(n, msg)
+    (r0, r1), (bits0,), (bits1,) = _coin_bits((derive_seed(root, "messages"), (k, k)),
+                                              (derive_seed(seed, "ext0"), (want,)),
+                                              (derive_seed(seed, "ext1"), (want,)))
+    # encode's arithmetic on secrets that are already 0/1 vectors of length k
+    c0, c1 = (code0.generator @ r0) % 2, (code1.generator @ r1) % 2
+    instance = _record(OtrmInstance, code0=code0, code1=code1, r0=r0, r1=r1, c0=c0, c1=c1,
+                       angles=_ANGLES[c0, c1])
+    ext0 = _record(Extractor, bits=bits0, input_len=n, output_len=msg)
+    ext1 = _record(Extractor, bits=bits1, input_len=n, output_len=msg)
+    return _record(OtmPackage, instance=instance, ct0=m0 ^ ext0.apply(c0),
+                   ct1=m1 ^ ext1.apply(c1), ext0=ext0, ext1=ext1)
 
 
 @dataclass(frozen=True)

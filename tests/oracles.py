@@ -8,7 +8,10 @@ extractor's seed bits and sizes, the nearest message only a code's
 generator, the rank-one lower bounds score every POVM through collinfo
 on its exact outcome table, the distribution writers and the
 conditional collision entropy only a joint's names and table, and the
-report reader only the json module.
+report reader only the json module.  The protocol's draws are the one
+exception: its instance and extractor are numpy's own per-seed draws put
+through the public checked constructors, the reference that otm_prep's
+coin-bit kernel is held to.
 
 The test inputs are seeded random joints, basis projectors, the listing
 of two-outcome grid POVMs the corner-bound checks sample cells from, and
@@ -23,7 +26,11 @@ from typing import NamedTuple
 import numpy as np
 
 from otmbench.collinfo import JointDistribution, collision_mi, conditional_collision_mi
+from otmbench.errors import _check_int
+from otmbench.f2codes import random_code
+from otmbench.protocol import Extractor, OtrmInstance, _seed_len
 from otmbench.qrac import QubitState, qrac_encode
+from otmbench.seeds import derive_seed
 
 # ---------------------------------------------------------------------------
 # light cones on a D-dimensional grid, cells indexed in C order
@@ -101,6 +108,31 @@ def _per_qubit_certificate(part, outer_shrink: int = 0) -> Certificate:
                 return Certificate(False, j + 1, (j, qubit, int(escaped[0])))
         in_claim[claim_cells] = False
     return Certificate(True, cubes)
+
+
+# ---------------------------------------------------------------------------
+# the protocol's draws, one numpy generator per seed
+
+
+def otrm_prep(params, seed: int = 0, codes=None) -> OtrmInstance:
+    """The random-string instance of root seed: fresh codes from its
+    "code0" and "code1" streams unless a pair is given, and the secrets
+    r0, r1 from two successive integers(0, 2, size=k, dtype=np.uint8)
+    calls on default_rng of its "messages" stream."""
+    if codes is None:
+        codes = [random_code(params.n, params.k, derive_seed(seed, f"code{i}")) for i in (0, 1)]
+    rng = np.random.default_rng(derive_seed(seed, "messages"))
+    r0, r1 = (rng.integers(0, 2, size=params.k, dtype=np.uint8) for _ in range(2))
+    return OtrmInstance(*codes, r0, r1)
+
+
+def make_extractor(input_len: int, output_len: int, seed: int) -> Extractor:
+    """The Toeplitz extractor whose seed bits are one default_rng(seed)
+    .integers(0, 2, dtype=np.uint8) draw.  seed must be an integer; it and
+    both sizes are checked before anything is drawn."""
+    want = _seed_len(input_len, output_len)
+    rng = np.random.default_rng(_check_int("seed", seed))
+    return Extractor(rng.integers(0, 2, size=want, dtype=np.uint8), input_len, output_len)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,19 @@ def test_simulate_refuses_more_message_bits_than_qubits(capsys):
     assert capsys.readouterr().err == "error: lam=32 gives 4 message bits, more than n=3\n"
 
 
+def test_simulate_seed_is_any_integer(capsys):
+    # every root hashes to 64-bit sub-stream seeds; a non-integer is bad input
+    for seed in ("-3", str(2**70)):
+        assert cli.main(["simulate", "--n", "6", "--k", "2", "--trials", "5",
+                         "--seed", seed]) == cli.EXIT_OK
+    capsys.readouterr()
+    for seed in ("1.0", "1e3", "true", ""):
+        assert cli.main(["simulate", "--n", "6", "--k", "2", "--trials", "5",
+                         "--seed", seed]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --seed") and "Traceback" not in err
+
+
 def test_simulate_refuses_huge_lam_before_drawing_messages(capsys):
     with mock.patch.object(cli, "_derived_message", wraps=cli._derived_message) as draw:
         code = cli.main(["simulate", "--n", "6", "--k", "2", "--trials", "5",

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import nearest_message, toeplitz_matrix
+from oracles import make_extractor, nearest_message, otrm_prep, toeplitz_matrix
 from otmbench import protocol
 from otmbench.collinfo import JointDistribution, conditional_collision_mi, collision_mi
 from otmbench.errors import InvariantViolationError, ResourceLimitError
@@ -22,13 +22,12 @@ from otmbench.protocol import (
     Extractor,
     LeakageReport,
     LeakageSweep,
+    OtmPackage,
     ProtocolParams,
     leakage_experiment,
-    make_extractor,
     mc_correctness,
     otm_prep,
     otm_read,
-    otrm_prep,
     otrm_read,
     simulator_transcript,
 )
@@ -90,18 +89,18 @@ def test_params_refuse_more_message_bits_than_qubits():
 
 def test_message_layer_refuses_long_messages_before_drawing_codes():
     """otm_prep and simulator_transcript see no params with msg_len > n:
-    the params refuse first, so neither otrm_prep nor _code_pair runs."""
+    the params refuse first, so neither _code_pair nor _coin_bits runs."""
     m = np.zeros(4, dtype=np.uint8)
-    with mock.patch.object(protocol, "otrm_prep", wraps=protocol.otrm_prep) as prep, \
+    with mock.patch.object(protocol, "_coin_bits", wraps=protocol._coin_bits) as draw, \
             mock.patch.object(protocol, "_code_pair", wraps=protocol._code_pair) as pair:
         with pytest.raises(ValueError, match="more than n=3"):
             otm_prep(m, m, ProtocolParams(n=3, lam=32, k=2), seed=1)
         with pytest.raises(ValueError, match="more than n=3"):
             simulator_transcript(m, m, ProtocolParams(n=3, lam=32, k=2), seed=1)
-        assert (prep.call_count, pair.call_count) == (0, 0)
+        assert (draw.call_count, pair.call_count) == (0, 0)
         # the spies see the calls of a valid shape
         otm_prep(m, m, ProtocolParams(n=4, lam=32, k=2), seed=1)
-        assert (prep.call_count, pair.call_count) == (1, 1)
+        assert (draw.call_count, pair.call_count) == (1, 1)
 
 
 def test_otrm_prep_structure_and_determinism():
@@ -355,6 +354,47 @@ def test_round_trip_records_match_their_constructors():
                 _assert_same_record(rec, dataclasses.replace(rec), tables)
 
 
+def _assert_same_draws(got, want, path="pkg"):
+    """Field by field through nested records, codes included: arrays of
+    equal dtype, shape and bytes, every other value equal and of the same
+    Python type."""
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        where = f"{path}.{f.name}"
+        if dataclasses.is_dataclass(a):
+            _assert_same_draws(a, b, where)
+        elif isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
+        else:
+            assert type(a) is type(b) and a == b, where
+
+
+def test_otm_prep_matches_the_numpy_drawn_oracles():
+    # otm_prep draws its secrets and both extractors' seed bits in one
+    # coin-bit kernel call; the oracles draw each from its own numpy
+    # generator and build every record through its checked constructor.
+    # Every 9th seed draws fresh codes; the rest read a fixed pair per shape.
+    shapes = [(15, 8, 3), (12, 16, 4), (20, 24, 9), (12, 0, 4)]
+    cases = [(ProtocolParams(n=n, lam=lam, k=k), (random_code(n, k, 900), random_code(n, k, 901)))
+             for n, lam, k in shapes]
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 2**70, np.int64(-5)]
+    seeds += list(range(2, 4000))
+    for i, seed in enumerate(seeds):
+        params, codes = cases[i % 4]
+        codes = None if i % 9 == 0 else codes
+        msg = params.msg_len
+        m0 = np.array([(i >> j) & 1 for j in range(msg)], dtype=np.uint8)
+        m1 = np.array([(i >> (msg + j)) & 1 for j in range(msg)], dtype=np.uint8)
+        pkg = otm_prep(m0, m1, params, seed=seed, codes=codes)
+        inst = otrm_prep(params, derive_seed(seed, "otrm"), codes=codes)
+        ext0, ext1 = (make_extractor(params.n, msg, derive_seed(seed, f"ext{a}")) for a in (0, 1))
+        want = OtmPackage(inst, m0 ^ ext0.apply(inst.c0), m1 ^ ext1.apply(inst.c1), ext0, ext1)
+        _assert_same_draws(pkg, want)
+        for alpha in (0, 1):
+            _assert_same_draws(otm_read(pkg, alpha, seed=i), otm_read(want, alpha, seed=i),
+                               f"read{alpha}")
+
+
 def test_round_trip_draw_counts_and_refusal_order(monkeypatch):
     params = ProtocolParams(n=15, lam=8, k=3)
     codes = (random_code(15, 3, 900), random_code(15, 3, 901))
@@ -373,7 +413,7 @@ def test_round_trip_draw_counts_and_refusal_order(monkeypatch):
     monkeypatch.setattr(protocol, "derive_seed", spy("derive_seed", protocol.derive_seed))
     monkeypatch.setattr(np.random, "default_rng", spy("default_rng", np.random.default_rng))
     otm_prep(m, m, params, seed=5, codes=codes)
-    assert calls == {"_coin_bits": 3, "derive_seed": 4}
+    assert calls == {"_coin_bits": 1, "derive_seed": 4}
     calls.clear()
     otm_read(pkg, 1, seed=6)
     assert calls == {"default_rng": 1}
@@ -384,7 +424,7 @@ def test_round_trip_draw_counts_and_refusal_order(monkeypatch):
         (lambda: otm_prep(m, np.zeros((1, 1)), params, seed=5, codes=codes), "messages must hold"),
         (lambda: otm_prep(m, m, params, seed=5, codes=(short, codes[1])), "code shapes disagree"),
         (lambda: otm_prep(m, m, params, seed=5, codes=(codes[0], narrow)), "code shapes disagree"),
-        (lambda: otrm_prep(params, seed=5, codes=(codes[0], narrow)), "code shapes disagree"),
+        (lambda: otm_prep(m, m, params, seed=5.0, codes=codes), "seed must be an integer"),
         (lambda: otm_read(pkg, 1.0, seed=6), "alpha must be an integer"),
         (lambda: otrm_read(pkg.instance, np.float64(0), seed=6), "alpha must be an integer"),
     ]
@@ -480,10 +520,11 @@ def test_make_extractor_seed_bits_are_generator_draws():
 
 @pytest.fixture
 def no_draws(monkeypatch):
-    """Fail any draw of extractor seed bits."""
+    """Fail any draw of extractor seed bits, by the library or the oracle."""
     def draw(*args):
         raise AssertionError("seed bits drawn before the arguments were checked")
     monkeypatch.setattr(protocol, "_coin_bits", draw)
+    monkeypatch.setattr(np.random, "default_rng", draw)
 
 
 def test_make_extractor_refuses_long_outputs_before_drawing(no_draws):
@@ -495,7 +536,8 @@ def test_make_extractor_refuses_long_outputs_before_drawing(no_draws):
 
 def test_make_extractor_refuses_non_integer_seeds_before_drawing(no_draws):
     # an array would otherwise seed PCG64 silently
-    for seed in (np.zeros(5, dtype=np.uint8), np.random.default_rng(4), True, 1.0, None):
+    for seed in (np.zeros(5, dtype=np.uint8), np.random.Generator(np.random.PCG64(4)), True,
+                 1.0, None):
         with pytest.raises(ValueError, match="seed must be an integer"):
             make_extractor(4, 2, seed)
 
@@ -1134,6 +1176,14 @@ _PARAMS = ProtocolParams(n=3, lam=8, k=1)      # one message bit
      "messages must hold lam/8 = 1 bits"),
     (lambda: simulator_transcript(np.zeros(1), np.zeros(1), _PARAMS, [0.0] * 4),
      "strategy lists more qubits than the instance holds"),
+    # a root seed is an integer: these once drew streams of their own ("1" that of 1)
+    (lambda: otm_prep(np.zeros(1), np.zeros(1), _PARAMS, seed=1.0), "seed must be an integer"),
+    (lambda: otm_prep(np.zeros(1), np.zeros(1), _PARAMS, seed=True), "seed must be an integer"),
+    (lambda: otm_prep(np.zeros(1), np.zeros(1), _PARAMS, seed=None), "seed must be an integer"),
+    (lambda: otm_prep(np.zeros(1), np.zeros(1), _PARAMS, seed="1"), "seed must be an integer"),
+    (lambda: mc_correctness(_PARAMS, 0, 10, seed=1.0), "seed must be an integer, got 1.0"),
+    (lambda: simulator_transcript(np.zeros(1), np.zeros(1), _PARAMS, seed=np.float64(2)),
+     "seed must be an integer"),
 ])
 def test_refusals_name_their_cause(call, fragment):
     with pytest.raises(ValueError) as info:
