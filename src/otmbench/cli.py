@@ -183,8 +183,8 @@ def _run_bounds(args):
 
 def _run_simulate(args):
     params = protocol.ProtocolParams(n=args.n, k=args.k, rate=args.rate, lam=args.lam)
-    m0 = _derived_message(params, args.seed, "m0")
-    m1 = _derived_message(params, args.seed, "m1")
+    (m0,), (m1,) = _coin_bits(*((derive_seed(args.seed, label), (params.msg_len,))
+                                for label in ("m0", "m1")))
     pkg = protocol.otm_prep(m0, m1, params, seed=derive_seed(args.seed, "pkg"))
     read = protocol.otm_read(pkg, args.alpha, derive_seed(args.seed, "read"))
     stats = protocol.mc_correctness(
@@ -214,11 +214,6 @@ def _run_simulate(args):
         result["simulator"] = dataclasses.asdict(sim)
     _emit(args, _json_report(args, result))
     return EXIT_OK
-
-
-def _derived_message(params, seed, label):
-    ((message,),) = _coin_bits((derive_seed(seed, label), (params.msg_len,)))
-    return message
 
 
 def _run_feasibility(args):

@@ -91,21 +91,32 @@ def _lam_extremes(mat: np.ndarray) -> tuple[float, float]:
 class _Family(NamedTuple):
     """One F functional: groups of numerator states over a shared denominator."""
 
-    num_mats: tuple      # per group, array (k, 3) of numerator coefficient rows
+    cols: tuple          # per group, C-contiguous (3, 2) array: numerator rows as columns
     den_vecs: tuple      # per group, (3,) denominator coefficient vector
     groups: tuple        # per group, (numerator rows, denominator row) as float tuples
     crude: float         # sum_j lam_max(V_j)^2 / lam_min(W_group) over all numerators
 
 
 def _make_family(groups) -> _Family:
-    num_mats, den_vecs, rows, crude = [], [], [], 0.0
+    """The family of these (numerator states, denominator state) groups;
+    ValueError, before anything is built, for no groups or for a group
+    whose numerator does not hold exactly two states (_eval_family squares
+    two columns and starts from the first group's term)."""
+    groups = list(groups)
+    if not groups:
+        raise ValueError("a family takes at least one group")
+    for nums, _ in groups:
+        if len(nums) != 2:
+            raise ValueError(f"a family group takes 2 numerator states, got {len(nums)}")
+    cols, den_vecs, rows, crude = [], [], [], 0.0
     for nums, den in groups:
-        num_mats.append(np.stack([_coeff(v) for v in nums]))
+        num_rows = np.stack([_coeff(v) for v in nums])
+        cols.append(np.ascontiguousarray(num_rows.T))
         den_vecs.append(_coeff(den))
-        rows.append((tuple(map(tuple, num_mats[-1].tolist())), tuple(den_vecs[-1].tolist())))
+        rows.append((tuple(map(tuple, num_rows.tolist())), tuple(den_vecs[-1].tolist())))
         lmin = _lam_extremes(den)[0]
         crude += sum(_lam_extremes(v)[1] ** 2 for v in nums) / lmin
-    return _Family(tuple(num_mats), tuple(den_vecs), tuple(rows), crude)
+    return _Family(tuple(cols), tuple(den_vecs), tuple(rows), crude)
 
 
 def _ensemble_families():
@@ -170,15 +181,31 @@ def _eval_family(fam: _Family, pts: np.ndarray) -> tuple:
 
     Terms whose denominator is at most _DEN_ZERO contribute 0, so
     zero-trace elements give 0.
+
+    On two or more rows this gives the same bits as the textbook form, which
+    starts total at 0 and den_min at inf and adds, per group,
+    np.square(pts @ nums.T).sum(axis=-1) / d, with nums.T the strided
+    transposed view of the (2, 3) numerator rows.  numpy reduces a length-2
+    axis as x0 + x1, the sum written out here.  Each term is nonnegative,
+    so 0.0 + t == t, and min(inf, d) == d: starting from the first group's
+    term and denominator changes no bit.  cols holds the numbers of nums.T
+    in C order, and numpy's product of an array of two or more rows with
+    either gives equal bits; a one-row product may round differently, so
+    every caller passes at least 8 rows.
+    test_eval_family_matches_the_textbook_bits holds both outputs to the
+    oracle's bytes.
     """
-    total = np.zeros(pts.shape[:-1])
-    den_min = np.full(pts.shape[:-1], np.inf)
-    for nums, den in zip(fam.num_mats, fam.den_vecs):
+    total = den_min = None
+    for cols, den in zip(fam.cols, fam.den_vecs):
         d = pts @ den
-        den_min = np.minimum(den_min, d)
-        num = np.square(pts @ nums.T).sum(axis=-1)
+        x = pts @ cols
+        num = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
         keep = d > _DEN_ZERO   # the other terms divide by 1.0 and are dropped
-        total = total + np.where(keep, num / np.where(keep, d, 1.0), 0.0)
+        term = np.where(keep, num / np.where(keep, d, 1.0), 0.0)
+        if total is None:
+            total, den_min = term, d
+        else:
+            total, den_min = total + term, np.minimum(den_min, d)
     return total, den_min
 
 

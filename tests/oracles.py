@@ -7,8 +7,9 @@ no function of that module: the light-cone oracles read only a grid's
 extractor's seed bits and sizes, the nearest message only a code's
 generator, the rank-one lower bounds score every POVM through collinfo
 on its exact outcome table, the distribution writers and the
-conditional collision entropy only a joint's names and table, and the
-report reader only the json module.  The protocol's draws are the one
+conditional collision entropy only a joint's names and table, the family
+kernel only a family's float rows, and the report reader only the json
+module.  The protocol's draws are the one
 exception: its instance and extractor are numpy's own per-seed draws put
 through the public checked constructors, the reference that otm_prep's
 coin-bit kernel is held to.
@@ -161,6 +162,29 @@ def nearest_message(code, word) -> int:
     messages = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1   # row m is m's bits
     dists = ((messages @ code.generator.T.astype(np.int64)) % 2 != np.asarray(word)).sum(axis=1)
     return int(np.flatnonzero(dists == dists.min())[0])
+
+
+# ---------------------------------------------------------------------------
+# the leakage family kernel, in its textbook form
+
+
+def eval_family(fam, pts) -> tuple:
+    """F at points (M, 3) and the least group denominator, read from the
+    family's (numerator rows, denominator row) float groups alone: total
+    starts at 0 and the minimum at inf, each group adds the squared norm
+    np.square(pts @ nums.T).sum(axis=-1) against the strided transposed
+    view of its (2, 3) rows over its denominator, and terms whose
+    denominator is at most 1e-12 add 0."""
+    total = np.zeros(pts.shape[:-1])
+    den_min = np.full(pts.shape[:-1], np.inf)
+    for num_rows, den_row in fam.groups:
+        nums, den = np.array(num_rows), np.array(den_row)
+        d = pts @ den
+        den_min = np.minimum(den_min, d)
+        num = np.square(pts @ nums.T).sum(axis=-1)
+        keep = d > 1e-12
+        total = total + np.where(keep, num / np.where(keep, d, 1.0), 0.0)
+    return total, den_min
 
 
 # ---------------------------------------------------------------------------

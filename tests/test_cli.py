@@ -268,7 +268,7 @@ def test_simulate_seed_is_any_integer(capsys):
 
 
 def test_simulate_refuses_huge_lam_before_drawing_messages(capsys):
-    with mock.patch.object(cli, "_derived_message", wraps=cli._derived_message) as draw:
+    with mock.patch.object(cli, "_coin_bits", wraps=cli._coin_bits) as draw:
         code = cli.main(["simulate", "--n", "6", "--k", "2", "--trials", "5",
                          "--lam", "8796093022208"])
         assert draw.call_count == 0

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import basis_projectors, grid_pairs, rank_one_lower_bounds
+from oracles import basis_projectors, eval_family, grid_pairs, rank_one_lower_bounds
 from otmbench import povmsearch
 from otmbench.errors import InvariantViolationError, ResourceLimitError
 from otmbench.povmsearch import (
@@ -32,6 +32,7 @@ from otmbench.povmsearch import (
     _corner_points,
     _count_flat_cells,
     _eval_family,
+    _make_family,
     _net_level,
     _outcome_table,
     _pair_cells,
@@ -210,6 +211,72 @@ def test_scalar_path_matches_array_kernel():
             sums = [_eval_family(fam, np.array(p._rows))[0].sum() for fam in _quantity(q).fams]
             assert abs(fast - float(_combine(q, *sums))) <= 1e-13
             assert quantity_value(r, q) == fast
+
+
+FAMILIES = (povmsearch._FAM_F0, povmsearch._FAM_F1, povmsearch._FAM_F01,
+            povmsearch._FAM_G0, povmsearch._FAM_G1)
+
+
+def _kernel_points(kind, m, rng):
+    """m points (a, b, c) of one kind: uniform in [-1.5, 2]^3, on the
+    0.05-grid of the net (denominators exactly 0 among them), zero rows,
+    within 1e-12 of 0 (denominators at and under _DEN_ZERO and
+    _DEN_FLOOR), or a shuffled mix of these and of points within 1e-9."""
+    if kind == "uniform":
+        return rng.uniform(-1.5, 2.0, (m, 3))
+    if kind == "grid":
+        return 0.05 * rng.integers(0, 21, (m, 3)) - np.array([0.0, 0.5, 0.0])
+    if kind == "zero":
+        return np.zeros((m, 3))
+    if kind == "tiny":
+        return rng.uniform(-1e-12, 1e-12, (m, 3))
+    parts = [_kernel_points(k, m, rng) for k in ("uniform", "grid", "zero", "tiny")]
+    parts.append(rng.uniform(-1e-9, 1e-9, (m, 3)))
+    return rng.permutation(np.concatenate(parts))[:m]
+
+
+def test_eval_family_matches_the_textbook_bits():
+    # _eval_family's docstring argues its bits equal the textbook form's on
+    # two or more rows (a one-row product may round differently): checked
+    # for every family on each kind of point and on its complements I - p
+    rng = np.random.default_rng(30)
+    identity = np.array([1.0, 0.0, 1.0])
+    for m in (2, 8, 9, 1000, 30_000):
+        for kind in ("uniform", "grid", "zero", "tiny", "mixed"):
+            pts = _kernel_points(kind, m, rng)
+            for p in (pts, identity - pts):
+                for fam in FAMILIES:
+                    got, want = _eval_family(fam, p), eval_family(fam, p)
+                    assert got[0].tobytes() == want[0].tobytes(), (m, kind)
+                    assert got[1].tobytes() == want[1].tobytes(), (m, kind)
+
+
+def test_family_operands_are_contiguous_columns():
+    # a strided transposed view gives the same numbers but takes numpy's
+    # slow product path: the layout is held here, not only by timing
+    for fam in FAMILIES:
+        for cols, (num_rows, _) in zip(fam.cols, fam.groups):
+            assert cols.shape == (3, 2) and cols.dtype == np.float64
+            assert cols.flags.c_contiguous
+            assert cols.T.tolist() == [list(r) for r in num_rows]
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_family_groups_take_two_numerator_states(count, monkeypatch):
+    # the bad group comes second, so the good one would be built first
+    # were the refusal made group by group
+    def no_build(mat):
+        raise AssertionError("a group was built before the refusal")
+
+    monkeypatch.setattr(povmsearch, "_coeff", no_build)
+    eye = np.eye(2)
+    with pytest.raises(ValueError, match="2 numerator states"):
+        _make_family([((eye, eye), eye), ((eye,) * count, eye)])
+
+
+def test_family_takes_a_group():
+    with pytest.raises(ValueError, match="at least one group"):
+        _make_family([])
 
 
 # ---------------------------------------------------------------------------
