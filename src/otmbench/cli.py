@@ -10,8 +10,9 @@ Structured reports are JSON objects {"config", "result", "meta"}; the
 meta block holds the timestamp so that re-running a config reproduces
 the config and result bytes exactly.  Exit codes: 0 success, 2 invariant
 violation, 3 resource budget exceeded, 4 bad input.  On every exit 3
-bounds writes its partial report, with null for each bound of a stage it
-never reached; every other subcommand writes only its stderr line.
+bounds writes its partial report, whose corrected_bound already holds
+for every measurement and whose frontier_bound is null; every other
+subcommand writes only its stderr line.
 """
 
 from __future__ import annotations
@@ -91,8 +92,6 @@ def build_parser() -> _Parser:
     b.add_argument("--quantity", choices=povmsearch.QUANTITIES, default="greater")
     b.add_argument("--coarse", type=float, default=0.05)
     b.add_argument("--fine", type=float, default=0.005)
-    b.add_argument("--slice-eps", type=float, default=5e-4,
-                   help="arc width of the all-measurement certificate, in Bloch angle")
     b.add_argument("--time-budget", type=float, default=None, help="seconds")
 
     s = sub.add_parser("simulate", help="protocol reads and Monte-Carlo statistics")
@@ -172,7 +171,6 @@ def _run_bounds(args):
             eps_fine=args.fine,
             quantity=args.quantity,
             time_budget=args.time_budget,
-            slice_eps=args.slice_eps,
         )
     except ResourceLimitError as e:                  # every one carries a partial report
         rep, code, error = e.partial, EXIT_RESOURCE, {"type": "resource", "message": str(e)}

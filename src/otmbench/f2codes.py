@@ -217,15 +217,18 @@ class LinearCode:
 def random_code(n: int, k: int, seed: int) -> LinearCode:
     """Sample a uniform full-column-rank generator, resampling as needed.
 
-    Deterministic for fixed (n, k, seed).
+    Deterministic for fixed (n, k, seed); seed must be an integer.  The
+    rank is checked once, by LinearCode, which refuses a draw only for it.
     """
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int("seed", seed))
     while True:
         gen = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
-        if f2_rank(gen) == k:
+        try:
             return LinearCode(gen)
+        except ValueError:      # rank below k: draw again
+            pass
 
 
 def encode(code: LinearCode, message: np.ndarray) -> np.ndarray:
@@ -336,9 +339,10 @@ def mc_failure_prob(code: LinearCode, p: float, trials: int, seed: int) -> float
     :func:`ml_decode_packed`; drawn in chunks of max(1024, 2^22 / 2^k) trials,
     cut to at most 2^22 / n so that no chunk draws more than 2^22 error bits,
     after building the decode table if all the trials pay for it.  Refuses p
-    outside [0, 1] (nan too) and more than MAX_SAMPLED_BITS error bits in
-    all, before anything is drawn."""
+    outside [0, 1] (nan too), a seed that is not an integer and more than
+    MAX_SAMPLED_BITS error bits in all, before anything is drawn."""
     _check_flip_prob(p)
+    seed = _check_int("seed", seed)
     _check_trials(trials, code.n)
     cw = code.codeword_ints
     if _table_pays(code, trials):

@@ -20,13 +20,11 @@ here:
   cells share corners, about four cells to a distinct corner, so the net
   bounds each level in blocks of cells and evaluates each block's distinct
   corner triples once, with the same bits as evaluating every corner.
-* Pure-state arc certificate: sum_i F(M_i) = sum_i Tr[M_i] F(M_i/Tr[M_i])
-  <= 2 max{F(P) : P PSD, Tr P = 1}, for any number of elements.  On that
-  unit-trace disc a convex F peaks on the boundary circle of pure
-  states, which is covered by thin triangles around short arcs; F's
-  largest triangle vertex value certifies the maximum.  This yields an
-  upper bound valid for all POVMs, not just the two-outcome net, and it
-  is what search_bounds reports as corrected_bound.
+* Exact all-POVM constants: sum_i F(M_i) = sum_i Tr[M_i] F(M_i/Tr[M_i])
+  <= 2K for any number of elements, with K the maximum of F on the pure
+  states, which five polynomial identities give exactly (_Quantity).  The
+  bound holds for every POVM, and search_bounds reports it as
+  corrected_bound.
 
 Measurements with complex entries never help: the states are real, so
 the imaginary part of an element drops out of every trace above.
@@ -126,41 +124,58 @@ def _ensemble_families():
     eye = np.eye(2)
     f0 = _make_family([((bar0[0], bar0[1]), eye)])
     f1 = _make_family([((bar1[0], bar1[1]), eye)])
-    f01 = _make_family([((bar0[0], bar0[1]), eye), ((bar1[0], bar1[1]), eye)])
     g0 = _make_family([((rho[(0, y)], rho[(1, y)]), bar1[y]) for y in (0, 1)])
     g1 = _make_family([((rho[(x, 0)], rho[(x, 1)]), bar0[x]) for x in (0, 1)])
-    return f0, f1, f01, g0, g1
+    return f0, f1, g0, g1
 
 
-_FAM_F0, _FAM_F1, _FAM_F01, _FAM_G0, _FAM_G1 = _ensemble_families()
+_FAM_F0, _FAM_F1, _FAM_G0, _FAM_G1 = _ensemble_families()
 
 
 class _Quantity(NamedTuple):
     """How one leakage quantity is read from each figure that gives it.
 
-    from_logs takes the log2 sums la, lb of the two families over one
-    POVM and their larger one; from_slice takes the arc certificate's
-    certified slice maximum K, and every family sum is at most 2K;
-    from_figures takes the exact figures ic_b0, ic_b1, cond_b0, cond_b1.
-    Each works on floats and on numpy columns alike.
+    bound is the least double at or above the quantity's maximum over all
+    POVMs, of any element count.  from_logs takes the log2 sums la, lb of
+    the two families over one POVM and their larger one; from_figures
+    takes the exact figures ic_b0, ic_b1, cond_b0, cond_b1.  Each works on
+    floats and on numpy columns alike.
+
+    Each family sum is at most 2K, with K the maximum of its F on the pure
+    states (1, t)/sqrt(1 + t^2).  There F = (1/(1 + t^2)) sum_g N_g/D_g,
+    each D_g positive (its state is positive definite), so K - F has the
+    sign of p(t) = K (1 + t^2) prod_g D_g - sum_g N_g prod_{h != g} D_h,
+    which factors over Q (the sqrt(2) of the states cancels) as
+
+        f0 at K = 3/4:        t^2
+        f1 at K = 3/4:        (1/4) (t - 1)^2 (t + 1)^2
+        f0 + f1 at K = 5/4:   0, so it is 5/4 on every pure state
+        g0 at K = 3:          (1/2) t^2 (t^2 + 1)
+        g1 at K = 3:          (1/8) (t - 1)^2 (t + 1)^2 (t^2 + 1)
+
+    each >= 0 for real t, with a t^(2G+2) coefficient >= 0 for the state
+    (0, 1); the distinguished bases attain each K.  So greater <=
+    log2(2 * 3/4) = log2(3/2), conditional <= log2(2 * 3) - 2 = log2(3/2),
+    and total = log2(S0 S1) with S0 + S1 <= 2 * 5/4, so by AM-GM S0 S1 <=
+    (5/4)^2 and total <= 2 log2(5/4).  The tests build each p from the
+    exact states and prove each literal by a Fraction enclosure of log2.
     """
 
+    bound: float
     fams: tuple           # the two families whose per-POVM sums give the value
     from_logs: Callable
-    slice_fams: tuple     # the families the arc certificate maximizes
-    from_slice: Callable
     from_figures: Callable
 
 
 _QUANTITY = {
-    "greater": _Quantity((_FAM_F0, _FAM_F1), lambda la, lb, top: top,
-                         (_FAM_F0, _FAM_F1), lambda k: 1.0 + math.log2(k),
+    "greater": _Quantity(0.5849625007211562,         # log2(3/2), rounded up
+                         (_FAM_F0, _FAM_F1), lambda la, lb, top: top,
                          lambda ic0, ic1, c0, c1: np.maximum(ic0, ic1)),
-    "total": _Quantity((_FAM_F0, _FAM_F1), lambda la, lb, top: la + lb,
-                       (_FAM_F01,), lambda k: 2.0 * math.log2(k),
+    "total": _Quantity(0.6438561897747247,           # 2 log2(5/4), rounded up
+                       (_FAM_F0, _FAM_F1), lambda la, lb, top: la + lb,
                        lambda ic0, ic1, c0, c1: ic0 + ic1),
-    "conditional": _Quantity((_FAM_G0, _FAM_G1), lambda la, lb, top: top - 2.0,
-                             (_FAM_G0, _FAM_G1), lambda k: -1.0 + math.log2(k),
+    "conditional": _Quantity(0.5849625007211562,     # log2(3/2), rounded up
+                             (_FAM_G0, _FAM_G1), lambda la, lb, top: top - 2.0,
                              lambda ic0, ic1, c0, c1: np.maximum(c0, c1)),
 }
 
@@ -439,52 +454,6 @@ def quantity_value(povm: Povm, quantity: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pure-state arc certificate
-
-_MAX_ARCS = 1 << 24   # refused before anything is allocated
-
-
-def _slice_certificate(quantity: str, slice_eps: float) -> tuple:
-    """Upper bound over ALL POVMs via the pure-state maximum; (bound, K, arcs).
-
-    Any element count is covered: sum_i F(M_i) = sum_i Tr[M_i]
-    F(M_i / Tr[M_i]) <= 2K, with K the maximum of F over the unit-trace
-    slice (a, b, 1-a) of PSD matrices.  The slice is a disc; every
-    denominator is Tr[M W] with W positive definite, so it is positive on
-    the disc, F is convex there, and F peaks on the boundary circle of
-    pure states a = 1/2 + cos(u)/2, b = sin(u)/2 (u the Bloch angle).
-
-    The circle is cut into n = 4 * ceil(pi / (2 slice_eps)) arcs of width
-    h = 2 pi / n <= slice_eps.  Each arc lies in the triangle spanned by
-    its two endpoints and the point where their tangents meet (angle
-    u + h/2, radius 1/(2 cos(h/2))).  Every denominator is checked to be
-    >= 1e-6 at every vertex; being affine, it is then positive on the
-    whole triangle, F is convex there and peaks at a vertex.  So the
-    largest vertex value is a certified K.  n is a multiple of 4, so the
-    Bloch axis points u = 0, pi/2, pi, 3 pi/2 are arc endpoints and the
-    "greater" bound, attained there, stays exact.
-    """
-    quant = _quantity(quantity)
-    quarter_arcs = math.pi / 2.0 / slice_eps   # 2 * slice_eps could overflow
-    if quarter_arcs > _MAX_ARCS // 4:
-        raise ResourceLimitError(f"slice_eps {slice_eps} needs more than {_MAX_ARCS} arcs")
-    n_arcs = 4 * math.ceil(quarter_arcs)
-    h = 2.0 * math.pi / n_arcs
-    ends = h * np.arange(n_arcs)
-    u = np.concatenate([ends, ends + h / 2])
-    r = np.repeat([0.5, 0.5 / math.cos(h / 2)], n_arcs)
-    a = 0.5 + r * np.cos(u)
-    pts = np.stack([a, r * np.sin(u), 1.0 - a], axis=-1)
-    k = 0.0
-    for fam in quant.slice_fams:
-        vals, den = _eval_family(fam, pts)
-        if den.min() < 1e-6:
-            raise InvariantViolationError("slice denominator lost its positive floor")
-        k = max(k, float(vals.max()))
-    return quant.from_slice(k), k, n_arcs
-
-
-# ---------------------------------------------------------------------------
 # two-outcome progressive net
 
 # cells one net array may hold: the coarse net, the flat count's (a, c)
@@ -606,12 +575,13 @@ def corner_corrected_value(povm: Povm, eps: float, quantity: str) -> float:
     up to eps, and the second element absorbs the difference.  At
     eps = 0, and for the one-element POVM, which has no free entry, this
     is quantity_value.  At eps > 0 three- and four-element POVMs are
-    refused: no stage builds such cells, and the arc certificate bounds
-    every element count.
+    refused: no stage builds such cells, and corrected_bound covers every
+    element count.  eps past 1 is refused too: a width-1 cell already
+    spans every element entry, and wider corners overflow to nan.
     """
     _quantity(quantity)                  # a bad name is refused before eps
-    if not 0.0 <= eps < math.inf:
-        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must lie in [0, 1], got {eps}")
     rows = povm._rows
     if eps == 0.0 or len(rows) == 1:
         return _point_value(quantity, rows)
@@ -638,13 +608,14 @@ def _refine_steps(eps_coarse: float, eps_fine: float) -> list:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Result of search_bounds; a partial report (complete False) leaves
-    the stages it never reached at corrected_bound and frontier_bound inf
-    (None in as_dict, so null in JSON), slice_cells 0 and flat_cells 0.
-
-    The corrected bound is the arc certificate's bound, so slice_bound is
-    derived as a copy of it, and supports as its verdict against each of
-    REFERENCE_SETS (within 1e-12)."""
+    """Result of search_bounds.  corrected_bound is the quantity's exact
+    all-POVM bound (_Quantity.bound), raised to raw_max where the point
+    evaluator reads a few ulps above it; slice_bound is derived as a copy
+    of it, and supports as its verdict against each of REFERENCE_SETS
+    (within 1e-12).  slice_epsilon and slice_cells stay in the report at
+    0: no slice is cut into cells.  A partial report (complete False)
+    leaves frontier_bound inf (None in as_dict, so null in JSON) and
+    flat_cells 0."""
 
     quantity: str
     raw_max: float
@@ -653,11 +624,11 @@ class BoundReport:
     net_epsilon: float
     refinement_levels: int
     slice_bound: float = field(init=False)
-    slice_epsilon: float
+    slice_epsilon: float = field(default=0.0, init=False)
     frontier_bound: float
     cells_visited: int
     flat_cells: int
-    slice_cells: int
+    slice_cells: int = field(default=0, init=False)
     supports: dict = field(init=False)
     complete: bool
     elapsed_s: float
@@ -677,8 +648,8 @@ class BoundReport:
         # elapsed_s stays off the dict: serialized reports must be
         # byte-reproducible across runs, and wall time is not
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "elapsed_s"}
-        for name in ("corrected_bound", "slice_bound", "frontier_bound"):
-            d[name] = d[name] if math.isfinite(d[name]) else None
+        if not math.isfinite(self.frontier_bound):
+            d["frontier_bound"] = None
         d["argmax_povm"] = self.argmax_povm.as_lists()
         return d
 
@@ -688,31 +659,27 @@ def search_bounds(
     eps_fine: float = 0.005,
     quantity: str = "greater",
     time_budget: float | None = None,
-    slice_eps: float = 5e-4,
 ) -> BoundReport:
-    """Progressive net search plus the all-POVM arc certificate.
+    """Progressive net search plus the exact all-POVM bound.
 
     The coarse two-outcome pass corner-corrects every cell, discards
     cells that provably cannot beat the raw incumbent, and refines the
     survivors down to eps_fine (frontier_bound certifies the two-outcome
     family).  Every refinement level runs, even one left with no cell: it
-    bounds nothing, so the incumbent is then the frontier.  The arc
-    certificate, with arcs at most slice_eps wide in Bloch angle,
-    independently bounds POVMs of every element count and is reported as
-    corrected_bound.
+    bounds nothing, so the incumbent is then the frontier.  The
+    quantity's bound, proven for POVMs of every element count (_Quantity),
+    is reported as corrected_bound, or raw_max where that reads higher.
 
     Raises ResourceLimitError with a partial report if the time budget
-    runs out or a net level, the arc count or the flat-cell table would
-    pass its limit; the deadline is checked before the arc certificate,
-    each block of _NET_BLOCK cells of a net level and the flat-cell count.
-    A partial report counts the cells of the blocks bounded.
+    runs out or a net level or the flat-cell table would pass its limit;
+    the deadline is checked before each block of _NET_BLOCK cells of a net
+    level and before the flat-cell count.  A partial report counts the
+    cells of the blocks bounded.
     """
     _quantity(quantity)                  # a bad name is refused before the sizes
     # a normal float keeps 1/eps finite, so the cell counts below exist
     if not sys.float_info.min <= eps_fine <= eps_coarse + 1e-15 < math.inf:
         raise ValueError(f"need {sys.float_info.min} <= eps_fine <= eps_coarse < inf")
-    if not 0.0 < slice_eps < math.inf:
-        raise ValueError(f"slice_eps must be positive and finite, got {slice_eps}")
     if time_budget is not None and math.isnan(time_budget):
         raise ValueError("time_budget must be a number of seconds, not nan")
     start = time.monotonic()
@@ -732,25 +699,25 @@ def search_bounds(
     best = min((-_point_value(quantity, rows), rows)
                for rows in map(_basis_rows, DISTINGUISHED_ANGLES))
 
-    slice_bound, slice_cells, flat_cells = math.inf, 0, 0
-    visited, level, eps = 0, 0, eps_coarse
+    visited, level, eps, flat_cells = 0, 0, eps_coarse, 0
 
     def make_report(complete, frontier):
         # the net ranks corners by the batched kernel, whose last bits may
         # differ from the point evaluator's; raw_max is what argmax_povm
-        # attains by quantity_value, and pruning keeps -best[0]
+        # attains by quantity_value, and pruning keeps -best[0].  That
+        # evaluator reads a few ulps above the exact maximum, so the bound
+        # is raised to it; the proof rests on _Quantity.bound alone
+        raw_max = _point_value(quantity, best[1])
         return BoundReport(
             quantity=quantity,
-            raw_max=_point_value(quantity, best[1]),
-            corrected_bound=slice_bound,
+            raw_max=raw_max,
+            corrected_bound=max(_QUANTITY[quantity].bound, raw_max),
             argmax_povm=Povm.from_coords(best[1]),
             net_epsilon=eps,
             refinement_levels=level,
-            slice_epsilon=slice_eps,
             frontier_bound=frontier,
             cells_visited=visited,
             flat_cells=flat_cells,
-            slice_cells=slice_cells,
             complete=complete,
             elapsed_s=time.monotonic() - start,
         )
@@ -762,8 +729,6 @@ def search_bounds(
                 f"flat-cell (a, c) table of {fine_a * fine_a} cells exceeds {_MAX_NET_CELLS}")
         n_a, n_b = _axis_counts(eps)
         bases = _net_level(np.zeros((1, 3)), eps, (0, -n_b, 0), (n_a, n_b, n_a))
-        check_deadline()
-        slice_bound, _, slice_cells = _slice_certificate(quantity, slice_eps)
         steps = _refine_steps(eps_coarse, eps_fine)
         while True:
             corr = np.empty(bases.shape[0])

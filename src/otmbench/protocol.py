@@ -171,16 +171,17 @@ class ReadResult:
     success: bool             # message equals the instance's secret
 
 
-def otrm_read(instance: OtrmInstance, alpha: int, seed) -> ReadResult:
+def otrm_read(instance: OtrmInstance, alpha: int, seed: int) -> ReadResult:
     """Measure every qubit in basis alpha and ML-decode the word.
 
     The matched basis turns each qubit into one use of a binary symmetric
     channel at crossover sin^2(pi/8) on the chosen codeword; decode
     failure is reported via the success flag (the receiver itself cannot
-    detect it).
+    detect it).  alpha, then seed, must be integers: a float, a bool or
+    None is refused before anything is drawn.
     """
     alpha = _check_alpha(alpha)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int("seed", seed))
     word = sample_measurements(instance.angles, _READOUT[alpha], rng)
     code = (instance.code0, instance.code1)[alpha]
     u = _decode_index(code, word)          # the sampler's word is 0/1 already
@@ -295,7 +296,7 @@ class OtmReadResult:
     inner: ReadResult
 
 
-def otm_read(pkg: OtmPackage, alpha: int, seed) -> OtmReadResult:
+def otm_read(pkg: OtmPackage, alpha: int, seed: int) -> OtmReadResult:
     """Read one string, re-derive its pad, and unmask the ciphertext.
 
     The output equals the hidden message exactly when the inner decode

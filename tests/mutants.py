@@ -1,0 +1,161 @@
+"""A standing table of mutants: small breaks of the library that named
+tests must catch.
+
+Each row names a file of the repository, an exact text in it, the text
+that replaces it, the test node ids that must all fail once it is
+replaced, and why the break matters.  tests/test_mutants.py checks, in the
+ordinary suite, that each old text still occurs exactly once, so a change
+that rewrites the code must rewrite or retire its rows.
+
+Run every row with
+
+    python tests/mutants.py
+
+It copies the repository's src/, tests/, perfbench/, pyproject.toml and
+README.md to a temporary directory, checks that every listed test passes
+there unchanged, then for each row applies the mutant to a fresh copy and
+runs the row's tests in a subprocess.  It lists every survivor (a row
+whose tests do not all fail) and exits 1 if there is one.
+"""
+
+from pathlib import Path
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    file: str        # path from the repository root
+    old: str         # occurs exactly once in file
+    new: str
+    kills: tuple     # test node ids that must all fail under the mutant
+    reason: str
+
+
+_POVM = "src/otmbench/povmsearch.py"
+_IDENTITIES = "tests/test_povmsearch.py::test_slice_maxima_are_polynomial_identities"
+_ROUNDING = "tests/test_povmsearch.py::test_bound_literals_round_the_maxima_up"
+_SEEDS = "src/otmbench/seeds.py"
+_COINS = "tests/test_seeds.py::test_coin_bits_match_generator_integers"
+_HASHMIX = "t = (pool[src] ^ xa[i]) * _HASH_A[i + 1] & mask\n        "
+
+
+def _literal_rows(quantity, literal, down, up):
+    old = f'"{quantity}": _Quantity({literal},'
+    kills = (f"{_IDENTITIES}[{quantity}]", f"{_ROUNDING}[{quantity}]")
+    return [
+        Mutant(_POVM, old, old.replace(literal, down), kills,
+               f"{quantity}'s bound one ulp below the maximum is no bound"),
+        Mutant(_POVM, old, old.replace(literal, up), kills,
+               f"{quantity}'s bound one ulp above the maximum is not the least"),
+    ]
+
+
+MUTANTS = [
+    *_literal_rows("greater", "0.5849625007211562", "0.5849625007211561", "0.5849625007211563"),
+    *_literal_rows("total", "0.6438561897747247", "0.6438561897747246", "0.6438561897747248"),
+    *_literal_rows("conditional", "0.5849625007211562", "0.5849625007211561",
+                   "0.5849625007211563"),
+    Mutant(_POVM, "corrected_bound=max(_QUANTITY[quantity].bound, raw_max),",
+           "corrected_bound=_QUANTITY[quantity].bound,",
+           ("tests/test_povmsearch.py::test_search_payload_is_pinned_on_nets_past_one"
+            "[0.3-0.1-greater]",
+            "tests/test_povmsearch.py::test_corrected_bounds_are_the_exact_maxima",
+            "tests/test_cli.py::test_bounds_readme_payload_is_pinned[greater]"),
+           "raw_max reads above the exact bound, and the benchmark checks "
+           "raw_max <= corrected_bound with no tolerance"),
+    Mutant(_POVM, "term = np.where(keep, num / np.where(keep, d, 1.0), 0.0)",
+           "term = np.where(keep, num * (1 / np.where(keep, d, 1.0)), 0.0)",
+           ("tests/test_povmsearch.py::test_eval_family_matches_the_textbook_bits",),
+           "dividing by a reciprocal moves the kernel's last bits off the textbook form's"),
+    Mutant(_POVM, "cols.append(np.ascontiguousarray(num_rows.T))",
+           "cols.append(num_rows.T)",
+           ("tests/test_povmsearch.py::test_family_operands_are_contiguous_columns",),
+           "the strided operand gives the same numbers on numpy's slow product path"),
+    Mutant(_POVM, "if not 0.0 <= eps <= 1.0:", "if not 0.0 <= eps < math.inf:",
+           ("tests/test_povmsearch.py::test_corner_correction_refuses_bad_eps",),
+           "corners past width 1 overflow to inf and nan"),
+    Mutant(_POVM, "frontier = max(-best[0], float(corr.max(initial=-np.inf)))",
+           "frontier = max(-best[0], float(corr[lo:].max(initial=-np.inf)))",
+           ("tests/test_povmsearch.py::test_net_level_order_never_reaches_the_report"
+            "[0.05-0.005]",),
+           "the frontier must bound every block of the last level, not its last one"),
+    Mutant(_SEEDS, _HASHMIX + "t = (t ^ t >> 16) & mask", _HASHMIX + "t = t ^ t >> 16",
+           (_COINS,), "an unmasked xor-shift carries bits into the next lane"),
+    Mutant(_SEEDS, "_LANE = 72", "_LANE = 64", (_COINS,),
+           "64-bit lanes leave no room for a product's carries"),
+    Mutant(_SEEDS, "_MIX_NEG_R = (1 << 32) - _MIX_MULT_R", "_MIX_NEG_R = _MIX_MULT_R", (_COINS,),
+           "SeedSequence's mix subtracts the right-hand product"),
+    Mutant(_SEEDS, "0 <= seed <= _M64:", "0 <= seed <= _M64 + 1:",
+           ("tests/test_seeds.py::test_coin_bits_refuse_seeds_outside_the_kernel"
+            "[0-18446744073709551616]",),
+           "a seed of 2^64 spills out of its lane"),
+    Mutant("src/otmbench/protocol.py", 'rng = np.random.default_rng(_check_int("seed", seed))',
+           "rng = np.random.default_rng(seed)",
+           ("tests/test_protocol.py::test_reads_refuse_non_integer_seeds[none]",
+            "tests/test_protocol.py::test_reads_refuse_non_integer_seeds[bool]"),
+           "a read seeded by None draws a fresh word each call, and True reads as 1"),
+    Mutant("src/otmbench/f2codes.py", 'rng = np.random.default_rng(_check_int("seed", seed))',
+           "rng = np.random.default_rng(seed)",
+           ("tests/test_f2codes.py::test_code_draws_refuse_non_integer_seeds[none]",),
+           "a code drawn from seed None differs from call to call"),
+]
+
+_COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _copy(dest: Path) -> Path:
+    for name in _COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=shutil.ignore_patterns(
+                "__pycache__", "out", ".pytest_cache"))
+        else:
+            shutil.copy2(src, dest / name)
+    return dest
+
+
+def _failing(copy: Path, node_ids) -> set:
+    """The node ids among these that fail or error in the copy."""
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *node_ids],
+        cwd=copy, capture_output=True, text=True)
+    if run.returncode not in (0, 1):
+        raise SystemExit(f"pytest could not run {node_ids}:\n{run.stdout}{run.stderr}")
+    lines = run.stdout.splitlines()
+    return {nid for nid in node_ids
+            if any(line.split(" - ")[0] in (f"FAILED {nid}", f"ERROR {nid}") for line in lines)}
+
+
+def main() -> int:
+    every = sorted({nid for m in MUTANTS for nid in m.kills})
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = _copy(Path(tmp) / "clean")
+        broken = _failing(clean, every)
+        if broken:
+            print(f"tests that fail with no mutant: {sorted(broken)}")
+            return 1
+        survivors = []
+        for i, m in enumerate(MUTANTS):
+            copy = _copy(Path(tmp) / f"m{i}")
+            path = copy / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"row {i}: old text occurs {text.count(m.old)} times in {m.file}")
+                return 1
+            path.write_text(text.replace(m.old, m.new))
+            missed = set(m.kills) - _failing(copy, m.kills)
+            status = "killed" if not missed else f"SURVIVED {sorted(missed)}"
+            print(f"row {i} ({m.file}: {m.new!r}): {status}")
+            if missed:
+                survivors.append(i)
+            shutil.rmtree(copy)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,8 @@ extractor's seed bits and sizes, the nearest message only a code's
 generator, the rank-one lower bounds score every POVM through collinfo
 on its exact outcome table, the distribution writers and the
 conditional collision entropy only a joint's names and table, the family
-kernel only a family's float rows, and the report reader only the json
+kernel only a family's float rows, the exact slice polynomials only the
+encoding's angles in eighths of pi, and the report reader only the json
 module.  The protocol's draws are the one
 exception: its instance and extractor are numpy's own per-seed draws put
 through the public checked constructors, the reference that otm_prep's
@@ -19,6 +20,7 @@ of two-outcome grid POVMs the corner-bound checks sample cells from, and
 malformed distribution files.
 """
 
+from fractions import Fraction
 import itertools
 import json
 import math
@@ -185,6 +187,158 @@ def eval_family(fam, pts) -> tuple:
         keep = d > 1e-12
         total = total + np.where(keep, num / np.where(keep, d, 1.0), 0.0)
     return total, den_min
+
+
+# ---------------------------------------------------------------------------
+# exact slice maxima: the encoding's states in Q(sqrt 2), polynomials in t
+
+
+class QSqrt2:
+    """The exact number a + b sqrt(2), with a and b Fractions."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    @staticmethod
+    def of(x) -> "QSqrt2":
+        return x if isinstance(x, QSqrt2) else QSqrt2(x)
+
+    def __add__(self, other):
+        other = QSqrt2.of(other)
+        return QSqrt2(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QSqrt2(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + -QSqrt2.of(other)
+
+    def __mul__(self, other):
+        other = QSqrt2.of(other)
+        return QSqrt2(self.a * other.a + 2 * self.b * other.b,
+                      self.a * other.b + self.b * other.a)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        other = QSqrt2.of(other)
+        return self.a == other.a and self.b == other.b
+
+    def sign(self) -> int:
+        """-1, 0 or 1, decided exactly: where a and b differ in sign, by
+        comparing a^2 with 2 b^2."""
+        sa, sb = (self.a > 0) - (self.a < 0), (self.b > 0) - (self.b < 0)
+        if sa == sb or sb == 0:
+            return sa
+        if sa == 0:
+            return sb
+        return sa if self.a * self.a > 2 * self.b * self.b else sb
+
+    def __repr__(self):
+        return f"QSqrt2({self.a}, {self.b})"
+
+
+# the encoding's angles as multiples of pi/8 (qrac.ENCODING_ANGLES)
+EIGHTHS = {(0, 0): 1, (0, 1): -1, (1, 0): 3, (1, 1): 5}
+
+
+def exact_rho(x: int, y: int) -> tuple:
+    """The coordinate row (c^2, 2 c s, s^2) of the state at angle theta =
+    k pi/8 for bits (x, y), exactly: c^2 = (1 + cos 2theta)/2 and 2 c s =
+    sin 2theta, with cos 2theta and sin 2theta = +-sqrt(2)/2 at odd k."""
+    k = EIGHTHS[x, y]
+    cos2 = QSqrt2(0, Fraction(1 if k % 8 in (1, 7) else -1, 2))
+    sin2 = QSqrt2(0, Fraction(1 if k % 8 in (1, 3) else -1, 2))
+    return (QSqrt2(Fraction(1, 2)) + Fraction(1, 2) * cos2, sin2,
+            QSqrt2(Fraction(1, 2)) - Fraction(1, 2) * cos2)
+
+
+def _mean(r, s) -> tuple:
+    return tuple(Fraction(1, 2) * (u + v) for u, v in zip(r, s))
+
+
+def exact_families() -> dict:
+    """The five leakage families, by name, as lists of (numerator rows,
+    denominator row) groups of exact coordinate rows, in the library's
+    group order: f0 and f1 over the bit averages, f01 both of their groups,
+    g0 and g1 each bit's states over the other bit's average."""
+    rho = {xy: exact_rho(*xy) for xy in itertools.product((0, 1), repeat=2)}
+    bar0 = {x: _mean(rho[x, 0], rho[x, 1]) for x in (0, 1)}
+    bar1 = {y: _mean(rho[0, y], rho[1, y]) for y in (0, 1)}
+    eye = (QSqrt2(1), QSqrt2(0), QSqrt2(1))
+    f0, f1 = ((bar0[0], bar0[1]), eye), ((bar1[0], bar1[1]), eye)
+    return {"f0": [f0], "f1": [f1], "f01": [f0, f1],
+            "g0": [((rho[0, y], rho[1, y]), bar1[y]) for y in (0, 1)],
+            "g1": [((rho[x, 0], rho[x, 1]), bar0[x]) for x in (0, 1)]}
+
+
+def poly_add(p, q) -> list:
+    """Sum of two coefficient lists, constant term first."""
+    n = max(len(p), len(q))
+    return [QSqrt2.of(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+            for i in range(n)]
+
+
+def poly_mul(*ps) -> list:
+    """Product of coefficient lists, constant term first."""
+    out = [QSqrt2(1)]
+    for p in ps:
+        prod = [QSqrt2(0)] * (len(out) + len(p) - 1)
+        for i, u in enumerate(out):
+            for j, v in enumerate(p):
+                prod[i + j] = prod[i + j] + u * v
+        out = prod
+    return out
+
+
+def slice_polynomial(groups, k) -> tuple:
+    """p(t) = K (1 + t^2) prod_g D_g - sum_g N_g prod_{h != g} D_h, and the
+    D_g, for the pure state (1, t)/sqrt(1 + t^2).  A coordinate row r
+    gives Tr[M X] = (r0 + r1 t + r2 t^2)/(1 + t^2) at that state, so on it
+    F = (1/(1 + t^2)) sum_g N_g/D_g with N_g the sum of the squared
+    numerator rows and D_g the denominator row, and K - F has p's sign
+    wherever every D_g is positive."""
+    dens = [list(den) for _, den in groups]
+    nums = [poly_add(*(poly_mul(list(r), list(r)) for r in rows)) for rows, _ in groups]
+    p = [QSqrt2(k) * c for c in poly_mul([1, 0, 1], *dens)]
+    for g, num in enumerate(nums):
+        term = poly_mul(num, *(d for h, d in enumerate(dens) if h != g))
+        p = poly_add(p, [-c for c in term])
+    return p, dens
+
+
+def log_enclosure(x: Fraction, terms: int = 40) -> tuple:
+    """Fractions lo <= ln x <= hi for a rational x > 1: ln x = 2 atanh(z)
+    with z = (x - 1)/(x + 1) in (0, 1), whose series sum_j z^(2j+1)/(2j+1)
+    has positive terms, and whose tail past the first `terms` is at most
+    the next term over 1 - z^2."""
+    z = (x - 1) / (x + 1)
+    lo = sum(z ** (2 * j + 1) / (2 * j + 1) for j in range(terms))
+    tail = z ** (2 * terms + 1) / (2 * terms + 1) / (1 - z * z)
+    return 2 * lo, 2 * (lo + tail)
+
+
+def log2_enclosure(c: int, x: Fraction) -> tuple:
+    """Fractions lo <= c log2(x) <= hi for a positive integer c and a
+    rational x > 1, from the enclosures of ln x and of ln 2."""
+    lo_x, hi_x = log_enclosure(Fraction(x))
+    lo_2, hi_2 = log_enclosure(Fraction(2))
+    return c * lo_x / hi_2, c * hi_x / lo_2
+
+
+def least_double_at_or_above(lo: Fraction, hi: Fraction) -> float:
+    """The least double at or above every number in [lo, hi]; AssertionError
+    unless it is also the least at or above lo, so that it is the least
+    double at or above the number the interval encloses."""
+    d = float(hi)
+    if Fraction(d) < hi:
+        d = math.nextafter(d, math.inf)
+    assert Fraction(math.nextafter(d, -math.inf)) < lo, "enclosure too wide to round"
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import math
 from pathlib import Path
 import re
 import shlex
-import sys
 import time
 from unittest import mock
 
@@ -280,7 +279,7 @@ def test_bounds_small_run(tmp_path, capsys):
     out_file = tmp_path / "bounds.json"
     code = cli.main(
         ["--out", str(out_file), "bounds", "--quantity", "greater",
-         "--coarse", "0.25", "--fine", "0.25", "--slice-eps", "0.01"]
+         "--coarse", "0.25", "--fine", "0.25"]
     )
     assert code == cli.EXIT_OK
     payload = json.loads(out_file.read_text())
@@ -293,9 +292,9 @@ def test_bounds_small_run(tmp_path, capsys):
 
 # sha256 of json.dumps(result, sort_keys=True) for the README bounds call
 _BOUNDS_PAYLOAD_SHA256 = {
-    "greater": "206ce76d7724b4003542861a87e0586463c4aaa81d42841544211d9942b810c7",
-    "total": "654420b51b120366413f4b36af7be7e041ca0fb52fdb1a4ab817db6d47816579",
-    "conditional": "32e7f4580b399452f0e961a28871f5723e19cd6ae1dab2114d352a95ab310152",
+    "greater": "3376dc9ea16a529145a7b5333f651d7b81a13bb65c403512053b298e7ab32fd0",
+    "total": "2e3df99be2d7346164f4ec6d2e384347824b527d621fb0ea43968e193f00f675",
+    "conditional": "203143d37cdc246169d24caca04788e8f0a57e8db45ca794dbcb211a40df341a",
 }
 
 
@@ -304,18 +303,21 @@ def test_bounds_readme_payload_is_pinned(quantity, capsys):
     code, out = run(["bounds", "--quantity", quantity, "--coarse", "0.05", "--fine", "0.005"],
                     capsys)
     assert code == cli.EXIT_OK
-    text = json.dumps(json.loads(out)["result"], sort_keys=True)
+    result = json.loads(out)["result"]
+    text = json.dumps(result, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == _BOUNDS_PAYLOAD_SHA256[quantity]
+    # exactly, with no tolerance: the benchmark's certify check reads it so
+    assert result["raw_max"] <= result["corrected_bound"]
 
 
 # the same digest for two other nets: a coarser one and a finer last level
 _BOUNDS_NET_PAYLOAD_SHA256 = {
-    ("0.1", "0.01", "greater"): "0a771758c1811efc32f627f31853b4780889d6d549287bb4f6029c12a2c96c9e",
-    ("0.1", "0.01", "total"): "f79cdd58b82a5b8e9c6d86e20c98574c68d6b9dcd6483e0a8441221d8e2f96d1",
-    ("0.1", "0.01", "conditional"): "9114b80b937113f01460650a801d929a8bd9605702d4925a95f8a74600bc7690",
-    ("0.05", "0.002", "greater"): "f359512990c839bacec5324207de31f506a9f67218f7c2a714ee766b8e47d37b",
-    ("0.05", "0.002", "total"): "1541d8318c0fb4a82620e0589ee645dd6de9a805de17c6a00322aeb43365a836",
-    ("0.05", "0.002", "conditional"): "97eabe15b4247b6d1bf1c2f08e46e8447fb0c4fd5487ae013f548d9daa028c3a",
+    ("0.1", "0.01", "greater"): "58f8a727b963e1f29dd07750394ae591365072b3da645124757252ab4fd58d9b",
+    ("0.1", "0.01", "total"): "41ff8853a1b691ce52f63ca083a2d99b28a6870a18e1ab5951cc3a7ee440c914",
+    ("0.1", "0.01", "conditional"): "ee8612c31e1db14d8b5862467385ae8d2b8352be4dfdaea128441c873165141c",
+    ("0.05", "0.002", "greater"): "d7e4db6932c55de7f5bc2e8e2672c62e74d5c7a6350f9a793392212920c7dc95",
+    ("0.05", "0.002", "total"): "fff907ec0ab27bc15d52d99934fdafa3c50a4a97631acde7ae2a8e13e7e36f11",
+    ("0.05", "0.002", "conditional"): "1c44bee809de1d9bfa3dcf999fc221fb311d728a41d910c12d9c2c576821208d",
 }
 
 
@@ -324,16 +326,17 @@ def test_bounds_payload_is_pinned_on_other_nets(coarse, fine, quantity, capsys):
     code, out = run(["bounds", "--quantity", quantity, "--coarse", coarse, "--fine", fine],
                     capsys)
     assert code == cli.EXIT_OK
-    text = json.dumps(json.loads(out)["result"], sort_keys=True)
+    result = json.loads(out)["result"]
+    text = json.dumps(result, sort_keys=True)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == _BOUNDS_NET_PAYLOAD_SHA256[coarse, fine, quantity]
+    assert result["raw_max"] <= result["corrected_bound"]
 
 
 def test_bounds_budget_exhaustion_partial_payload(tmp_path, capsys):
     # out of time, and refused at the flat-cell table before the net runs
     out_file = tmp_path / "partial.json"
-    for flags in (["--coarse", "0.02", "--fine", "0.0025", "--slice-eps", "0.01",
-                   "--time-budget", "1e-6"],
+    for flags in (["--coarse", "0.02", "--fine", "0.0025", "--time-budget", "1e-6"],
                   ["--coarse", "0.25", "--fine", "1e-5"]):
         code = cli.main(["--out", str(out_file), "bounds", *flags])
         assert code == cli.EXIT_RESOURCE
@@ -346,23 +349,22 @@ def test_bounds_budget_exhaustion_partial_payload(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["--coarse", "0.25", "--fine", "1e-5"],
     ["--time-budget", "0"],
-    ["--slice-eps", "1e-9"],
     ["--coarse", "0.001", "--fine", "0.001"],
 ], ids=" ".join)
 def test_partial_bounds_report_is_standard_json(flags, capsys):
-    # flat-cell table, time budget, arc count, net level: each stops before
-    # a bound exists, and a stage not reached is null, not Infinity
+    # flat-cell table, time budget, net level: each stops before the net's
+    # frontier exists, which is null, not Infinity; the all-measurement
+    # bound needs no stage and is already reported
     code, out = run(["bounds", *flags], capsys)
     assert code == cli.EXIT_RESOURCE
     result = strict_json(out)["result"]
-    assert result["complete"] is False
-    assert result["corrected_bound"] is result["slice_bound"] is result["frontier_bound"] is None
+    assert result["complete"] is False and result["frontier_bound"] is None
+    assert result["raw_max"] <= result["corrected_bound"] == result["slice_bound"]
 
 
 @pytest.mark.parametrize("budget, code", [("inf", cli.EXIT_OK), ("-inf", cli.EXIT_RESOURCE)])
 def test_non_finite_flag_is_echoed_as_text(budget, code, capsys):
-    argv = ["bounds", "--coarse", "0.25", "--fine", "0.25", "--slice-eps", "0.01",
-            f"--time-budget={budget}"]
+    argv = ["bounds", "--coarse", "0.25", "--fine", "0.25", f"--time-budget={budget}"]
     got, out = run(argv, capsys)
     assert got == code
     report = strict_json(out)
@@ -372,12 +374,9 @@ def test_non_finite_flag_is_echoed_as_text(budget, code, capsys):
 
 
 @pytest.mark.parametrize("flags, code", [
-    (["--slice-eps", "0"], cli.EXIT_INPUT),
-    (["--slice-eps", "-0.01"], cli.EXIT_INPUT),
-    (["--slice-eps", "nan"], cli.EXIT_INPUT),
-    (["--slice-eps", "inf"], cli.EXIT_INPUT),
     (["--time-budget", "nan"], cli.EXIT_INPUT),
-    (["--slice-eps", "1e-12"], cli.EXIT_RESOURCE),
+    # the arc width went with the arcs: an unknown flag
+    (["--slice-eps", "0.01"], cli.EXIT_INPUT),
 ])
 def test_bounds_bad_numbers_exit_cleanly(flags, code, capsys):
     argv = ["bounds", "--coarse", "0.25", "--fine", "0.25"] + flags
@@ -385,20 +384,11 @@ def test_bounds_bad_numbers_exit_cleanly(flags, code, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("slice_eps", ["9e307", "1e308", repr(sys.float_info.max)])
-def test_bounds_widest_slice_is_four_arcs(slice_eps, capsys):
-    # pi / (2 * slice_eps) overflowed the doubled width to inf past 8.99e307
-    argv = ["bounds", "--coarse", "0.25", "--fine", "0.25", "--slice-eps", slice_eps]
-    code, out = run(argv, capsys)
-    assert code == cli.EXIT_OK
-    assert json.loads(out)["result"]["slice_cells"] == 4
-
-
 # each subcommand's numeric flags, each set in turn to 0, -3, nan and inf;
 # --rate replaces --k (the two are exclusive), --time-budget is appended
 _BOUNDARY_BASE = (
-    (["bounds", "--coarse", "0.25", "--fine", "0.25", "--slice-eps", "0.01"],
-     ["--coarse", "--fine", "--slice-eps", "--time-budget"]),
+    (["bounds", "--coarse", "0.25", "--fine", "0.25"],
+     ["--coarse", "--fine", "--time-budget"]),
     (["simulate", "--n", "6", "--k", "2", "--lam", "8", "--trials", "20", "--strategy", "mu0"],
      ["--n", "--k", "--rate", "--lam", "--trials", "--strategy"]),
     (["feasibility", "--D", "1", "--ell", "2", "--d", "1", "--eps1", "0.01", "--eps2", "0.01"],
@@ -555,8 +545,7 @@ def test_invariant_violation_exits_2(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["qrac-table"],
     # the partial report of a run out of time goes through the same write
-    ["bounds", "--coarse", "0.25", "--fine", "0.25", "--slice-eps", "0.01",
-     "--time-budget", "0"],
+    ["bounds", "--coarse", "0.25", "--fine", "0.25", "--time-budget", "0"],
 ], ids=" ".join)
 @pytest.mark.parametrize("target", ["directory", "missing-parent"])
 def test_unwritable_out_is_bad_input(argv, target, tmp_path, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import nearest_message
+from otmbench import f2codes
 from otmbench.errors import ResourceLimitError
 from otmbench.f2codes import (
     MAX_SAMPLED_BITS,
@@ -267,6 +268,46 @@ def test_sampling_refused_past_bit_budget():
     assert peak < 2**20
     with pytest.raises(ValueError, match="positive"):
         mc_failure_prob(code, CHANNEL_P, 0, seed=0)
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.0, "1", np.random.default_rng(3)],
+                         ids=["none", "bool", "float", "str", "generator"])
+def test_code_draws_refuse_non_integer_seeds(seed):
+    # None drew a fresh code or estimate on each call, True read as seed 1
+    code = random_code(6, 3, seed=1)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        random_code(6, 3, seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        mc_failure_prob(code, CHANNEL_P, 2000, seed)
+    assert "decode_table" not in vars(code), "the table was built before the refusal"
+    assert random_code(6, 3, np.int64(7)).generator.tolist() == \
+        random_code(6, 3, 7).generator.tolist()
+    assert mc_failure_prob(code, CHANNEL_P, 2000, np.int64(7)) == \
+        mc_failure_prob(code, CHANNEL_P, 2000, 7)
+
+
+def test_random_code_ranks_each_draw_once(monkeypatch):
+    """The generator is numpy's first full-rank (n, k) draw, and each draw
+    is eliminated once: the check LinearCode makes."""
+    real, calls = f2codes.f2_rank, []
+
+    def counted(mat):
+        calls.append(1)
+        return real(mat)
+
+    for n, k, seed in [(4, 4, s) for s in range(12)] + [(15, 3, 0), (6, 3, 11)]:
+        rng, draws = np.random.default_rng(seed), 0
+        while True:
+            gen = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
+            draws += 1
+            if real(gen) == k:
+                break
+        calls.clear()
+        monkeypatch.setattr(f2codes, "f2_rank", counted)
+        code = random_code(n, k, seed)
+        monkeypatch.undo()
+        assert code.generator.tolist() == gen.tolist()
+        assert len(calls) == draws, (n, k, seed)
 
 
 def test_trials_must_be_an_integer():

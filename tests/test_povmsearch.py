@@ -9,7 +9,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import basis_projectors, eval_family, grid_pairs, rank_one_lower_bounds
+from fractions import Fraction
+
+from oracles import (
+    EIGHTHS,
+    basis_projectors,
+    eval_family,
+    exact_families,
+    grid_pairs,
+    least_double_at_or_above,
+    log2_enclosure,
+    poly_mul,
+    rank_one_lower_bounds,
+    slice_polynomial,
+)
 from otmbench import povmsearch
 from otmbench.errors import InvariantViolationError, ResourceLimitError
 from otmbench.povmsearch import (
@@ -38,9 +51,8 @@ from otmbench.povmsearch import (
     _pair_cells,
     _quantity,
     _refine_steps,
-    _slice_certificate,
 )
-from otmbench.qrac import BasisMeasurement, measure_prob, qrac_encode
+from otmbench.qrac import ENCODING_ANGLES, BasisMeasurement, measure_prob, qrac_encode
 
 LOG2_3_2 = math.log2(1.5)
 LOG2_5_4_X2 = 2 * math.log2(1.25)
@@ -213,8 +225,7 @@ def test_scalar_path_matches_array_kernel():
             assert quantity_value(r, q) == fast
 
 
-FAMILIES = (povmsearch._FAM_F0, povmsearch._FAM_F1, povmsearch._FAM_F01,
-            povmsearch._FAM_G0, povmsearch._FAM_G1)
+FAMILIES = (povmsearch._FAM_F0, povmsearch._FAM_F1, povmsearch._FAM_G0, povmsearch._FAM_G1)
 
 
 def _kernel_points(kind, m, rng):
@@ -355,12 +366,16 @@ def test_corner_correction_refuses_bad_eps(monkeypatch):
         raise AssertionError("evaluated before refusing eps")
 
     monkeypatch.setattr(povmsearch, "_eval_family", no_eval)
-    for eps in (-0.1, -1e-300, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="eps"):
+    monkeypatch.setattr(povmsearch, "_CORNERS", None)     # no corner is built either
+    # past 1 a cell spans every entry already: 1e300 gave inf, 1e308 nan
+    for eps in (-0.1, -1e-300, math.nan, math.inf, -math.inf,
+                math.nextafter(1.0, 2.0), 2.0, 1e300, 1e308):
+        with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\]"):
             corner_corrected_value(p, eps, "total")
     monkeypatch.undo()
     for q in QUANTITIES:
         assert corner_corrected_value(p, 0.0, q) == pytest.approx(point[q], abs=1e-13)
+        assert point[q] <= corner_corrected_value(p, 1.0, q) < math.inf
 
 
 def test_corner_correction_is_the_net_cell_bound():
@@ -451,14 +466,14 @@ def flat_net_max(eps, quantity):
 @pytest.mark.parametrize("quantity", QUANTITIES)
 def test_search_matches_flat_enumeration_on_coarse_net(quantity):
     """No-refinement search equals an independent flat scan of the net."""
-    report = search_bounds(0.1, 0.1, quantity, slice_eps=0.01)
+    report = search_bounds(0.1, 0.1, quantity)
     assert report.raw_max == pytest.approx(flat_net_max(0.1, quantity), abs=1e-12)
     assert report.complete
     assert report.refinement_levels == 0
 
 
 def test_search_report_invariants():
-    report = search_bounds(0.1, 0.05, "total", slice_eps=0.01)
+    report = search_bounds(0.1, 0.05, "total")
     assert report.corrected_bound >= report.raw_max - 1e-12
     assert report.frontier_bound >= report.raw_max - 1e-12
     assert report.corrected_bound == report.slice_bound
@@ -479,7 +494,7 @@ def test_raw_max_is_attained_by_argmax_povm(coarse, fine):
     """raw_max is the value its own argmax_povm attains, bit for bit: the
     net's batched corner kernel may round differently in the last bits."""
     for quantity in QUANTITIES:
-        report = search_bounds(coarse, fine, quantity, slice_eps=0.01)
+        report = search_bounds(coarse, fine, quantity)
         assert report.raw_max == quantity_value(report.argmax_povm, quantity), quantity
 
 
@@ -496,8 +511,11 @@ def test_search_time_budget_partial_report():
     partial = err.value.partial
     assert partial is not None
     assert not partial.complete
-    # the deadline is checked before the arc certificate and the flat count
-    assert partial.slice_cells == 0 and partial.flat_cells == 0
+    # the deadline is checked before the first block and the flat count;
+    # the all-POVM bound needs no stage, so even this report carries it
+    assert partial.flat_cells == 0 and partial.cells_visited == 0
+    assert partial.corrected_bound == max(_quantity("greater").bound, partial.raw_max)
+    assert partial.as_dict()["corrected_bound"] == partial.as_dict()["slice_bound"] is not None
 
 
 def record_blocks(monkeypatch):
@@ -518,7 +536,7 @@ def record_blocks(monkeypatch):
 def test_search_deadline_is_checked_before_each_block(monkeypatch):
     # total's last level at the README net spans several blocks
     blocks = record_blocks(monkeypatch)
-    search_bounds(0.05, 0.005, "total", slice_eps=0.01)
+    search_bounds(0.05, 0.005, "total")
     last_eps = blocks[-1][1]
     level_blocks = sum(eps == last_eps for _, eps, *_ in blocks)
     assert level_blocks >= 3 and blocks[-level_blocks][2].shape[0] == _NET_BLOCK
@@ -533,13 +551,14 @@ def test_search_deadline_is_checked_before_each_block(monkeypatch):
 
     monkeypatch.setattr(povmsearch, "time", Clock)
     with pytest.raises(ResourceLimitError) as err:
-        search_bounds(0.05, 0.005, "total", time_budget=1.0, slice_eps=0.01)
+        search_bounds(0.05, 0.005, "total", time_budget=1.0)
     assert len(blocks) == stop, "a block was bounded past the deadline"
     partial = err.value.partial
     assert not partial.complete and partial.frontier_bound == math.inf
     assert partial.net_epsilon == last_eps and partial.refinement_levels == 2
     assert partial.cells_visited == sum(b[2].shape[0] for b in blocks)
-    assert partial.slice_cells > 0 and partial.flat_cells == 0
+    assert partial.flat_cells == 0
+    assert partial.corrected_bound == max(_quantity("total").bound, partial.raw_max)
 
 
 @pytest.mark.parametrize("coarse, fine", [(0.05, 0.005), (0.1, 0.01)])
@@ -549,7 +568,7 @@ def test_deduplicated_corners_give_the_same_bits(coarse, fine, monkeypatch):
     entries included; and the distinct triples are exactly the corners'."""
     blocks = record_blocks(monkeypatch)
     for q in QUANTITIES:
-        search_bounds(coarse, fine, q, slice_eps=0.01)
+        search_bounds(coarse, fine, q)
     levels = {}
     for q, eps, bases, points, index, out in blocks:
         corners = bases[None, :, :] + eps * _CORNERS[:, None, :]
@@ -574,7 +593,7 @@ def test_net_level_order_never_reaches_the_report(coarse, fine, monkeypatch):
     """Every level dealt out in a seeded random order gives the report bytes
     of the order its cells are built in."""
     def payload(q):
-        return json.dumps(search_bounds(coarse, fine, q, slice_eps=0.01).as_dict(), sort_keys=True)
+        return json.dumps(search_bounds(coarse, fine, q).as_dict(), sort_keys=True)
 
     want = {q: payload(q) for q in QUANTITIES}
     real, rng = povmsearch._net_level, np.random.default_rng(28)
@@ -597,7 +616,7 @@ def test_net_memory_is_bounded_by_its_blocks():
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        report = search_bounds(0.01, 0.01, "total", slice_eps=0.01)
+        report = search_bounds(0.01, 0.01, "total")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -607,16 +626,17 @@ def test_net_memory_is_bounded_by_its_blocks():
 
 @pytest.mark.parametrize("kwargs", [
     dict(eps_coarse=0.02, eps_fine=0.0025, time_budget=1e-6),
-    dict(eps_coarse=0.25, eps_fine=0.25, slice_eps=1e-12),
     dict(eps_coarse=0.001, eps_fine=0.001),
     dict(eps_coarse=0.25, eps_fine=1e-5),
-], ids=["time-budget", "arc-count", "net-level", "flat-cell-table"])
+], ids=["time-budget", "net-level", "flat-cell-table"])
 def test_every_search_limit_carries_a_partial_report(kwargs):
     with pytest.raises(ResourceLimitError) as err:
         search_bounds(**kwargs)
     partial = err.value.partial
     assert not partial.complete and partial.frontier_bound == math.inf
     assert partial.net_epsilon == kwargs["eps_coarse"]
+    assert partial.corrected_bound == max(_quantity("greater").bound, partial.raw_max)
+    assert partial.as_dict()["frontier_bound"] is None
 
 
 @pytest.mark.parametrize("coarse, fine, message", [
@@ -628,7 +648,7 @@ def test_search_refuses_oversized_nets_before_allocating(coarse, fine, message, 
     def never(*args):
         raise AssertionError("allocated before the size guard")
 
-    for name in ("_slice_certificate", "_grid", "_count_flat_cells"):
+    for name in ("_grid", "_count_flat_cells"):
         monkeypatch.setattr(povmsearch, name, never)
     with pytest.raises(ResourceLimitError, match=message):
         search_bounds(coarse, fine, "greater")
@@ -651,7 +671,7 @@ def test_search_runs_through_empty_refinement_levels(quantity, monkeypatch):
     """A level whose origins were all pruned bounds nothing and leaves the
     incumbent as the frontier; the schedule still runs to eps_fine."""
     coarse, fine = 0.1, 0.01
-    want = search_bounds(coarse, fine, quantity, slice_eps=0.01)
+    want = search_bounds(coarse, fine, quantity)
     real, levels = povmsearch._net_level, []
 
     def pruned(origins, eps, lo, hi):
@@ -660,7 +680,7 @@ def test_search_runs_through_empty_refinement_levels(quantity, monkeypatch):
         return real(origins if len(levels) == 1 else origins[:0], eps, lo, hi)
 
     monkeypatch.setattr(povmsearch, "_net_level", pruned)
-    report = search_bounds(coarse, fine, quantity, slice_eps=0.01)
+    report = search_bounds(coarse, fine, quantity)
     steps = _refine_steps(coarse, fine)
     assert len(levels) == 1 + len(steps) > 1
     assert report.complete
@@ -673,48 +693,130 @@ def test_search_runs_through_empty_refinement_levels(quantity, monkeypatch):
 # recorded before the net was built from the shared grid helper.  Neither
 # step divides 1, so refinement children land past a = 1 and c = 1.
 _NET_PAYLOAD_SHA256 = {
-    (0.3, 0.1, "greater"): "188f84dcfde6d3086fc8f02cd911aa4c77e7be0802c215139fd6b06126b62846",
-    (0.3, 0.1, "total"): "17abe5d102c4634e4a06d873a5ef3bcc8a817db5c847a359870fa8a14d317c15",
-    (0.3, 0.1, "conditional"): "3b6f87036cf77d53a1c6c0cb3450e5b7117605ce69b463f85171c207b24f207c",
-    (0.13, 0.011, "greater"): "2c0c65e7a2a46a641ae38a7d9b8d36e98023cf1cc3234452194793723eb4c14a",
-    (0.13, 0.011, "total"): "bfa8e1fcccf015adae2ce3c4c1cd529f58f8642b01cbf2ebb13bf3d650fb4bfc",
+    (0.3, 0.1, "greater"): "63fcb512a7b59e58ebe6581fb81ae99d6ad1df2b88c6aa89122e2c24b196fa7d",
+    (0.3, 0.1, "total"): "ef8fcc2d633fee10112ee69c3503de90ab559867487abcb78559e301eccafbbf",
+    (0.3, 0.1, "conditional"): "7e6fa713ee21bb63d0533ae7af13a990cf8c6d1579f09ce46a6c7ba205e76b7c",
+    (0.13, 0.011, "greater"): "b930c123566db8a9d64e1717f72aefe3d4530ea65a292e6423ee3cf962845a4c",
+    (0.13, 0.011, "total"): "ac40a4debeb09248dbd957663de6355ef134e9b172a5b4d614d5a9186da28305",
     (0.13, 0.011, "conditional"):
-        "9a7dcad1aa1ac804a0024c632f30de599eb41277fd656000542d18202968672b",
-    (0.07, 0.01, "greater"): "4721659d180f0a229c86a89ce4d3141a2ac43fac71b9a5baaa69dad24db0509a",
-    (0.07, 0.01, "total"): "40e1d0770df5921279f80cdf91d87809c0ce580525cfbc123253bcc527c1f389",
-    (0.07, 0.01, "conditional"): "3df6339f9bae4784ddecb1c6068f8f13d48d14b1f186c8af8cfa33623cb5f828",
+        "de832c9f6cbab90f958f2cc28913c2030c1db6659d06149fff310ef741936a74",
+    (0.07, 0.01, "greater"): "3134d14bc0ada78bff2efb32ae4bcfec1b82ae260c2536cf766f798a4040d5c6",
+    (0.07, 0.01, "total"): "fa01cf2ab8f14b7192f53323a5ad670092fbb4a29cd74db4b3a2008c123d573c",
+    (0.07, 0.01, "conditional"): "fa607544cb073914117f20fa23e04075585474df8b82f6747840c4b7e7a33df5",
 }
 
 
 @pytest.mark.parametrize("coarse, fine, quantity", list(_NET_PAYLOAD_SHA256))
 def test_search_payload_is_pinned_on_nets_past_one(coarse, fine, quantity):
-    text = json.dumps(search_bounds(coarse, fine, quantity).as_dict(), sort_keys=True)
+    report = search_bounds(coarse, fine, quantity)
+    text = json.dumps(report.as_dict(), sort_keys=True)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == _NET_PAYLOAD_SHA256[coarse, fine, quantity]
+    # exactly, with no tolerance: the benchmark's certify check reads it so
+    assert report.raw_max <= report.corrected_bound == max(_quantity(quantity).bound,
+                                                           report.raw_max)
 
 
-def test_slice_certificate_values():
-    # the slice bound covers every element count, so it must sit above
-    # each achieved value and below the loosest published figure
-    g = search_bounds(0.2, 0.2, "greater", slice_eps=0.002)
-    assert LOG2_3_2 - 1e-9 <= g.slice_bound <= 0.59
-    t = search_bounds(0.2, 0.2, "total", slice_eps=0.002)
-    assert LOG2_5_4_X2 - 1e-9 <= t.slice_bound <= 0.67
-    c = search_bounds(0.2, 0.2, "conditional", slice_eps=0.002)
-    assert LOG2_3_2 - 1e-9 <= c.slice_bound <= 0.59
+def _expand(scale, *factors) -> list:
+    return [Fraction(scale) * c for c in poly_mul(*factors)]
 
 
-@pytest.mark.parametrize("quantity, closed_form", [
-    ("greater", 1 + math.log2(0.75)),
-    ("total", 2 * math.log2(1.25)),
-    ("conditional", -1 + math.log2(3)),
-])
-def test_arc_certificate_against_closed_forms(quantity, closed_form):
-    bound, k, arcs = _slice_certificate(quantity, 5e-4)
-    assert arcs % 4 == 0
-    assert -1e-12 <= bound - closed_form <= 1e-6
+_T, _T_MINUS_1, _T_PLUS_1, _T2_PLUS_1 = [0, 1], [-1, 1], [1, 1], [1, 0, 1]
+
+# per quantity: the maximum K on the pure states of the families its bound
+# reads, the factored p(t) of each family, and (c, x) with the all-POVM
+# maximum c log2(x): log2(2K) for greater, 2 log2(K) for total by AM-GM,
+# log2(2K) - 2 for conditional
+SLICE_MAXIMA = {
+    "greater": (Fraction(3, 4), {"f0": _expand(1, _T, _T),
+                                 "f1": _expand(Fraction(1, 4), _T_MINUS_1, _T_MINUS_1,
+                                               _T_PLUS_1, _T_PLUS_1)},
+                (1, Fraction(3, 2))),
+    "total": (Fraction(5, 4), {"f01": []}, (2, Fraction(5, 4))),
+    "conditional": (Fraction(3), {"g0": _expand(Fraction(1, 2), _T, _T, _T2_PLUS_1),
+                                  "g1": _expand(Fraction(1, 8), _T_MINUS_1, _T_MINUS_1,
+                                                _T_PLUS_1, _T_PLUS_1, _T2_PLUS_1)},
+                    (1, Fraction(3, 2))),
+}
+
+
+def _trimmed(p) -> list:
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_slice_maxima_are_polynomial_identities(quantity):
+    """From the encoding's exact states, each family's p(t) is its stated
+    factorization, coefficient by coefficient: >= 0 for every real t, and
+    0 at some t, so F peaks at exactly K on the pure states.  Every D_g is
+    positive and the t^(2G+2) coefficient, which decides the state (0, 1),
+    is >= 0.  So the quantity's bound is the least double at or above the
+    maximum that K gives."""
+    k, factored, (c, x) = SLICE_MAXIMA[quantity]
+    families = exact_families()
+    for name, want in factored.items():
+        groups = families[name]
+        p, dens = slice_polynomial(groups, k)
+        assert _trimmed(p) == _trimmed(want), name
+        for w0, w1, w2 in dens:
+            # w0 + w1 t + w2 t^2 > 0 for every real t
+            assert w2.sign() > 0 and (w1 * w1 - 4 * w0 * w2).sign() < 0, name
+        assert len(p) == 2 * len(groups) + 3 and p[-1].sign() >= 0, name
+    assert _quantity(quantity).bound == least_double_at_or_above(*log2_enclosure(c, x))
+
+
+def test_family_rows_round_the_exact_states():
+    # the oracle's angles are the encoding's, and f01 is f0's group then
+    # f1's, so these four families hold every row
+    assert {xy: k * math.pi / 8 for xy, k in EIGHTHS.items()} == ENCODING_ANGLES
+    exact = exact_families()
+    for name in ("f0", "f1", "g0", "g1"):
+        fam = getattr(povmsearch, f"_FAM_{name.upper()}")
+        assert len(fam.groups) == len(exact[name])
+        for (num_rows, den_row), (nums, den) in zip(fam.groups, exact[name]):
+            assert len(num_rows) == len(nums)
+            for got, want in zip((*num_rows, den_row), (*nums, den)):
+                # each entry within 2 ulps of its row's largest entry, the
+                # scale of its rounding error (an exact 0 may come out as
+                # 1e-16), decided in Q(sqrt 2)
+                tol = 2 * Fraction(math.ulp(max(map(abs, got))))
+                for f, e in zip(got, want):
+                    gap = e - Fraction(f)
+                    assert (gap - tol).sign() <= 0 <= (gap + tol).sign(), name
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_bound_literals_round_the_maxima_up(quantity):
+    """Each bound literal lies at or above a Fraction enclosure of the exact
+    maximum c log2(x), and its predecessor lies below it."""
+    _, _, (c, x) = SLICE_MAXIMA[quantity]
+    lo, hi = log2_enclosure(c, x)
+    assert 0 < hi - lo < Fraction(1, 10**30)
+    assert abs(float(lo) - c * math.log2(x)) <= 2 * math.ulp(float(lo))
+    bound = _quantity(quantity).bound
+    assert Fraction(bound) >= hi
+    assert Fraction(math.nextafter(bound, -math.inf)) < lo
+
+
+def test_corrected_bounds_are_the_exact_maxima():
+    # the bound literal, or raw_max where the point evaluator reads it a
+    # few ulps above; every one sits within the looser reference figures
+    for q in QUANTITIES:
+        report = search_bounds(0.2, 0.2, q)
+        assert report.corrected_bound == report.slice_bound
+        assert report.corrected_bound == max(_quantity(q).bound, report.raw_max)
+        assert report.corrected_bound - _quantity(q).bound <= 4 * math.ulp(0.5)
+        assert report.slice_cells == 0 and report.slice_epsilon == 0.0
+        assert report.corrected_bound <= REFERENCE_SETS["0.59/0.59/0.65"][q]
+
+
+@pytest.mark.parametrize("quantity, k", [("greater", 0.75), ("total", 1.25), ("conditional", 3.0)])
+def test_sampled_pure_states_peak_at_k(quantity, k):
     # independent oracle: F straight from the encoded density matrices at
-    # 10^5 evenly spaced pure states never exceeds the certified maximum
+    # 10^5 evenly spaced pure states reaches K and never exceeds it
     rho = {(x, y): qrac_encode(x, y).density_matrix() for x in (0, 1) for y in (0, 1)}
     avg_b1 = {x: (rho[x, 0] + rho[x, 1]) / 2 for x in (0, 1)}
     avg_b0 = {y: (rho[0, y] + rho[1, y]) / 2 for y in (0, 1)}
@@ -731,7 +833,7 @@ def test_arc_certificate_against_closed_forms(quantity, closed_form):
     else:
         fs = [sum(sum(tr(rho[x, y]) ** 2 for x in (0, 1)) / tr(avg_b0[y]) for y in (0, 1)),
               sum(sum(tr(rho[x, y]) ** 2 for y in (0, 1)) / tr(avg_b1[x]) for x in (0, 1))]
-    assert max(f.max() for f in fs) <= k + 1e-12
+    assert abs(max(f.max() for f in fs) - k) <= 1e-12
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.1, 0.05, 0.02])
@@ -742,7 +844,7 @@ def test_flat_cell_count_matches_enumeration(eps):
 
 
 def test_reference_set_support_flags():
-    report = search_bounds(0.2, 0.2, "greater", slice_eps=0.002)
+    report = search_bounds(0.2, 0.2, "greater")
     assert set(report.supports) == set(REFERENCE_SETS)
     for name, flag in report.supports.items():
         assert flag == (report.corrected_bound <= REFERENCE_SETS[name]["greater"] + 1e-12)
@@ -762,7 +864,7 @@ def test_rank_one_crosscheck_anchors_and_ordering():
     assert best["greater"] >= LOG2_3_2 - 1e-9
     assert best["total"] >= LOG2_5_4_X2 - 1e-9
     for q in QUANTITIES:
-        upper = search_bounds(0.2, 0.2, q, slice_eps=0.002)
+        upper = search_bounds(0.2, 0.2, q)
         assert best[q] <= upper.corrected_bound + 1e-9
 
 

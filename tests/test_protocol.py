@@ -213,11 +213,32 @@ def test_non_integer_alpha_refused_before_drawing():
     assert rng.bit_generator.state == state
     # numpy integers are integers: the same read as the Python int
     for alpha in (0, 1):
-        a = otm_read(pkg, np.int64(alpha), np.random.default_rng(3))
-        b = otm_read(pkg, alpha, np.random.default_rng(3))
+        a = otm_read(pkg, np.int64(alpha), 3)
+        b = otm_read(pkg, alpha, 3)
         assert type(a.alpha) is int and a.alpha == alpha
         assert np.array_equal(a.inner.word, b.inner.word) and np.array_equal(a.message, b.message)
         assert measurement_for(np.uint8(alpha)) == measurement_for(alpha)
+
+
+_NON_INTEGER_SEEDS = [None, True, 1.0, "1", np.random.default_rng(3)]
+
+
+@pytest.mark.parametrize("seed", _NON_INTEGER_SEEDS,
+                         ids=["none", "bool", "float", "str", "generator"])
+def test_reads_refuse_non_integer_seeds(seed):
+    # None drew a fresh word on each call, True read as seed 1, and 1.0
+    # raised numpy's TypeError: each is now refused as otm_prep refuses it
+    params = ProtocolParams(n=9, lam=8, k=2)
+    pkg = otm_prep(np.array([1], dtype=np.uint8), np.array([0], dtype=np.uint8),
+                   params, seed=5)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        otm_read(pkg, 0, seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        otrm_read(pkg.instance, 1, seed)
+    # numpy integers keep the stream of the Python int
+    for alpha in (0, 1):
+        a, b = otm_read(pkg, alpha, np.uint64(2**63 + 5)), otm_read(pkg, alpha, 2**63 + 5)
+        assert np.array_equal(a.inner.word, b.inner.word)
 
 
 def test_reads_hand_out_fresh_arrays():
