@@ -16,10 +16,14 @@ here:
 * Cell corner corrections: over a box of matrix entries, a convex F is
   maximized at a vertex, so evaluating the 8 corner perturbations of a
   grid cell upper-bounds every POVM inside the cell.  This drives the
-  progressive coarse-to-fine net search over two-outcome POVMs.  Adjacent
-  cells share corners, about four cells to a distinct corner, so the net
-  bounds each level in blocks of cells and evaluates each block's distinct
-  corner triples once, with the same bits as evaluating every corner.
+  progressive coarse-to-fine net search over two-outcome POVMs.  A
+  cell's coordinates are separable, so each net level is built per axis:
+  its mask is broadcast from the a, b and c tables, and each cell keeps
+  its ranks among its axes' corner values.  Adjacent cells share corners,
+  about four cells to a distinct corner, so the net bounds each level in
+  blocks of cells and evaluates each block's distinct corner triples,
+  found from those ranks, once, with the same bits as evaluating every
+  corner.
 * Exact all-POVM constants: sum_i F(M_i) = sum_i Tr[M_i] F(M_i/Tr[M_i])
   <= 2K for any number of elements, with K the maximum of F on the pure
   states, which five polynomial identities give exactly (_Quantity).  The
@@ -92,6 +96,7 @@ class _Family(NamedTuple):
     cols: tuple          # per group, C-contiguous (3, 2) array: numerator rows as columns
     den_vecs: tuple      # per group, (3,) denominator coefficient vector
     groups: tuple        # per group, (numerator rows, denominator row) as float tuples
+    flat: tuple          # per group, its two numerator rows and its denominator row as 9 floats
     crude: float         # sum_j lam_max(V_j)^2 / lam_min(W_group) over all numerators
 
 
@@ -114,7 +119,8 @@ def _make_family(groups) -> _Family:
         rows.append((tuple(map(tuple, num_rows.tolist())), tuple(den_vecs[-1].tolist())))
         lmin = _lam_extremes(den)[0]
         crude += sum(_lam_extremes(v)[1] ** 2 for v in nums) / lmin
-    return _Family(tuple(cols), tuple(den_vecs), tuple(rows), crude)
+    flat = tuple(r0 + r1 + den for (r0, r1), den in rows)
+    return _Family(tuple(cols), tuple(den_vecs), tuple(rows), flat, crude)
 
 
 def _ensemble_families():
@@ -237,50 +243,58 @@ def _box_bound(fam: _Family, vals: np.ndarray, den: np.ndarray, trace_top) -> np
     return np.where(den.min(axis=0) < _DEN_FLOOR, fam.crude * trace_top, vals.max(axis=0))
 
 
-def _grid(eps: float, lo: tuple, hi: tuple) -> np.ndarray:
-    """eps * o for every integer triple o in the box [lo, hi), in
-    lexicographic order, as rows (N, 3)."""
-    axes = np.meshgrid(*(np.arange(l, h) for l, h in zip(lo, hi)), indexing="ij")
-    return eps * np.stack(axes, axis=-1).reshape(-1, 3)
-
-
-_CORNERS = _grid(1.0, (0, 0, 0), (2, 2, 2))
+# corner k of a cell sits at base + eps * _CORNERS[k]: bit 2 of k is the
+# a axis's corner, bit 1 the b axis's, bit 0 the c axis's
+_CORNERS = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
 _IDENTITY = np.array([1.0, 0.0, 1.0])   # I as a coordinate row (a, b, c)
 
 
-def _corner_points(bases: np.ndarray, eps: float) -> tuple:
-    """The distinct corner triples (M, 3) of these cells, and the (8, N) map
-    that sends corner k of cell n to its row.
+def _corner_points(axes: tuple, ranks: np.ndarray) -> tuple:
+    """The distinct corner triples (M, 3) of these cells of a level, and
+    the (8, N) map that sends corner k of cell n to its row.
 
-    On each axis a corner holds x + 0.0 or x + eps for its base value x.
-    Ranking x (equal to x + 0.0 as a float) and x + eps, the same float add
-    that builds the corner, among the axis's distinct values, found from one
-    sort of the N base values, gives integer keys that are equal exactly
-    when the corner values are equal floats.  A corner value is never -0.0
-    (a zero sum with the addend +0.0 or eps > 0 rounds to +0.0), so equal
-    floats are equal bits: two corners share a key exactly when their
-    triples are bitwise equal, and each row of points is one of its
-    corners, built by the same add.  Each axis has at most 2N distinct
-    values, so the combined key fits in int64 for any block; one stable sort,
-    quick on the sorted key runs of each origin's cells, groups equal keys.
+    ranks (N, 3) holds each cell's base ranks r on the level's axes
+    (_Level).  On each axis a corner holds x + 0.0, which is x, ranked r,
+    or x + eps, ranked up[r] (_Axis): the axis's values hold both, made
+    by the add that makes the corner.  Ranks are equal exactly when their
+    values are equal floats, and equal corner floats are equal bits (no
+    corner value is -0.0: a zero sum of x and +0.0 or eps > 0 is +0.0),
+    so two corners share the key r_a | r_b | r_c, each rank in its axis's
+    bits, exactly when their triples are bitwise equal, and each row of
+    points, the values its key's ranks name, is its corners' triple.  One
+    sort of key << s | i, with i < 2^s the corner's place in the
+    (2, 2, 2, N) key grid, groups equal keys, each group sorted by place;
+    group g is row g of points.  The key bits and s fit in 63 bits:
+    _net_level refuses a level where they could not, N being at most
+    _NET_BLOCK.
     """
-    n = bases.shape[0]
-    keys = np.zeros(n, dtype=np.int64)
-    for j in range(3):
-        vals, inv = np.unique(bases[:, j], return_inverse=True)
-        axis = np.unique(np.concatenate([vals, vals + eps]))
-        ends = np.stack([np.searchsorted(axis, vals), np.searchsorted(axis, vals + eps)])
+    n = ranks.shape[0]
+    m = 8 * n
+    keys = 0
+    for j, ax in enumerate(axes):
+        r = ranks[:, j]
         # axis j of the (2, 2, 2, n) key grid is that axis's corner bit,
         # the order of _CORNERS
-        ends = np.take(ends, inv, axis=1)
-        keys = keys * axis.size + ends.reshape((1,) * j + (2,) + (1,) * (2 - j) + (n,))
-    keys = keys.reshape(-1)
-    order = np.argsort(keys, kind="stable")
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    index = np.empty(keys.size, dtype=np.intp)
-    index[order] = np.repeat(np.arange(starts.size), np.diff(starts, append=keys.size))
-    rep = order[starts]   # corner rep // n of cell rep % n
-    points = np.take(bases, rep % n, axis=0) + np.take(eps * _CORNERS, rep // n, axis=0)
+        ends = np.stack([r, ax.up[r]]).reshape((1,) * j + (2,) + (1,) * (2 - j) + (n,))
+        keys = keys << ax.bits | ends
+    shift = (m - 1).bit_length()
+    keys = keys.reshape(-1) << shift
+    keys |= np.arange(m)
+    keys.sort()
+    where = keys & ((1 << shift) - 1)
+    keys >>= shift
+    first = np.empty(m, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    ids = np.cumsum(first)
+    ids -= 1
+    index = np.empty(m, dtype=np.intp)
+    index[where] = ids
+    keys = keys[first]
+    points = np.empty((keys.size, 3))
+    for j in (2, 1, 0):
+        points[:, j] = axes[j].values[keys & ((1 << axes[j].bits) - 1)]
+        keys >>= axes[j].bits
     return points, index.reshape(8, n)
 
 
@@ -415,17 +429,19 @@ def value_from_info(info: PovmInfo, quantity: str) -> float:
 
 def _family_sum(fam: _Family, rows) -> float:
     """sum over the rows (a, b, c) of F, in plain floats: _eval_family(...)[0].sum()
-    up to rounding, dropping the same terms at or below _DEN_ZERO."""
+    up to rounding, dropping the same terms at or below _DEN_ZERO.
+
+    The two numerator terms are written out: summed from 0.0 they would be
+    0.0 + t0^2 + t1^2, and 0.0 + t0^2 is t0^2 exactly (a square is never
+    -0.0), so the bits are the looped form's."""
     total = 0.0
     for a, b, c in rows:
-        for nums, (d0, d1, d2) in fam.groups:
+        for n00, n01, n02, n10, n11, n12, d0, d1, d2 in fam.flat:
             den = a * d0 + b * d1 + c * d2
             if den > _DEN_ZERO:
-                num = 0.0
-                for n0, n1, n2 in nums:
-                    t = a * n0 + b * n1 + c * n2
-                    num += t * t
-                total += num / den
+                t0 = a * n00 + b * n01 + c * n02
+                t1 = a * n10 + b * n11 + c * n12
+                total += (t0 * t0 + t1 * t1) / den
     return total
 
 
@@ -458,14 +474,16 @@ def quantity_value(povm: Povm, quantity: str) -> float:
 
 # cells one net array may hold: the coarse net, the flat count's (a, c)
 # table and each refinement level are refused beyond it before allocating.
-# Under tracemalloc a level peaks at 72 bytes a cell before its mask (coarse
-# cell or refinement child) and the (a, c) table at 24: at most 1.44 GB
+# Under tracemalloc a level peaks at 2 bytes a cell (coarse cell or
+# refinement child) while it is masked, and then at 64 bytes a kept cell:
+# np.nonzero's four indices, the ranks and one gathered column.  The (a, c)
+# table peaks at 24 bytes a cell: at most 1.28 GB, every cell kept
 _MAX_NET_CELLS = 20_000_000
 
 # cells bounded together: a net level is bounded block by block, so its
-# corner temporaries stay a few MiB at any level size, and the deadline is
-# checked before each block
-_NET_BLOCK = 8192
+# corner temporaries stay under a MiB at any level size, and the deadline
+# is checked before each block
+_NET_BLOCK = 2048
 
 
 def _axis_counts(eps: float) -> tuple:
@@ -487,28 +505,90 @@ def _bmin2_limit(a, c, eps: float):
                       np.maximum(1.0 - a, 0.0) * np.maximum(1.0 - c, 0.0) + 1e-12)
 
 
-def _pair_cell_mask(bases: np.ndarray, eps: float) -> np.ndarray:
-    a, b, c = bases[..., 0], bases[..., 1], bases[..., 2]
+def _pair_cell_mask(a, b, c, eps: float) -> np.ndarray:
+    """Which cells at bases (a, b, c) can hold a two-outcome POVM; a, b and c
+    broadcast against each other, and each cell's answer is a function of
+    its own three values."""
     bmin = _bmin(b, eps)
-    return (bmin * bmin <= _bmin2_limit(a, c, eps)) & (a <= 1.0 + 1e-12) & (c <= 1.0 + 1e-12)
+    return (bmin * bmin <= _bmin2_limit(a, c, eps)) & ((a <= 1.0 + 1e-12) & (c <= 1.0 + 1e-12))
 
 
-def _net_level(origins: np.ndarray, eps: float, lo: tuple, hi: tuple) -> np.ndarray:
-    """Bases origin + eps * o, for each origin row and each integer triple o
-    in the box [lo, hi), of the cells that can hold a two-outcome POVM, in
-    the order they are built.  No order can reach a report: each figure is
-    a function of its cell's own corner triples (_pair_cells), cells_visited
-    is a count, and the incumbent's min ignores the order of its offers.
+class _Axis(NamedTuple):
+    """One axis of a net level: the sorted distinct values x + 0.0 and
+    x + eps over its cells' base values x; up, whose entry at the rank of
+    a base value x is the rank of x + eps; and the bits that hold a rank."""
 
-    A level of more than _MAX_NET_CELLS cells, before the mask, is refused
-    before anything is allocated.
+    values: np.ndarray
+    up: np.ndarray
+    bits: int
+
+
+class _Level(NamedTuple):
+    """The cells of a net level: its a, b and c axes, and each cell's base
+    ranks on them (K, 3), in the order the cells are built."""
+
+    axes: tuple
+    ranks: np.ndarray
+
+    def bases(self, rows=slice(None)) -> np.ndarray:
+        """The bases (a, b, c) of these cells, as rows."""
+        return np.stack([ax.values[self.ranks[rows, j]] for j, ax in enumerate(self.axes)],
+                        axis=-1)
+
+
+def _net_level(origins: np.ndarray, eps: float, lo: tuple, hi: tuple) -> _Level:
+    """The cells at bases origin + eps * o, for each origin row and each
+    integer triple o in the box [lo, hi), that can hold a two-outcome POVM,
+    in origin-major lexicographic order.  No order can reach a report:
+    each figure is a function of its cell's own corner triples
+    (_pair_cells), cells_visited is a count, and the incumbent's min
+    ignores the order of its offers.
+
+    The level is built per axis, with the bits of building every cell's
+    row and masking the rows (the tests hold it to that dense build).
+    Coordinate j of a base is origins[p, j] + eps * o_j, so each axis's
+    P x s_j table, made by that multiply and add, holds every base value
+    of the axis.  _pair_cell_mask is elementwise, so evaluated on the a,
+    b and c tables broadcast to P x s_a x s_b x s_c it makes, for each
+    cell, the float operations it makes on the cell's row, and np.nonzero
+    lists the kept cells in C order, the dense build's order.  The values
+    of an axis are its table's values and each plus eps, the add that
+    makes a corner; a cell keeps its base's rank among them on each axis,
+    and _Level.bases reads the bases back, bit for bit.
+
+    A level of more than _MAX_NET_CELLS cells before the mask is refused
+    before anything is allocated, and one whose corner keys (_corner_points)
+    could pass 63 bits before its cells are listed.  For eps_coarse <= 1
+    that refusal never comes.  An axis holds at most twice its distinct
+    base values, and an origin spreads its distinct values on an axis into
+    at most s, so a level of step eps = eps_coarse / S, S the product of
+    the steps so far, holds at most 2 n S values on an axis of n coarse
+    cells: under 4 / eps on the a and c axes and 6 / eps on b.  Every step
+    is past eps_fine / 2 and the flat-cell guard keeps 1 / eps_fine under
+    4473, so each axis holds under 53 676 < 2^16 values, 48 key bits in
+    all, and a block's places take 14 of the other 15.
     """
     cells = origins.shape[0] * math.prod(h - l for l, h in zip(lo, hi))
     if cells > _MAX_NET_CELLS:
         raise ResourceLimitError(
             f"net level at step {eps} has {cells} cells, past {_MAX_NET_CELLS}")
-    bases = (origins[:, None, :] + _grid(eps, lo, hi)).reshape(-1, 3)
-    return bases[_pair_cell_mask(bases, eps)]
+    tables = [origins[:, j, None] + eps * np.arange(l, h) for j, (l, h) in enumerate(zip(lo, hi))]
+    axes = []
+    for t in tables:
+        values = np.unique(np.concatenate([t, t + eps], axis=None))
+        axes.append(_Axis(values, np.searchsorted(values, values + eps),
+                          (values.size - 1).bit_length()))
+    bits, room = sum(ax.bits for ax in axes), 63 - (8 * _NET_BLOCK - 1).bit_length()
+    if bits > room:
+        raise ResourceLimitError(
+            f"net level at step {eps} has {bits}-bit corner keys, past {room}")
+    a, b, c = tables
+    kept = np.nonzero(_pair_cell_mask(a[:, :, None, None], b[:, None, :, None],
+                                      c[:, None, None, :], eps))
+    ranks = np.empty((kept[0].size, 3), dtype=np.intp)
+    for j, (t, ax) in enumerate(zip(tables, axes)):
+        ranks[:, j] = np.searchsorted(ax.values, t)[kept[0], kept[1 + j]]
+    return _Level(tuple(axes), ranks)
 
 
 def _count_flat_cells(eps: float) -> int:
@@ -545,26 +625,30 @@ def _pair_cells(quantity: str, bases: np.ndarray, eps: float, points: np.ndarray
     from elementwise float operations and from products of the row with
     fixed vectors, and numpy computes such a product the same way for every
     row of an array of two or more rows (points holds at least one cell's
-    8 corners, which are distinct: on the net's axes x + eps != x).
-    Corners with equal triples therefore get equal figures, gathering copies
-    them, and the maxima and minima over each cell's 8 gathered corners are
-    exact.  The row property is numpy's (a one-row product may round
-    differently), so the tests hold both maps to the same bits.
+    8 corners, which are distinct: on the net's axes x + eps != x).  The
+    points and their complements are evaluated as one stacked array for
+    the same reason.  Corners with equal triples therefore get equal
+    figures, gathering copies them, and the maxima and minima over each
+    cell's 8 gathered corners are exact.  The row property is numpy's (a
+    one-row product may round differently), so the tests hold both maps
+    to the same bits.
     """
-    comp = _IDENTITY - points
+    m = points.shape[0]
+    both = np.concatenate([points, _IDENTITY - points])   # the points, then their complements
+    comp_index = index + m
     tops = (np.maximum(bases[:, 0] + bases[:, 2] + 2.0 * eps, 0.0),
             np.maximum(2.0 - bases[:, 0] - bases[:, 2], 0.0))
     fam_sums_corr = []
     fam_sums_raw = []
     for fam in _quantity(quantity).fams:
-        vals1, den1 = _eval_family(fam, points)
-        vals2, den2 = _eval_family(fam, comp)
-        fam_sums_corr.append(_box_bound(fam, vals1[index], den1[index], tops[0])
-                             + _box_bound(fam, vals2[index], den2[index], tops[1]))
-        fam_sums_raw.append(vals1 + vals2)
+        vals, den = _eval_family(fam, both)
+        fam_sums_corr.append(_box_bound(fam, vals[index], den[index], tops[0])
+                             + _box_bound(fam, vals[comp_index], den[comp_index], tops[1]))
+        fam_sums_raw.append(vals[:m] + vals[m:])
     corrected = _combine(quantity, fam_sums_corr[0], fam_sums_corr[1])
-    valid = (_eigmin_arr(points) >= -1e-12) & (_eigmin_arr(comp) >= -1e-12)
-    raw = np.where(valid, _combine(quantity, fam_sums_raw[0], fam_sums_raw[1]), -np.inf)
+    psd = _eigmin_arr(both) >= -1e-12
+    raw = np.where(psd[:m] & psd[m:], _combine(quantity, fam_sums_raw[0], fam_sums_raw[1]),
+                   -np.inf)
     return corrected, raw
 
 
@@ -634,7 +718,7 @@ class BoundReport:
     elapsed_s: float
 
     def __post_init__(self):
-        if self.corrected_bound < self.raw_max - 1e-12:
+        if self.corrected_bound < self.raw_max:
             raise InvariantViolationError(
                 f"corrected bound {self.corrected_bound} below raw max {self.raw_max}"
             )
@@ -728,15 +812,16 @@ def search_bounds(
             raise ResourceLimitError(
                 f"flat-cell (a, c) table of {fine_a * fine_a} cells exceeds {_MAX_NET_CELLS}")
         n_a, n_b = _axis_counts(eps)
-        bases = _net_level(np.zeros((1, 3)), eps, (0, -n_b, 0), (n_a, n_b, n_a))
+        net = _net_level(np.zeros((1, 3)), eps, (0, -n_b, 0), (n_a, n_b, n_a))
         steps = _refine_steps(eps_coarse, eps_fine)
         while True:
-            corr = np.empty(bases.shape[0])
-            for lo in range(0, bases.shape[0], _NET_BLOCK):
+            corr = np.empty(net.ranks.shape[0])
+            for lo in range(0, corr.size, _NET_BLOCK):
                 check_deadline()
-                block = bases[lo:lo + _NET_BLOCK]
-                points, index = _corner_points(block, eps)
-                corr[lo:lo + block.shape[0]], raw = _pair_cells(quantity, block, eps, points, index)
+                rows = slice(lo, lo + _NET_BLOCK)
+                block = net.bases(rows)
+                points, index = _corner_points(net.axes, net.ranks[rows])
+                corr[rows], raw = _pair_cells(quantity, block, eps, points, index)
                 # a block below the level's maximum offers only losers, and
                 # min keeps the same winner whatever the order of offers
                 rmax = float(raw.max())
@@ -750,7 +835,7 @@ def search_bounds(
             s = steps[level]
             level += 1
             eps = eps / s
-            bases = _net_level(bases[corr > -best[0]], eps, (0, 0, 0), (s, s, s))
+            net = _net_level(net.bases(corr > -best[0]), eps, (0, 0, 0), (s, s, s))
         check_deadline()
         flat_cells = _count_flat_cells(eps_fine)
     except ResourceLimitError as err:

@@ -82,6 +82,33 @@ MUTANTS = [
            ("tests/test_povmsearch.py::test_net_level_order_never_reaches_the_report"
             "[0.05-0.005]",),
            "the frontier must bound every block of the last level, not its last one"),
+    Mutant(_POVM, "if self.corrected_bound < self.raw_max:",
+           "if self.corrected_bound < self.raw_max - 1e-12:",
+           ("tests/test_povmsearch.py::test_bound_report_refuses_a_bound_below_raw_max",),
+           "a corrected bound below raw_max bounds nothing the search attained"),
+    Mutant(_POVM, "& ((a <= 1.0 + 1e-12) & (c <= 1.0 + 1e-12))", "& (c <= 1.0 + 1e-12)",
+           ("tests/test_povmsearch.py::test_refinement_levels_match_the_dense_build",),
+           "refinement children past a = 1 hold no POVM"),
+    Mutant(_POVM, "np.searchsorted(values, values + eps)", "np.searchsorted(values, values)",
+           ("tests/test_povmsearch.py::test_coarse_level_matches_the_dense_build[0.05]",
+            "tests/test_povmsearch.py::test_deduplicated_corners_give_the_same_bits"
+            "[0.05-0.005]"),
+           "a corner at x + eps ranked as x is merged with the corner at x"),
+    Mutant(_POVM, "if bits > room:", "if bits > 63:",
+           ("tests/test_povmsearch.py::"
+            "test_search_refuses_a_level_whose_corner_keys_could_pass_int64",),
+           "keys past 63 bits wrap and merge corners that differ"),
+    Mutant(_POVM, "shift = (m - 1).bit_length()", "shift = (m - 1).bit_length() - 1",
+           ("tests/test_povmsearch.py::test_deduplicated_corners_give_the_same_bits"
+            "[0.05-0.005]",),
+           "places one bit short spill into the key and scramble the corner map"),
+    Mutant(_POVM, "comp_index = index + m", "comp_index = index",
+           ("tests/test_povmsearch.py::test_search_payload_is_pinned_on_nets_past_one"
+            "[0.3-0.1-total]",),
+           "the complement's box bound must read the complements' half of the stack"),
+    Mutant(_POVM, "total += (t0 * t0 + t1 * t1) / den", "total += t0 * t0 / den + t1 * t1 / den",
+           ("tests/test_povmsearch.py::test_family_sum_matches_the_looped_form",),
+           "two divisions round differently from the looped form's one"),
     Mutant(_SEEDS, _HASHMIX + "t = (t ^ t >> 16) & mask", _HASHMIX + "t = t ^ t >> 16",
            (_COINS,), "an unmasked xor-shift carries bits into the next lane"),
     Mutant(_SEEDS, "_LANE = 72", "_LANE = 64", (_COINS,),

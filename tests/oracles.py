@@ -189,6 +189,44 @@ def eval_family(fam, pts) -> tuple:
     return total, den_min
 
 
+def family_sum(fam, rows) -> float:
+    """sum over the rows (a, b, c) of F in plain floats, looped: per group
+    the numerator starts at 0.0 and adds each numerator row's squared
+    trace, and terms whose denominator is at most 1e-12 add 0."""
+    total = 0.0
+    for a, b, c in rows:
+        for nums, (d0, d1, d2) in fam.groups:
+            den = a * d0 + b * d1 + c * d2
+            if den > 1e-12:
+                num = 0.0
+                for n0, n1, n2 in nums:
+                    t = a * n0 + b * n1 + c * n2
+                    num += t * t
+                total += num / den
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the two-outcome net, built densely
+
+
+def dense_net_level(origins, eps: float, lo: tuple, hi: tuple) -> np.ndarray:
+    """The bases origin + eps * o, for each origin row and each integer
+    triple o in the box [lo, hi), of the cells that can hold a two-outcome
+    POVM, in origin-major lexicographic order: every cell's row is built,
+    then masked.  A cell is kept when its least |b| squared is at most both
+    its own diagonal product (a + eps)(c + eps) and its complement's
+    (1 - a)(1 - c), each with a 1e-12 slack, and a, c <= 1 + 1e-12."""
+    offsets = np.meshgrid(*(np.arange(l, h) for l, h in zip(lo, hi)), indexing="ij")
+    grid = eps * np.stack(offsets, axis=-1).reshape(-1, 3)
+    bases = (origins[:, None, :] + grid).reshape(-1, 3)
+    a, b, c = bases[:, 0], bases[:, 1], bases[:, 2]
+    bmin = np.where((b <= 0.0) & (0.0 <= b + eps), 0.0, np.minimum(np.abs(b), np.abs(b + eps)))
+    limit = np.minimum((a + eps) * (c + eps) + 1e-12,
+                       np.maximum(1.0 - a, 0.0) * np.maximum(1.0 - c, 0.0) + 1e-12)
+    return bases[(bmin * bmin <= limit) & (a <= 1.0 + 1e-12) & (c <= 1.0 + 1e-12)]
+
+
 # ---------------------------------------------------------------------------
 # exact slice maxima: the encoding's states in Q(sqrt 2), polynomials in t
 

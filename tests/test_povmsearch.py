@@ -1,5 +1,6 @@
 """Measurement-leakage search: point values, cell bounds, certificates."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,8 +15,10 @@ from fractions import Fraction
 from oracles import (
     EIGHTHS,
     basis_projectors,
+    dense_net_level,
     eval_family,
     exact_families,
+    family_sum,
     grid_pairs,
     least_double_at_or_above,
     log2_enclosure,
@@ -45,6 +48,7 @@ from otmbench.povmsearch import (
     _corner_points,
     _count_flat_cells,
     _eval_family,
+    _family_sum,
     _make_family,
     _net_level,
     _outcome_table,
@@ -290,6 +294,24 @@ def test_family_takes_a_group():
         _make_family([])
 
 
+def test_family_sum_matches_the_looped_form():
+    # the written-out numerator against the looped one, bit for bit, on
+    # single rows and on runs of 2 to 4 rows; rows (x, y, -x) put the
+    # identity denominator of f0 and f1 at exactly 0, and the zero and
+    # tiny rows put every denominator at or under _DEN_ZERO
+    rng = np.random.default_rng(32)
+    rows = _kernel_points("mixed", 10_000, rng)
+    x, y = rng.uniform(-1.0, 1.0, (2, 500))
+    rows = np.concatenate([rows, np.stack([x, y, -x], axis=1), np.zeros((4, 3))]).tolist()
+    runs = [rows[i:i + k] for k in (1, 2, 3, 4) for i in range(0, len(rows) - k, k)]
+    for fam in FAMILIES:
+        dropped = 0
+        for run in runs:
+            assert _family_sum(fam, run).hex() == family_sum(fam, run).hex(), run
+            dropped += family_sum(fam, run) == 0.0
+        assert dropped, "no run had all its terms dropped"
+
+
 # ---------------------------------------------------------------------------
 # grid enumeration
 
@@ -380,12 +402,18 @@ def test_corner_correction_refuses_bad_eps(monkeypatch):
 
 def test_corner_correction_is_the_net_cell_bound():
     """One POVM's cell bound, from its 8 corners, is bit for bit the net's
-    bound for the same base, from the deduplicated corners of 300 cells."""
+    bound for the same base, from the deduplicated corners of 300 cells of
+    the coarse level whose base is a POVM."""
     eps = 0.05
-    bases = np.array([rows[0] for rows in grid_pairs(eps)])
-    bases = bases[np.random.default_rng(13).choice(len(bases), size=300, replace=False)]
+    n_a, n_b = _axis_counts(eps)
+    net = _net_level(np.zeros((1, 3)), eps, (0, -n_b, 0), (n_a, n_b, n_a))
+    bases = net.bases()
+    povms = np.flatnonzero((povmsearch._eigmin_arr(bases) >= 0.0)
+                           & (povmsearch._eigmin_arr(povmsearch._IDENTITY - bases) >= 0.0))
+    rows = np.random.default_rng(13).choice(povms, size=300, replace=False)
+    bases = net.bases(rows)
     for q in QUANTITIES:
-        batched = _pair_cells(q, bases, eps, *_corner_points(bases, eps))[0]
+        batched = _pair_cells(q, bases, eps, *_corner_points(net.axes, net.ranks[rows]))[0]
         for base, want in zip(bases, batched):
             cell = Povm.from_coords([base, (1 - base[0], -base[1], 1 - base[2])])
             assert corner_corrected_value(cell, eps, q) == want
@@ -474,7 +502,7 @@ def test_search_matches_flat_enumeration_on_coarse_net(quantity):
 
 def test_search_report_invariants():
     report = search_bounds(0.1, 0.05, "total")
-    assert report.corrected_bound >= report.raw_max - 1e-12
+    assert report.corrected_bound >= report.raw_max
     assert report.frontier_bound >= report.raw_max - 1e-12
     assert report.corrected_bound == report.slice_bound
     assert report.net_epsilon == pytest.approx(0.05)
@@ -599,20 +627,85 @@ def test_net_level_order_never_reaches_the_report(coarse, fine, monkeypatch):
     real, rng = povmsearch._net_level, np.random.default_rng(28)
 
     def shuffled(*args):
-        bases = real(*args)
-        return bases[rng.permutation(bases.shape[0])]
+        net = real(*args)
+        return net._replace(ranks=net.ranks[rng.permutation(net.ranks.shape[0])])
 
     monkeypatch.setattr(povmsearch, "_net_level", shuffled)
     for q in QUANTITIES:
         assert payload(q) == want[q], q
 
 
+def _level_matches_the_dense_build(origins, eps, lo, hi):
+    net = _net_level(origins, eps, lo, hi)
+    got, want = net.bases(), dense_net_level(origins, eps, lo, hi)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    for j, ax in enumerate(net.axes):
+        r = net.ranks[:, j]
+        assert np.array_equal(ax.values[ax.up[r]], ax.values[r] + eps)
+    return net
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.13, 0.1, 0.05, 0.01])
+def test_coarse_level_matches_the_dense_build(eps):
+    """The per-axis build gives the dense build's cells, in its order and to
+    the bit, and ranks each base value's x + eps to that float."""
+    n_a, n_b = _axis_counts(eps)
+    net = _level_matches_the_dense_build(np.zeros((1, 3)), eps, (0, -n_b, 0), (n_a, n_b, n_a))
+    assert net.ranks.shape[0] > 0
+
+
+def test_refinement_levels_match_the_dense_build():
+    # (0.13, 0.011) refines by 2, 2 and 3, and no step divides 1: children
+    # land past a = 1 and c = 1.  Each level takes a seeded random half of
+    # the one before as origins; then 200 origins anywhere near the net,
+    # and none.  No axis holds more than 4 / eps values (6 / eps on b).
+    rng = np.random.default_rng(32)
+    eps = 0.13
+    n_a, n_b = _axis_counts(eps)
+    net = _level_matches_the_dense_build(np.zeros((1, 3)), eps, (0, -n_b, 0), (n_a, n_b, n_a))
+    for s in _refine_steps(0.13, 0.011):
+        bases = net.bases()
+        eps /= s
+        origins = bases[rng.random(bases.shape[0]) < 0.5]
+        net = _level_matches_the_dense_build(origins, eps, (0, 0, 0), (s, s, s))
+        assert origins.shape[0] < net.ranks.shape[0] < origins.shape[0] * s**3
+        sizes = [ax.values.size for ax in net.axes]
+        assert max(sizes[0], sizes[2]) < 4 / eps and sizes[1] < 6 / eps
+    origins = rng.uniform((-0.05, -0.55, -0.05), (1.05, 0.55, 1.05), (200, 3))
+    assert _level_matches_the_dense_build(origins, 0.011, (0, 0, 0), (5, 5, 5)).ranks.size
+    net = _level_matches_the_dense_build(origins[:0], 0.011, (0, 0, 0), (5, 5, 5))
+    assert net.ranks.shape == (0, 3)
+
+
+def test_search_refuses_a_level_whose_corner_keys_could_pass_int64(monkeypatch):
+    # blocks of 2^50 cells take 53 of a key's 63 bits for corner places,
+    # and the README coarse level's three axes need more than the other 10
+    monkeypatch.setattr(povmsearch, "_NET_BLOCK", 2**50)
+    with pytest.raises(ResourceLimitError, match="-bit corner keys, past 10$") as err:
+        search_bounds(0.05, 0.005, "total")
+    partial = err.value.partial
+    assert not partial.complete and partial.cells_visited == 0
+
+
+def test_bound_report_refuses_a_bound_below_raw_max():
+    # search_bounds reports max(bound, raw_max), so equality is the least
+    # it can report and one ulp less is refused
+    report = search_bounds(0.1, 0.1, "greater")
+    at = dataclasses.replace(report, corrected_bound=report.raw_max)
+    assert at.corrected_bound == at.slice_bound == report.raw_max
+    with pytest.raises(InvariantViolationError, match="below raw max"):
+        dataclasses.replace(report, corrected_bound=math.nextafter(report.raw_max, 0.0))
+
+
 def test_net_memory_is_bounded_by_its_blocks():
     # one level of 548 196 cells: bounding every corner at once peaked
     # at about 565 MiB under tracemalloc.  Bounded in blocks, the peak is
-    # building the coarse level, 10^6 grid cells at the 72 bytes each that
-    # _MAX_NET_CELLS states (68.7 MiB); a block's corner temporaries are
-    # a few MiB, and the ceiling leaves 4 MiB over the level
+    # building the coarse level, 548 196 kept cells of 10^6 at the 64
+    # bytes a kept cell that _MAX_NET_CELLS states (33.5 MiB; built
+    # densely it took 72 bytes a grid cell, 68.7 MiB); a block's corner
+    # temporaries stay under a MiB, and the ceiling leaves 4 MiB over the
+    # level
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
@@ -621,7 +714,7 @@ def test_net_memory_is_bounded_by_its_blocks():
     finally:
         tracemalloc.stop()
     assert report.cells_visited == 548_196
-    assert peak < 10**6 * 72 + 4 * 2**20
+    assert peak < 548_196 * 64 + 4 * 2**20
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -644,14 +737,22 @@ def test_every_search_limit_carries_a_partial_report(kwargs):
     (0.05, 1e-4, "table of 100000000 cells"),
 ])
 def test_search_refuses_oversized_nets_before_allocating(coarse, fine, message, monkeypatch):
-    # 10^9 coarse cells, then 10^8 (a, c) cells for the flat count
+    # 10^9 coarse cells, then 10^8 (a, c) cells for the flat count: either
+    # would take gigabytes, and the refusal, partial report included, takes
+    # under 1 MiB
     def never(*args):
         raise AssertionError("allocated before the size guard")
 
-    for name in ("_grid", "_count_flat_cells"):
-        monkeypatch.setattr(povmsearch, name, never)
-    with pytest.raises(ResourceLimitError, match=message):
-        search_bounds(coarse, fine, "greater")
+    monkeypatch.setattr(povmsearch, "_count_flat_cells", never)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        with pytest.raises(ResourceLimitError, match=message):
+            search_bounds(coarse, fine, "greater")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_search_refuses_an_oversized_refinement_level(monkeypatch):
@@ -840,7 +941,7 @@ def test_sampled_pure_states_peak_at_k(quantity, k):
 def test_flat_cell_count_matches_enumeration(eps):
     n_a, n_b = _axis_counts(eps)
     coarse = _net_level(np.zeros((1, 3)), eps, (0, -n_b, 0), (n_a, n_b, n_a))
-    assert _count_flat_cells(eps) == coarse.shape[0]
+    assert _count_flat_cells(eps) == coarse.ranks.shape[0]
 
 
 def test_reference_set_support_flags():
