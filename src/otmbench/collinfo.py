@@ -37,12 +37,13 @@ _MASS_TOL = 1e-9
 _MAX_FILE_CELLS = 1 << 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Dense joint over named finite variables.
 
     ``table`` has one axis per name, entries nonnegative and summing to 1
     within tolerance (the constructor renormalizes the residual rounding).
+    Joints compare and hash by identity, as an ndarray field cannot.
     """
 
     names: tuple[str, ...]

@@ -47,7 +47,7 @@ import numpy as np
 
 from .collinfo import JointDistribution, collision_mi, conditional_collision_mi
 from .errors import InvariantViolationError, ResourceLimitError
-from .qrac import BasisMeasurement, measure_prob, qrac_encode
+from .qrac import density_matrix, measure_prob, qrac_encode
 
 __all__ = [
     "QUANTITIES",
@@ -95,7 +95,6 @@ class _Family(NamedTuple):
 
     cols: tuple          # per group, C-contiguous (3, 2) array: numerator rows as columns
     den_vecs: tuple      # per group, (3,) denominator coefficient vector
-    groups: tuple        # per group, (numerator rows, denominator row) as float tuples
     flat: tuple          # per group, its two numerator rows and its denominator row as 9 floats
     crude: float         # sum_j lam_max(V_j)^2 / lam_min(W_group) over all numerators
 
@@ -111,20 +110,19 @@ def _make_family(groups) -> _Family:
     for nums, _ in groups:
         if len(nums) != 2:
             raise ValueError(f"a family group takes 2 numerator states, got {len(nums)}")
-    cols, den_vecs, rows, crude = [], [], [], 0.0
+    cols, den_vecs, flat, crude = [], [], [], 0.0
     for nums, den in groups:
         num_rows = np.stack([_coeff(v) for v in nums])
         cols.append(np.ascontiguousarray(num_rows.T))
         den_vecs.append(_coeff(den))
-        rows.append((tuple(map(tuple, num_rows.tolist())), tuple(den_vecs[-1].tolist())))
+        flat.append(tuple(num_rows.ravel().tolist() + den_vecs[-1].tolist()))
         lmin = _lam_extremes(den)[0]
         crude += sum(_lam_extremes(v)[1] ** 2 for v in nums) / lmin
-    flat = tuple(r0 + r1 + den for (r0, r1), den in rows)
-    return _Family(tuple(cols), tuple(den_vecs), tuple(rows), flat, crude)
+    return _Family(tuple(cols), tuple(den_vecs), tuple(flat), crude)
 
 
 def _ensemble_families():
-    rho = {xy: qrac_encode(*xy).density_matrix() for xy in itertools.product((0, 1), repeat=2)}
+    rho = {xy: density_matrix(qrac_encode(*xy)) for xy in itertools.product((0, 1), repeat=2)}
     bar0 = {x: (rho[(x, 0)] + rho[(x, 1)]) / 2 for x in (0, 1)}   # avg over b1
     bar1 = {y: (rho[(0, y)] + rho[(1, y)]) / 2 for y in (0, 1)}   # avg over b0
     eye = np.eye(2)
@@ -270,6 +268,9 @@ def _corner_points(axes: tuple, ranks: np.ndarray) -> tuple:
     """
     n = ranks.shape[0]
     m = 8 * n
+    # widened once: numpy casts an int32 index array on each gather, and
+    # the keys need int64
+    ranks = ranks.astype(np.intp)
     keys = 0
     for j, ax in enumerate(axes):
         r = ranks[:, j]
@@ -388,26 +389,25 @@ def eval_povm_info(povm: Povm) -> PovmInfo:
 
 
 def _outcome_table(entry) -> tuple:
-    """One measurement, a Povm, a BasisMeasurement or a basis angle, as
-    (label, t) with t[x, y, o] = P(outcome o | bits (x, y)).  A Povm is its
-    own label and gives Tr[M_o rho_xy]; a BasisMeasurement is labelled by
-    its theta, an angle by itself as a float, and both give measure_prob's
-    cos^2.  The formulas agree up to rounding; a basis keeps its own so its
-    figures keep their last bits (through element rows the m = 4 sweep's
-    worst greater would move by 1e-15)."""
+    """One measurement, a Povm or a basis angle, as (label, t) with
+    t[x, y, o] = P(outcome o | bits (x, y)).  A Povm is its own label and
+    gives Tr[M_o rho_xy]; an angle is labelled by itself as a float and
+    gives measure_prob's cos^2.  The formulas agree up to rounding; a basis
+    keeps its own so its figures keep their last bits (through element
+    rows the m = 4 sweep's worst greater would move by 1e-15)."""
     if isinstance(entry, Povm):
         els = entry.elements
         t = np.empty((2, 2, len(els)))
         for x, y in itertools.product((0, 1), repeat=2):
-            rho = qrac_encode(x, y).density_matrix()
+            rho = density_matrix(qrac_encode(x, y))
             for o, m in enumerate(els):
                 t[x, y, o] = float(np.trace(m @ rho))
         return entry, t
-    meas = entry if isinstance(entry, BasisMeasurement) else BasisMeasurement(float(entry))
+    phi = float(entry)
     t = np.empty((2, 2, 2))
     for x, y in itertools.product((0, 1), repeat=2):
-        t[x, y] = measure_prob(qrac_encode(x, y), meas)
-    return meas.theta, t
+        t[x, y] = measure_prob(qrac_encode(x, y), phi)
+    return phi, t
 
 
 def pair_info(table) -> PovmInfo:
@@ -475,9 +475,10 @@ def quantity_value(povm: Povm, quantity: str) -> float:
 # cells one net array may hold: the coarse net, the flat count's (a, c)
 # table and each refinement level are refused beyond it before allocating.
 # Under tracemalloc a level peaks at 2 bytes a cell (coarse cell or
-# refinement child) while it is masked, and then at 64 bytes a kept cell:
-# np.nonzero's four indices, the ranks and one gathered column.  The (a, c)
-# table peaks at 24 bytes a cell: at most 1.28 GB, every cell kept
+# refinement child) while it is masked, and then at 52 bytes a kept cell:
+# np.nonzero's four int64 indices, the int32 ranks and one gathered int64
+# column.  The (a, c) table peaks at 24 bytes a cell: at most 1.04 GB,
+# every cell kept
 _MAX_NET_CELLS = 20_000_000
 
 # cells bounded together: a net level is bounded block by block, so its
@@ -585,7 +586,7 @@ def _net_level(origins: np.ndarray, eps: float, lo: tuple, hi: tuple) -> _Level:
     a, b, c = tables
     kept = np.nonzero(_pair_cell_mask(a[:, :, None, None], b[:, None, :, None],
                                       c[:, None, None, :], eps))
-    ranks = np.empty((kept[0].size, 3), dtype=np.intp)
+    ranks = np.empty((kept[0].size, 3), dtype=np.int32)   # an axis holds under 2^16 values
     for j, (t, ax) in enumerate(zip(tables, axes)):
         ranks[:, j] = np.searchsorted(ax.values, t)[kept[0], kept[1 + j]]
     return _Level(tuple(axes), ranks)

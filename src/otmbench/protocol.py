@@ -28,7 +28,7 @@ from .errors import InvariantViolationError, ResourceLimitError, _check_int
 from .f2codes import (MAX_PACKED_BITS, LinearCode, _check_trials, _decode_index, bits_to_int,
                       encode, exact_failure_prob, int_to_bits, ml_decode_packed, random_code)
 from .povmsearch import REFERENCE_SETS, _outcome_table, _QUANTITY, pair_info
-from .qrac import ENCODING_ANGLES, _check_alpha, measurement_for, sample_measurements
+from .qrac import ENCODING_ANGLES, READOUT_P0, _check_alpha
 from .seeds import _coin_bits, derive_seed
 
 __all__ = [
@@ -57,7 +57,6 @@ PER_PAIR_BOUNDS = REFERENCE_SETS["0.59/0.59/0.65"]
 _CHANNEL_P = math.sin(math.pi / 8) ** 2   # bit-flip rate seen by the matched basis
 # qubit angle of the bit pair (b0, b1) as _ANGLES[b0, b1]
 _ANGLES = np.array([[ENCODING_ANGLES[(b0, b1)] for b1 in (0, 1)] for b0 in (0, 1)])
-_READOUT = {alpha: measurement_for(alpha) for alpha in (0, 1)}
 
 
 def _record(cls, **fields):
@@ -118,7 +117,7 @@ class ProtocolParams:
         return self.lam // 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OtrmInstance:
     """Sender view of one random-string memory: secrets included.  The
     public constructor takes the two codes and secrets alone and checks
@@ -160,7 +159,7 @@ def _code_pair(params: ProtocolParams, codes, root: int, label: str) -> tuple:
     return tuple(codes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReadResult:
     """Outcome of one full read: the decode plus ground-truth scoring."""
 
@@ -177,14 +176,17 @@ def otrm_read(instance: OtrmInstance, alpha: int, seed: int) -> ReadResult:
     The matched basis turns each qubit into one use of a binary symmetric
     channel at crossover sin^2(pi/8) on the chosen codeword; decode
     failure is reported via the success flag (the receiver itself cannot
-    detect it).  alpha, then seed, must be integers: a float, a bool or
-    None is refused before anything is drawn.
+    detect it).  Qubit i reads 1 where the i-th uniform draw of
+    default_rng(seed) reaches READOUT_P0[alpha, c0[i], c1[i]], its
+    probability of outcome 0.  alpha, then seed, must be integers: a
+    float, a bool or None is refused before anything is drawn.
     """
     alpha = _check_alpha(alpha)
     rng = np.random.default_rng(_check_int("seed", seed))
-    word = sample_measurements(instance.angles, _READOUT[alpha], rng)
+    p0 = READOUT_P0[alpha][instance.c0, instance.c1]
+    word = (rng.random(p0.shape) >= p0).astype(np.uint8)
     code = (instance.code0, instance.code1)[alpha]
-    u = _decode_index(code, word)          # the sampler's word is 0/1 already
+    u = _decode_index(code, word)          # the drawn word is 0/1 already
     msg = int_to_bits(u, code.k)
     return _record(ReadResult, alpha=alpha, word=word, message=msg,
                    codeword=code.codewords[u].copy(),
@@ -201,7 +203,7 @@ def _seed_len(input_len: int, output_len: int) -> int:
     return n + msg - 1 if msg else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Extractor:
     """Toeplitz two-universal hash over F2, fixed by its public seed bits.
     The public constructor checks the sizes and reduces the bits mod 2."""
@@ -235,7 +237,7 @@ class Extractor:
         return np.correlate(self.bits, x[::-1]) & 1      # "valid": one sum per window
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OtmPackage:
     """Message-layer package: instance, ciphertexts, public extractors."""
 
@@ -288,7 +290,7 @@ def otm_prep(m0, m1, params: ProtocolParams, seed: int = 0,
                    ct1=m1 ^ ext1.apply(c1), ext0=ext0, ext1=ext1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OtmReadResult:
     alpha: int
     message: np.ndarray
@@ -321,7 +323,7 @@ def mc_correctness(params: ProtocolParams, alpha: int, trials: int, seed: int,
     _check_trials(trials, params.n)
     codes = _code_pair(params, codes, seed, "mc-code")
     cws = tuple(c.codeword_ints for c in codes)      # refuses n past the packed limit
-    code, meas = codes[alpha], _READOUT[alpha]
+    code, p0 = codes[alpha], READOUT_P0[alpha]
     shifts = np.arange(params.n - 1, -1, -1, dtype=np.int64)
     rng = np.random.default_rng(derive_seed(seed, "mc-reads"))
     block = max(1, (1 << 20) // params.n)             # trials per block: 2^20 qubits
@@ -330,8 +332,8 @@ def mc_correctness(params: ProtocolParams, alpha: int, trials: int, seed: int,
         m = min(block, trials - start)
         msgs = [rng.integers(0, cw.shape[0], size=m) for cw in cws]
         bits0, bits1 = ((cw[r][:, None] >> shifts) & 1 for cw, r in zip(cws, msgs))
-        word = sample_measurements(_ANGLES[bits0, bits1], meas, rng)
-        decoded = ml_decode_packed(code, word.astype(np.int64) @ (1 << shifts))
+        word = rng.random(bits0.shape) >= p0[bits0, bits1]
+        decoded = ml_decode_packed(code, word @ (1 << shifts))
         failures += int(np.sum(decoded != msgs[alpha]))
     try:
         exact = exact_failure_prob(code, _CHANNEL_P)
@@ -443,14 +445,14 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
                        angles: Sequence[float] | None = None):
     """Exact leakage of product strategies on m independent pairs.
 
-    One strategy (per-qubit basis angle, BasisMeasurement, or Povm per
-    entry) gives one LeakageReport.  With exhaustive=True the grid of
-    per-qubit angles (default: 9 angles, multiples of pi/16 up to pi/2)
-    is swept over all product assignments and the worst case per figure
-    is reported; a strategy with exhaustive=True, or angles without it, is
-    refused.  Figures come from the one-pair joint of each entry and
-    add up over the pairs (see _product_figures).  The sweep's worst case
-    and all_ok are read from the figure columns.
+    One strategy (a basis angle or a Povm per entry) gives one
+    LeakageReport.  With exhaustive=True the grid of per-qubit angles
+    (default: 9 angles, multiples of pi/16 up to pi/2) is swept over all
+    product assignments and the worst case per figure is reported; a
+    strategy with exhaustive=True, or angles without it, is refused.
+    Figures come from the one-pair joint of each entry and add up over
+    the pairs (see _product_figures).  The sweep's worst case and all_ok
+    are read from the figure columns.
     """
     m = _check_int("m", m)
     if m < 1:
@@ -550,7 +552,8 @@ def simulator_transcript(m0, m1, params: ProtocolParams, adversary_strategy=None
 
     The view is (extractor seeds, measurement outcomes, ct0, ct1) with
     uniform messages r0, r1, uniform extractor seeds, and a fixed
-    product measurement strategy.  The simulation replaces ct1 by fresh
+    product measurement strategy, one entry (a basis angle or a Povm) per
+    measured qubit, from the first.  The simulation replaces ct1 by fresh
     uniform bits.  Returns the exact statistical distance between the
     two views, the average conditional min-entropy of c1 given the rest
     of the view, and the leftover-hash bound

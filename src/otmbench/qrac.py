@@ -1,9 +1,12 @@
 """Single-qubit encoding of two classical bits with basis-choice readout.
 
-States are real single-qubit pure states |psi_theta> = cos(theta)|0> +
-sin(theta)|1>.  Two bits (b0, b1) map to one of four states so that
-measuring in the computational basis recovers b0, and measuring in the
-pi/4-rotated basis recovers b1, each with probability cos^2(pi/8).
+A state is its angle: theta stands for the real pure state |psi_theta> =
+cos(theta)|0> + sin(theta)|1>.  A basis is its readout angle: phi stands
+for the measurement {psi_phi, psi_{phi+pi/2}}, outcome 0 being the
+projector onto psi_phi.  Two bits (b0, b1) map to one of four states so
+that measuring in the computational basis (angle 0) recovers b0, and
+measuring in the pi/4 basis recovers b1, each with probability
+cos^2(pi/8).
 
 The angle table is
 
@@ -12,11 +15,14 @@ The angle table is
 (the same four states as writing the b0=1 entries as +-5pi/8, relabeled so
 that both readouts actually succeed with the advertised probability; angles
 are equivalent mod pi up to a global sign).
+
+The honest reader of bit alpha measures every qubit in that bit's basis,
+so a read is a fixed channel: READOUT_P0[alpha, b0, b1] is the probability
+of outcome 0 for the qubit of (b0, b1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -24,13 +30,11 @@ import numpy as np
 from .errors import _check_int
 
 __all__ = [
-    "QubitState",
-    "BasisMeasurement",
     "ENCODING_ANGLES",
+    "READOUT_P0",
     "qrac_encode",
-    "measurement_for",
+    "density_matrix",
     "measure_prob",
-    "sample_measurements",
     "qrac_success_table",
 ]
 
@@ -41,26 +45,12 @@ ENCODING_ANGLES = {
     (1, 1): 5 * math.pi / 8,
 }
 
-
-@dataclass(frozen=True)
-class QubitState:
-    """Real pure state at angle theta from |0>."""
-
-    theta: float
-
-    def density_matrix(self) -> np.ndarray:
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return np.array([[c * c, c * s], [c * s, s * s]])
-
-
-@dataclass(frozen=True)
-class BasisMeasurement:
-    """Orthonormal-basis measurement {psi_theta, psi_{theta+pi/2}}.
-
-    Outcome 0 is the projector onto psi_theta.
-    """
-
-    theta: float
+# P(outcome 0) of the qubit of (b0, b1) read in the basis of bit alpha, at
+# [alpha, b0, b1]: cos^2 of the state's angle less the basis angle, 0 for
+# b0 and pi/4 for b1
+READOUT_P0 = np.cos(np.array([[ENCODING_ANGLES[(b0, b1)] for b1 in (0, 1)] for b0 in (0, 1)])
+                    - np.array([0.0, math.pi / 4])[:, None, None]) ** 2
+READOUT_P0.flags.writeable = False
 
 
 def _check_alpha(alpha) -> int:
@@ -70,30 +60,24 @@ def _check_alpha(alpha) -> int:
     return int(alpha)
 
 
-def measurement_for(alpha: int) -> BasisMeasurement:
-    """Readout basis for bit alpha: Z basis for b0, pi/4 basis for b1."""
-    return BasisMeasurement(0.0 if _check_alpha(alpha) == 0 else math.pi / 4)
-
-
-def qrac_encode(b0: int, b1: int) -> QubitState:
+def qrac_encode(b0: int, b1: int) -> float:
+    """The angle of the state that encodes (b0, b1)."""
     if b0 not in (0, 1) or b1 not in (0, 1):
         raise ValueError(f"bits must be 0/1, got ({b0}, {b1})")
-    return QubitState(ENCODING_ANGLES[(b0, b1)])
+    return ENCODING_ANGLES[(b0, b1)]
 
 
-def measure_prob(state: QubitState, meas: BasisMeasurement) -> tuple[float, float]:
-    """Exact outcome distribution (p0, p1) of measuring ``state`` in ``meas``."""
-    delta = state.theta - meas.theta
-    p0 = math.cos(delta) ** 2
+def density_matrix(theta: float) -> np.ndarray:
+    """|psi_theta><psi_theta| of the real pure state at angle theta."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c * c, c * s], [c * s, s * s]])
+
+
+def measure_prob(theta: float, phi: float) -> tuple[float, float]:
+    """Exact outcome distribution (p0, p1) of measuring the state at angle
+    theta in the basis at angle phi."""
+    p0 = math.cos(theta - phi) ** 2
     return (p0, 1.0 - p0)
-
-
-def sample_measurements(thetas, meas: BasisMeasurement, rng: np.random.Generator) -> np.ndarray:
-    """Outcomes of measuring real states at angles ``thetas`` in ``meas``:
-    1 where a uniform draw u, one per state in array order, has
-    u >= cos^2(theta - meas.theta), the probability of outcome 0."""
-    thetas = np.asarray(thetas, dtype=float)
-    return (rng.random(thetas.shape) >= np.cos(thetas - meas.theta) ** 2).astype(np.uint8)
 
 
 def qrac_success_table() -> dict:
@@ -102,9 +86,8 @@ def qrac_success_table() -> dict:
     All eight entries equal cos^2(pi/8).
     """
     table = {}
-    for (b0, b1), _ in ENCODING_ANGLES.items():
-        state = qrac_encode(b0, b1)
+    for b0, b1 in ENCODING_ANGLES:
         for alpha, want in ((0, b0), (1, b1)):
-            probs = measure_prob(state, measurement_for(alpha))
-            table[(b0, b1, alpha)] = probs[want]
+            p0 = float(READOUT_P0[alpha, b0, b1])
+            table[(b0, b1, alpha)] = p0 if want == 0 else 1.0 - p0
     return table

@@ -38,6 +38,11 @@ _POVM = "src/otmbench/povmsearch.py"
 _IDENTITIES = "tests/test_povmsearch.py::test_slice_maxima_are_polynomial_identities"
 _ROUNDING = "tests/test_povmsearch.py::test_bound_literals_round_the_maxima_up"
 _SEEDS = "src/otmbench/seeds.py"
+_PROTOCOL = "src/otmbench/protocol.py"
+_QRAC = "src/otmbench/qrac.py"
+_READS = "tests/test_protocol.py::test_reads_bytes_per_seed"
+_SUCCESS = ("tests/test_qrac.py::test_success_table_all_eight_entries",
+            "tests/test_acceptance.py::test_criterion_01_qrac_success_probabilities")
 _COINS = "tests/test_seeds.py::test_coin_bits_match_generator_integers"
 _HASHMIX = "t = (pool[src] ^ xa[i]) * _HASH_A[i + 1] & mask\n        "
 
@@ -109,6 +114,34 @@ MUTANTS = [
     Mutant(_POVM, "total += (t0 * t0 + t1 * t1) / den", "total += t0 * t0 / den + t1 * t1 / den",
            ("tests/test_povmsearch.py::test_family_sum_matches_the_looped_form",),
            "two divisions round differently from the looped form's one"),
+    Mutant(_POVM, "flat.append(tuple(num_rows.ravel().tolist() + den_vecs[-1].tolist()))",
+           "flat.append(tuple(num_rows.T.ravel().tolist() + den_vecs[-1].tolist()))",
+           ("tests/test_povmsearch.py::test_family_rows_round_the_exact_states",
+            "tests/test_povmsearch.py::test_family_operands_are_contiguous_columns"),
+           "the family sum reads each numerator row whole from flat"),
+    Mutant(_QRAC, "- np.array([0.0, math.pi / 4])[:, None, None]",
+           "- np.array([math.pi / 4, 0.0])[:, None, None]",
+           ("tests/test_qrac.py::test_readout_table_is_measure_prob", *_SUCCESS),
+           "bit alpha is read in its own basis: 0 for b0, pi/4 for b1"),
+    Mutant(_QRAC, "table[(b0, b1, alpha)] = p0 if want == 0 else 1.0 - p0",
+           "table[(b0, b1, alpha)] = p0", _SUCCESS,
+           "a read of bit 1 succeeds on outcome 1"),
+    Mutant(_PROTOCOL, "p0 = READOUT_P0[alpha][instance.c0, instance.c1]",
+           "p0 = READOUT_P0[alpha][instance.c1, instance.c0]",
+           ("tests/test_protocol.py::test_otrm_read_word_matches_per_qubit_sampling",
+            "tests/test_protocol.py::test_round_trip_bytes_pinned"),
+           "the table is indexed by (b0, b1): c0 first"),
+    Mutant(_PROTOCOL, "word = (rng.random(p0.shape) >= p0).astype(np.uint8)",
+           "word = rng.random(p0.shape) >= p0",
+           ("tests/test_protocol.py::test_round_trip_bytes_pinned",
+            "tests/test_protocol.py::test_matched_reads_flip_at_the_channel_rate"),
+           "a read hands out a uint8 word, not a bool one"),
+    Mutant(_PROTOCOL, "code, p0 = codes[alpha], READOUT_P0[alpha]",
+           "code, p0 = codes[alpha], READOUT_P0[1 - alpha]", (_READS,),
+           "Monte-Carlo reads must measure in the basis of the string they decode"),
+    Mutant(_PROTOCOL, "word = rng.random(bits0.shape) >= p0[bits0, bits1]",
+           "word = rng.random(bits0.shape) >= p0[bits1, bits0]", (_READS,),
+           "the table is indexed by (b0, b1): the first code's bit first"),
     Mutant(_SEEDS, _HASHMIX + "t = (t ^ t >> 16) & mask", _HASHMIX + "t = t ^ t >> 16",
            (_COINS,), "an unmasked xor-shift carries bits into the next lane"),
     Mutant(_SEEDS, "_LANE = 72", "_LANE = 64", (_COINS,),
@@ -119,7 +152,7 @@ MUTANTS = [
            ("tests/test_seeds.py::test_coin_bits_refuse_seeds_outside_the_kernel"
             "[0-18446744073709551616]",),
            "a seed of 2^64 spills out of its lane"),
-    Mutant("src/otmbench/protocol.py", 'rng = np.random.default_rng(_check_int("seed", seed))',
+    Mutant(_PROTOCOL, 'rng = np.random.default_rng(_check_int("seed", seed))',
            "rng = np.random.default_rng(seed)",
            ("tests/test_protocol.py::test_reads_refuse_non_integer_seeds[none]",
             "tests/test_protocol.py::test_reads_refuse_non_integer_seeds[bool]"),

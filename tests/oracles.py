@@ -13,7 +13,9 @@ encoding's angles in eighths of pi, and the report reader only the json
 module.  The protocol's draws are the one
 exception: its instance and extractor are numpy's own per-seed draws put
 through the public checked constructors, the reference that otm_prep's
-coin-bit kernel is held to.
+coin-bit kernel is held to.  The honest read draws one scalar per qubit
+against qrac's measure_prob: it is the reference for the reads, which
+gather qrac's readout table instead.
 
 The test inputs are seeded random joints, basis projectors, the listing
 of two-outcome grid POVMs the corner-bound checks sample cells from, and
@@ -32,7 +34,7 @@ from otmbench.collinfo import JointDistribution, collision_mi, conditional_colli
 from otmbench.errors import _check_int
 from otmbench.f2codes import random_code
 from otmbench.protocol import Extractor, OtrmInstance, _seed_len
-from otmbench.qrac import QubitState, qrac_encode
+from otmbench.qrac import density_matrix, measure_prob, qrac_encode
 from otmbench.seeds import derive_seed
 
 # ---------------------------------------------------------------------------
@@ -138,6 +140,15 @@ def make_extractor(input_len: int, output_len: int, seed: int) -> Extractor:
     return Extractor(rng.integers(0, 2, size=want, dtype=np.uint8), input_len, output_len)
 
 
+def read_word(angles, alpha: int, rng) -> list:
+    """The honest read of the qubits at these angles in bit alpha's basis
+    (angle 0 for b0, pi/4 for b1), one qubit at a time: one scalar draw u
+    of rng per qubit, in order, and outcome 1 when u reaches measure_prob's
+    P(outcome 0)."""
+    phi = (0.0, math.pi / 4)[alpha]
+    return [int(rng.random() >= measure_prob(theta, phi)[0]) for theta in angles]
+
+
 # ---------------------------------------------------------------------------
 # Toeplitz extractor
 
@@ -172,15 +183,16 @@ def nearest_message(code, word) -> int:
 
 def eval_family(fam, pts) -> tuple:
     """F at points (M, 3) and the least group denominator, read from the
-    family's (numerator rows, denominator row) float groups alone: total
+    family's float rows alone, flat[0:3] and flat[3:6] the numerator
+    rows and flat[6:9] the denominator row of each group: total
     starts at 0 and the minimum at inf, each group adds the squared norm
     np.square(pts @ nums.T).sum(axis=-1) against the strided transposed
     view of its (2, 3) rows over its denominator, and terms whose
     denominator is at most 1e-12 add 0."""
     total = np.zeros(pts.shape[:-1])
     den_min = np.full(pts.shape[:-1], np.inf)
-    for num_rows, den_row in fam.groups:
-        nums, den = np.array(num_rows), np.array(den_row)
+    for row in fam.flat:
+        nums, den = np.array([row[0:3], row[3:6]]), np.array(row[6:9])
         d = pts @ den
         den_min = np.minimum(den_min, d)
         num = np.square(pts @ nums.T).sum(axis=-1)
@@ -195,7 +207,8 @@ def family_sum(fam, rows) -> float:
     trace, and terms whose denominator is at most 1e-12 add 0."""
     total = 0.0
     for a, b, c in rows:
-        for nums, (d0, d1, d2) in fam.groups:
+        for row in fam.flat:
+            nums, (d0, d1, d2) = (row[0:3], row[3:6]), row[6:9]
             den = a * d0 + b * d1 + c * d2
             if den > 1e-12:
                 num = 0.0
@@ -386,7 +399,7 @@ def least_double_at_or_above(lo: Fraction, hi: Fraction) -> float:
 def leakage_values(elements) -> dict:
     """The three leakage quantities of a POVM on the four-state encoding,
     from its exact joint of (b0, b1, outcome) under uniform bits."""
-    table = np.array([[[float(np.sum(m * qrac_encode(x, y).density_matrix())) for m in elements]
+    table = np.array([[[float(np.sum(m * density_matrix(qrac_encode(x, y)))) for m in elements]
                        for y in (0, 1)] for x in (0, 1)])
     d = JointDistribution(("b0", "b1", "out"), 0.25 * table)
     ic0, ic1 = collision_mi(d, "b0", "out"), collision_mi(d, "b1", "out")
@@ -497,8 +510,7 @@ def random_joint(names, sizes, seed) -> JointDistribution:
 
 def basis_projectors(theta: float) -> tuple:
     """The projectors onto the real states at angles theta and theta + pi/2."""
-    return (QubitState(theta).density_matrix(),
-            QubitState(theta + math.pi / 2).density_matrix())
+    return density_matrix(theta), density_matrix(theta + math.pi / 2)
 
 
 def grid_pairs(eps: float) -> list:

@@ -56,7 +56,7 @@ from otmbench.povmsearch import (
     _quantity,
     _refine_steps,
 )
-from otmbench.qrac import ENCODING_ANGLES, BasisMeasurement, measure_prob, qrac_encode
+from otmbench.qrac import ENCODING_ANGLES, density_matrix, measure_prob, qrac_encode
 
 LOG2_3_2 = math.log2(1.5)
 LOG2_5_4_X2 = 2 * math.log2(1.25)
@@ -270,10 +270,10 @@ def test_family_operands_are_contiguous_columns():
     # a strided transposed view gives the same numbers but takes numpy's
     # slow product path: the layout is held here, not only by timing
     for fam in FAMILIES:
-        for cols, (num_rows, _) in zip(fam.cols, fam.groups):
+        for cols, row in zip(fam.cols, fam.flat):
             assert cols.shape == (3, 2) and cols.dtype == np.float64
             assert cols.flags.c_contiguous
-            assert cols.T.tolist() == [list(r) for r in num_rows]
+            assert cols.T.tolist() == [list(row[0:3]), list(row[3:6])]
 
 
 @pytest.mark.parametrize("count", [0, 1, 3])
@@ -701,11 +701,10 @@ def test_bound_report_refuses_a_bound_below_raw_max():
 def test_net_memory_is_bounded_by_its_blocks():
     # one level of 548 196 cells: bounding every corner at once peaked
     # at about 565 MiB under tracemalloc.  Bounded in blocks, the peak is
-    # building the coarse level, 548 196 kept cells of 10^6 at the 64
-    # bytes a kept cell that _MAX_NET_CELLS states (33.5 MiB; built
-    # densely it took 72 bytes a grid cell, 68.7 MiB); a block's corner
-    # temporaries stay under a MiB, and the ceiling leaves 4 MiB over the
-    # level
+    # building the coarse level, 548 196 kept cells of 10^6 at the 52
+    # bytes a kept cell that _MAX_NET_CELLS states (27.2 MiB); a block's
+    # corner temporaries stay under a MiB, and the ceiling leaves 4 MiB
+    # over the level
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
@@ -714,7 +713,7 @@ def test_net_memory_is_bounded_by_its_blocks():
     finally:
         tracemalloc.stop()
     assert report.cells_visited == 548_196
-    assert peak < 548_196 * 64 + 4 * 2**20
+    assert peak < 548_196 * 52 + 4 * 2**20
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -876,10 +875,11 @@ def test_family_rows_round_the_exact_states():
     exact = exact_families()
     for name in ("f0", "f1", "g0", "g1"):
         fam = getattr(povmsearch, f"_FAM_{name.upper()}")
-        assert len(fam.groups) == len(exact[name])
-        for (num_rows, den_row), (nums, den) in zip(fam.groups, exact[name]):
-            assert len(num_rows) == len(nums)
-            for got, want in zip((*num_rows, den_row), (*nums, den)):
+        assert len(fam.flat) == len(exact[name])
+        for row, (nums, den) in zip(fam.flat, exact[name]):
+            # flat[0:3] and flat[3:6] are the numerator rows, flat[6:9] the denominator's
+            assert len(row) == 9 and len(nums) == 2
+            for got, want in zip((row[0:3], row[3:6], row[6:9]), (*nums, den)):
                 # each entry within 2 ulps of its row's largest entry, the
                 # scale of its rounding error (an exact 0 may come out as
                 # 1e-16), decided in Q(sqrt 2)
@@ -918,7 +918,7 @@ def test_corrected_bounds_are_the_exact_maxima():
 def test_sampled_pure_states_peak_at_k(quantity, k):
     # independent oracle: F straight from the encoded density matrices at
     # 10^5 evenly spaced pure states reaches K and never exceeds it
-    rho = {(x, y): qrac_encode(x, y).density_matrix() for x in (0, 1) for y in (0, 1)}
+    rho = {(x, y): density_matrix(qrac_encode(x, y)) for x in (0, 1) for y in (0, 1)}
     avg_b1 = {x: (rho[x, 0] + rho[x, 1]) / 2 for x in (0, 1)}
     avg_b0 = {y: (rho[0, y] + rho[1, y]) / 2 for y in (0, 1)}
     u = np.linspace(0.0, 2 * math.pi, 100_000, endpoint=False)
@@ -974,10 +974,9 @@ def test_outcome_table_is_born_rule():
     the encoded state, and on any POVM each (x, y) row is a distribution."""
     for theta in (0.0, math.pi / 8, 0.3, math.pi / 4, 1.2):
         t = _outcome_table(basis_povm(theta))[1]
-        meas = BasisMeasurement(theta)
         for x in (0, 1):
             for y in (0, 1):
-                want = measure_prob(qrac_encode(x, y), meas)
+                want = measure_prob(qrac_encode(x, y), theta)
                 assert np.abs(t[x, y] - want).max() <= 1e-15
     rng = np.random.default_rng(7)
     trine = Povm(tuple(

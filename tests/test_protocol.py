@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import make_extractor, nearest_message, otrm_prep, toeplitz_matrix
+from oracles import make_extractor, nearest_message, otrm_prep, read_word, toeplitz_matrix
 from otmbench import protocol
 from otmbench.collinfo import JointDistribution, conditional_collision_mi, collision_mi
 from otmbench.errors import InvariantViolationError, ResourceLimitError
@@ -31,13 +31,7 @@ from otmbench.protocol import (
     otrm_read,
     simulator_transcript,
 )
-from otmbench.qrac import (
-    BasisMeasurement,
-    QubitState,
-    measure_prob,
-    measurement_for,
-    qrac_encode,
-)
+from otmbench.qrac import density_matrix, measure_prob, qrac_encode
 from otmbench.seeds import derive_seed
 
 CHANNEL_P = math.sin(math.pi / 8) ** 2
@@ -125,7 +119,7 @@ def test_otrm_prep_qubits_encode_codeword_pairs():
     inst = otrm_prep(params, seed=1)
     for i, theta in enumerate(inst.angles):
         want = qrac_encode(int(inst.c0[i]), int(inst.c1[i]))
-        assert abs(theta - want.theta) <= 1e-12
+        assert abs(theta - want) <= 1e-12
 
 
 def test_otrm_instance_derives_codewords_and_angles():
@@ -208,8 +202,6 @@ def test_non_integer_alpha_refused_before_drawing():
             otrm_read(pkg.instance, alpha, rng)
         with pytest.raises(ValueError, match="alpha"):
             mc_correctness(params, alpha, 10, seed=0, codes=codes)
-        with pytest.raises(ValueError, match="alpha"):
-            measurement_for(alpha)
     assert rng.bit_generator.state == state
     # numpy integers are integers: the same read as the Python int
     for alpha in (0, 1):
@@ -217,7 +209,6 @@ def test_non_integer_alpha_refused_before_drawing():
         b = otm_read(pkg, alpha, 3)
         assert type(a.alpha) is int and a.alpha == alpha
         assert np.array_equal(a.inner.word, b.inner.word) and np.array_equal(a.message, b.message)
-        assert measurement_for(np.uint8(alpha)) == measurement_for(alpha)
 
 
 _NON_INTEGER_SEEDS = [None, True, 1.0, "1", np.random.default_rng(3)]
@@ -260,13 +251,48 @@ def test_otrm_read_word_matches_per_qubit_sampling():
     params = ProtocolParams(n=12, lam=8, k=3)
     inst = otrm_prep(params, seed=8)
     for alpha in (0, 1):
-        meas = measurement_for(alpha)
         for seed in range(20):
-            # one scalar draw per qubit, outcome 1 when it reaches P(outcome 0)
-            rng = np.random.default_rng(seed)
-            want = [int(rng.random() >= measure_prob(QubitState(t), meas)[0])
-                    for t in inst.angles.tolist()]
+            want = read_word(inst.angles.tolist(), alpha, np.random.default_rng(seed))
             assert otrm_read(inst, alpha, seed).word.tolist() == want
+
+
+def test_matched_reads_flip_at_the_channel_rate():
+    # each qubit read in its string's basis gives that string's bit but
+    # for a flip at rate sin^2(pi/8); a seed gives one uint8 word
+    params = ProtocolParams(n=12, lam=8, k=3)
+    inst = otrm_prep(params, seed=4)
+    for alpha, cw in ((0, inst.c0), (1, inst.c1)):
+        words = np.array([otrm_read(inst, alpha, seed).word for seed in range(500)])
+        assert words.dtype == np.uint8 and words.shape == (500, 12)
+        flips = float(np.mean(words != cw))
+        assert abs(flips - CHANNEL_P) <= 4 * math.sqrt(CHANNEL_P * (1 - CHANNEL_P) / words.size)
+        again = otrm_read(inst, alpha, 499).word
+        assert again.dtype == np.uint8 and np.array_equal(again, words[-1])
+
+
+_ARRAY_RECORD_CODES = (random_code(9, 2, 30), random_code(9, 2, 31))
+
+
+def _array_record(name: str):
+    """A fresh record of this class, built from the same inputs and codes
+    on every call, so two calls give records equal field by field."""
+    pkg = otm_prep(np.array([1], dtype=np.uint8), np.array([0], dtype=np.uint8),
+                   ProtocolParams(n=9, lam=8, k=2), seed=5, codes=_ARRAY_RECORD_CODES)
+    read = otm_read(pkg, 0, seed=3)
+    return {"OtrmInstance": pkg.instance, "ReadResult": read.inner, "Extractor": pkg.ext0,
+            "OtmPackage": pkg, "OtmReadResult": read,
+            "JointDistribution": JointDistribution(("x",), np.full(4, 0.25))}[name]
+
+
+@pytest.mark.parametrize("name", ["OtrmInstance", "ReadResult", "Extractor", "OtmPackage",
+                                  "OtmReadResult", "JointDistribution"])
+def test_records_holding_arrays_compare_and_hash_by_identity(name):
+    # field-by-field equality would raise numpy's ambiguous truth value
+    # on two such records, and a field hash would refuse the ndarray
+    a, b = _array_record(name), _array_record(name)
+    assert type(a).__name__ == name
+    assert a == a and a != b and not (a == b)
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 def test_otrm_read_failure_rate_tracks_exact_benchmark():
@@ -717,10 +743,9 @@ _FIGURES = ("ic_b0", "ic_b1", "total", "cond_b0", "cond_b1")
 def _entry_table(entry) -> np.ndarray:
     """t[x, y, o] = P(outcome o | bits (x, y)) for one strategy entry."""
     if isinstance(entry, Povm):
-        return np.array([[[np.trace(el @ qrac_encode(x, y).density_matrix())
+        return np.array([[[np.trace(el @ density_matrix(qrac_encode(x, y)))
                            for el in entry.elements] for y in (0, 1)] for x in (0, 1)])
-    meas = entry if isinstance(entry, BasisMeasurement) else BasisMeasurement(entry)
-    return np.array([[measure_prob(qrac_encode(x, y), meas) for y in (0, 1)] for x in (0, 1)])
+    return np.array([[measure_prob(qrac_encode(x, y), entry) for y in (0, 1)] for x in (0, 1)])
 
 
 def _dense_figures(strategy) -> tuple:
@@ -739,9 +764,10 @@ def _dense_figures(strategy) -> tuple:
 
 
 def _random_strategy(rng, m) -> list:
+    # an angle as a Python float, an angle as a numpy float, or the trine
     kinds = rng.integers(0, 3, size=m)
     return [float(rng.uniform(0, math.pi)) if kind == 0 else
-            BasisMeasurement(float(rng.uniform(0, math.pi))) if kind == 1 else _TRINE
+            np.float64(rng.uniform(0, math.pi)) if kind == 1 else _TRINE
             for kind in kinds]
 
 
@@ -750,7 +776,7 @@ def test_leakage_matches_dense_product_joint():
     strategies = [_random_strategy(rng, m) for m in (1, 2, 3, 4) for _ in range(6)]
     strategies += [_random_strategy(rng, 6), [_TRINE] * 6]   # dense joint: 2^12 * 3^6 cells
     strategies += [[_ZERO_OUTCOME], [0.3, _ZERO_OUTCOME, _TRINE],
-                   [_TRINE, BasisMeasurement(1.1), _ZERO_OUTCOME, math.pi / 8]]
+                   [_TRINE, 1.1, _ZERO_OUTCOME, math.pi / 8]]
     for strategy in strategies:
         rep = leakage_experiment(len(strategy), strategy=strategy)
         got = tuple(getattr(rep, f) for f in _FIGURES)
@@ -769,9 +795,9 @@ def test_leakage_ignores_entry_order():
     for r in sweep.reports:
         by_multiset.setdefault(tuple(sorted(r.strategy)), []).append(r)
     assert all(len(_figure_rows(reps)) == 1 for reps in by_multiset.values())
-    for strategy in ([0.0, math.pi / 4, 3 * math.pi / 8], [0.1, BasisMeasurement(0.7), _TRINE],
+    for strategy in ([0.0, math.pi / 4, 3 * math.pi / 8], [0.1, 0.7, _TRINE],
                      [0.0, math.pi / 16, math.pi / 4, 3 * math.pi / 8],
-                     [_TRINE, 0.3, 0.3, BasisMeasurement(1.1)]):
+                     [_TRINE, 0.3, 0.3, 1.1]):
         rows = _figure_rows(leakage_experiment(len(strategy), strategy=list(perm))
                             for perm in itertools.permutations(strategy))
         assert len(rows) == 1, strategy
@@ -851,8 +877,7 @@ def _eager_reports(m: int, labels: list, figs: np.ndarray) -> list:
 def _eager_figures(entries: list) -> tuple:
     """Per-entry pair figures and strategy labels of a list of entries."""
     figs = np.array([pair_info(_outcome_table(e)[1]) for e in entries])
-    names = [e if isinstance(e, Povm) else
-             (e.theta if isinstance(e, BasisMeasurement) else float(e)) for e in entries]
+    names = [e if isinstance(e, Povm) else float(e) for e in entries]
     return figs, names
 
 
@@ -876,7 +901,7 @@ def _report_fields(rep) -> dict:
 def test_leakage_sweep_columns_match_eager_reports():
     grids = [None, [0.0, math.pi / 8, math.pi / 4],
              np.random.default_rng(11).uniform(0, math.pi, size=7).tolist(),
-             [0.2, BasisMeasurement(0.9), _TRINE, _ZERO_OUTCOME]]
+             [0.2, 0.9, _TRINE, _ZERO_OUTCOME]]
     for angles, m in itertools.product(grids, (1, 2, 3, 4)):
         entries = [j * math.pi / 16 for j in range(9)] if angles is None else angles
         want, worst, all_ok = _eager_sweep(m, entries)
@@ -885,7 +910,7 @@ def test_leakage_sweep_columns_match_eager_reports():
         assert got == want, (angles, m)
         assert (sweep.worst, sweep.all_ok) == (worst, all_ok), (angles, m)
     # one strategy goes through the same columns
-    for strategy in ([0.3, _TRINE, BasisMeasurement(1.1)], [0.0] * 6):
+    for strategy in ([0.3, _TRINE, 1.1], [0.0] * 6):
         figs, names = _eager_figures(strategy)
         want = _eager_reports(len(strategy), [tuple(names)], figs[None, :])
         assert _report_fields(leakage_experiment(len(strategy), strategy=strategy)) == want[0]
@@ -907,10 +932,11 @@ def test_leakage_computes_each_distinct_entry_once(monkeypatch):
     calls.clear()
     leakage_experiment(2, exhaustive=True)
     assert len(calls) == 9
-    # repeated angles, equal-angle BasisMeasurements and one Povm object
-    # used twice: six distinct entries, reported as the per-entry figures
-    strategy = [0.3, _TRINE, BasisMeasurement(0.3), 0.0, _TRINE, math.pi / 4, 0.3,
-                BasisMeasurement(1.1), 0.0, _ZERO_OUTCOME]
+    # repeated angles, one of them also given as a numpy float, and one
+    # Povm object used twice: six distinct entries, reported as the
+    # per-entry figures
+    strategy = [0.3, _TRINE, np.float64(0.3), 0.0, _TRINE, math.pi / 4, 0.3,
+                1.1, 0.0, _ZERO_OUTCOME]
     calls.clear()
     rep = leakage_experiment(len(strategy), strategy=strategy)
     assert len(calls) == 6
@@ -965,12 +991,11 @@ def test_honest_receiver_leaves_other_string_bounded():
     n, k = 6, 2
     c0 = random_code(n, k, 50)
     c1 = random_code(n, k, 51)
-    meas = measurement_for(0)
     tables = []
     for i in range(n):
         t = np.empty((2, 2, 2))
         for x, y in itertools.product((0, 1), repeat=2):
-            t[x, y] = measure_prob(qrac_encode(x, y), meas)
+            t[x, y] = measure_prob(qrac_encode(x, y), 0.0)   # every qubit read for b0
         tables.append(t)
     table = np.zeros((4, 4, 2**n))
     for u, v in itertools.product(range(4), range(4)):
@@ -1116,10 +1141,10 @@ def _trine():
 
 
 def _qubit_probs(entry, x, y):
-    state = qrac_encode(x, y)
+    theta = qrac_encode(x, y)
     if isinstance(entry, Povm):
-        return [float(np.trace(m @ state.density_matrix())) for m in entry.elements]
-    return list(measure_prob(state, BasisMeasurement(entry)))
+        return [float(np.trace(m @ density_matrix(theta))) for m in entry.elements]
+    return list(measure_prob(theta, entry))
 
 
 def _brute_force_views(m0, m1, params, strategy, seed):
