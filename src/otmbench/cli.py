@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -329,10 +330,17 @@ _RUNNERS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """build_parser(), built on the first main call and kept for the
+    process: no default is mutable and every parse makes a fresh Namespace,
+    so one call's flags never reach the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return _RUNNERS[args.command](args)
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)

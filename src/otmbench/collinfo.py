@@ -105,19 +105,19 @@ class JointDistribution:
         header = [h.strip() for h in lines[0].split(",")]
         if header[-1] != "prob":
             raise ValueError("last CSV column must be 'prob'")
-        names = tuple(header[:-1])
+        names, width = tuple(header[:-1]), len(header)
         rows = {}
         for ln in lines[1:]:
             cells = ln.split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"row has {len(cells)} cells, expected {len(header)}")
-            idx = tuple(int(c) for c in cells[:-1])
-            if min(idx, default=0) < 0:
+            if len(cells) != width:
+                raise ValueError(f"row has {len(cells)} cells, expected {width}")
+            idx = tuple(map(int, cells[:-1]))
+            if "-" in ln and min(idx, default=0) < 0:   # a negative int is written with "-"
                 raise ValueError(f"negative index in row {ln!r}")
             if idx in rows:
                 raise ValueError(f"duplicate row for index {idx}")
             rows[idx] = float(cells[-1])
-        shape = [max(idx[i] for idx in rows) + 1 for i in range(len(names))]
+        shape = [max(col) + 1 for col in zip(*rows)]
         if math.prod(shape) > _MAX_FILE_CELLS:
             raise ResourceLimitError(f"a {shape} table exceeds the limit of "
                                      f"{_MAX_FILE_CELLS} cells")

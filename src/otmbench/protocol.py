@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -123,8 +124,8 @@ class OtrmInstance:
     public constructor takes the two codes and secrets alone and checks
     them: the secrets are kept as k-bit uint8 vectors reduced mod 2 (encode
     checks their shapes), and the codewords c0, c1 (the encodings of r0, r1)
-    and the qubit angles are derived, qubit i being the state at angle
-    angles[i], the QRAC encoding of (c0[i], c1[i])."""
+    are derived.  Qubit i is the state at angle angles[i], the QRAC
+    encoding of (c0[i], c1[i]), computed on first read."""
 
     code0: LinearCode
     code1: LinearCode
@@ -132,7 +133,6 @@ class OtrmInstance:
     r1: np.ndarray
     c0: np.ndarray = field(init=False)
     c1: np.ndarray = field(init=False)
-    angles: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.code0.n != self.code1.n:
@@ -145,7 +145,10 @@ class OtrmInstance:
         object.__setattr__(self, "r1", r1)
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "angles", _ANGLES[c0, c1])
+
+    @cached_property
+    def angles(self) -> np.ndarray:
+        return _ANGLES[self.c0, self.c1]
 
 
 def _code_pair(params: ProtocolParams, codes, root: int, label: str) -> tuple:
@@ -282,8 +285,7 @@ def otm_prep(m0, m1, params: ProtocolParams, seed: int = 0,
                                               (derive_seed(seed, "ext1"), (want,)))
     # encode's arithmetic on secrets that are already 0/1 vectors of length k
     c0, c1 = (code0.generator @ r0) % 2, (code1.generator @ r1) % 2
-    instance = _record(OtrmInstance, code0=code0, code1=code1, r0=r0, r1=r1, c0=c0, c1=c1,
-                       angles=_ANGLES[c0, c1])
+    instance = _record(OtrmInstance, code0=code0, code1=code1, r0=r0, r1=r1, c0=c0, c1=c1)
     ext0 = _record(Extractor, bits=bits0, input_len=n, output_len=msg)
     ext1 = _record(Extractor, bits=bits1, input_len=n, output_len=msg)
     return _record(OtmPackage, instance=instance, ct0=m0 ^ ext0.apply(c0),
@@ -383,10 +385,68 @@ class LeakageReport:
         return out
 
 
+class _SweepRows(Sequence):
+    """The reports of an exhaustive sweep, built when read.
+
+    The view holds the pair count m, the grid's entry labels and the
+    sweep's figure columns; row r is the strategy whose i-th entry is digit
+    i of r in base len(labels), most significant first (itertools.product
+    order).  Each read builds the LeakageReport of its row: len, integer
+    and negative indexes, slices (a tuple of reports) and iteration behave
+    as on a tuple of every report.  Two views are equal when their m,
+    labels and columns are."""
+
+    __slots__ = ("m", "labels", "_figures", "_lesser")
+
+    def __init__(self, m: int, labels: tuple, figures: np.ndarray, lesser: np.ndarray):
+        self.m = m
+        self.labels = labels
+        self._figures = figures           # (5, rows): ic_b0, ic_b1, total, cond_b0, cond_b1
+        self._lesser = lesser             # (rows,) int64
+
+    def __len__(self) -> int:
+        return len(self._lesser)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        row = operator.index(i)
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError(f"sweep row {i} out of range for {len(self)} rows")
+        count, rest, digits = len(self.labels), row, []
+        for _ in range(self.m):
+            rest, digit = divmod(rest, count)
+            digits.append(self.labels[digit])
+        return LeakageReport(self.m, tuple(reversed(digits)),
+                             *self._figures[:, row].tolist(), int(self._lesser[row]))
+
+    def __iter__(self):
+        labels = itertools.product(self.labels, repeat=self.m)
+        return itertools.starmap(LeakageReport, zip(itertools.repeat(self.m), labels,
+                                                    *self._figures.tolist(),
+                                                    self._lesser.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, _SweepRows):
+            return NotImplemented
+        return (self.m == other.m and self.labels == other.labels
+                and np.array_equal(self._figures, other._figures)
+                and np.array_equal(self._lesser, other._lesser))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} sweep rows, m={self.m}, labels={self.labels!r}>"
+
+
 @dataclass(frozen=True)
 class LeakageSweep:
+    """An exhaustive sweep: its worst figures and all_ok, read from the
+    figure columns, and its reports as a read-only sequence built when read
+    (see _SweepRows)."""
+
     m: int
-    reports: tuple
+    reports: Sequence[LeakageReport]
     worst: dict
     all_ok: bool
 
@@ -399,10 +459,11 @@ _MAX_SWEEP_ROWS = 20_000      # product strategies one sweep may list
 _MAX_SWEEP_CELLS = 1 << 18
 
 
-def _product_figures(figs: np.ndarray) -> tuple:
-    """Columns ic_b0, ic_b1, cond_b0, cond_b1 of product strategies from
-    per-pair figures figs[s, i], the (ic_b0, ic_b1, cond_b0, cond_b1) of
-    pair i alone under strategy s.
+def _product_figures(per: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Figures ic_b0, ic_b1, cond_b0, cond_b1 of product strategies, as the
+    rows of a (4, strategies) array, from per-entry figures per[e], the
+    (ic_b0, ic_b1, cond_b0, cond_b1) of one pair measured by entry e, and
+    idx[s, i], the entry that measures pair i under strategy s.
 
     Every figure of a product strategy is the sum of its pairs' figures.
     The pairs are independent, so the joint of the (b0, b1, outcome)
@@ -421,9 +482,38 @@ def _product_figures(figs: np.ndarray) -> tuple:
 
     Each figure is summed over its sorted pair values, so a strategy's
     figures, and its lesser string, do not depend on the order of its
-    entries.
+    entries.  The sort is on integer ranks: a stable argsort ranks the
+    entries by the figure once, each strategy's ranks are sorted, and the
+    values at those ranks are added left to right.  The sums are those of
+    the float sort, np.sort(per[idx], axis=1).sum(axis=1), bit for bit:
+
+    - Sorting the ranks orders each strategy's values as np.sort does.  A
+      smaller rank never holds a larger value, so the values at the sorted
+      ranks are a non-decreasing arrangement of the strategy's values, and
+      two such arrangements of one multiset agree, position by position,
+      up to equal values.
+    - Equal values are bitwise equal, so where the two orders place
+      different entries they place the same bits.  Figures are finite, and
+      only +0.0 and -0.0 are equal floats with different bits; no figure
+      is -0.0, as each is a difference x - y of finite floats whose
+      minuend is a collision entropy of a uniform bit (about 1), and a
+      difference is -0.0 only when x is -0.0 (x - x is +0.0).
+    - Both sums add in the same order.  numpy reduces an axis that is not
+      the innermost one with one add per index, in index order; pairwise
+      summation applies only along the innermost axis.  The float sort
+      reduces the middle axis of a (strategies, m, 4) array, and the
+      (m, 4, strategies) array here is reduced along its first axis: both
+      add the m sorted values left to right.
     """
-    return tuple(np.sort(figs, axis=1).sum(axis=1).T)
+    rows, m = idx.shape
+    count, width = per.shape
+    ranked = np.empty((m, width, rows))
+    for j in range(width):
+        order = np.argsort(per[:, j], kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(count)
+        ranked[:, j] = per[order, j][np.sort(rank[idx], axis=1).T]
+    return ranked.sum(axis=0)
 
 
 def _sweep_index(count: int, m: int) -> np.ndarray:
@@ -451,8 +541,9 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
     product assignments and the worst case per figure is reported; a
     strategy with exhaustive=True, or angles without it, is refused.
     Figures come from the one-pair joint of each entry and add up over
-    the pairs (see _product_figures).  The sweep's worst case and all_ok
-    are read from the figure columns.
+    the pairs (see _product_figures).  A sweep holds its figure columns,
+    not its reports: worst and all_ok are read from the columns, and
+    each report is built when the caller reads it (see _SweepRows).
     """
     m = _check_int("m", m)
     if m < 1:
@@ -482,20 +573,15 @@ def leakage_experiment(m: int, strategy=None, exhaustive: bool = False,
     distinct = dict(zip(keys, tables))
     slot = {key: s for s, key in enumerate(distinct)}
     figs = np.array([pair_info(t) for t in distinct.values()])
-    figs = figs.reshape(-1, 4)[[slot[key] for key in keys]]
-    ic0, ic1, c0, c1 = _product_figures(figs[idx])
-    total = ic0 + ic1
+    ic0, ic1, c0, c1 = _product_figures(figs.reshape(-1, 4)[[slot[key] for key in keys]], idx)
+    figures = np.stack((ic0, ic1, ic0 + ic1, c0, c1))
     lesser = (ic0 - ic1 > _TIE).astype(np.int64)
-    # the rows of idx as labels, in the same order (see _sweep_index)
-    labels = itertools.product(names, repeat=m) if exhaustive else (names,)
-    cols = (c.tolist() for c in (ic0, ic1, total, c0, c1, lesser))
-    reports = tuple(itertools.starmap(LeakageReport, zip(itertools.repeat(m), labels, *cols)))
     if not exhaustive:
-        return reports[0]
+        return LeakageReport(m, names, *figures[:, 0].tolist(), int(lesser[0]))
     values = {q: quant.from_figures(ic0, ic1, c0, c1) for q, quant in _QUANTITY.items()}
     return LeakageSweep(
         m=m,
-        reports=reports,
+        reports=_SweepRows(m, names, figures, lesser),
         worst={q: float(v.max()) for q, v in values.items()},
         all_ok=all(bool(np.all(v <= m * PER_PAIR_BOUNDS[q] + 1e-9)) for q, v in values.items()),
     )

@@ -45,6 +45,12 @@ _SUCCESS = ("tests/test_qrac.py::test_success_table_all_eight_entries",
             "tests/test_acceptance.py::test_criterion_01_qrac_success_probabilities")
 _COINS = "tests/test_seeds.py::test_coin_bits_match_generator_integers"
 _HASHMIX = "t = (pool[src] ^ xa[i]) * _HASH_A[i + 1] & mask\n        "
+_SWEEP = "tests/test_protocol.py::test_leakage_sweep_columns_match_eager_reports"
+_ENTRY_ORDER = "tests/test_protocol.py::test_leakage_ignores_entry_order"
+_ROWS = "tests/test_protocol.py::test_leakage_sweep_rows_read_as_a_tuple_of_reports"
+_VIEW_EQ = ("return (self.m == other.m and self.labels == other.labels\n"
+            "                and np.array_equal(self._figures, other._figures)\n"
+            "                and np.array_equal(self._lesser, other._lesser))")
 
 
 def _literal_rows(quantity, literal, down, up):
@@ -142,6 +148,23 @@ MUTANTS = [
     Mutant(_PROTOCOL, "word = rng.random(bits0.shape) >= p0[bits0, bits1]",
            "word = rng.random(bits0.shape) >= p0[bits1, bits0]", (_READS,),
            "the table is indexed by (b0, b1): the first code's bit first"),
+    Mutant(_PROTOCOL, "ranked[:, j] = per[order, j][np.sort(rank[idx], axis=1).T]",
+           "ranked[:, j] = per[order, j][rank[idx].T]", (_SWEEP, _ENTRY_ORDER),
+           "unsorted ranks add a strategy's values in entry order"),
+    Mutant(_PROTOCOL, "return ranked.sum(axis=0)", "return ranked[::-1].sum(axis=0)",
+           (_SWEEP,), "the float sort adds the sorted values from the smallest"),
+    Mutant(_PROTOCOL, "row += len(self)", "row += len(self) - 1", (_ROWS,),
+           "index -1 is the last row"),
+    Mutant(_PROTOCOL, _VIEW_EQ, "return len(self) == len(other)", (_ROWS,),
+           "sweeps of equal size but other figures or labels are not equal"),
+    Mutant(_PROTOCOL, "return _ANGLES[self.c0, self.c1]", "return _ANGLES[self.c1, self.c0]",
+           ("tests/test_protocol.py::test_otrm_prep_qubits_encode_codeword_pairs",
+            "tests/test_protocol.py::test_round_trip_bytes_pinned"),
+           "qubit i encodes the bit pair (c0[i], c1[i]) in that order"),
+    Mutant("src/otmbench/collinfo.py", 'if "-" in ln and min(idx, default=0) < 0:',
+           'if "-" in cells[0] and min(idx, default=0) < 0:',
+           ("tests/test_collinfo.py::test_from_csv_reads_minus_signs_exactly",),
+           "a negative index on a later axis wraps to the end of that axis"),
     Mutant(_SEEDS, _HASHMIX + "t = (t ^ t >> 16) & mask", _HASHMIX + "t = t ^ t >> 16",
            (_COINS,), "an unmasked xor-shift carries bits into the next lane"),
     Mutant(_SEEDS, "_LANE = 72", "_LANE = 64", (_COINS,),

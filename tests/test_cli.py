@@ -125,6 +125,33 @@ def test_entropy_conditional_figures(args, key, want, tmp_path, capsys):
     assert abs(result[key] - want(d)) <= 1e-12
 
 
+def test_main_keeps_one_parser_and_no_flags_between_calls(tmp_path, capsys):
+    d = _conditional_joint()
+    path = tmp_path / "dist.csv"
+    path.write_text(csv_text(d))
+    entropy = ["entropy", "--in", str(path), "--mi", "X", "Y"]
+    given = {"conditional_collision_mi": collision_entropy_given(d, "X", ("Z",))
+             - collision_entropy_given(d, "X", ("Y", "Z"))}
+    plain = {"collision_mi": collision_mi(d, ("X",), ("Y",))}
+    out_file = tmp_path / "given.json"
+    for argv, want, flag in ((["--out", str(out_file), *entropy, "--given", "Z"], given, ["Z"]),
+                             (entropy, plain, None), (entropy + ["--given", "Z"], given, ["Z"])):
+        code, out = run(argv, capsys)
+        assert code == cli.EXIT_OK
+        payload = json.loads(out or out_file.read_text())
+        (key, value), = ((k, v) for k, v in payload["result"].items() if k != "variables")
+        assert key in want and abs(value - want[key]) <= 1e-12, argv
+        assert payload["config"]["given"] == flag
+    bounds = ["bounds", "--coarse", "0.25", "--fine", "0.25"]
+    for argv, quantity in ((bounds + ["--quantity", "total"], "total"), (bounds, "greater")):
+        code, out = run(argv, capsys)
+        assert code == cli.EXIT_OK
+        payload = json.loads(out)
+        assert payload["config"]["quantity"] == payload["result"]["quantity"] == quantity
+    assert cli._shared_parser() is cli._shared_parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_entropy_json_input(tmp_path, capsys):
     d = random_joint(("A", "B"), (2, 2), seed=3)
     path = tmp_path / "dist.json"

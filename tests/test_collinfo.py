@@ -102,6 +102,15 @@ def test_from_csv_rejects_bad_rows(rows):
         JointDistribution.from_csv("X,prob\n" + rows)
 
 
+def test_from_csv_reads_minus_signs_exactly():
+    # a negative index on any axis is refused; -0 is index 0, and a minus
+    # sign in a probability marks no index
+    with pytest.raises(ValueError, match="negative index in row '1,-1,0.5'"):
+        JointDistribution.from_csv("X,Y,prob\n0,0,0.5\n1,-1,0.5\n")
+    d = JointDistribution.from_csv("X,Y,prob\n-0,1,0.5\n1,0,0.5\n1,1,1e-300\n")
+    assert d.table.tolist() == [[0.0, 0.5], [0.5, 1e-300]]
+
+
 @pytest.mark.parametrize("text", [
     "X,prob\n16777216,1.0\n",                   # 2^24 + 1 cells on one axis
     "X,Y,Z,prob\n0,0,0,0.5\n256,256,256,0.5\n",  # 257^3 cells, past 256^3 = 2^24

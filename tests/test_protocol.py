@@ -1,5 +1,6 @@
 """Protocol round trips, extractor guarantees, leakage and simulator checks."""
 
+from collections.abc import Sequence
 import copy
 import dataclasses
 import hashlib
@@ -947,7 +948,7 @@ def test_leakage_computes_each_distinct_entry_once(monkeypatch):
 
 def test_leakage_sweep_reports_and_bounds():
     sweep = leakage_experiment(3, exhaustive=True, angles=[0.0, 0.4, 0.8])
-    assert type(sweep.reports) is tuple and len(sweep.reports) == 27
+    assert isinstance(sweep.reports, Sequence) and len(sweep.reports) == 27
     assert sweep.reports[-1].strategy == (0.8, 0.8, 0.8)
     assert leakage_experiment(3, exhaustive=True, angles=[0.0, 0.4, 0.8]) == sweep
     reports = sweep.reports
@@ -958,6 +959,60 @@ def test_leakage_sweep_reports_and_bounds():
     # a value is within its limit up to 1e-9
     edge = LeakageReport(1, (0.0,), 0.59 + 5e-10, 0.0, 0.59 + 5e-10, 0.59 + 2e-9, 0.0, 1)
     assert [v["ok"] for v in edge.bounds.values()] == [True, True, False]
+
+
+def test_leakage_sweep_rows_read_as_a_tuple_of_reports():
+    angles = [0.0, 0.4, _TRINE]
+    sweep = leakage_experiment(3, exhaustive=True, angles=angles)
+    rows = sweep.reports
+    eager = tuple(rows)
+    assert len(rows) == len(eager) == 27 and all(type(r) is LeakageReport for r in eager)
+    # two iterations give equal reports, and each read builds its own
+    assert tuple(rows) == eager and next(iter(rows)) is not eager[0]
+    for i in (0, 1, 13, 26, -1, -2, -27, np.int64(5), np.int64(-3)):
+        assert rows[i] == eager[i], i
+    assert rows[-1].strategy == (_TRINE,) * 3 and rows[5].strategy == (0.0, 0.4, _TRINE)
+    for i in (27, -28, 10**6, -(10**6)):
+        with pytest.raises(IndexError):
+            rows[i]
+    with pytest.raises(TypeError):
+        rows[1.0]
+    for s in (slice(None), slice(2, 9), slice(None, None, -4), slice(-5, None, 2),
+              slice(30, 40)):
+        assert rows[s] == eager[s], s
+    assert list(reversed(rows)) == list(reversed(eager)) and rows.index(eager[7]) == 7
+    # bounds is cached on each report a read builds
+    rep = rows[4]
+    assert rep.bounds is rep.bounds and rep.bounds == eager[4].bounds
+    # equality compares content: m, labels and figures
+    assert leakage_experiment(3, exhaustive=True, angles=list(angles)) == sweep
+    assert rows == leakage_experiment(3, exhaustive=True, angles=angles).reports
+    assert rows != leakage_experiment(2, exhaustive=True, angles=angles).reports
+    assert rows != leakage_experiment(3, exhaustive=True, angles=[0.0, 0.4, 0.5]).reports
+    assert rows != leakage_experiment(3, exhaustive=True, angles=[0.0, _TRINE, 0.4]).reports
+    assert rows != eager and rows != list(eager)
+    with pytest.raises(TypeError):
+        hash(rows)
+    # a grid that repeats an angle puts equal values at two ranks: equal reports
+    twice = leakage_experiment(1, exhaustive=True, angles=[0.4, np.float64(0.4)]).reports
+    assert twice[0] == twice[1]
+    assert twice != leakage_experiment(1, exhaustive=True, angles=[0.4, 0.5]).reports
+
+
+def test_leakage_sweep_holds_columns_not_reports():
+    # 3^9 = 19 683 rows: their columns take under 1 MiB, and one report
+    # each, held at once, would take about 10 MiB
+    tracemalloc.start()
+    try:
+        sweep = leakage_experiment(9, exhaustive=True, angles=[0.0, 0.5, 1.0])
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        count = sum(1 for _ in sweep.reports)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 3**9
+    assert held < 4 * 2**20 and peak < 8 * 2**20, (held, peak)
 
 
 def test_leakage_report_is_a_frozen_dataclass():
