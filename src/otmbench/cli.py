@@ -63,7 +63,7 @@ def parse_eps(text: str) -> float:
 def _parse_angles(text: str, what: str = "strategy") -> list:
     """Comma-separated radians; mu0/mu1/mid name the standard bases.  A
     text that lists none is refused, naming what it was given as."""
-    named = {"mu0": 0.0, "mid": math.pi / 8, "mu1": math.pi / 4}
+    named = dict(zip(("mu0", "mid", "mu1"), povmsearch.DISTINGUISHED_ANGLES))
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -299,12 +299,12 @@ def _run_leakage(args):
     w.writerow(["strategy", "ic_b0", "ic_b1", "total", "cond_b0", "cond_b1",
                 "lesser", "greater_ok", "total_ok", "conditional_ok"])
     for r in reports:
+        bounds = r.bounds
         w.writerow([
             ";".join(f"{a:.10g}" for a in r.strategy),
             f"{r.ic_b0:.12g}", f"{r.ic_b1:.12g}", f"{r.total:.12g}",
             f"{r.cond_b0:.12g}", f"{r.cond_b1:.12g}", r.lesser,
-            int(r.bounds["greater"]["ok"]), int(r.bounds["total"]["ok"]),
-            int(r.bounds["conditional"]["ok"]),
+            *(int(bounds[q]["ok"]) for q in ("greater", "total", "conditional")),
         ])
     _emit(args, buf.getvalue())
     return EXIT_OK

@@ -21,6 +21,7 @@ from functools import cached_property
 import itertools
 import math
 import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -324,18 +325,18 @@ def mc_correctness(params: ProtocolParams, alpha: int, trials: int, seed: int,
     alpha = _check_alpha(alpha)
     _check_trials(trials, params.n)
     codes = _code_pair(params, codes, seed, "mc-code")
-    cws = tuple(c.codeword_ints for c in codes)      # refuses n past the packed limit
+    cws = tuple(c.codewords for c in codes)
     code, p0 = codes[alpha], READOUT_P0[alpha]
-    shifts = np.arange(params.n - 1, -1, -1, dtype=np.int64)
+    pack = 1 << np.arange(params.n - 1, -1, -1, dtype=np.int64)
     rng = np.random.default_rng(derive_seed(seed, "mc-reads"))
     block = max(1, (1 << 20) // params.n)             # trials per block: 2^20 qubits
     failures = 0
     for start in range(0, trials, block):
         m = min(block, trials - start)
         msgs = [rng.integers(0, cw.shape[0], size=m) for cw in cws]
-        bits0, bits1 = ((cw[r][:, None] >> shifts) & 1 for cw, r in zip(cws, msgs))
+        bits0, bits1 = (cw[r] for cw, r in zip(cws, msgs))
         word = rng.random(bits0.shape) >= p0[bits0, bits1]
-        decoded = ml_decode_packed(code, word @ (1 << shifts))
+        decoded = ml_decode_packed(code, word @ pack)
         failures += int(np.sum(decoded != msgs[alpha]))
     try:
         exact = exact_failure_prob(code, _CHANNEL_P)
@@ -353,8 +354,7 @@ def mc_correctness(params: ProtocolParams, alpha: int, trials: int, seed: int,
 # ---------------------------------------------------------------------------
 # exact leakage experiments
 
-@dataclass(frozen=True, init=False)
-class LeakageReport:
+class LeakageReport(NamedTuple):
     """Exact per-strategy leakage figures against the m-fold pair bounds."""
 
     m: int
@@ -366,14 +366,7 @@ class LeakageReport:
     cond_b1: float
     lesser: int               # index of the string with the smaller leakage; 0 on a tie
 
-    def __init__(self, m, strategy, ic_b0, ic_b1, total, cond_b0, cond_b1, lesser):
-        # one write of the instance dict, where the generated frozen __init__
-        # makes one object.__setattr__ call per field; a sweep builds one
-        # report per product strategy
-        vars(self).update(m=m, strategy=strategy, ic_b0=ic_b0, ic_b1=ic_b1, total=total,
-                          cond_b0=cond_b0, cond_b1=cond_b1, lesser=lesser)
-
-    @cached_property
+    @property
     def bounds(self) -> dict:
         """Per quantity: its value, its limit m times the pair bound, and
         whether the value is within the limit (to 1e-9)."""
@@ -419,14 +412,13 @@ class _SweepRows(Sequence):
         for _ in range(self.m):
             rest, digit = divmod(rest, count)
             digits.append(self.labels[digit])
-        return LeakageReport(self.m, tuple(reversed(digits)),
-                             *self._figures[:, row].tolist(), int(self._lesser[row]))
+        return LeakageReport._make((self.m, tuple(reversed(digits)),
+                                    *self._figures[:, row].tolist(), int(self._lesser[row])))
 
     def __iter__(self):
         labels = itertools.product(self.labels, repeat=self.m)
-        return itertools.starmap(LeakageReport, zip(itertools.repeat(self.m), labels,
-                                                    *self._figures.tolist(),
-                                                    self._lesser.tolist()))
+        return map(LeakageReport._make, zip(itertools.repeat(self.m), labels,
+                                            *self._figures.tolist(), self._lesser.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, _SweepRows):

@@ -157,6 +157,19 @@ MUTANTS = [
            "index -1 is the last row"),
     Mutant(_PROTOCOL, _VIEW_EQ, "return len(self) == len(other)", (_ROWS,),
            "sweeps of equal size but other figures or labels are not equal"),
+    Mutant(_PROTOCOL, "*self._figures.tolist(), self._lesser.tolist()))",
+           "*self._figures[::-1].tolist(), self._lesser.tolist()))",
+           (_ROWS, _SWEEP,
+            "tests/test_cli.py::test_leakage_csv_is_pinned[--m 9 --exhaustive --angles 0,0.5,1]"),
+           "a row's fields take the figure columns in their order, ic_b0 first"),
+    Mutant(_PROTOCOL, "quant.from_figures(self.ic_b0, self.ic_b1, self.cond_b0, self.cond_b1)",
+           "quant.from_figures(self.ic_b0, self.ic_b1, self.cond_b1, self.cond_b1)",
+           ("tests/test_protocol.py::test_leakage_sweep_reports_and_bounds", _SWEEP),
+           "the conditional quantity reads both strings' conditional figures"),
+    Mutant(_PROTOCOL, "cws = tuple(c.codewords for c in codes)",
+           "cws = tuple(c.codewords for c in codes[::-1])",
+           (_READS, "tests/test_cli.py::test_simulate_readme_payloads_pinned"),
+           "qubit i of a sampled read encodes (code 0's bit, code 1's bit) in that order"),
     Mutant(_PROTOCOL, "return _ANGLES[self.c0, self.c1]", "return _ANGLES[self.c1, self.c0]",
            ("tests/test_protocol.py::test_otrm_prep_qubits_encode_codeword_pairs",
             "tests/test_protocol.py::test_round_trip_bytes_pinned"),

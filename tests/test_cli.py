@@ -201,7 +201,7 @@ def test_leakage_exhaustive_rows(capsys):
     assert len(rows) == 1 + 9  # header + 3^2 strategies
 
 
-# sha256 of the CSV on stdout for the README leakage calls
+# sha256 of the CSV on stdout for the README leakage calls and one large sweep
 _LEAKAGE_CSV_SHA256 = {
     ("--m", "2", "--exhaustive"):
         "0979f8f2140f10f3a3b269dfb644c8c75936c09ebab360daf2bbb72c70d35e14",
@@ -209,6 +209,9 @@ _LEAKAGE_CSV_SHA256 = {
         "0bcafd6fe9eb0877c4fae67b186cfbde40fafa8d8da0caf7959ce2eed253f61d",
     ("--m", "3", "--strategy", "0,0.3926991,0.7853982"):
         "ccfeeee0e2d2568ae6344c6850396cfd1755c88282a475610ed69f5701fa2e7d",
+    # 3^9 = 19 683 rows
+    ("--m", "9", "--exhaustive", "--angles", "0,0.5,1"):
+        "ff76139cfba10e5702ddda091ab320b1e4cfa4808adbe18b8210f5ef32ef9dae",
 }
 
 

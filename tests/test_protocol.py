@@ -500,6 +500,22 @@ def test_mc_correctness_trials_must_be_an_integer_before_drawing_codes():
     assert mc_correctness(params, 0, np.int64(10), seed=1) == mc_correctness(params, 0, 10, seed=1)
 
 
+def test_mc_correctness_reads_codeword_bits_as_uint8():
+    # 200 000 trials at n = 20 are sampled in blocks of 2^20 qubits; a block's
+    # codeword bits held as int64 would take 16 MiB and lift the peak past 32 MiB
+    params = ProtocolParams(n=20, lam=8, k=4)
+    codes = (random_code(20, 4, 1), random_code(20, 4, 2))
+    mc_correctness(params, 0, 10, seed=5, codes=codes)      # builds the codeword tables
+    tracemalloc.start()
+    try:
+        out = mc_correctness(params, 0, 200_000, seed=7, codes=codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["failures"] == 13790
+    assert peak < 28 * 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # extractor
 
@@ -952,10 +968,9 @@ def test_leakage_sweep_reports_and_bounds():
     assert sweep.reports[-1].strategy == (0.8, 0.8, 0.8)
     assert leakage_experiment(3, exhaustive=True, angles=[0.0, 0.4, 0.8]) == sweep
     reports = sweep.reports
-    # bounds is derived from the figures, cached, and outside equality
+    # bounds is derived from the figures and outside equality
     rep = reports[5]
-    assert rep.bounds is rep.bounds
-    assert "bounds" not in {f.name for f in dataclasses.fields(rep)}
+    assert "bounds" not in rep._fields
     # a value is within its limit up to 1e-9
     edge = LeakageReport(1, (0.0,), 0.59 + 5e-10, 0.0, 0.59 + 5e-10, 0.59 + 2e-9, 0.0, 1)
     assert [v["ok"] for v in edge.bounds.values()] == [True, True, False]
@@ -981,9 +996,8 @@ def test_leakage_sweep_rows_read_as_a_tuple_of_reports():
               slice(30, 40)):
         assert rows[s] == eager[s], s
     assert list(reversed(rows)) == list(reversed(eager)) and rows.index(eager[7]) == 7
-    # bounds is cached on each report a read builds
-    rep = rows[4]
-    assert rep.bounds is rep.bounds and rep.bounds == eager[4].bounds
+    # bounds is derived on each report a read builds
+    assert rows[4].bounds == eager[4].bounds
     # equality compares content: m, labels and figures
     assert leakage_experiment(3, exhaustive=True, angles=list(angles)) == sweep
     assert rows == leakage_experiment(3, exhaustive=True, angles=angles).reports
@@ -1015,30 +1029,30 @@ def test_leakage_sweep_holds_columns_not_reports():
     assert held < 4 * 2**20 and peak < 8 * 2**20, (held, peak)
 
 
-def test_leakage_report_is_a_frozen_dataclass():
+def test_leakage_report_is_a_named_tuple():
     args = (2, (0.0, 0.5), 0.25, 0.125, 0.375, 0.5, 0.0625, 1)
-    names = ["m", "strategy", "ic_b0", "ic_b1", "total", "cond_b0", "cond_b1", "lesser"]
+    names = ("m", "strategy", "ic_b0", "ic_b1", "total", "cond_b0", "cond_b1", "lesser")
     rep = LeakageReport(*args)
-    assert [f.name for f in dataclasses.fields(LeakageReport)] == names
+    assert LeakageReport._fields == names
     assert repr(rep) == ("LeakageReport(m=2, strategy=(0.0, 0.5), ic_b0=0.25, ic_b1=0.125, "
                          "total=0.375, cond_b0=0.5, cond_b1=0.0625, lesser=1)")
     by_name = LeakageReport(**dict(zip(names, args)))
     assert by_name == rep and hash(by_name) == hash(rep)
     assert rep != LeakageReport(*args[:-1], 0)
-    for name in names:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+    for name in (*names, "bounds"):
+        with pytest.raises(AttributeError):
             setattr(rep, name, 0)
-    # bounds is cached on the instance, and neither it nor its cache takes
-    # part in equality or hashing
+    # bounds is derived from the figures and takes no part in equality or
+    # hashing; a report equals the plain tuple of its values
     bounds = rep.bounds
-    assert rep.bounds is bounds and bounds["total"]["value"] == 0.375
-    assert rep == by_name and hash(rep) == hash(by_name)
-    changed = dataclasses.replace(rep, lesser=0)
+    assert bounds["total"]["value"] == 0.375
+    assert rep == by_name == args and hash(rep) == hash(by_name) == hash(args)
+    changed = rep._replace(lesser=0)
     assert changed == LeakageReport(*args[:-1], 0) and changed.bounds == bounds
-    assert dataclasses.replace(rep) == rep
+    assert rep._replace() == rep
     dup = copy.copy(rep)
     assert dup == rep and hash(dup) == hash(rep) and dup is not rep
-    assert dataclasses.astuple(dup) == args
+    assert type(dup) is LeakageReport and tuple(dup) == args
 
 
 def test_honest_receiver_leaves_other_string_bounded():
